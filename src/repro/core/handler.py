@@ -22,7 +22,7 @@ Metrics written (per node): ``df.put.stored``, ``df.put.duplicate``,
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Optional
 
 from repro.core.config import DataFlasksConfig
 from repro.core.keyspace import slice_for_key
@@ -48,6 +48,10 @@ class RequestHandler(Service):
         self.store = store
         self.config = config
         self._seen = DedupCache(config.dedup_capacity)
+        # The live ``df.dedup.dropped`` slots, fetched by the first
+        # duplicate (as ``inc`` would create them), so a run without
+        # duplicates reports no such counter.
+        self._dropped: Optional[Dict[Optional[int], float]] = None
 
     # ----------------------------------------------------------- lifecycle
 
@@ -65,27 +69,19 @@ class RequestHandler(Service):
 
     # ------------------------------------------------------------- helpers
 
+    def _count_duplicate(self) -> None:
+        slots = self._dropped
+        if slots is None:
+            assert self.node is not None
+            slots = self._dropped = self.node.metrics.counter("df.dedup.dropped")
+        slots[None] = slots.get(None, 0.0) + 1.0
+
     def _my_slice(self) -> Optional[int]:
         node = self.node
         assert node is not None
         slicing = node.get_service(SlicingService)
         assert slicing is not None, "RequestHandler requires a SlicingService"
         return slicing.my_slice()
-
-    def _global_targets(self) -> List[int]:
-        node = self.node
-        assert node is not None
-        pss = node.get_service(PeerSamplingService)
-        assert pss is not None, "RequestHandler requires a PeerSamplingService"
-        return pss.sample(self.config.effective_fanout)
-
-    def _slice_targets(self) -> List[int]:
-        node = self.node
-        assert node is not None
-        slice_view = node.get_service(SliceViewService)
-        if slice_view is None:
-            return []
-        return slice_view.sample(self.config.intra_slice_fanout)
 
     def _forward(self, msg, *, intra_slice: bool) -> None:
         """Relay a request with a decremented TTL."""
@@ -96,24 +92,37 @@ class RequestHandler(Service):
             return
         relay = _with_ttl(msg, msg.ttl - 1)
         if intra_slice:
-            targets = self._slice_targets()
+            slice_view = node.get_service(SliceViewService)
+            if slice_view is None:
+                return
+            targets = slice_view.sample(self.config.intra_slice_fanout)
             counter = "df.fwd.slice"
         else:
-            targets = self._global_targets()
+            pss = node.get_service(PeerSamplingService)
+            assert pss is not None, "RequestHandler requires a PeerSamplingService"
+            targets = pss.sample(self.config.effective_fanout)
             counter = "df.fwd.global"
-        for target in targets:
-            node.send(target, relay)
-        if targets:
-            node.metrics.inc(counter, node=node.id, by=len(targets))
+        if not targets:
+            return
+        me = node.id
+        if node.alive:
+            # ``Node.send`` for the whole fan-out: liveness tested once,
+            # ``send`` looked up on the network per message (run-time
+            # guards and the ledger tracer patch it).
+            network = node.network
+            for target in targets:
+                network.send(me, target, relay)
+        node.metrics.inc(counter, node=me, by=len(targets))
 
     # ----------------------------------------------------------------- put
 
     def _on_put(self, msg: PutRequest, src: int) -> None:
+        req_id = msg.req_id
+        if self._seen.seen(("put", req_id[0], req_id[1], msg.attempt)):
+            self._count_duplicate()
+            return
         node = self.node
         assert node is not None
-        if self._seen.seen(("put", msg.msg_id)):
-            node.metrics.inc("df.dedup.dropped")
-            return
         my_slice = self._my_slice()
         target_slice = slice_for_key(msg.key, self.config.num_slices)
         if my_slice is None or my_slice != target_slice:
@@ -147,17 +156,19 @@ class RequestHandler(Service):
     # ----------------------------------------------------------------- get
 
     def _on_get(self, msg: GetRequest, src: int) -> None:
+        req_id = msg.req_id
+        if self._seen.seen(("get", req_id[0], req_id[1], msg.attempt)):
+            self._count_duplicate()
+            return
         node = self.node
         assert node is not None
-        if self._seen.seen(("get", msg.msg_id)):
-            node.metrics.inc("df.dedup.dropped")
-            return
         # The paper's requirement is that "a read request must reach at
         # least one node holding the target item" — ANY holder answers,
         # even one that migrated out of the object's slice since storing
         # it (its copy is valid until re-homing hands it over).
         obj = self.store.get(msg.key, msg.version)
         my_slice = self._my_slice()
+        target_slice = slice_for_key(msg.key, self.config.num_slices)
         if obj is not None:
             node.metrics.inc("df.get.hit", node=node.id)
             node.send(
@@ -171,14 +182,11 @@ class RequestHandler(Service):
                     # Only advertise slice membership the client's load
                     # balancer can rely on: a holder outside the target
                     # slice must not be cached as a slice member.
-                    responder_slice=my_slice
-                    if my_slice == slice_for_key(msg.key, self.config.num_slices)
-                    else None,
+                    responder_slice=my_slice if my_slice == target_slice else None,
                 ),
             )
             # Found: no need to keep disseminating on this branch.
             return
-        target_slice = slice_for_key(msg.key, self.config.num_slices)
         if my_slice is None or my_slice != target_slice:
             self._forward(msg, intra_slice=False)
             return

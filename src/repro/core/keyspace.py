@@ -11,6 +11,7 @@ decide if they need to store that individual item".
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -23,8 +24,14 @@ def key_hash(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+@lru_cache(maxsize=1 << 16)
 def slice_for_key(key: str, num_slices: int) -> int:
-    """The slice index responsible for ``key`` in a ``num_slices`` system."""
+    """The slice index responsible for ``key`` in a ``num_slices`` system.
+
+    Memoised (bounded): every node maps the key of every request it
+    relays. ``num_slices`` is part of the memo key, so a node that
+    retunes it is never answered from the old mapping.
+    """
     if num_slices <= 0:
         raise ConfigurationError("num_slices must be positive")
     return key_hash(key) % num_slices

@@ -52,6 +52,10 @@ class PartialView:
             raise ConfigurationError("view capacity must be positive")
         self.capacity = capacity
         self._entries: Dict[int, NodeDescriptor] = {}
+        # sorted(self._entries), kept for the random draws: requests sample
+        # a view far more often than gossip changes its id *set*, and only
+        # such a change resets this (re-ageing keeps the set, and the list).
+        self._sorted_ids: Optional[List[int]] = None
         if entries:
             for descriptor in entries:
                 self.add(descriptor)
@@ -78,6 +82,12 @@ class PartialView:
     def get(self, node_id: int) -> Optional[NodeDescriptor]:
         return self._entries.get(node_id)
 
+    def _sorted(self) -> List[int]:
+        ids = self._sorted_ids  # shared: callers must not mutate it
+        if ids is None:
+            ids = self._sorted_ids = sorted(self._entries)
+        return ids
+
     def oldest(self, rng: Optional[random.Random] = None) -> Optional[NodeDescriptor]:
         """The descriptor with the highest age.
 
@@ -101,12 +111,13 @@ class PartialView:
         """A uniformly random node id from the view."""
         if not self._entries:
             return None
-        return rng.choice(sorted(self._entries))
+        return rng.choice(self._sorted())
 
     def sample_ids(self, rng: random.Random, count: int) -> List[int]:
         """Up to ``count`` distinct random ids from the view."""
-        ids = sorted(self._entries)
+        ids = self._sorted()
         if count >= len(ids):
+            ids = list(ids)
             rng.shuffle(ids)
             return ids
         return rng.sample(ids, count)
@@ -125,6 +136,7 @@ class PartialView:
                 self._entries[descriptor.node_id] = descriptor
             return
         self._entries[descriptor.node_id] = descriptor
+        self._sorted_ids = None
         if len(self._entries) > self.capacity:
             victim = self.oldest()
             assert victim is not None
@@ -132,6 +144,7 @@ class PartialView:
 
     def remove(self, node_id: int) -> bool:
         """Drop a node id; returns whether it was present."""
+        self._sorted_ids = None
         return self._entries.pop(node_id, None) is not None
 
     def increase_ages(self, by: int = 1) -> None:
@@ -163,13 +176,12 @@ class PartialView:
                 if descriptor.age < current.age:
                     self._entries[descriptor.node_id] = descriptor
                 continue
-            if len(self._entries) < self.capacity:
-                self._entries[descriptor.node_id] = descriptor
-                continue
-            evicted = self._evict_for_merge(sent_ids, rng)
-            if evicted is None:
-                return  # view full of entries we must keep
+            if len(self._entries) >= self.capacity:
+                evicted = self._evict_for_merge(sent_ids, rng)
+                if evicted is None:
+                    return  # view full of entries we must keep
             self._entries[descriptor.node_id] = descriptor
+            self._sorted_ids = None
 
     def _evict_for_merge(self, sent_ids: set, rng: Optional[random.Random]) -> Optional[int]:
         candidates = sorted(i for i in self._entries if i in sent_ids)

@@ -44,6 +44,7 @@ drop/latency decisions as one with none (see DESIGN.md, "Performance").
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -93,7 +94,8 @@ class UniformLatency(LatencyModel):
         self.high = high
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
-        return rng.uniform(self.low, self.high)
+        # rng.uniform's own expression, bit for bit, minus its frame.
+        return self.low + (self.high - self.low) * rng.random()
 
 
 class LogNormalLatency(LatencyModel):
@@ -105,8 +107,6 @@ class LogNormalLatency(LatencyModel):
     def __init__(self, median: float = 0.02, sigma: float = 0.5, cap: float = 2.0) -> None:
         if median <= 0 or sigma < 0 or cap <= 0:
             raise ConfigurationError("median/cap must be positive and sigma non-negative")
-        import math
-
         self._mu = math.log(median)
         self.sigma = sigma
         self.cap = cap
@@ -434,7 +434,9 @@ class Network:
         sent_kind[None] = sent_kind.get(None, 0.0) + 1.0
         tracer = self.tracer
         trace = tracer.active if tracer is not None else None
-        if self._fault_free:
+        fault_free = self._fault_free
+        rng = self.rng
+        if fault_free:
             loss = self.loss_rate
         else:
             if self._crosses_partition(src, dst):
@@ -444,14 +446,14 @@ class Network:
                     tracer.drop(trace, src, dst, entry[0], "partition", self.scheduler.now)
                 return False
             loss = self._loss_for(src, dst)
-        if loss > 0.0 and self.rng.random() < loss:
+        if loss > 0.0 and rng.random() < loss:
             self.metrics.inc("msg.dropped.loss")
             self.metrics.inc(entry[4])
             if trace is not None:
                 tracer.drop(trace, src, dst, entry[0], "loss", self.scheduler.now)
             return False
-        latency = self.latency_model.sample(self.rng, src, dst)
-        if not self._fault_free:
+        latency = self.latency_model.sample(rng, src, dst)
+        if not fault_free:
             latency += self._extra_latency_for(src, dst)
         if trace is None:
             self.scheduler.schedule(latency, self._deliver, src, dst, msg, entry[2])

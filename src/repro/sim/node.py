@@ -129,11 +129,17 @@ class Node:
     def __init__(self, node_id: int, ctx: SimContext) -> None:
         self.id = node_id
         self.ctx = ctx
+        # Plain attributes, not properties over ``ctx``: every message
+        # reads ``network`` and ``metrics`` at least once.
+        self.scheduler: Scheduler = ctx.scheduler
+        self.network: Network = ctx.network
+        self.metrics: MetricsRegistry = ctx.metrics
         self.alive = False
         self.started_at: Optional[float] = None
         self._handlers: Dict[Type[Any], Callable[[Any, int], None]] = {}
         self._timers: List[PeriodicTask] = []
         self._services: List[Service] = []
+        self._service_of: Dict[Type[Service], Service] = {}  # get_service memo
         # Interned per-type dead-letter counter slots, mirroring the
         # Network's per-type send/receive cache: type -> live inner dict
         # of `msg.unhandled.<Type>` (built on first dead-letter of that
@@ -141,23 +147,9 @@ class Node:
         self._unhandled_slots: Dict[Type[Any], Dict[Optional[int], float]] = {}
         self.rng = ctx.rng(f"node.{node_id}")
 
-    # ------------------------------------------------------------ plumbing
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.ctx.scheduler
-
-    @property
-    def network(self) -> Network:
-        return self.ctx.network
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.ctx.metrics
-
     @property
     def now(self) -> float:
-        return self.ctx.now
+        return self.scheduler.now
 
     # ------------------------------------------------------------ services
 
@@ -170,11 +162,19 @@ class Node:
         return service
 
     def get_service(self, cls: Type[Service]) -> Optional[Service]:
-        """First attached service that is an instance of ``cls``."""
-        for service in self._services:
-            if isinstance(service, cls):
-                return service
-        return None
+        """First attached service that is an instance of ``cls``.
+
+        Hits are remembered (protocols ask per message): services are
+        only ever appended, so the first match can never change. Misses
+        are not — the service may be attached later.
+        """
+        service = self._service_of.get(cls)
+        if service is None:
+            for candidate in self._services:
+                if isinstance(candidate, cls):
+                    service = self._service_of[cls] = candidate
+                    break
+        return service
 
     @property
     def services(self) -> List[Service]:

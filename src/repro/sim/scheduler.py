@@ -19,9 +19,9 @@ is unique, so a comparison never reaches the event object itself.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from math import isfinite
+from heapq import heappop, heappush
+from math import inf, isfinite
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -110,14 +110,14 @@ class Scheduler:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0 or not isfinite(delay):
-            # NaN fails every comparison, so `delay < 0` alone would let it
-            # through and silently corrupt heap ordering; +inf would park
-            # the event unreachably. Both must fail loudly.
+        if not 0 <= delay < inf:
+            # Rejects negatives, +inf (the event would park unreachably)
+            # and NaN (fails every comparison; would corrupt heap order).
             raise SimulationError(f"cannot schedule an event with delay {delay}s")
         time = self._now + delay
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -128,7 +128,7 @@ class Scheduler:
                 f"(current time t={self._now}; time must be finite and not in the past)"
             )
         event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        heappush(self._heap, (time, event.seq, event))
         return event
 
     @staticmethod
@@ -143,22 +143,9 @@ class Scheduler:
 
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
         """
-        heap = self._heap
-        profiler = self.profiler
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._events_processed += 1
-            if profiler is None:
-                event.fn(*event.args)
-            else:
-                t0 = perf_counter()
-                event.fn(*event.args)
-                profiler.record(event.fn, event.args, perf_counter() - t0)
-            return True
-        return False
+        fired = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != fired
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
@@ -173,33 +160,50 @@ class Scheduler:
         run (and therefore never rewinds when that work later fires).
         """
         heap = self._heap
-        pop = heapq.heappop
         profiler = self.profiler
-        fired = 0
-        while heap:
-            if max_events is not None and fired >= max_events:
-                break
-            time, _seq, event = heap[0]
-            if event.cancelled:
-                pop(heap)
-                continue
-            if until is not None and time > until:
-                break
-            pop(heap)
-            self._now = time
-            self._events_processed += 1
-            if profiler is None:
+        if max_events is None and profiler is None:
+            # The common case, with nothing optional in the loop. Popping
+            # before the horizon test and pushing the one event past it
+            # back fires what the general loop fires, in the same order:
+            # (time, seq) is a total order.
+            limit = inf if until is None else until
+            while heap:
+                entry = heappop(heap)
+                time, _seq, event = entry
+                if event.cancelled:
+                    continue
+                if time > limit:
+                    heappush(heap, entry)
+                    break
+                self._now = time
+                self._events_processed += 1
                 event.fn(*event.args)
-            else:
-                t0 = perf_counter()
-                event.fn(*event.args)
-                profiler.record(event.fn, event.args, perf_counter() - t0)
-            fired += 1
+        else:
+            fired = 0
+            while heap:
+                if max_events is not None and fired >= max_events:
+                    break
+                time, _seq, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if until is not None and time > until:
+                    break
+                heappop(heap)
+                self._now = time
+                self._events_processed += 1
+                if profiler is None:
+                    event.fn(*event.args)
+                else:
+                    t0 = perf_counter()
+                    event.fn(*event.args)
+                    profiler.record(event.fn, event.args, perf_counter() - t0)
+                fired += 1
         if until is not None and until > self._now:
             horizon = until
             # Drop any cancelled prefix so it cannot pin the horizon.
             while heap and heap[0][2].cancelled:
-                pop(heap)
+                heappop(heap)
             if heap and heap[0][0] < horizon:
                 horizon = heap[0][0]
             if horizon > self._now:

@@ -1,0 +1,77 @@
+"""Golden trajectories: one small spec per backend plus one fault spec,
+pinned by the SHA-256 of ``summary_json()``.
+
+Same-seed byte-identity between two runs of *one* commit is checked
+elsewhere; these pins hold it *across* commits, so a change sold as a
+pure speed-up fails tier-1 the moment it moves an RNG draw, a counter or
+an event. The values were recorded on the commit before the request-relay
+fast lane (PR 12's parent). A change that means to alter behaviour
+re-records them and says so; a change that does not must leave them be.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import METRIC_GROUPS, spec_from_dict
+
+SEED = 7
+LATENCY = {"kind": "uniform", "low": 0.005, "high": 0.015}
+YCSB_A = dict(preset="ycsb-a", record_count=12)
+
+GOLDEN = {
+    "core": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
+            metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
+        ),
+        "3877c5ee7bf017664af3c1453530f54b624b1545518f97358fee3a574e432419",
+    ),
+    "dht": (
+        dict(
+            stack="dht", nodes=40, replication=3, warmup=10.0, settle=3.0,
+            workload=dict(YCSB_A, operation_count=30),
+        ),
+        "08fbd2976afdcb5b98056d42be74a2f4c11e899a6c1e2de792b707b26f74b659",
+    ),
+    "oracle": (
+        dict(
+            stack="oracle", nodes=30, num_slices=3, warmup=2.0, settle=2.0,
+            workload=dict(YCSB_A, operation_count=30),
+        ),
+        "95595d5c74d93349ac0849c090c6cb21ed09db38a28462a9bf8fc2218ca0e509",
+    ),
+    # Partition, lossy/slow links and crash-recover: the network's
+    # fault path, retries, repair and the consistency audit.
+    "core-faults": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0, cooldown=4.0,
+            metrics=list(METRIC_GROUPS),
+            faults=[
+                dict(kind="partition", symmetric=False, fraction=0.3, start=1.0, duration=3.0),
+                dict(kind="degrade", fraction=0.5, loss=0.05, extra_latency=0.05,
+                     start=5.0, duration=3.0),
+                dict(kind="crash_recover", fraction=0.3, start=9.0, duration=3.0),
+            ],
+            workload=dict(YCSB_A, operation_count=40),
+        ),
+        "a48c04af1c8d82b49970f2fd4cad42854fcb642f74e9b1e0f6f35d8cc17ce130",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectory_is_the_recorded_one(name):
+    data, expected = GOLDEN[name]
+    spec = spec_from_dict(dict(data, name=f"golden-{name}", latency=LATENCY))
+    result = run_scenario(spec, SEED)
+    assert result.metrics["converged"] == 1.0
+    assert result.metrics["txn_success_rate"] == 1.0
+    digest = hashlib.sha256(result.summary_json().encode()).hexdigest()
+    assert digest == expected, (
+        f"the {name} trajectory moved; if that is intended, re-record the pin:\n"
+        f"{result.summary_json()}"
+    )

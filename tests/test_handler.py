@@ -7,12 +7,17 @@ rejection) is exercised deterministically.
 
 import pytest
 
+from repro.core.autoslice import ReplicationManager
 from repro.core.config import DataFlasksConfig
+from repro.core.handler import RequestHandler
 from repro.core.keyspace import slice_for_key
 from repro.core.messages import GetReply, GetRequest, PutAck, PutRequest
 from repro.core.node import DataFlasksNode
+from repro.core.store import MemoryStore
+from repro.pss.cyclon import CyclonService
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
+from repro.slicing.static import StaticSlicing, hash_slice
 
 
 def make_node(num_slices=4, store_capacity=None):
@@ -153,3 +158,93 @@ def test_unsliced_node_relays_without_storing():
     sim.run_for(1)
     assert not node.holds(key)
     assert inbox == []
+
+
+# ------------------------------------------- caches follow reconfiguration
+
+
+def relay_width(sim, node, client, seq):
+    """How many peers one foreign put is relayed to."""
+    before = sim.metrics.get("df.fwd.global", node=node.id)
+    foreign = key_in_slice((node.my_slice() + 1) % node.config.num_slices, node.config.num_slices)
+    client.send(node.id, put_msg(foreign, client.id, seq=seq))
+    sim.run_for(1)
+    return sim.metrics.get("df.fwd.global", node=node.id) - before
+
+
+def test_fanout_reconfiguration_changes_the_next_relay():
+    sim, node, client, inbox = make_node()
+    node.slicing._set_slice(0)
+    node.pss.bootstrap(list(range(1000, 1020)))  # dead peers: Cyclon drops one a round
+    assert relay_width(sim, node, client, seq=0) == 3
+    node.config.fanout = 5
+    assert relay_width(sim, node, client, seq=1) == 5
+    node.config.fanout = None
+    node.config.expected_n = 50  # ceil(ln 50 + 2) = 6
+    assert relay_width(sim, node, client, seq=2) == 6
+    node.config.expected_n = 1000  # ceil(ln 1000 + 2) = 9
+    assert relay_width(sim, node, client, seq=3) == 9
+    node.config.fanout_c = 4.0  # ceil(ln 1000 + 4) = 11
+    assert relay_width(sim, node, client, seq=4) == 11
+
+
+def test_num_slices_reconfiguration_reroutes_keys():
+    sim, node, client, inbox = make_node(num_slices=4)
+    node.slicing._set_slice(1)
+    mine_under_4 = key_in_slice(1, 4)
+    client.send(node.id, put_msg(mine_under_4, client.id, seq=0))
+    sim.run_for(1)
+    assert node.holds(mine_under_4)
+    # The way a running node retunes k: config + slicing, mid-run.
+    manager = node.add_service(ReplicationManager(node.config, target_replication=3))
+    manager._apply(3)
+    node.slicing._set_slice(1)
+    moved_in = next(
+        k for k in (f"in{i}" for i in range(1000))
+        if slice_for_key(k, 3) == 1 and slice_for_key(k, 4) != 1
+    )
+    moved_out = next(
+        k for k in (f"out{i}" for i in range(1000))
+        if slice_for_key(k, 4) == 1 and slice_for_key(k, 3) != 1
+    )
+    client.send(node.id, put_msg(moved_in, client.id, seq=1))
+    client.send(node.id, put_msg(moved_out, client.id, seq=2))
+    sim.run_for(1)
+    assert node.holds(moved_in)
+    assert not node.holds(moved_out)
+
+
+def test_siblings_attached_after_the_handler_are_found():
+    sim = Simulation(seed=1)
+    config = DataFlasksConfig(num_slices=4, ttl=5, fanout=3)
+    store = MemoryStore(None)
+    node = sim.add_node(Node)
+    node.add_service(RequestHandler(store, config))
+    node.start()  # the handler starts with no sibling in sight
+    node.add_service(StaticSlicing(num_slices=4, attribute=1.0))
+    pss = node.add_service(CyclonService(view_size=8, shuffle_length=4))
+    pss.bootstrap([500, 501, 502, 503])
+    client = sim.add_node(Node)
+    client.start()
+    inbox = []
+    client.register_handler(PutAck, lambda m, s: inbox.append(m))
+    my_slice = hash_slice(node.id, 4)
+    client.send(node.id, put_msg(key_in_slice(my_slice), client.id, seq=0))
+    client.send(node.id, put_msg(key_in_slice((my_slice + 1) % 4), client.id, seq=1))
+    sim.run_for(1)
+    assert len(inbox) == 1 and inbox[0].responder_slice == my_slice
+    assert sim.metrics.get("df.fwd.global", node=node.id) == 3
+
+
+def test_dedup_counter_is_created_by_the_first_duplicate_only():
+    sim, node, client, inbox = make_node()
+    node.slicing._set_slice(2)
+    client.send(node.id, put_msg(key_in_slice(2), client.id))
+    sim.run_for(1)
+    # Not even an empty entry: a cached slot must not be created eagerly.
+    assert "df.dedup.dropped" not in sim.metrics._counters
+    client.send(node.id, put_msg(key_in_slice(2), client.id))
+    client.send(node.id, get_msg(key_in_slice(2), client.id, seq=9))
+    client.send(node.id, get_msg(key_in_slice(2), client.id, seq=9))
+    sim.run_for(1)
+    assert sim.metrics.total("df.dedup.dropped") == 2

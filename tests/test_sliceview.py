@@ -4,6 +4,7 @@ from repro.core.config import DataFlasksConfig
 from repro.core.node import DataFlasksNode
 from repro.core.sliceview import SliceViewService
 from repro.pss.bootstrap import bootstrap_random_views
+from repro.pss.view import NodeDescriptor
 from repro.sim.node import SimContext
 from repro.sim.simulator import Simulation
 from repro.slicing.base import SlicingService
@@ -85,3 +86,16 @@ def test_sample_bounded_and_distinct():
     node = max(nodes, key=lambda n: len(n.slice_view.slice_peers()))
     sample = node.slice_view.sample(3)
     assert len(sample) == len(set(sample)) <= 3
+
+
+def test_slice_change_leaves_no_stale_sampling_cache():
+    sim, nodes = build_core_nodes(n=20)
+    sim.run_for(30)
+    node = next(n for n in nodes if n.slice_view.slice_peers())
+    assert node.slice_view.sample(3)  # the old view's sorted ids are cached now
+    slicing = node.get_service(SlicingService)
+    slicing._set_slice((slicing.my_slice() + 1) % slicing.num_slices)
+    assert node.slice_view.sample(3) == []
+    assert node.slice_view.random_peer() is None
+    node.slice_view.view.add(NodeDescriptor(12345, 0))
+    assert node.slice_view.sample(3) == [12345]
