@@ -58,8 +58,11 @@ class AntiEntropyService(Service):
         self.rounds = 0
         self._gc_pending_since: Optional[float] = None
         self._rehome_seq = itertools.count()
-        # (key, version) -> req_id of the in-flight re-home put.
+        # (key, version) -> req_id of the in-flight re-home put, and the
+        # reverse index its acks are looked up in (one flood is acked by
+        # every member of the owning slice).
         self._rehoming: Dict[Tuple[str, int], Tuple[int, int]] = {}
+        self._rehoming_by_req: Dict[Tuple[int, int], Tuple[str, int]] = {}
         # Handoffs already acknowledged; never re-injected again (unless
         # gc deleted the local copy, in which case the entry is moot).
         self._rehomed_done: set = set()
@@ -204,6 +207,7 @@ class AntiEntropyService(Service):
                 continue
             req_id = (node.id, next(self._rehome_seq))
             self._rehoming[(key, version)] = req_id
+            self._rehoming_by_req[req_id] = (key, version)
             request = PutRequest(
                 key=key,
                 version=version,
@@ -213,8 +217,7 @@ class AntiEntropyService(Service):
                 client_id=node.id,
                 ttl=self.config.ttl,
             )
-            for peer in pss.sample(min(3, self.config.effective_fanout)):
-                node.send(peer, request)
+            node.multicast(pss.sample(min(3, self.config.effective_fanout)), request)
             started += 1
             node.metrics.inc("df.ae.rehomed", node=node.id)
 
@@ -225,13 +228,12 @@ class AntiEntropyService(Service):
         off may need re-homing again under the new mapping.
         """
         self._rehoming.clear()
+        self._rehoming_by_req.clear()
         self._rehomed_done.clear()
 
     def _on_rehome_ack(self, msg: PutAck, src: int) -> None:
         """A member of the owning slice confirmed a re-homed object."""
-        entry = next(
-            (e for e, req in self._rehoming.items() if req == msg.req_id), None
-        )
+        entry = self._rehoming_by_req.pop(msg.req_id, None)
         if entry is None:
             return  # stale ack for a handoff already settled
         del self._rehoming[entry]

@@ -107,8 +107,7 @@ class SliceViewService(Service):
         # Also gossip directly with slice-mates so the slice's membership
         # knowledge mixes transitively.
         targets.extend(self.sample(2))
-        for target in dict.fromkeys(targets):  # dedupe, keep order
-            node.send(target, advert)
+        node.multicast(dict.fromkeys(targets), advert)  # dedupe, keep order
 
     def _on_advert(self, msg: SliceAdvert, src: int) -> None:
         node = self.node

@@ -18,7 +18,9 @@ Extraction is deliberately syntactic and covers the repo's idioms:
   (so a dead message added to ``core/messages.py`` is still seen).
   Classes are keyed by bare name across the whole tree.
 * **Send sites** — ``*.send(dst, payload)`` and
-  ``network.send(src, dst, payload)`` calls. Payloads resolve through
+  ``network.send(src, dst, payload)`` calls, and their fan-out forms
+  ``*.multicast(dsts, payload)`` / ``network.multicast(src, dsts,
+  payload)``: the payload is the last argument. Payloads resolve through
   direct constructor calls, function-local variables (``advert =
   SliceAdvert(...)`` … ``node.send(t, advert)``), and helper calls
   whose ``return`` statements construct messages
@@ -273,11 +275,12 @@ def _extract_call(
         return
     if (
         isinstance(call.func, ast.Attribute)
-        and call.func.attr == "send"
+        and call.func.attr in ("send", "multicast")
         and len(call.args) in (2, 3)
         and not any(isinstance(a, ast.Starred) for a in call.args)
     ):
-        # node.send(dst, payload) or network.send(src, dst, payload).
+        # node.send(dst, payload) or network.send(src, dst, payload);
+        # multicast takes a collection of destinations in dst's place.
         fn.raw_sends.append(
             _RawSend(
                 descriptor=_descriptor(call.args[-1]),

@@ -25,11 +25,11 @@ contract. Two extra judgements back them: per-scope tracking of
 node-valued names (anything pulled out of a configured node collection
 like ``self.servers`` or returned by a ``node_returning`` helper) for
 the I1xx reach-through rules, and a second, per-function pass that
-reconciles ``send(...)`` call sites against later mutations of the same
-local (I2xx/I3xx) and scheduler-callback lambdas against the names they
-capture (I4xx). Copy wrappers (``tuple(batch)``, ``sorted(...)``,
-``frozenset(...)`` …) snapshot their argument at send time, so payloads
-routed through one are exempt by construction.
+reconciles ``send(...)`` / ``multicast(...)`` call sites against later
+mutations of the same local (I2xx/I3xx) and scheduler-callback lambdas
+against the names they capture (I4xx). Copy wrappers (``tuple(batch)``,
+``sorted(...)``, ``frozenset(...)`` …) snapshot their argument at send
+time, so payloads routed through one are exempt by construction.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ _MUTATING_METHODS = frozenset(
 _COPY_CALLS = frozenset(
     {"bytes", "dict", "frozenset", "list", "set", "sorted", "str", "tuple"}
 )
+
+# Methods that hand a payload to the network; a multicast's last argument
+# is its payload, the destination collection before it stays behind.
+_SEND_CALLS = frozenset({"send", "multicast"})
 
 # I4xx: methods that defer a callback to a later simulated time.
 _SCHEDULING_CALLS = frozenset({"after", "every", "schedule"})
@@ -749,7 +753,7 @@ class _Auditor:
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute):
-                if func.attr == "send":
+                if func.attr in _SEND_CALLS:
                     self._iso_send(node, info)
                 elif func.attr in _SCHEDULING_CALLS:
                     self._iso_schedule(node, info, loop)
@@ -783,7 +787,8 @@ class _Auditor:
     def _iso_send(self, node: ast.Call, info: "_FunctionIsolation") -> None:
         names: Set[str] = set()
         refs_msg = False
-        payload = list(node.args) + [kw.value for kw in node.keywords]
+        args = node.args[-1:] if node.func.attr == "multicast" else node.args
+        payload = list(args) + [kw.value for kw in node.keywords]
         for arg in payload:
             if (
                 info.handler is not None

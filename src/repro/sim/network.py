@@ -40,13 +40,17 @@ skipped entirely. The fast path consumes the RNG stream identically to
 the slow path — loss is sampled iff the effective loss is positive, and
 a run with only zero-impact fault layers makes exactly the same
 drop/latency decisions as one with none (see DESIGN.md, "Performance").
+A fan-out of one message to many peers goes through
+:meth:`Network.multicast`, which is the loop over :meth:`Network.send`
+by contract and pays its bookkeeping once per fan-out whenever no fault
+machinery, loss, op trace or ``send`` wrapper could tell the difference.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.metrics import MetricsRegistry
@@ -464,6 +468,55 @@ class Network:
             )
         return True
 
+    def multicast(self, src: int, dsts: Collection[int], msg: Any) -> None:
+        """Exactly ``for dst in dsts: self.send(src, dst, msg)`` — same
+        counters, same RNG draws in ``dsts`` order, same ``(time, seq)``
+        for every delivery.
+
+        A fan-out of one message is the store's unit of work (infect-
+        and-die relays, Section IV-B), so when nothing can tell the
+        messages apart — no fault machinery armed, no loss, no operation
+        being traced, :meth:`send` neither patched on the class nor
+        shadowed on the instance — the per-message bookkeeping is paid
+        once: one type lookup, one ``+k`` per counter (exact: the slots
+        hold integer-valued floats), one handle-free batch push. In every
+        other case this *is* the loop over ``self.send``, so guards,
+        tracers and the fault path see every message.
+        """
+        if not dsts:
+            return
+        tracer = self.tracer
+        # One look at ``self.send`` answers for the class and the instance
+        # (a shadowing plain function has no ``__func__``). Not
+        # ``self.__dict__``: asking for it makes CPython 3.11 move the
+        # instance's attributes into a real dict, and every later
+        # ``self.x`` on the message path pays for that.
+        send = self.send
+        if (
+            not self._fault_free
+            or self.loss_rate > 0.0
+            or (tracer is not None and tracer.active is not None)
+            or getattr(send, "__func__", None) is not _STOCK_SEND
+        ):
+            for dst in dsts:
+                send(src, dst, msg)
+            return
+        entry = self._type_cache.get(type(msg))
+        if entry is None:
+            entry = self._intern_type(type(msg))
+        k = len(dsts)
+        sent = self._sent_slots
+        sent[src] = sent.get(src, 0.0) + k
+        sent_kind = entry[1]
+        sent_kind[None] = sent_kind.get(None, 0.0) + k
+        sample = self.latency_model.sample
+        rng = self.rng
+        received_kind = entry[2]
+        self.scheduler.post_many(
+            self._deliver,
+            [(sample(rng, src, dst), (src, dst, msg, received_kind)) for dst in dsts],
+        )
+
     def _deliver_traced(
         self, src: int, dst: int, msg: Any, received_kind: Dict,
         trace: int, sent_at: float,
@@ -497,3 +550,8 @@ class Network:
         received[dst] = received.get(dst, 0.0) + 1.0
         received_kind[None] = received_kind.get(None, 0.0) + 1.0
         deliver(msg, src)
+
+
+# What :meth:`Network.multicast` compares ``send`` against: a run-time
+# guard that replaces the method on the class must see every message.
+_STOCK_SEND = Network.send

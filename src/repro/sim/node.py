@@ -11,7 +11,7 @@ Sampling, Load Balancer support, Request Handler) on one process.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Collection, Dict, List, Optional, Type
 
 from repro.errors import SimulationError
 from repro.sim.metrics import MetricsRegistry
@@ -256,6 +256,11 @@ class Node:
         if not self.alive:
             return False
         return self.network.send(self.id, dst, msg)
+
+    def multicast(self, dsts: Collection[int], msg: Any) -> None:
+        """``send(dst, msg)`` for every ``dst`` of ``dsts``, in order."""
+        if self.alive:
+            self.network.multicast(self.id, dsts, msg)
 
     # -------------------------------------------------------------- timers
 

@@ -9,12 +9,16 @@ The paper evaluated DATAFLASKS inside Minha, an event-driven JVM simulator.
 This module plays Minha's role for the Python reproduction (see DESIGN.md,
 "substitutions").
 
-Hot-path note: the heap stores ``(time, seq, event)`` tuples rather than
-:class:`Event` objects, so every sift comparison is a C-level tuple
-comparison instead of a Python-level ``Event.__lt__`` call — at paper
-scale the scheduler performs tens of comparisons per event, making this
-the single largest per-event cost (see DESIGN.md, "Performance"). ``seq``
-is unique, so a comparison never reaches the event object itself.
+Hot-path note: the heap stores ``(time, seq, fn, args, handle)`` tuples
+rather than :class:`Event` objects, so every sift comparison is a C-level
+tuple comparison instead of a Python-level ``Event.__lt__`` call — at
+paper scale the scheduler performs tens of comparisons per event, making
+this the single largest per-event cost (see DESIGN.md, "Performance").
+``seq`` is unique, so a comparison never reaches ``fn``. The run loops
+dispatch straight from the entry; ``handle`` is the :class:`Event` of an
+entry whose caller holds one (:meth:`Scheduler.schedule`,
+:meth:`Scheduler.schedule_at`) and ``None`` for the handle-free entries
+of :meth:`Scheduler.post_many`, which nobody can cancel.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 from heapq import heappop, heappush
 from math import inf, isfinite
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -54,7 +58,7 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         # The scheduler itself never compares Events — its heap holds
-        # (time, seq, event) tuples (see module docstring). This exists
+        # plain tuples (see module docstring). This exists
         # only for external code that heaps Event objects directly, and
         # must mirror the tuple ordering exactly.
         return (self.time, self.seq) < (other.time, other.seq)
@@ -80,7 +84,7 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[..., Any], tuple, Optional[Event]]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         # Opt-in wall-clock hotspot hook (repro.obs.profile): when set,
@@ -117,8 +121,23 @@ class Scheduler:
         time = self._now + delay
         seq = next(self._seq)
         event = Event(time, seq, fn, args)
-        heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, fn, args, event))
         return event
+
+    def post_many(
+        self, fn: Callable[..., Any], items: Iterable[Tuple[float, tuple]]
+    ) -> None:
+        """``schedule(delay, fn, *args)`` for every ``(delay, args)`` of
+        ``items``, in order, without the handles: same delay validation,
+        one ``seq`` per entry, no :class:`Event` allocated. For fan-outs
+        whose caller never cancels (:meth:`Network.multicast`)."""
+        now = self._now
+        heap = self._heap
+        seq = self._seq
+        for delay, args in items:
+            if not 0 <= delay < inf:
+                raise SimulationError(f"cannot schedule an event with delay {delay}s")
+            heappush(heap, (now + delay, next(seq), fn, args, None))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run at absolute virtual time ``time``."""
@@ -128,7 +147,7 @@ class Scheduler:
                 f"(current time t={self._now}; time must be finite and not in the past)"
             )
         event = Event(time, next(self._seq), fn, args)
-        heappush(self._heap, (time, event.seq, event))
+        heappush(self._heap, (time, event.seq, fn, args, event))
         return event
 
     @staticmethod
@@ -169,22 +188,22 @@ class Scheduler:
             limit = inf if until is None else until
             while heap:
                 entry = heappop(heap)
-                time, _seq, event = entry
-                if event.cancelled:
+                time, _seq, fn, args, handle = entry
+                if handle is not None and handle.cancelled:
                     continue
                 if time > limit:
                     heappush(heap, entry)
                     break
                 self._now = time
                 self._events_processed += 1
-                event.fn(*event.args)
+                fn(*args)
         else:
             fired = 0
             while heap:
                 if max_events is not None and fired >= max_events:
                     break
-                time, _seq, event = heap[0]
-                if event.cancelled:
+                time, _seq, fn, args, handle = heap[0]
+                if handle is not None and handle.cancelled:
                     heappop(heap)
                     continue
                 if until is not None and time > until:
@@ -193,16 +212,16 @@ class Scheduler:
                 self._now = time
                 self._events_processed += 1
                 if profiler is None:
-                    event.fn(*event.args)
+                    fn(*args)
                 else:
                     t0 = perf_counter()
-                    event.fn(*event.args)
-                    profiler.record(event.fn, event.args, perf_counter() - t0)
+                    fn(*args)
+                    profiler.record(fn, args, perf_counter() - t0)
                 fired += 1
         if until is not None and until > self._now:
             horizon = until
             # Drop any cancelled prefix so it cannot pin the horizon.
-            while heap and heap[0][2].cancelled:
+            while heap and heap[0][4] is not None and heap[0][4].cancelled:
                 heappop(heap)
             if heap and heap[0][0] < horizon:
                 horizon = heap[0][0]
@@ -214,12 +233,12 @@ class Scheduler:
 
         ``max_events`` guards against runaway periodic timers.
         """
-        fired = 0
-        while self.step():
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"run_until_idle exceeded {max_events} events; "
-                    "likely an unbounded periodic timer"
-                )
+        before = self._events_processed
+        self.run(max_events=max_events)
+        fired = self._events_processed - before
+        if fired >= max_events:
+            raise SimulationError(
+                f"run_until_idle exceeded {max_events} events; "
+                "likely an unbounded periodic timer"
+            )
         return fired

@@ -120,8 +120,7 @@ class DSleadSlicing(SlicingService):
         self.round_id += 1
         pss = node.get_service(PeerSamplingService)
         assert pss is not None, "DSleadSlicing requires a PeerSamplingService"
-        for peer in pss.sample(self.sample_size):
-            node.send(peer, RankProbe(self.round_id))
+        node.multicast(pss.sample(self.sample_size), RankProbe(self.round_id))
         # Decide once per round, *before* this round's replies trickle in,
         # so every node follows the same cadence.
         self._consider()

@@ -87,8 +87,7 @@ class SliverSlicing(SlicingService):
         assert node is not None
         pss = node.get_service(PeerSamplingService)
         assert pss is not None, "SliverSlicing requires a PeerSamplingService"
-        for peer in pss.sample(self.sample_size):
-            node.send(peer, AttributeQuery())
+        node.multicast(pss.sample(self.sample_size), AttributeQuery())
 
     def _on_query(self, msg: AttributeQuery, src: int) -> None:
         node = self.node

@@ -6,7 +6,12 @@ is pinned here against the reference it replaced.
 * ``PartialView``'s cached sorted-id list vs a freshly built view;
 * ``DedupCache`` vs the ``OrderedDict`` FIFO it used to be;
 * ``Scheduler.schedule``'s one-comparison validation;
-* the tight ``Scheduler.run`` loop vs the general one;
+* the tight ``Scheduler.run`` loop vs the general one, with handle-free
+  ``post_many`` entries beside ``schedule``d ones;
+* ``Network.multicast`` vs the loop of ``send`` it stands for, in every
+  network state, and each condition that sends it down the per-message
+  lane;
+* the re-home ack reverse index vs the scan it replaced;
 * the hooks other layers hang on the message path — the class-level
   guards, an instance-level ``send`` wrapper like the ledger's, and
   ``Scheduler.profiler`` — still see every message.
@@ -16,21 +21,27 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import DataFlasksCluster
+from repro.core.messages import PutAck
 from repro.errors import SimulationError
 from repro.gossip.dissemination import DedupCache
 from repro.lint import isolation_guard
 from repro.lint.coverage import coverage_snapshot, protocol_coverage
+from repro.obs.trace import OpTracer
 from repro.pss.view import NodeDescriptor, PartialView
-from repro.sim.network import Network, UniformLatency
+from repro.sim.network import LatencyModel, Network, UniformLatency
+from repro.sim.node import Node
 from repro.sim.scheduler import Scheduler
+from repro.sim.simulator import Simulation
 
 from tests.conftest import small_config
+from tests.test_replication import key_in_slice, make_pair
 
 # ---------------------------------------------------------------- latency
 
@@ -111,6 +122,12 @@ def test_dedup_cache_fifo_eviction_matches_the_ordered_dict(capacity, keys):
         assert all((k in ours) == (k in reference._seen) for k in range(13))
 
 
+def test_dedup_cache_membership_is_the_sets_own():
+    # What lets a duplicate leave the request handler without a call.
+    assert DedupCache.__contains__ is set.__contains__
+    assert DedupCache.__len__ is set.__len__
+
+
 # --------------------------------------------------------------- scheduler
 
 
@@ -131,20 +148,45 @@ def test_schedule_accepts_zero_and_integer_delays():
     assert fired == ["zero", "int"] and sched.now == 2
 
 
-class _NullProfiler:
+class _RecordingProfiler:
+    def __init__(self):
+        self.records = []
+
     def record(self, fn, args, elapsed):
-        pass
+        assert elapsed >= 0.0
+        self.records.append((fn, args))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(0, 8), st.booleans()), max_size=20),
-    st.lists(st.integers(0, 10), min_size=1, max_size=4),
-)
+_HANDLE, _CANCELLED, _FREE = range(3)
+
+
+def _push(sched, fire, events, first_tag=0):
+    """``schedule`` the handle / cancelled entries one by one and every
+    run of consecutive handle-free ones as one ``post_many``."""
+    batch = []
+    for tag, (delay, kind) in enumerate(events, first_tag):
+        if kind == _FREE:
+            batch.append((delay, (tag,)))
+            continue
+        sched.post_many(fire, batch)
+        batch = []
+        event = sched.schedule(delay, fire, tag)
+        if kind == _CANCELLED:
+            event.cancel()
+    sched.post_many(fire, batch)
+
+
+_events = st.lists(st.tuples(st.integers(0, 8), st.sampled_from([_HANDLE, _CANCELLED, _FREE])), max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events, st.lists(st.integers(0, 10), min_size=1, max_size=4))
 def test_tight_run_loop_equals_the_general_one(events, horizons):
     """Same firing order, clock, ``events_processed`` and ``pending``
-    after every ``run(until=...)``, cancelled events included; callbacks
-    schedule follow-ups so the heap changes under the loop."""
+    after every ``run(until=...)``, cancelled events included and
+    handle-free entries mixed in; callbacks schedule follow-ups so the
+    heap changes under the loop. The profiler is told ``(fn, args)`` of
+    exactly what fired."""
 
     def drive(profiler):
         sched = Scheduler()
@@ -154,21 +196,300 @@ def test_tight_run_loop_equals_the_general_one(events, horizons):
         def fire(tag):
             log.append((tag, sched.now, sched.events_processed))
             if tag < 100:
-                sched.schedule(tag % 3, fire, tag + 100)
+                _push(sched, fire, [(tag % 3, tag % 2 * _FREE)], tag + 100)
 
-        for tag, (delay, cancelled) in enumerate(events):
-            event = sched.schedule(delay, fire, tag)
-            if cancelled:
-                event.cancel()
+        _push(sched, fire, events)
         for until in horizons:
             if until >= sched.now:
                 sched.run(until=until)
             log.append(("ran", sched.now, sched.events_processed, sched.pending))
         sched.run()
         log.append(("drained", sched.now, sched.events_processed, sched.pending))
-        return log
+        return log, fire
 
-    assert drive(None) == drive(_NullProfiler())
+    profiler = _RecordingProfiler()
+    (tight, _), (general, fire) = drive(None), drive(profiler)
+    assert tight == general
+    fired = [entry[0] for entry in general if isinstance(entry[0], int)]
+    assert profiler.records == [(fire, (tag,)) for tag in fired]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events)
+def test_entries_fire_in_time_then_push_order_with_or_without_a_handle(events):
+    expected = [
+        tag
+        for _, tag in sorted(
+            (delay, tag) for tag, (delay, kind) in enumerate(events) if kind != _CANCELLED
+        )
+    ]
+    for stepwise in (False, True):
+        sched, fired = Scheduler(), []
+        _push(sched, fired.append, events)
+        assert sched.pending == len(events)
+        if stepwise:
+            while sched.step():
+                pass
+        else:
+            assert sched.run_until_idle() == len(expected)
+        assert fired == expected and sched.pending == 0
+
+
+@pytest.mark.parametrize("delay", [-1e-9, float("nan"), float("inf")])
+def test_post_many_validates_like_schedule(delay):
+    sched = Scheduler()
+    with pytest.raises(SimulationError) as batch:
+        sched.post_many(print, [(1.0, ()), (delay, ())])
+    with pytest.raises(SimulationError) as single:
+        sched.schedule(delay, print)
+    assert str(batch.value) == str(single.value)
+    assert sched.pending == 1  # what preceded the bad delay stays, as in a loop
+
+
+def test_handle_free_entries_consume_one_seq_each_and_cannot_pin_the_clock():
+    sched = Scheduler()
+    fired = []
+    sched.schedule(1.0, fired.append, "cancelled").cancel()
+    sched.post_many(fired.append, [(3.0, ("free",)), (3.0, ("free-2",))])
+    assert sched.schedule(3.0, fired.append, "handle").seq == 3
+    sched.post_many(fired.append, [])
+    assert sched.schedule(9.0, fired.append, "late").seq == 4
+    sched.run(until=2.0)
+    assert sched.now == 2.0 and sched.pending == 4  # cancelled prefix dropped
+    sched.run(until=10.0, max_events=0)
+    assert sched.now == 3.0  # never past work that has not run
+    sched.run(until=5.0)
+    assert fired == ["free", "free-2", "handle"] and sched.now == 5.0
+
+
+def test_run_until_idle_is_one_run_with_the_same_overrun_error():
+    sched = Scheduler()
+    fired = []
+    sched.post_many(fired.append, [(float(i), (i,)) for i in range(5)])
+    with pytest.raises(SimulationError, match="exceeded 5 events"):
+        sched.run_until_idle(max_events=5)
+    assert fired == list(range(5))
+    sched.post_many(fired.append, [(1.0, (5,))])
+    assert sched.run_until_idle(max_events=5) == 1
+
+
+# --------------------------------------------------------------- multicast
+
+
+@dataclass(frozen=True)
+class _Ping:
+    body: int
+
+
+@dataclass(frozen=True)
+class _Pong:
+    body: int
+
+
+_ARMED = {
+    "partition": lambda net: net.set_partitions([[0, 1, 2], [3, 4, 5]]),
+    "block": lambda net: net.block([0], [3]),
+    "node-condition": lambda net: net.set_node_conditions(2, loss=0.3, extra_latency=0.01),
+    "link-condition": lambda net: net.set_link_conditions(0, 1, loss=1.0),
+    "condition-layer": lambda net: net.add_conditions([4], extra_latency=0.02),
+    "zero-impact-layer": lambda net: net.add_conditions([4]),
+    "burst": lambda net: net.add_burst_loss(0.4),
+}
+
+
+def _network(seed, loss_rate=0.0, armed=()):
+    """Six live nodes (ids 0-5), one stopped (6); id 7 never existed."""
+    sim = Simulation(seed=seed, latency_model=UniformLatency(0.005, 0.015), loss_rate=loss_rate)
+    sim.add_nodes(Node, 7)
+    sim.start_all()
+    sim.nodes[6].stop()
+    for name in armed:
+        _ARMED[name](sim.network)
+    return sim
+
+
+def _state(sim):
+    """Everything a send may touch: heap entries, the network's RNG and
+    the metrics registry with its row order."""
+    heap = sorted(
+        (time, seq, fn.__func__, args) for time, seq, fn, args, _ in sim.scheduler._heap
+    )
+    rows = [(name, list(slots.items())) for name, slots in sim.metrics._counters.items()]
+    return heap, sim.network.rng.getstate(), rows
+
+
+_fanouts = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # src (6 is down: Node.multicast sends nothing)
+        st.lists(st.integers(0, 7), max_size=8),  # dsts, repeats and dead ids allowed
+        st.sampled_from([_Ping(1), _Pong(2)]),
+        st.booleans(),  # through the node or straight on the network
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([0.0, 0.0, 0.25]),
+    st.sets(st.sampled_from(sorted(_ARMED))),
+    st.booleans(),
+    _fanouts,
+)
+def test_multicast_is_the_loop_of_sends(seed, loss_rate, armed, traced, fanouts):
+    batched, looped = (_network(seed, loss_rate, sorted(armed)) for _ in range(2))
+    for sim in (batched, looped):
+        if traced:
+            sim.network.tracer = OpTracer(sample_every=1)
+            sim.network.tracer.active = sim.network.tracer.sample_op("put", "k", 0, 0.0)
+    for src, dsts, msg, via_node in fanouts:
+        if via_node:
+            batched.nodes[src].multicast(dsts, msg)
+            for dst in dsts:
+                looped.nodes[src].send(dst, msg)
+        else:
+            batched.network.multicast(src, dsts, msg)
+            for dst in dsts:
+                looped.network.send(src, dst, msg)
+        assert _state(batched) == _state(looped)
+    for sim in (batched, looped):
+        sim.scheduler.run()
+    assert _state(batched) == _state(looped)
+    if traced:
+        assert batched.network.tracer.hops == looped.network.tracer.hops
+
+
+def test_fault_free_multicast_allocates_no_event_and_delivers_through_deliver():
+    sim = _network(1)
+    msg = _Ping(7)
+    sim.nodes[0].multicast([1, 2, 3], msg)
+    entries = sim.scheduler._heap
+    assert len(entries) == 3 and all(handle is None for *_, handle in entries)
+    # What obs/profile.py and the ledger's layer table classify by.
+    assert all(fn.__func__ is Network._deliver and args[2] is msg for _, _, fn, args, _ in entries)
+    assert sim.metrics.get("msg.sent", 0) == sim.metrics.total("msg.sent._Ping") == 3.0
+
+
+def _per_message_lane(sim):
+    """True if every in-flight delivery came through ``schedule``."""
+    return all(handle is not None for *_, handle in sim.scheduler._heap)
+
+
+@pytest.mark.parametrize("trigger", sorted(_ARMED))
+def test_armed_fault_machinery_takes_the_per_message_lane(trigger):
+    sim = _network(3, armed=[trigger])
+    sim.network.multicast(5, [1, 2, 4], _Ping(1))
+    dropped = sim.metrics.total("msg.dropped.partition") + sim.metrics.total("msg.dropped.loss")
+    assert 0 < sim.scheduler.pending == 3 - dropped and _per_message_lane(sim)
+    sim.network.heal_partitions()
+    sim.network.clear_conditions()
+    sim.network.multicast(5, [1, 2, 4], _Ping(1))
+    assert not _per_message_lane(sim)  # the lane follows the network's state
+
+
+def test_loss_takes_the_per_message_lane():
+    sim = _network(3, loss_rate=0.5)
+    sim.network.multicast(0, [1, 2, 3, 4, 5] * 4, _Ping(1))
+    dropped = sim.metrics.total("msg.dropped.loss")
+    assert 0 < dropped < 20 and sim.scheduler.pending == 20 - dropped
+    assert _per_message_lane(sim)
+
+
+def test_active_op_trace_sees_every_message_of_a_multicast():
+    sim = _network(3)
+    tracer = sim.network.tracer = OpTracer(sample_every=1)
+    sim.network.multicast(0, [1, 2, 3], _Ping(1))  # no operation active
+    assert not _per_message_lane(sim)
+    tracer.active = tracer.sample_op("put", "k", 0, 0.0)
+    sim.network.multicast(0, [1, 2, 3], _Ping(1))
+    tracer.active = None
+    sim.scheduler.run()
+    assert tracer.hops == 3
+
+
+@pytest.mark.parametrize("where", ["instance", "class", "subclass"])
+def test_wrappers_on_send_see_every_message_of_a_multicast(where, monkeypatch):
+    sim = _network(3)
+    seen = []
+    stock = Network.send
+
+    def spy(self, src, dst, msg):
+        seen.append(dst)
+        return stock(self, src, dst, msg)
+
+    if where == "instance":  # as the ledger's LayerTracer shadows it
+        sim.network.send = lambda src, dst, msg: spy(sim.network, src, dst, msg)
+    elif where == "class":  # as isolation_guard patches it
+        monkeypatch.setattr(Network, "send", spy)
+    else:
+        sim.network.__class__ = type("Spied", (Network,), {"send": spy})
+    sim.nodes[0].multicast([1, 2, 3], _Ping(1))
+    assert seen == [1, 2, 3] and sim.scheduler.pending == 3 and _per_message_lane(sim)
+
+
+def test_empty_and_dead_multicasts_leave_no_trace():
+    sim = _network(3)
+    before = _state(sim)
+    sim.network.multicast(0, [], _Ping(1))
+    sim.nodes[0].multicast((), _Ping(1))
+    sim.nodes[6].multicast([1, 2], _Ping(1))  # node 6 is down
+    assert _state(sim) == before
+    assert "msg.sent._Ping" not in sim.metrics._counters  # slot rows are created lazily
+    assert sim.scheduler.schedule(0.0, print).seq == 0  # no seq consumed
+
+
+class _BrokenLatency(LatencyModel):
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, src, dst):
+        return self.value
+
+
+@pytest.mark.parametrize("latency", [-0.001, float("nan"), float("inf")])
+def test_multicast_rejects_an_unschedulable_latency_like_send(latency):
+    sim = _network(3)
+    sim.network.latency_model = _BrokenLatency(latency)
+    with pytest.raises(SimulationError) as batch:
+        sim.network.multicast(0, [1, 2], _Ping(1))
+    with pytest.raises(SimulationError) as single:
+        sim.network.send(0, 1, _Ping(1))
+    assert str(batch.value) == str(single.value)
+    assert sim.scheduler.pending == 0
+
+
+# ------------------------------------------------------------ re-home acks
+
+
+def test_rehome_ack_index_decides_like_the_scan():
+    sim, a, b = make_pair(num_slices=4, slice_id=1, gc=True)
+    a.pss.view.add(NodeDescriptor(b.id, 0))
+    service = a.antientropy
+    keys = [key_in_slice(2, prefix=f"stray{i}-") for i in range(3)]
+    for key in keys:
+        a.store.put(key, 1, b"v")
+    service._rehome_foreign(1)
+    assert len(service._rehoming) == 3
+
+    def scan(req_id):  # the lookup as it was
+        return next((e for e, req in service._rehoming.items() if req == req_id), None)
+
+    in_flight = list(service._rehoming.values())
+    acks = [in_flight[1], (a.id, 999), in_flight[1], in_flight[0], (b.id, 0)]
+    for req_id in acks:
+        expected = scan(req_id)
+        done_before = set(service._rehomed_done)
+        service._on_rehome_ack(PutAck("k", 1, req_id, responder_slice=2), b.id)
+        assert service._rehomed_done - done_before == ({expected} if expected else set())
+        assert {req: e for e, req in service._rehoming.items()} == service._rehoming_by_req
+    assert [a.holds(key) for key in keys] == [False, False, True]  # gc on safe handoff
+    assert sim.metrics.total("df.ae.gc") == 2
+    service.reset_rehoming()
+    assert not service._rehoming and not service._rehoming_by_req and not service._rehomed_done
+    service._on_rehome_ack(PutAck("k", 1, in_flight[2], responder_slice=2), b.id)
+    assert not service._rehomed_done  # an ack from before the reset is stale
 
 
 # ---------------------------------------------- hooks on the message path

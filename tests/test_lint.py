@@ -388,6 +388,27 @@ class TestPayloadAliasing:
         )
         assert "I204" in rules_of(lint(source))
 
+    def test_multicast_is_a_send_site_whose_payload_is_the_last_argument(self):
+        relay = (
+            "def _forward(self, msg):\n"
+            "    self.node.multicast(peers, Relay(msg.payload, msg.ttl - 1))\n"
+        )
+        assert "I204" in rules_of(lint(relay))
+        mutated_payload = (
+            "def push(self, peers):\n"
+            "    batch = []\n"
+            "    self.network.multicast(self.id, peers, Msg(batch))\n"
+            "    batch.append(1)\n"
+        )
+        assert "I201" in rules_of(lint(mutated_payload))
+        mutated_destinations = (
+            "def _push(self):\n"
+            "    peers = [1, 2]\n"
+            "    self.node.multicast(peers, Msg(3))\n"
+            "    peers.append(4)\n"
+        )
+        assert rules_of(lint(mutated_destinations)) == []
+
     def test_snapshotted_payload_is_clean(self):
         source = (
             "def _forward(self, msg):\n"
@@ -905,6 +926,16 @@ class TestProtocolDeadLetters:
 
     def test_p102_handled_but_never_sent(self):
         assert rules_of(lint(P102_DEAD_HANDLER)) == ["P102"]
+
+    def test_multicast_sends_count_as_send_edges(self):
+        by_node = P101_DEAD_LETTER.replace(
+            "self.node.send(dst, ", "self.node.multicast([dst], "
+        )
+        by_network = P101_DEAD_LETTER.replace(
+            "self.node.send(dst, ", "self.network.multicast(0, [dst], "
+        )
+        assert by_node != P101_DEAD_LETTER != by_network
+        assert rules_of(lint(by_node)) == rules_of(lint(by_network)) == ["P101"]
 
     def test_p103_register_then_unconditional_unregister(self):
         source = PROTO_CLEAN.replace(
