@@ -49,7 +49,7 @@ from repro.core.cluster import DataFlasksCluster
 from repro.core.config import DataFlasksConfig
 from repro.errors import ConfigurationError, DeterminismError, IsolationError
 from repro.scenarios.registry import bundled_names, load_all_bundled, load_bundled
-from repro.scenarios.runner import run_scenario, run_sweep
+from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 from repro.scenarios.spec import ScenarioSpec, load_spec
 
 __all__ = ["main", "build_parser"]
@@ -115,29 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a human top-line (ops, damage, availability) instead "
         "of the full metric table",
     )
-    run.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="arm the runtime determinism guard: any ambient random.* "
-        "call or time.time read during the run raises DeterminismError "
-        "(trajectory-neutral — summaries match an unsanitized run)",
-    )
-    run.add_argument(
-        "--isolation-check",
-        action="store_true",
-        help="arm the copy-on-send payload checker: every payload is "
-        "digested at Network.send and re-verified at delivery; an "
-        "in-flight mutation raises IsolationError (trajectory-neutral — "
-        "summaries match an unchecked run)",
-    )
-    run.add_argument(
-        "--protocol-coverage",
-        action="store_true",
-        help="account every delivery per (node class, message type) edge "
-        "and report, on stderr, which static protocol edges the run "
-        "never exercised (trajectory-neutral — summaries match a plain "
-        "run)",
-    )
+    _add_guard_flags(run)
     obs_group = run.add_argument_group(
         "observability",
         "flight-recorder pillars; each flag forces its pillar on, the "
@@ -190,25 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the canonical JSON aggregate instead of a table "
         "(byte-identical across runs and across --jobs values)",
     )
-    sweep.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="arm the runtime determinism guard in every seed's run "
-        "(worker processes included)",
-    )
-    sweep.add_argument(
-        "--isolation-check",
-        action="store_true",
-        help="arm the copy-on-send payload checker in every seed's run "
-        "(worker processes included)",
-    )
-    sweep.add_argument(
-        "--protocol-coverage",
-        action="store_true",
-        help="account protocol edges in every seed's run; the stderr "
-        "coverage report reflects serially-run seeds (with --jobs > 1 "
-        "the counters stay in the workers)",
-    )
+    _add_guard_flags(sweep)
 
     validate = action.add_parser(
         "validate",
@@ -457,6 +417,42 @@ def _add_scenario_selection(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_guard_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group(
+        "run-time checks",
+        "each is trajectory-neutral (summaries match a plain run) and "
+        "applies to every seed's run, worker processes included",
+    )
+    group.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="arm the runtime determinism guard: any ambient random.* "
+        "call or time.time read during the run raises DeterminismError",
+    )
+    group.add_argument(
+        "--isolation-check",
+        action="store_true",
+        help="arm the copy-on-send payload checker: every payload is "
+        "digested at Network.send and re-verified at delivery; an "
+        "in-flight mutation raises IsolationError",
+    )
+    group.add_argument(
+        "--protocol-coverage",
+        action="store_true",
+        help="account every delivery per (node class, message type) edge "
+        "and report, on stderr, which static protocol edges the run(s) "
+        "never exercised",
+    )
+
+
+def _run_options(args: argparse.Namespace) -> RunOptions:
+    return RunOptions(
+        sanitize=args.sanitize,
+        isolation_check=args.isolation_check,
+        protocol_coverage=args.protocol_coverage,
+    )
+
+
 def _resolve_spec(args: argparse.Namespace) -> ScenarioSpec:
     if args.spec and args.scenario:
         raise SystemExit(
@@ -592,12 +588,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.action == "run":
         recorder = _build_recorder(spec, args)
         result = run_scenario(
-            spec,
-            seed=args.seed,
-            recorder=recorder,
-            sanitize=args.sanitize,
-            isolation_check=args.isolation_check,
-            protocol_coverage=args.protocol_coverage,
+            spec, seed=args.seed, recorder=recorder, options=_run_options(args)
         )
         if args.summary:
             print(result.summary_json())
@@ -620,23 +611,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             # byte-compared in CI and must stay pure.
             print(f"obs artifacts: {obs_dir} ({manifest_path})", file=sys.stderr)
             print(f"inspect with: repro report {obs_dir}", file=sys.stderr)
-        if args.protocol_coverage:
-            _print_protocol_coverage()
+        if result.coverage is not None:
+            _print_protocol_coverage(result.coverage)
         return 0
 
     # sweep
     result = run_sweep(
-        spec,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        sanitize=args.sanitize,
-        isolation_check=args.isolation_check,
-        protocol_coverage=args.protocol_coverage,
+        spec, seeds=args.seeds, jobs=args.jobs, options=_run_options(args)
     )
-    if args.protocol_coverage and args.jobs <= 1:
-        # With --jobs > 1 the counters accumulated inside the workers;
-        # a report here would be vacuously empty, so skip it.
-        _print_protocol_coverage()
+    if result.coverage is not None:
+        _print_protocol_coverage(result.coverage)
     if args.summary:
         print(result.summary_json())
         return 0
@@ -1069,22 +1053,16 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_protocol_coverage() -> None:
-    """After a ``--protocol-coverage`` run: diff the static handler
-    edges against the runtime handled counters. Chatter goes to stderr —
+def _print_protocol_coverage(coverage: Dict[str, Dict[str, int]]) -> None:
+    """After a ``--protocol-coverage`` run or sweep: diff the static
+    handler edges against the handled counters. Chatter goes to stderr —
     ``--summary`` stdout is byte-compared in CI and must stay pure."""
-    from repro.lint import (
-        LintConfig,
-        build_protocol_graph,
-        coverage_snapshot,
-        unexercised_edges,
-    )
+    from repro.lint import LintConfig, build_protocol_graph, unexercised_edges
 
     graph = build_protocol_graph(_default_protocol_paths(), LintConfig.load(None))
-    snapshot = coverage_snapshot()
-    missing = unexercised_edges(graph)
+    missing = unexercised_edges(graph, coverage)
     total = len(graph.handle_edges())
-    handled = sum(snapshot["handled"].values())
+    handled = sum(coverage["handled"].values())
     print(
         f"protocol coverage: {total - len(missing)}/{total} static handler "
         f"edges exercised ({handled} handled deliveries)",

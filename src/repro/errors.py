@@ -64,7 +64,7 @@ class IsolationError(SimulationError):
     """A message payload was mutated while in flight.
 
     Raised by the runtime payload checker
-    (:func:`repro.lint.isolation.isolation_guard`) when a payload's
+    (:class:`repro.lint.isolation.IsolationTap`) when a payload's
     structural digest at delivery differs from its digest at
     ``Network.send`` — some code kept a reference to the object after
     sending it and mutated it, violating the shared-nothing ownership
@@ -72,15 +72,11 @@ class IsolationError(SimulationError):
     The message names sender, receiver, message type and simulated time.
     """
 
-    def __init__(
-        self, src: int, dst: int, kind: str, sent_at: float, now: float,
-        detail: str = "",
-    ) -> None:
+    def __init__(self, src: int, dst: int, kind: str, sent_at: float, now: float) -> None:
         super().__init__(
             f"message {kind} from node {src} to node {dst} was mutated in "
             f"flight (sent at t={sent_at:.6f}, detected at t={now:.6f})"
-            + (f": {detail}" if detail else "")
-            + " — payloads are owned by the network once sent; build a "
+            " — payloads are owned by the network once sent; build a "
             "fresh message instead of retaining and mutating the object "
             "(repro lint rules I2xx/I3xx)"
         )
@@ -89,6 +85,11 @@ class IsolationError(SimulationError):
         self.kind = kind
         self.sent_at = sent_at
         self.now = now
+
+    def __reduce__(self):
+        # Exception pickles as cls(*args) and args is the one formatted
+        # message; a --jobs worker must be able to hand this to its parent.
+        return (type(self), (self.src, self.dst, self.kind, self.sent_at, self.now))
 
 
 class StoreError(ReproError):
@@ -111,3 +112,6 @@ class OperationTimeoutError(ClientError):
         self.op = op
         self.key = key
         self.timeout = timeout
+
+    def __reduce__(self):
+        return (type(self), (self.op, self.key, self.timeout))

@@ -19,7 +19,7 @@ shared-nothing; payload ownership transfers to the network at send):
 * the I-families of ``repro lint`` — cross-node reach-through (I1xx),
   payload aliasing (I2xx), mutation-after-forward (I3xx) and
   callback-capture hazards (I4xx);
-* :func:`~repro.lint.isolation.isolation_guard` — the copy-on-send
+* :class:`~repro.lint.isolation.IsolationTap` — the copy-on-send
   payload checker (``scenarios run --isolation-check``) that digests
   every payload at ``Network.send`` and re-verifies it at delivery.
 
@@ -30,7 +30,7 @@ handlers only read fields the message defines):
   schema (P2xx), request/reply discipline (P3xx) and dead protocol
   code (P4xx), judged against the whole-program message graph
   (``repro protocol graph`` serialises it);
-* :func:`~repro.lint.coverage.protocol_coverage` — the runtime edge
+* :class:`~repro.lint.coverage.CoverageTap` — the runtime edge
   accountant (``scenarios run --protocol-coverage``) that records which
   static ``(endpoint, message)`` edges a scenario actually exercised.
 
@@ -46,19 +46,14 @@ from repro.lint.config import (
     LintConfig,
     baseline_from_violations,
 )
-from repro.lint.coverage import (
-    coverage_snapshot,
-    protocol_coverage,
-    protocol_coverage_active,
-    unexercised_edges,
-)
+from repro.lint.coverage import CoverageTap, merge_coverage, unexercised_edges
 from repro.lint.engine import (
     LintResult,
     build_protocol_graph,
     lint_paths,
     lint_source,
 )
-from repro.lint.isolation import isolation_active, isolation_guard, payload_digest
+from repro.lint.isolation import IsolationTap, payload_digest
 from repro.lint.protograph import MessageDef, ProtocolGraph, SendSite
 from repro.lint.report import format_json, format_text
 from repro.lint.rules import CATALOG, FAMILIES, Rule, Violation
@@ -68,7 +63,9 @@ __all__ = [
     "AllowEntry",
     "BaselineEntry",
     "CATALOG",
+    "CoverageTap",
     "FAMILIES",
+    "IsolationTap",
     "LintConfig",
     "LintResult",
     "MessageDef",
@@ -79,18 +76,14 @@ __all__ = [
     "apply_baseline",
     "baseline_from_violations",
     "build_protocol_graph",
-    "coverage_snapshot",
     "determinism_guard",
     "format_json",
     "format_text",
     "guard_active",
-    "isolation_active",
-    "isolation_guard",
     "lint_paths",
     "lint_source",
+    "merge_coverage",
     "payload_digest",
-    "protocol_coverage",
-    "protocol_coverage_active",
     "render_policy_toml",
     "unexercised_edges",
 ]

@@ -2,133 +2,105 @@
 
 The static pass (:mod:`repro.lint.protocol`) proves which
 ``(endpoint, message)`` edges *exist* in the source; this module
-measures which of them a scenario actually *exercises*. While
-:func:`protocol_coverage` is armed, every :meth:`Network._deliver
-<repro.sim.network.Network._deliver>` call is observed: a **delivered**
-count is recorded for the destination node's class and the message
-type, and a **handled** count for the handler's owning class when the
-destination is alive and has a handler registered for the type. After
-the run, :func:`unexercised_edges` diffs the static handle-edges
-against the runtime handled keys — the edges no message ever travelled.
+measures which of them a scenario actually *exercises*. A
+:class:`CoverageTap` attached to a network
+(:meth:`Network.add_tap <repro.sim.network.Network.add_tap>`) observes
+every arriving message: a **delivered** count is recorded for the
+destination node's class and the message type, and a **handled** count
+for the handler's owning class when the destination is alive and has a
+handler registered for the type. After the run,
+:func:`unexercised_edges` diffs the static handle-edges against the
+handled counts — the edges no message ever travelled.
 
 Design constraints, in order:
 
-* **Trajectory-neutral.** The wrapper only reads attributes the real
+* **Trajectory-neutral.** The tap only reads attributes the real
   delivery path reads anyway (``_delivery``, ``alive``, ``_handlers``)
-  and bumps plain module-level dicts — no events added, no RNG, no
-  wall clock, no return values changed — so a covered run byte-compares
-  against a plain run. The determinism CI matrix enforces exactly that.
+  and bumps its own dicts — no events added, no RNG, no wall clock — so
+  a covered run byte-compares against a plain run. The determinism CI
+  matrix enforces exactly that.
 * **Class-keyed, not instance-keyed.** Counters key on
   ``(node class name, message type name)`` — the same vocabulary as the
   static graph's endpoints — so runtime coverage and static edges diff
   directly. Handler ownership resolves through the bound method
   (``handler.__self__``), matching the class whose ``start()`` called
   ``register_handler``.
-* **Re-entrant, counters outlive the guard.** Nested activations patch
-  once and restore once, mirroring
-  :func:`~repro.lint.isolation.isolation_guard`; counters reset on
-  outermost entry and stay readable after exit so the CLI can report
-  them once the scenario completes.
+* **Counters belong to the run.** One tap per simulation;
+  :meth:`CoverageTap.snapshot` is a plain sorted dict that pickles, so
+  a sweep's workers hand theirs back and :func:`merge_coverage` sums
+  them.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Tuple
 
-__all__ = [
-    "coverage_snapshot",
-    "protocol_coverage",
-    "protocol_coverage_active",
-    "unexercised_edges",
-]
+from repro.sim.network import Tap
 
-_depth = 0
-_saved: Dict[str, Any] = {}
-# (node class name, message type name) -> count
-_delivered: Dict[Tuple[str, str], int] = {}
-# (handler owner class name, message type name) -> count
-_handled: Dict[Tuple[str, str], int] = {}
+__all__ = ["Coverage", "CoverageTap", "merge_coverage", "unexercised_edges"]
+
+# {"delivered": {"Class/Message": n, …}, "handled": {…}}, keys sorted.
+Coverage = Dict[str, Dict[str, int]]
 
 
-def protocol_coverage_active() -> bool:
-    """Is a :func:`protocol_coverage` guard currently armed?"""
-    return _depth > 0
+class CoverageTap(Tap):
+    """The protocol-edge accountant (``--protocol-coverage``)."""
 
+    def __init__(self) -> None:
+        # (node class name, message type name) -> count
+        self.delivered: Dict[Tuple[str, str], int] = {}
+        # (handler owner class name, message type name) -> count
+        self.handled: Dict[Tuple[str, str], int] = {}
 
-def _covered_deliver(self, src: int, dst: int, msg: Any, received_kind) -> None:
-    """``Network._deliver`` with edge accounting armed."""
-    deliver = self._delivery.get(dst)
-    if deliver is not None:
+    def on_deliver(self, network, src: int, dst: int, msg: Any, token: Any, sent_at: float) -> None:
+        deliver = network._delivery.get(dst)
         owner = getattr(deliver, "__self__", None)
-        if owner is not None:
-            kind = type(msg).__name__
-            key = (type(owner).__name__, kind)
-            _delivered[key] = _delivered.get(key, 0) + 1
-            if owner.alive:
-                handler = owner._handlers.get(type(msg))
-                if handler is not None:
-                    bound = getattr(handler, "__self__", owner)
-                    hkey = (type(bound).__name__, kind)
-                    _handled[hkey] = _handled.get(hkey, 0) + 1
-    _saved["_deliver"](self, src, dst, msg, received_kind)
+        if owner is None:
+            # Unregistered destination: the network drops the message
+            # before any node class can be attributed.
+            return
+        kind = type(msg).__name__
+        key = (type(owner).__name__, kind)
+        self.delivered[key] = self.delivered.get(key, 0) + 1
+        if owner.alive:
+            handler = owner._handlers.get(type(msg))
+            if handler is not None:
+                bound = getattr(handler, "__self__", owner)
+                hkey = (type(bound).__name__, kind)
+                self.handled[hkey] = self.handled.get(hkey, 0) + 1
+
+    def snapshot(self) -> Coverage:
+        """The counters so far, in sorted, JSON-ready form."""
+        return {
+            name: {f"{cls}/{kind}": count for (cls, kind), count in sorted(counts.items())}
+            for name, counts in (("delivered", self.delivered), ("handled", self.handled))
+        }
 
 
-@contextmanager
-def protocol_coverage() -> Iterator[None]:
-    """Arm protocol-edge accounting for the duration of the block.
+def merge_coverage(snapshots: Iterable[Coverage]) -> Coverage:
+    """Sum several runs' :meth:`CoverageTap.snapshot` dicts."""
+    merged = {"delivered": Counter(), "handled": Counter()}
+    for snapshot in snapshots:
+        for name, counts in snapshot.items():
+            merged[name].update(counts)
+    return {name: dict(sorted(counts.items())) for name, counts in merged.items()}
 
-    Patches :class:`~repro.sim.network.Network` at the *class* level:
-    traced deliveries delegate to ``_deliver`` on ``self`` and are
-    covered too. Counters are cleared on outermost entry and persist
-    after exit — read them with :func:`coverage_snapshot`.
+
+def unexercised_edges(graph, coverage: Coverage) -> List[Tuple[str, str, List[str]]]:
+    """Static handle-edges that ``coverage`` never exercised.
+
+    ``graph`` is a :class:`~repro.lint.protograph.ProtocolGraph`,
+    ``coverage`` a :meth:`CoverageTap.snapshot` (or a
+    :func:`merge_coverage` of several); the result is a sorted list of
+    ``(endpoint, message, handlers)`` for every statically-registered
+    edge with no handled count. Static endpoints name the class that
+    *registers* the handler (a service like ``RequestHandler``), which
+    is exactly the class runtime handler ownership resolves to.
     """
-    global _depth
-    from repro.sim.network import Network  # deferred: keep lint import light
-
-    if _depth == 0:
-        _delivered.clear()
-        _handled.clear()
-        _saved["_deliver"] = Network._deliver
-        Network._deliver = _covered_deliver
-    _depth += 1
-    try:
-        yield
-    finally:
-        _depth -= 1
-        if _depth == 0:
-            Network._deliver = _saved["_deliver"]
-            _saved.clear()
-
-
-def coverage_snapshot() -> Dict[str, Dict[str, int]]:
-    """The counters of the most recent (or current) covered run, in
-    sorted, JSON-ready form: ``{"delivered": {"Class/Message": n, …},
-    "handled": {…}}``."""
-    return {
-        "delivered": {
-            f"{cls}/{kind}": count
-            for (cls, kind), count in sorted(_delivered.items())
-        },
-        "handled": {
-            f"{cls}/{kind}": count
-            for (cls, kind), count in sorted(_handled.items())
-        },
-    }
-
-
-def unexercised_edges(graph) -> List[Tuple[str, str, List[str]]]:
-    """Static handle-edges the covered run never exercised.
-
-    ``graph`` is a :class:`~repro.lint.protograph.ProtocolGraph`; the
-    result is a sorted list of ``(endpoint, message, handlers)`` for
-    every statically-registered edge with no runtime handled count.
-    Static endpoints name the class that *registers* the handler (a
-    service like ``RequestHandler``), which is exactly the class runtime
-    handler ownership resolves to.
-    """
-    missing: List[Tuple[str, str, List[str]]] = []
-    for (endpoint, message), handlers in sorted(graph.handle_edges().items()):
-        if _handled.get((endpoint, message), 0) == 0:
-            missing.append((endpoint, message, handlers))
-    return missing
+    handled = coverage["handled"]
+    return [
+        (endpoint, message, handlers)
+        for (endpoint, message), handlers in sorted(graph.handle_edges().items())
+        if handled.get(f"{endpoint}/{message}", 0) == 0
+    ]

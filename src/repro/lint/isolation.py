@@ -1,54 +1,41 @@
 """The runtime half of the isolation contract.
 
 The static I-rules prove no *source line* retains-and-mutates a sent
-payload or reaches through a node boundary; :func:`isolation_guard`
-proves no *code path* does at run time. While the guard is armed, every
-payload accepted by :meth:`~repro.sim.network.Network.send` is
-fingerprinted with a deterministic structural digest, and the digest is
-re-verified the moment the message is delivered (or dropped on a dead
-destination). Any difference means some code kept a reference to the
-object after sending it and mutated it while it was in flight —
-:class:`~repro.errors.IsolationError` is raised naming sender, receiver,
-message type, and both simulated times.
+payload or reaches through a node boundary; :class:`IsolationTap`
+proves no *code path* does at run time. Attached to a network
+(:meth:`Network.add_tap <repro.sim.network.Network.add_tap>`), it
+fingerprints every payload put on the wire with a deterministic
+structural digest and re-verifies the digest the moment the message
+arrives (also when the destination has died meanwhile). Any difference
+means some code kept a reference to the object after sending it and
+mutated it while it was in flight — :class:`~repro.errors.IsolationError`
+is raised naming sender, receiver, message type, and both simulated
+times.
 
 Design constraints, in order:
 
 * **Trajectory-neutral.** The digest is pure SHA-256 over the payload's
   structure — no ``hash()`` (salted per process), no wall clock, no RNG
-  — and the wrapped methods add no events and change no return values,
-  so a checked run byte-compares against a plain run. The determinism
-  CI matrix enforces exactly that.
-* **Fan-out aware.** Protocols legitimately send *one* immutable message
-  object to several peers (replication re-home, advert fan-out). The
-  in-flight registry refcounts by object identity: each send of the same
-  unmutated object bumps the count, each delivery drops it, and the
-  entry keeps a reference to the object so CPython cannot reuse its id
-  while copies are still in flight. Re-sending an object whose content
-  changed while copies are in flight trips the same wire.
-* **Re-entrant.** Nested activations patch once and restore once,
-  mirroring :func:`~repro.lint.sanitizer.determinism_guard`.
+  — and the tap adds no events and changes no return values, so a
+  checked run byte-compares against a plain run. The determinism CI
+  matrix enforces exactly that.
+* **Stateless.** The send-time digest travels in the delivery event as
+  the tap's token, so every copy is checked against its own send:
+  protocols legitimately send *one* immutable message object to several
+  peers (replication re-home, advert fan-out), and an object mutated
+  between two sends trips the wire when the earlier copy arrives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Set
+from typing import Any, Set
 
 from repro.errors import IsolationError
+from repro.sim.network import Tap
 
-__all__ = ["isolation_active", "isolation_guard", "payload_digest"]
-
-_depth = 0
-_saved: Dict[str, Any] = {}
-# id(msg) -> [msg, digest, refcount, src, dst, kind, sent_at]
-_inflight: Dict[int, list] = {}
-
-
-def isolation_active() -> bool:
-    """Is an :func:`isolation_guard` currently armed?"""
-    return _depth > 0
+__all__ = ["IsolationTap", "payload_digest"]
 
 
 # ------------------------------------------------------------------ digest
@@ -146,73 +133,17 @@ def _feed(hasher, obj: Any, stack: Set[int]) -> None:
         stack.discard(oid)
 
 
-# ------------------------------------------------------------------- guard
+# --------------------------------------------------------------------- tap
 
 
-def _checked_send(self, src: int, dst: int, msg: Any) -> bool:
-    """``Network.send`` with the in-flight registry armed."""
-    on_wire = _saved["send"](self, src, dst, msg)
-    if on_wire:
-        digest = payload_digest(msg)
-        entry = _inflight.get(id(msg))
-        if entry is None:
-            _inflight[id(msg)] = [
-                msg, digest, 1, src, dst, type(msg).__name__,
-                self.scheduler.now,
-            ]
-        elif entry[1] != digest:
-            # The object is being re-sent, but copies already in flight
-            # were fingerprinted with different content — the sender
-            # mutated it between sends.
+class IsolationTap(Tap):
+    """The copy-on-send payload checker (``--isolation-check``)."""
+
+    def on_send(self, network, src: int, dst: int, msg: Any) -> str:
+        return payload_digest(msg)
+
+    def on_deliver(self, network, src: int, dst: int, msg: Any, token: str, sent_at: float) -> None:
+        if payload_digest(msg) != token:
             raise IsolationError(
-                entry[3], entry[4], entry[5], entry[6], self.scheduler.now,
-                detail="object re-sent with different content while "
-                "earlier copies are still in flight",
+                src, dst, type(msg).__name__, sent_at, network.scheduler.now
             )
-        else:
-            entry[2] += 1
-    return on_wire
-
-
-def _checked_deliver(self, src: int, dst: int, msg: Any, received_kind) -> None:
-    """``Network._deliver`` with the digest re-verified on arrival."""
-    entry = _inflight.get(id(msg))
-    if entry is not None and entry[0] is msg:
-        if payload_digest(msg) != entry[1]:
-            raise IsolationError(
-                src, dst, type(msg).__name__, entry[6], self.scheduler.now
-            )
-        entry[2] -= 1
-        if entry[2] == 0:
-            del _inflight[id(msg)]
-    _saved["_deliver"](self, src, dst, msg, received_kind)
-
-
-@contextmanager
-def isolation_guard() -> Iterator[None]:
-    """Arm the copy-on-send payload checker for the duration of the block.
-
-    Patches :class:`~repro.sim.network.Network` at the *class* level:
-    ``send`` looks its delivery callback up on ``self`` at send time, so
-    every delivery scheduled while the guard is armed resolves to the
-    checked method (traced deliveries delegate to ``_deliver`` and are
-    covered too).
-    """
-    global _depth
-    from repro.sim.network import Network  # deferred: keep lint import light
-
-    if _depth == 0:
-        _saved["send"] = Network.send
-        _saved["_deliver"] = Network._deliver
-        Network.send = _checked_send
-        Network._deliver = _checked_deliver
-    _depth += 1
-    try:
-        yield
-    finally:
-        _depth -= 1
-        if _depth == 0:
-            Network.send = _saved["send"]
-            Network._deliver = _saved["_deliver"]
-            _saved.clear()
-            _inflight.clear()

@@ -50,7 +50,7 @@ is handed and the sender must not retain-and-mutate.
   ``every`` / ``schedule``) closing over a loop variable (late binding)
   or over a mutable local that keeps changing after scheduling.
 
-The runtime counterpart is :func:`repro.lint.isolation.isolation_guard`
+The runtime counterpart is :class:`repro.lint.isolation.IsolationTap`
 (``scenarios run --isolation-check``), which digests every payload at
 send and re-verifies it at delivery.
 

@@ -96,7 +96,7 @@ class FlightRecorder:
         if self.profiler is not None:
             sim.scheduler.profiler = self.profiler
         if self.tracer is not None:
-            sim.network.tracer = self.tracer
+            sim.network.add_tap(self.tracer)
         if self.timeline is not None:
             self.timeline.attach(sim)
 

@@ -10,12 +10,13 @@ async spans (``b``/``e``), network hops as complete slices (``X``) on
 the sending node's track with their simulated latency as the duration,
 and drops as instant events (``i``) naming the cause.
 
-Causality is propagated *dynamically*: the issuing runner activates the
-tracer around the synchronous client call, :meth:`Network.send
-<repro.sim.network.Network.send>` tags the scheduled delivery with the
-active trace id, and the traced delivery re-activates the tracer around
-the receiving handler — so cascaded sends (server fan-out, acks) inherit
-the id without any message-class changes. Known limitation: messages
+Causality is propagated *dynamically*: the tracer is a
+:class:`~repro.sim.network.Tap` on the run's network. The issuing runner
+activates it around the synchronous client call, :meth:`OpTracer.on_send`
+hands the active trace id to the network as the delivery's token, and
+:meth:`OpTracer.on_deliver` re-activates it around the receiving handler
+— so cascaded sends (server fan-out, acks) inherit the id without any
+message-class changes. Known limitation: messages
 issued from *timer* events (client retries, periodic protocol ticks)
 start outside any activation and are not attributed; the trace shows
 first-attempt causality, which is what tail-latency debugging needs.
@@ -28,9 +29,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.sim.network import Tap
 
 __all__ = ["OpTracer"]
 
@@ -42,7 +45,7 @@ def _us(t: float) -> float:
     return round(t * 1e6, 3)
 
 
-class OpTracer:
+class OpTracer(Tap):
     """Deterministic head-sampling tracer for client operations."""
 
     def __init__(self, sample_every: int = 10, max_ops: int = 1000) -> None:
@@ -54,7 +57,7 @@ class OpTracer:
             raise ConfigurationError(f"trace max_ops must be >= 1, got {max_ops}")
         self.sample_every = sample_every
         self.max_ops = max_ops
-        # The currently active trace id; the network reads this on send.
+        # The currently active trace id; every send is attributed to it.
         self.active: Optional[int] = None
         self.hops = 0
         self.drops = 0
@@ -120,31 +123,15 @@ class OpTracer:
         finally:
             self.active = previous
 
-    # --------------------------------------------------------- network hops
+    # ----------------------------------------------------------- the tap
 
-    def hop(
-        self, trace_id: int, src: int, dst: int, kind: str,
-        sent_at: float, delivered_at: float,
-    ) -> None:
-        """One delivered message attributed to ``trace_id``."""
-        self.hops += 1
-        self._events.append(
-            {
-                "ph": "X",
-                "cat": "net",
-                "name": kind,
-                "pid": _PID,
-                "tid": src,
-                "ts": _us(sent_at),
-                "dur": _us(delivered_at - sent_at),
-                "args": {"trace": trace_id, "src": src, "dst": dst},
-            }
-        )
+    def on_send(self, network, src: int, dst: int, msg: Any) -> Optional[int]:
+        return self.active
 
-    def drop(
-        self, trace_id: int, src: int, dst: int, kind: str, cause: str, now: float
-    ) -> None:
-        """One dropped message (partition / loss) attributed to ``trace_id``."""
+    def on_drop(self, network, src: int, dst: int, msg: Any, cause: str) -> None:
+        """One dropped message (partition / loss) of the active trace."""
+        if self.active is None:
+            return
         self.drops += 1
         self._events.append(
             {
@@ -153,11 +140,34 @@ class OpTracer:
                 "name": f"drop.{cause}",
                 "pid": _PID,
                 "tid": src,
-                "ts": _us(now),
+                "ts": _us(network.scheduler.now),
                 "s": "t",
-                "args": {"trace": trace_id, "kind": kind, "dst": dst},
+                "args": {"trace": self.active, "kind": type(msg).__name__, "dst": dst},
             }
         )
+
+    def on_deliver(
+        self, network, src: int, dst: int, msg: Any, trace: Optional[int], sent_at: float
+    ) -> Optional[Callable[[], None]]:
+        """One delivered message attributed to ``trace``: record the hop
+        and stay active until the receiving handler has returned."""
+        if trace is None:
+            return None
+        self.hops += 1
+        self._events.append(
+            {
+                "ph": "X",
+                "cat": "net",
+                "name": type(msg).__name__,
+                "pid": _PID,
+                "tid": src,
+                "ts": _us(sent_at),
+                "dur": _us(network.scheduler.now - sent_at),
+                "args": {"trace": trace, "src": src, "dst": dst},
+            }
+        )
+        previous, self.active = self.active, trace
+        return partial(setattr, self, "active", previous)
 
     # ------------------------------------------------------------- reports
 

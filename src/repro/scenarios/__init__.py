@@ -22,6 +22,7 @@ from repro.scenarios.registry import (
     load_bundled,
 )
 from repro.scenarios.runner import (
+    RunOptions,
     ScenarioResult,
     SweepResult,
     run_scenario,
@@ -42,6 +43,7 @@ __all__ = [
     "ChurnSpec",
     "FaultSpec",
     "LatencySpec",
+    "RunOptions",
     "ScenarioResult",
     "ScenarioSpec",
     "SweepResult",

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,10 +58,68 @@ from repro.sim.simulator import Simulation, relaxed_gc
 from repro.workload.openloop import OpenLoopRunner, OpenLoopStats
 from repro.workload.runner import RunStats, WorkloadRunner
 
-__all__ = ["ScenarioResult", "SweepResult", "run_scenario", "run_sweep"]
+__all__ = ["RunOptions", "ScenarioResult", "SweepResult", "run_scenario", "run_sweep"]
 
 # Key-sample cap for the acked-vs-retained write-loss audit.
 CONSISTENCY_SAMPLE = 200
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run-time checks of one scenario run, all off by default. Each
+    is trajectory-neutral — a run that completes returns byte-identical
+    summaries with or without it, which the determinism CI matrix proves
+    by byte-comparing them. Frozen and picklable: ``run_sweep`` hands
+    the same object to every worker process.
+
+    ``sanitize`` arms :func:`repro.lint.sanitizer.determinism_guard`
+    for the duration of the run: any ambient ``random.*`` call or
+    ``time.time`` read on the sim path raises
+    :class:`~repro.errors.DeterminismError` instead of silently
+    perturbing the trajectory. It patches :mod:`random` and :mod:`time`,
+    so it is the one check that is process-wide.
+
+    ``isolation_check`` attaches a
+    :class:`repro.lint.isolation.IsolationTap` to the run's network:
+    every payload is fingerprinted (pure SHA-256 — no clock, no RNG) at
+    ``Network.send`` and re-verified at delivery, and any in-flight
+    mutation raises :class:`~repro.errors.IsolationError` naming sender,
+    receiver, message type and sim time.
+
+    ``protocol_coverage`` attaches a
+    :class:`repro.lint.coverage.CoverageTap`: every delivery is
+    accounted per ``(node class, message type)`` edge and the counters
+    come back as :attr:`ScenarioResult.coverage`, so the CLI can report
+    which static protocol edges the scenario never exercised.
+    """
+
+    sanitize: bool = False
+    isolation_check: bool = False
+    protocol_coverage: bool = False
+
+    def guard(self):
+        """Context manager for the process-wide part of the options."""
+        if not self.sanitize:
+            return nullcontext()
+        from repro.lint.sanitizer import determinism_guard
+
+        return determinism_guard()
+
+    def attach(self, sim: Simulation):
+        """Tap a freshly built simulation's network — checker first,
+        then accountant — and return the
+        :class:`~repro.lint.coverage.CoverageTap`, if any."""
+        if self.isolation_check:
+            from repro.lint.isolation import IsolationTap
+
+            sim.network.add_tap(IsolationTap())
+        coverage = None
+        if self.protocol_coverage:
+            from repro.lint.coverage import CoverageTap
+
+            coverage = CoverageTap()
+            sim.network.add_tap(coverage)
+        return coverage
 
 
 @dataclass
@@ -70,6 +129,10 @@ class ScenarioResult:
     scenario: str
     seed: int
     metrics: Dict[str, float]
+    # ``RunOptions.protocol_coverage`` runs only: the run's
+    # :meth:`~repro.lint.coverage.CoverageTap.snapshot`. Diagnostics,
+    # deliberately outside :meth:`summary_json`.
+    coverage: Optional[Dict[str, Dict[str, int]]] = None
 
     def summary_json(self) -> str:
         """Canonical serialisation: sorted keys, fixed float formatting.
@@ -91,6 +154,8 @@ class SweepResult:
     seeds: List[int]
     results: List[ScenarioResult]
     aggregate: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    # The per-seed :attr:`ScenarioResult.coverage` counters, summed.
+    coverage: Optional[Dict[str, Dict[str, int]]] = None
 
     def rows(self) -> List[Dict[str, float]]:
         """One row per seed — ready for ``rows_to_table``."""
@@ -117,9 +182,7 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
     recorder=None,
-    sanitize: bool = False,
-    isolation_check: bool = False,
-    protocol_coverage: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> ScenarioResult:
     """Execute ``spec`` once; ``seed`` overrides the spec's default.
 
@@ -132,32 +195,7 @@ def run_scenario(
     byte-identical metrics to an unrecorded one — the obs determinism
     contract CI byte-compares.
 
-    ``sanitize`` arms :func:`repro.lint.sanitizer.determinism_guard`
-    for the duration of the run: any ambient ``random.*`` call or
-    ``time.time`` read on the sim path raises
-    :class:`~repro.errors.DeterminismError` instead of silently
-    perturbing the trajectory. The guard is trajectory-neutral — a
-    sanitized run that completes returns byte-identical summaries to an
-    unsanitized one, which the determinism CI matrix proves by
-    byte-comparing both.
-
-    ``isolation_check`` arms
-    :func:`repro.lint.isolation.isolation_guard` the same way: every
-    payload is fingerprinted at ``Network.send`` and re-verified at
-    delivery, and any in-flight mutation raises
-    :class:`~repro.errors.IsolationError` naming sender, receiver,
-    message type and sim time. The digest is pure SHA-256 — no clock, no
-    RNG — so a checked run is byte-identical to a plain one (the
-    determinism CI matrix byte-compares them).
-
-    ``protocol_coverage`` arms
-    :func:`repro.lint.coverage.protocol_coverage`: every delivery is
-    accounted per ``(node class, message type)`` edge, and the counters
-    stay readable after the run (:func:`repro.lint.coverage.\
-coverage_snapshot`) so the CLI can report which static protocol edges
-    the scenario never exercised. The accountant only reads state the
-    delivery path reads anyway — a covered run is byte-identical to a
-    plain one (the determinism CI matrix byte-compares them too).
+    ``options`` switches the run-time checks on (:class:`RunOptions`).
 
     Runs under :func:`~repro.sim.simulator.relaxed_gc`: simulation
     garbage is acyclic, and default cyclic-GC thresholds cost up to ~3x
@@ -165,36 +203,19 @@ coverage_snapshot`) so the CLI can report which static protocol edges
     the trajectory, so summaries stay byte-identical either way.
     """
     seed = spec.seed if seed is None else seed
-    if sanitize or isolation_check or protocol_coverage:
-        from contextlib import ExitStack
-
-        with ExitStack() as guards:
-            if sanitize:
-                from repro.lint.sanitizer import determinism_guard
-
-                guards.enter_context(determinism_guard())
-            if isolation_check:
-                from repro.lint.isolation import isolation_guard
-
-                guards.enter_context(isolation_guard())
-            if protocol_coverage:
-                from repro.lint.coverage import (
-                    protocol_coverage as coverage_guard,
-                )
-
-                guards.enter_context(coverage_guard())
-            guards.enter_context(relaxed_gc())
-            return _run_scenario_inner(spec, seed, recorder)
-    with relaxed_gc():
-        return _run_scenario_inner(spec, seed, recorder)
+    with options.guard(), relaxed_gc():
+        return _run_scenario_inner(spec, seed, recorder, options)
 
 
-def _run_scenario_inner(spec: ScenarioSpec, seed: int, recorder=None) -> ScenarioResult:
+def _run_scenario_inner(
+    spec: ScenarioSpec, seed: int, recorder, options: RunOptions
+) -> ScenarioResult:
     if recorder is not None:
         recorder.begin_phase("deploy")
     sim = Simulation(seed=seed, latency_model=spec.latency.build(), loss_rate=spec.loss_rate)
     if recorder is not None:
         recorder.attach(sim)
+    coverage = options.attach(sim)
     backend = get_backend(spec.stack).deploy(spec, sim)
     metrics: Dict[str, float] = {}
 
@@ -276,45 +297,35 @@ def _run_scenario_inner(spec: ScenarioSpec, seed: int, recorder=None) -> Scenari
         # events; subtract them so obs-on metrics equal obs-off byte-for-byte.
         events -= recorder.overhead_events
     metrics["events_processed"] = float(events)
-    return ScenarioResult(spec.name, seed, dict(sorted(metrics.items())))
-
-
-def _run_scenario_job(
-    args: Tuple[ScenarioSpec, int, bool, bool, bool]
-) -> ScenarioResult:
-    """Module-level shim so worker processes can unpickle the call."""
-    spec, seed, sanitize, isolation_check, protocol_coverage = args
-    return run_scenario(
-        spec,
+    return ScenarioResult(
+        spec.name,
         seed,
-        sanitize=sanitize,
-        isolation_check=isolation_check,
-        protocol_coverage=protocol_coverage,
+        dict(sorted(metrics.items())),
+        coverage=coverage.snapshot() if coverage is not None else None,
     )
+
+
+def _run_scenario_job(args: Tuple[ScenarioSpec, int, RunOptions]) -> ScenarioResult:
+    """Module-level shim so worker processes can unpickle the call."""
+    spec, seed, options = args
+    return run_scenario(spec, seed, options=options)
 
 
 def run_sweep(
     spec: ScenarioSpec,
     seeds: Sequence[int],
     jobs: int = 1,
-    sanitize: bool = False,
-    isolation_check: bool = False,
-    protocol_coverage: bool = False,
+    options: RunOptions = RunOptions(),
 ) -> SweepResult:
     """Run ``spec`` once per seed and aggregate the metrics.
 
     ``jobs`` is the number of worker processes; 1 (the default) runs the
     seeds serially in this process. Every seed is an independent
     deterministic simulation and results are collected in seed order, so
-    the returned :class:`SweepResult` — including
-    :meth:`SweepResult.summary_json` — is byte-identical whatever the
-    job count. ``sanitize`` arms the runtime determinism guard,
-    ``isolation_check`` the payload isolation guard, and
-    ``protocol_coverage`` the protocol-edge accountant for every seed's
-    run (see :func:`run_scenario`) — in worker processes too. With
-    ``jobs > 1`` the coverage counters accumulate inside each worker,
-    so after a parallel sweep :func:`repro.lint.coverage.\
-coverage_snapshot` in the parent only reflects serially-run seeds.
+    the returned :class:`SweepResult` — :meth:`SweepResult.summary_json`
+    and the summed coverage counters included — is byte-identical
+    whatever the job count. ``options`` (:class:`RunOptions`) applies to
+    every seed's run, in worker processes too.
 
     Caveat for custom backends: workers import only :mod:`repro`
     modules, so a backend registered at runtime (``@register_backend``
@@ -331,30 +342,21 @@ coverage_snapshot` in the parent only reflects serially-run seeds.
             # pool.map preserves input order: results arrive seed-ordered
             # no matter which worker finishes first.
             results = list(
-                pool.map(
-                    _run_scenario_job,
-                    [
-                        (spec, s, sanitize, isolation_check, protocol_coverage)
-                        for s in seeds
-                    ],
-                )
+                pool.map(_run_scenario_job, [(spec, s, options) for s in seeds])
             )
     else:
-        results = [
-            run_scenario(
-                spec,
-                seed,
-                sanitize=sanitize,
-                isolation_check=isolation_check,
-                protocol_coverage=protocol_coverage,
-            )
-            for seed in seeds
-        ]
+        results = [run_scenario(spec, seed, options=options) for seed in seeds]
+    coverage = None
+    if options.protocol_coverage:
+        from repro.lint.coverage import merge_coverage
+
+        coverage = merge_coverage(r.coverage for r in results)
     return SweepResult(
         scenario=spec.name,
         seeds=seeds,
         results=results,
         aggregate=aggregate_rows([r.metrics for r in results]),
+        coverage=coverage,
     )
 
 

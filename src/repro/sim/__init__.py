@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`~repro.sim.scheduler.Scheduler` — event heap with virtual time
-* :class:`~repro.sim.network.Network` and latency models
+* :class:`~repro.sim.network.Network`, latency models and the
+  :class:`~repro.sim.network.Tap` observer hook
 * :class:`~repro.sim.node.Node` / :class:`~repro.sim.node.Service`
 * :class:`~repro.sim.simulator.Simulation` — a whole deployment
 * :class:`~repro.sim.metrics.MetricsRegistry` — message accounting
@@ -23,6 +24,7 @@ from repro.sim.network import (
     LatencyModel,
     LogNormalLatency,
     Network,
+    Tap,
     UniformLatency,
 )
 from repro.sim.node import Node, PeriodicTask, Service, SimContext
@@ -50,6 +52,7 @@ __all__ = [
     "Simulation",
     "relaxed_gc",
     "stdev",
+    "Tap",
     "UniformLatency",
     "derive_seed",
 ]

@@ -43,7 +43,13 @@ drop/latency decisions as one with none (see DESIGN.md, "Performance").
 A fan-out of one message to many peers goes through
 :meth:`Network.multicast`, which is the loop over :meth:`Network.send`
 by contract and pays its bookkeeping once per fan-out whenever no fault
-machinery, loss, op trace or ``send`` wrapper could tell the difference.
+machinery, loss, tap or ``send`` wrapper could tell the difference.
+
+Observation: everything that wants to watch the wire — the op tracer,
+the isolation checker, the protocol-coverage accountant — is a
+:class:`Tap` in :attr:`Network.taps`. An empty tuple (the default) is
+the fast path above; a tapped network sends message by message and
+delivers through :meth:`Network._deliver_traced`.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ __all__ = [
     "UniformLatency",
     "LogNormalLatency",
     "Network",
+    "Tap",
 ]
 
 # Shared "no degradation" entry so condition lookups never allocate.
@@ -119,6 +126,33 @@ class LogNormalLatency(LatencyModel):
         return min(rng.lognormvariate(self._mu, self.sigma), self.cap)
 
 
+class Tap:
+    """One observer of a :class:`Network`'s wire; override what you need.
+
+    Taps are attached to one network *instance* with
+    :meth:`Network.add_tap` before it carries traffic and are called in
+    attachment order. They must be trajectory-neutral: no RNG draws, no
+    scheduled events, no mutation of the message or the network.
+    """
+
+    def on_send(self, network: "Network", src: int, dst: int, msg: Any) -> Any:
+        """``msg`` was put on the wire. The return value travels in the
+        delivery event and comes back as ``token`` in :meth:`on_deliver`."""
+        return None
+
+    def on_drop(self, network: "Network", src: int, dst: int, msg: Any, cause: str) -> None:
+        """``msg`` was dropped at send; ``cause`` is ``"partition"`` or
+        ``"loss"``."""
+
+    def on_deliver(
+        self, network: "Network", src: int, dst: int, msg: Any, token: Any, sent_at: float
+    ) -> Optional[Callable[[], None]]:
+        """``msg`` arrived, before the destination is looked up (it may
+        be dead by now). A returned callable runs once the receiving
+        handler has returned."""
+        return None
+
+
 class Network:
     """Message router between simulated nodes.
 
@@ -165,12 +199,9 @@ class Network:
         self._type_cache: Dict[type, Tuple[str, Dict, Dict, str, str]] = {}
         self._sent_slots = metrics.counter("msg.sent")
         self._recv_slots = metrics.counter("msg.received")
-        # Optional repro.obs.trace.OpTracer: when set and activated
-        # (tracer.active is a trace id), sends are attributed to the
-        # active operation and deliveries re-activate it around the
-        # receiving handler so cascaded sends inherit the id. When None
-        # (the default) the send path pays one local None-check.
-        self.tracer = None
+        # The observers of this network's wire, in call order. Empty
+        # (the default): the send path pays one truth test.
+        self.taps: Tuple[Tap, ...] = ()
 
     def _intern_type(self, msg_type: type) -> Tuple[str, Dict, Dict, str, str]:
         kind = msg_type.__name__
@@ -193,6 +224,12 @@ class Network:
             or self._condition_layers
             or self._burst_layers
         )
+
+    def add_tap(self, tap: Tap) -> None:
+        """Attach ``tap`` after the ones already there. Attach before the
+        first send: a message already in flight is delivered the way it
+        was sent."""
+        self.taps += (tap,)
 
     # ---------------------------------------------------------- membership
 
@@ -425,7 +462,7 @@ class Network:
         mutate it (messages are frozen dataclasses by convention, and
         payload fields should be snapshotted tuples). The ``repro lint``
         I-rules check this statically and
-        :func:`repro.lint.isolation.isolation_guard`
+        :class:`repro.lint.isolation.IsolationTap`
         (``scenarios run --isolation-check``) enforces it at run time by
         digesting the payload here and re-verifying it at delivery.
         """
@@ -436,8 +473,7 @@ class Network:
         sent[src] = sent.get(src, 0.0) + 1.0
         sent_kind = entry[1]
         sent_kind[None] = sent_kind.get(None, 0.0) + 1.0
-        tracer = self.tracer
-        trace = tracer.active if tracer is not None else None
+        taps = self.taps
         fault_free = self._fault_free
         rng = self.rng
         if fault_free:
@@ -446,25 +482,29 @@ class Network:
             if self._crosses_partition(src, dst):
                 self.metrics.inc("msg.dropped.partition")
                 self.metrics.inc(entry[3])
-                if trace is not None:
-                    tracer.drop(trace, src, dst, entry[0], "partition", self.scheduler.now)
+                for tap in taps:
+                    tap.on_drop(self, src, dst, msg, "partition")
                 return False
             loss = self._loss_for(src, dst)
         if loss > 0.0 and rng.random() < loss:
             self.metrics.inc("msg.dropped.loss")
             self.metrics.inc(entry[4])
-            if trace is not None:
-                tracer.drop(trace, src, dst, entry[0], "loss", self.scheduler.now)
+            for tap in taps:
+                tap.on_drop(self, src, dst, msg, "loss")
             return False
         latency = self.latency_model.sample(rng, src, dst)
         if not fault_free:
             latency += self._extra_latency_for(src, dst)
-        if trace is None:
+        if not taps:
             self.scheduler.schedule(latency, self._deliver, src, dst, msg, entry[2])
         else:
+            # A plain loop: on CPython 3.11 a comprehension is a call.
+            tokens = []
+            for tap in taps:
+                tokens.append(tap.on_send(self, src, dst, msg))
             self.scheduler.schedule(
                 latency, self._deliver_traced, src, dst, msg, entry[2],
-                trace, self.scheduler.now,
+                tokens, self.scheduler.now,
             )
         return True
 
@@ -475,17 +515,16 @@ class Network:
 
         A fan-out of one message is the store's unit of work (infect-
         and-die relays, Section IV-B), so when nothing can tell the
-        messages apart — no fault machinery armed, no loss, no operation
-        being traced, :meth:`send` neither patched on the class nor
-        shadowed on the instance — the per-message bookkeeping is paid
-        once: one type lookup, one ``+k`` per counter (exact: the slots
-        hold integer-valued floats), one handle-free batch push. In every
-        other case this *is* the loop over ``self.send``, so guards,
-        tracers and the fault path see every message.
+        messages apart — no fault machinery armed, no loss, no tap,
+        :meth:`send` neither overridden in a subclass nor shadowed on
+        the instance — the per-message bookkeeping is paid once: one
+        type lookup, one ``+k`` per counter (exact: the slots hold
+        integer-valued floats), one handle-free batch push. In every
+        other case this *is* the loop over ``self.send``, so taps,
+        wrappers and the fault path see every message.
         """
         if not dsts:
             return
-        tracer = self.tracer
         # One look at ``self.send`` answers for the class and the instance
         # (a shadowing plain function has no ``__func__``). Not
         # ``self.__dict__``: asking for it makes CPython 3.11 move the
@@ -495,7 +534,7 @@ class Network:
         if (
             not self._fault_free
             or self.loss_rate > 0.0
-            or (tracer is not None and tracer.active is not None)
+            or self.taps
             or getattr(send, "__func__", None) is not _STOCK_SEND
         ):
             for dst in dsts:
@@ -519,22 +558,21 @@ class Network:
 
     def _deliver_traced(
         self, src: int, dst: int, msg: Any, received_kind: Dict,
-        trace: int, sent_at: float,
+        tokens: List[Any], sent_at: float,
     ) -> None:
-        """Delivery of a message attributed to an op trace: record the
-        hop, then run the normal delivery with the trace re-activated so
-        sends the handler causes (fan-out, acks) inherit the trace id."""
-        tracer = self.tracer
-        if tracer is None:
-            self._deliver(src, dst, msg, received_kind)
-            return
-        tracer.hop(trace, src, dst, type(msg).__name__, sent_at, self.scheduler.now)
-        previous = tracer.active
-        tracer.active = trace
+        """Delivery on a tapped network: every tap sees the arrival with
+        the token its ``on_send`` returned, the normal delivery runs,
+        then whatever the taps asked to run after the handler."""
+        after = []
+        for tap, token in zip(self.taps, tokens):
+            done = tap.on_deliver(self, src, dst, msg, token, sent_at)
+            if done is not None:
+                after.append(done)
         try:
             self._deliver(src, dst, msg, received_kind)
         finally:
-            tracer.active = previous
+            while after:
+                after.pop()()
 
     def _deliver(self, src: int, dst: int, msg: Any, received_kind: Dict) -> None:
         # ``received_kind`` is the per-type received-counter slots dict from
@@ -552,6 +590,6 @@ class Network:
         deliver(msg, src)
 
 
-# What :meth:`Network.multicast` compares ``send`` against: a run-time
-# guard that replaces the method on the class must see every message.
+# What :meth:`Network.multicast` compares ``send`` against: a subclass
+# override or an instance-level wrapper must see every message.
 _STOCK_SEND = Network.send

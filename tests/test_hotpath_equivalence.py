@@ -12,8 +12,8 @@ is pinned here against the reference it replaced.
   network state, and each condition that sends it down the per-message
   lane;
 * the re-home ack reverse index vs the scan it replaced;
-* the hooks other layers hang on the message path — the class-level
-  guards, an instance-level ``send`` wrapper like the ledger's, and
+* the hooks other layers hang on the message path — the network's
+  taps, an instance-level ``send`` wrapper like the ledger's, and
   ``Scheduler.profiler`` — still see every message.
 """
 
@@ -31,11 +31,10 @@ from repro.core.cluster import DataFlasksCluster
 from repro.core.messages import PutAck
 from repro.errors import SimulationError
 from repro.gossip.dissemination import DedupCache
-from repro.lint import isolation_guard
-from repro.lint.coverage import coverage_snapshot, protocol_coverage
+from repro.lint import CoverageTap, IsolationTap
 from repro.obs.trace import OpTracer
 from repro.pss.view import NodeDescriptor, PartialView
-from repro.sim.network import LatencyModel, Network, UniformLatency
+from repro.sim.network import LatencyModel, Network, Tap, UniformLatency
 from repro.sim.node import Node
 from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulation
@@ -340,10 +339,10 @@ _fanouts = st.lists(
 )
 def test_multicast_is_the_loop_of_sends(seed, loss_rate, armed, traced, fanouts):
     batched, looped = (_network(seed, loss_rate, sorted(armed)) for _ in range(2))
-    for sim in (batched, looped):
-        if traced:
-            sim.network.tracer = OpTracer(sample_every=1)
-            sim.network.tracer.active = sim.network.tracer.sample_op("put", "k", 0, 0.0)
+    tracers = [OpTracer(sample_every=1) for _ in range(2)] if traced else []
+    for sim, tracer in zip((batched, looped), tracers):
+        sim.network.add_tap(tracer)
+        tracer.active = tracer.sample_op("put", "k", 0, 0.0)
     for src, dsts, msg, via_node in fanouts:
         if via_node:
             batched.nodes[src].multicast(dsts, msg)
@@ -358,7 +357,7 @@ def test_multicast_is_the_loop_of_sends(seed, loss_rate, armed, traced, fanouts)
         sim.scheduler.run()
     assert _state(batched) == _state(looped)
     if traced:
-        assert batched.network.tracer.hops == looped.network.tracer.hops
+        assert tracers[0]._events == tracers[1]._events
 
 
 def test_fault_free_multicast_allocates_no_event_and_delivers_through_deliver():
@@ -397,14 +396,18 @@ def test_loss_takes_the_per_message_lane():
     assert _per_message_lane(sim)
 
 
-def test_active_op_trace_sees_every_message_of_a_multicast():
+def test_taps_see_every_message_of_a_multicast():
     sim = _network(3)
-    tracer = sim.network.tracer = OpTracer(sample_every=1)
-    sim.network.multicast(0, [1, 2, 3], _Ping(1))  # no operation active
-    assert not _per_message_lane(sim)
+    sim.network.multicast(0, [1, 2, 3], _Ping(1))
+    assert not _per_message_lane(sim)  # untapped: batched
+    tracer = OpTracer(sample_every=1)
+    sim.network.add_tap(tracer)
+    sim.network.multicast(0, [1, 2, 3], _Ping(1))  # tapped, no operation active
     tracer.active = tracer.sample_op("put", "k", 0, 0.0)
     sim.network.multicast(0, [1, 2, 3], _Ping(1))
     tracer.active = None
+    lanes = sorted((fn.__func__.__name__, handle is None) for _, _, fn, _, handle in sim.scheduler._heap)
+    assert lanes == [("_deliver", True)] * 3 + [("_deliver_traced", False)] * 6
     sim.scheduler.run()
     assert tracer.hops == 3
 
@@ -421,7 +424,7 @@ def test_wrappers_on_send_see_every_message_of_a_multicast(where, monkeypatch):
 
     if where == "instance":  # as the ledger's LayerTracer shadows it
         sim.network.send = lambda src, dst, msg: spy(sim.network, src, dst, msg)
-    elif where == "class":  # as isolation_guard patches it
+    elif where == "class":
         monkeypatch.setattr(Network, "send", spy)
     else:
         sim.network.__class__ = type("Spied", (Network,), {"send": spy})
@@ -500,34 +503,51 @@ class _CountingProfiler:
         self.deliveries = 0
 
     def record(self, fn, args, elapsed):
-        if getattr(fn, "__func__", None) is Network._deliver:
+        if getattr(fn, "__func__", None) in (Network._deliver, Network._deliver_traced):
             self.deliveries += 1
 
 
-def test_guards_wrappers_and_profiler_see_every_message():
+class _CountingTap(Tap):
+    def __init__(self):
+        self.sent = self.delivered = 0
+
+    def on_send(self, network, src, dst, msg):
+        self.sent += 1
+
+    def on_deliver(self, network, src, dst, msg, token, sent_at):
+        self.delivered += 1
+
+
+def test_taps_wrappers_and_profiler_see_every_message():
     wrapped = []
     profiler = _CountingProfiler()
-    with isolation_guard(), protocol_coverage():
-        # Construction sends nothing; everything below is hooked before
-        # the first event runs.
-        cluster = DataFlasksCluster(n=24, config=small_config(num_slices=3), seed=5)
-        sim = cluster.sim
-        original_send = sim.network.send
+    counting, coverage = _CountingTap(), CoverageTap()
+    # Construction sends nothing; everything below is hooked before the
+    # first event runs.
+    cluster = DataFlasksCluster(n=24, config=small_config(num_slices=3), seed=5)
+    sim = cluster.sim
+    for tap in (IsolationTap(), coverage, counting):
+        sim.network.add_tap(tap)
+    original_send = sim.network.send
 
-        def send(src, dst, msg):  # instance-level, as the ledger's tracer installs it
-            wrapped.append(type(msg).__name__)
-            return original_send(src, dst, msg)
+    def send(src, dst, msg):  # instance-level, as the ledger's tracer installs it
+        wrapped.append(type(msg).__name__)
+        return original_send(src, dst, msg)
 
-        sim.network.send = send
-        sim.scheduler.profiler = profiler
-        cluster.warm_up(10)
-        assert cluster.wait_for_slices(timeout=120)
-        client = cluster.new_client()
-        assert cluster.put_sync(client, "k", b"v", 1).succeeded
-        assert cluster.get_sync(client, "k").succeeded
-        covered = sum(coverage_snapshot()["delivered"].values())
+    sim.network.send = send
+    sim.scheduler.profiler = profiler
+    cluster.warm_up(10)
+    assert cluster.wait_for_slices(timeout=120)
+    client = cluster.new_client()
+    assert cluster.put_sync(client, "k", b"v", 1).succeeded
+    assert cluster.get_sync(client, "k").succeeded
     totals = sim.metrics.snapshot()
     assert "PutRequest" in wrapped and "GetRequest" in wrapped
-    assert len(wrapped) == totals["msg.sent"] > 500
-    assert covered == totals["msg.received"]
-    assert profiler.deliveries == totals["msg.received"] + totals.get("msg.dropped.dead", 0.0)
+    # No loss, no partition: every send is on the wire.
+    assert len(wrapped) == counting.sent == totals["msg.sent"] > 500
+    assert sum(coverage.snapshot()["delivered"].values()) == totals["msg.received"]
+    assert (
+        profiler.deliveries
+        == counting.delivered
+        == totals["msg.received"] + totals.get("msg.dropped.dead", 0.0)
+    )

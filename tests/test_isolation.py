@@ -1,21 +1,26 @@
 """The runtime isolation checker: structural payload digests, the
-copy-on-send guard (mutation-in-flight detection with full sender /
-receiver / type / sim-time context), fan-out refcounting, restoration,
-re-entrancy, and the trajectory-neutrality contract — a checked
-scenario run is byte-identical to a plain one."""
+copy-on-send tap (mutation-in-flight detection with full sender /
+receiver / type / sim-time context), fan-out of one object, taps
+belonging to one network, errors crossing the ``--jobs`` process
+boundary, and the trajectory-neutrality contract — a checked scenario
+run is byte-identical to a plain one."""
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import IsolationError
-from repro.lint import isolation_active, isolation_guard, payload_digest
+from repro.errors import IsolationError, OperationTimeoutError
+from repro.lint import IsolationTap, payload_digest
 from repro.scenarios.registry import load_bundled
-from repro.scenarios.runner import run_scenario, run_sweep
+from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
+
+CHECKED = RunOptions(isolation_check=True)
 
 SMALL = dict(
     nodes=20,
@@ -134,12 +139,28 @@ class FanOut(Node):
             self.send(dst, m)
 
 
+class Resender(Node):
+    """Sends an object, mutates it, sends it again while the first copy
+    is still on the wire."""
+
+    def on_start(self) -> None:
+        self.after(0.1, self._fire)
+
+    def _fire(self) -> None:
+        m = Evil([1, 2])
+        self.send(1, m)
+        m.payload.append(99)
+        self.send(2, m)
+
+
 class Sink(Node):
     pass
 
 
-def _sim(sender, sinks: int) -> Simulation:
+def _sim(sender, sinks: int, checked: bool = True) -> Simulation:
     sim = Simulation(seed=7)
+    if checked:
+        sim.network.add_tap(IsolationTap())
     nodes = [sim.add_node(sender, 0)]
     for node_id in range(1, sinks + 1):
         nodes.append(sim.add_node(Sink, node_id))
@@ -148,18 +169,14 @@ def _sim(sender, sinks: int) -> Simulation:
     return sim
 
 
-# ------------------------------------------------------------------- guard
+# --------------------------------------------------------------------- tap
 
 
-class TestIsolationGuard:
-    def test_inactive_by_default(self):
-        assert not isolation_active()
-
+class TestIsolationTap:
     def test_mutation_in_flight_raises_with_context(self):
         sim = _sim(Mutator, 1)
-        with isolation_guard():
-            with pytest.raises(IsolationError) as excinfo:
-                sim.run_for(1.0)
+        with pytest.raises(IsolationError) as excinfo:
+            sim.run_for(1.0)
         err = excinfo.value
         assert err.src == 0
         assert err.dst == 1
@@ -171,67 +188,75 @@ class TestIsolationGuard:
         assert "node 0" in message and "node 1" in message
         assert "t=0.1" in message
 
-    def test_unguarded_mutation_passes_silently(self):
-        # The guard is opt-in: without it the buggy run completes (and
+    def test_unchecked_mutation_passes_silently(self):
+        # The tap is opt-in: without it the buggy run completes (and
         # the receiver sees the mutated payload — the bug it would hide).
-        sim = _sim(Mutator, 1)
-        sim.run_for(1.0)
+        _sim(Mutator, 1, checked=False).run_for(1.0)
 
     def test_clean_sender_passes(self):
-        sim = _sim(Polite, 1)
-        with isolation_guard():
-            sim.run_for(1.0)
-        assert not isolation_active()
+        _sim(Polite, 1).run_for(1.0)
 
     def test_fan_out_of_one_object_passes(self):
-        # Refcounted registry: the same unmutated object may be in
-        # flight to several destinations at once.
-        sim = _sim(FanOut, 3)
-        with isolation_guard():
+        # Every copy carries its own send-time digest: the same unmutated
+        # object may be in flight to several destinations at once.
+        _sim(FanOut, 3).run_for(1.0)
+
+    def test_resend_of_a_mutated_object_trips_on_the_earlier_copy(self):
+        sim = _sim(Resender, 2)
+        with pytest.raises(IsolationError) as excinfo:
             sim.run_for(1.0)
+        assert (excinfo.value.src, excinfo.value.dst) == (0, 1)
 
-    def test_send_to_dead_node_still_checked_then_released(self):
-        sim = Simulation(seed=7)
-        sender = sim.add_node(Polite, 0)
-        sink = sim.add_node(Sink, 1)
-        sender.start()
-        sink.start()
-        sink.stop()
-        with isolation_guard():
+    def test_send_to_dead_node_is_still_checked(self):
+        sim = _sim(Mutator, 1)
+        sim.nodes[1].stop()
+        with pytest.raises(IsolationError):
             sim.run_for(1.0)
+        assert sim.metrics.get("msg.received", 1) == 0.0
 
-    def test_restores_on_exit(self):
-        from repro.sim.network import Network
+    def test_a_tap_sees_only_its_own_network(self):
+        # Two simulations alive at once: the checker on one neither
+        # checks nor is tripped by the other's traffic.
+        checked, plain = _sim(Polite, 1), _sim(Mutator, 1, checked=False)
+        plain.run_for(1.0)
+        checked.run_for(1.0)
+        assert plain.network.taps == ()
+        assert plain.metrics.get("msg.received", 1) == checked.metrics.get("msg.received", 1) == 1.0
 
-        before_send = Network.send
-        before_deliver = Network._deliver
-        with isolation_guard():
-            assert Network.send is not before_send
-        assert Network.send is before_send
-        assert Network._deliver is before_deliver
-        assert not isolation_active()
 
-    def test_restores_after_exception(self):
-        from repro.sim.network import Network
+# -------------------------------------------------- across the process pool
 
-        before_send = Network.send
-        with pytest.raises(RuntimeError):
-            with isolation_guard():
-                raise RuntimeError("boom")
-        assert Network.send is before_send
 
-    def test_reentrant(self):
-        from repro.sim.network import Network
+@pytest.mark.parametrize(
+    "error",
+    [IsolationError(3, 4, "PutRequest", 1.5, 1.75), OperationTimeoutError("put", "k", 2.0)],
+)
+def test_errors_survive_pickling(error):
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is type(error)
+    assert str(clone) == str(error) and vars(clone) == vars(error)
 
-        before_send = Network.send
-        with isolation_guard():
-            with isolation_guard():
-                assert isolation_active()
-            # Inner exit must not disarm the outer guard.
-            assert isolation_active()
-            assert Network.send is not before_send
-        assert not isolation_active()
-        assert Network.send is before_send
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the buggy sender is patched in here and must be inherited by the workers",
+)
+def test_violation_in_a_worker_reaches_the_parent(monkeypatch):
+    stock = Node.send
+
+    def leaky_send(self, dst, msg):
+        on_wire = stock(self, dst, msg)
+        if type(msg).__name__ == "PutRequest":
+            object.__setattr__(msg, "value", b"mutated after send")
+        return on_wire
+
+    monkeypatch.setattr(Node, "send", leaky_send)
+    with pytest.raises(IsolationError) as excinfo:
+        run_sweep(small_spec(), seeds=[0, 1], jobs=2, options=CHECKED)
+    err = excinfo.value
+    assert err.kind == "PutRequest" and err.src != err.dst
+    assert err.now > err.sent_at > 0.0
+    assert f"from node {err.src} to node {err.dst}" in str(err)
 
 
 # ---------------------------------------------------- trajectory neutrality
@@ -241,24 +266,25 @@ class TestTrajectoryNeutrality:
     def test_checked_run_is_byte_identical(self):
         spec = small_spec()
         plain = run_scenario(spec, seed=11)
-        checked = run_scenario(spec, seed=11, isolation_check=True)
+        checked = run_scenario(spec, seed=11, options=CHECKED)
         assert checked.summary_json() == plain.summary_json()
-        assert not isolation_active()
 
     def test_checked_fault_spec_is_byte_identical(self):
         spec = small_spec("asymmetric-partition")
         plain = run_scenario(spec, seed=3)
-        checked = run_scenario(spec, seed=3, isolation_check=True)
+        checked = run_scenario(spec, seed=3, options=CHECKED)
         assert checked.summary_json() == plain.summary_json()
 
     def test_checked_sweep_is_byte_identical(self):
         spec = small_spec()
         plain = run_sweep(spec, seeds=[0, 1])
-        checked = run_sweep(spec, seeds=[0, 1], isolation_check=True)
+        checked = run_sweep(spec, seeds=[0, 1], options=CHECKED)
         assert checked.summary_json() == plain.summary_json()
 
     def test_stacks_with_sanitizer_and_checker(self):
-        # scenarios run --sanitize --isolation-check: both guards armed.
+        # scenarios run --sanitize --isolation-check: both checks on.
         spec = small_spec("dht-crash-recover")
-        result = run_scenario(spec, seed=5, sanitize=True, isolation_check=True)
+        result = run_scenario(
+            spec, seed=5, options=RunOptions(sanitize=True, isolation_check=True)
+        )
         assert result.metrics["events_processed"] > 0

@@ -111,8 +111,12 @@ class TestOpTracer:
     def test_span_events_balance(self):
         tracer = OpTracer(sample_every=1)
         trace = tracer.sample_op("update", "key", 7, 1.0)
-        tracer.hop(trace, 7, 3, "PutRequest", 1.0, 1.01)
-        tracer.drop(trace, 3, 5, "PutForward", "loss", 1.02)
+        network = Simulation(seed=1).network
+        tracer.on_deliver(network, 7, 3, "a message", trace, 0.0)()
+        assert tracer.active is None  # the closer restored it
+        with tracer.activated(trace):
+            tracer.on_drop(network, 3, 5, "a message", "loss")
+        tracer.on_drop(network, 3, 5, "a message", "loss")  # no active op: not traced
         tracer.op_end(trace, True, 1.5)
         kinds = [e["ph"] for e in tracer._events]
         assert kinds.count("b") == kinds.count("e") == 1

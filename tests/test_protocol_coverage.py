@@ -1,23 +1,30 @@
 """The runtime protocol-coverage accountant: per-(node class, message
-type) delivered/handled edge counts, the static-vs-runtime edge diff,
-guard restoration and re-entrancy, and the trajectory-neutrality
-contract — a covered scenario run is byte-identical to a plain one."""
+type) delivered/handled edge counts that belong to one run, their sum
+over a sweep whatever the job count, the static-vs-runtime edge diff,
+and the trajectory-neutrality contract — a covered scenario run is
+byte-identical to a plain one."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
+import repro
 from repro.lint import (
+    CoverageTap,
     build_protocol_graph,
-    coverage_snapshot,
-    protocol_coverage,
-    protocol_coverage_active,
+    merge_coverage,
     unexercised_edges,
 )
+from repro.obs import FlightRecorder
 from repro.scenarios.registry import load_bundled
-from repro.scenarios.runner import run_scenario, run_sweep
+from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
+
+COVERED = RunOptions(protocol_coverage=True)
+EMPTY = {"delivered": {}, "handled": {}}
 
 SMALL = dict(
     nodes=20,
@@ -69,75 +76,56 @@ class Sink(Node):
         self.last = msg.body
 
 
-def _sim() -> Simulation:
+def _sim():
     sim = Simulation(seed=7)
+    tap = CoverageTap()
+    sim.network.add_tap(tap)
     sender = sim.add_node(Chatty, 0)
     sink = sim.add_node(Sink, 1)
     sender.start()
     sink.start()
-    return sim
+    return sim, tap
 
 
-# ------------------------------------------------------------------- guard
+def _static_graph():
+    return build_protocol_graph([os.path.dirname(os.path.abspath(repro.__file__))])
 
 
-class TestCoverageGuard:
-    def test_inactive_by_default(self):
-        assert not protocol_coverage_active()
+# --------------------------------------------------------------------- tap
 
+
+class TestCoverageTap:
     def test_delivered_and_handled_are_keyed_by_class_and_type(self):
-        sim = _sim()
-        with protocol_coverage():
-            assert protocol_coverage_active()
-            sim.run_for(1.0)
-        snapshot = coverage_snapshot()
-        assert snapshot["delivered"]["Sink/Ping"] == 1
-        assert snapshot["delivered"]["Sink/Stray"] == 1
+        sim, tap = _sim()
+        sim.run_for(1.0)
+        snapshot = tap.snapshot()
+        assert snapshot["delivered"] == {"Sink/Ping": 1, "Sink/Stray": 1}
         assert snapshot["handled"] == {"Sink/Ping": 1}
 
-    def test_counters_survive_guard_exit_and_reset_on_entry(self):
-        sim = _sim()
-        with protocol_coverage():
-            sim.run_for(1.0)
-        assert coverage_snapshot()["handled"]  # readable after exit
-        with protocol_coverage():
-            pass  # outermost entry clears the previous run's counters
-        assert coverage_snapshot() == {"delivered": {}, "handled": {}}
+    def test_counters_belong_to_the_simulation_they_tap(self):
+        # Two simulations alive at once: each tap counts its own
+        # network's deliveries and none of the other's.
+        (first, first_tap), (second, second_tap) = _sim(), _sim()
+        first.run_for(1.0)
+        assert second_tap.snapshot() == EMPTY
+        second.run_for(1.0)
+        assert first_tap.snapshot() == second_tap.snapshot() != EMPTY
 
     def test_dead_destination_is_not_counted(self):
-        sim = Simulation(seed=7)
-        sender = sim.add_node(Chatty, 0)
-        sink = sim.add_node(Sink, 1)
-        sender.start()
-        sink.start()
-        sink.stop()
-        with protocol_coverage():
-            sim.run_for(1.0)
+        sim, tap = _sim()
+        sim.nodes[1].stop()
+        sim.run_for(1.0)
         # Unregistered destination: the network drops the message before
         # any node class can be attributed.
-        assert coverage_snapshot() == {"delivered": {}, "handled": {}}
+        assert tap.snapshot() == EMPTY
 
-    def test_restores_on_exit(self):
-        from repro.sim.network import Network
-
-        before = Network._deliver
-        with protocol_coverage():
-            assert Network._deliver is not before
-        assert Network._deliver is before
-        assert not protocol_coverage_active()
-
-    def test_reentrant(self):
-        from repro.sim.network import Network
-
-        before = Network._deliver
-        with protocol_coverage():
-            with protocol_coverage():
-                assert protocol_coverage_active()
-            # Inner exit must not disarm the outer guard.
-            assert protocol_coverage_active()
-            assert Network._deliver is not before
-        assert not protocol_coverage_active()
-        assert Network._deliver is before
+    def test_merge_sums_edge_by_edge_and_sorts(self):
+        a = {"delivered": {"B/x": 1, "A/x": 2}, "handled": {"A/x": 2}}
+        b = {"delivered": {"A/x": 5, "C/y": 1}, "handled": {}}
+        merged = merge_coverage([a, b])
+        assert merged == {"delivered": {"A/x": 7, "B/x": 1, "C/y": 1}, "handled": {"A/x": 2}}
+        assert list(merged["delivered"]) == ["A/x", "B/x", "C/y"]
+        assert merge_coverage([]) == EMPTY
 
 
 # ------------------------------------------------- static-vs-runtime diff
@@ -145,15 +133,8 @@ class TestCoverageGuard:
 
 class TestEdgeDiff:
     def test_scenario_exercises_core_edges(self):
-        import os
-
-        import repro
-
-        run_scenario(small_spec(), seed=11, protocol_coverage=True)
-        graph = build_protocol_graph(
-            [os.path.dirname(os.path.abspath(repro.__file__))]
-        )
-        missing = unexercised_edges(graph)
+        result = run_scenario(small_spec(), seed=11, options=COVERED)
+        missing = unexercised_edges(_static_graph(), result.coverage)
         missing_keys = {(endpoint, message) for endpoint, message, _ in missing}
         # The baseline core stack drives the put/get protocol…
         assert ("RequestHandler", "PutRequest") not in missing_keys
@@ -162,16 +143,24 @@ class TestEdgeDiff:
         assert ("OracleNode", "OraclePut") in missing_keys
 
     def test_all_edges_missing_without_a_covered_run(self):
-        import os
+        graph = _static_graph()
+        assert len(unexercised_edges(graph, EMPTY)) == len(graph.handle_edges())
 
-        import repro
+    def test_counters_are_diagnostics_outside_the_summary(self):
+        assert run_scenario(small_spec(), seed=11).coverage is None
+        covered = run_scenario(small_spec(), seed=11, options=COVERED)
+        assert "coverage" not in covered.summary_json() and covered.coverage["handled"]
 
-        with protocol_coverage():
-            pass  # clear counters; nothing runs
-        graph = build_protocol_graph(
-            [os.path.dirname(os.path.abspath(repro.__file__))]
+    def test_sweep_sums_the_seeds_whatever_the_job_count(self):
+        spec = small_spec()
+        serial = run_sweep(spec, seeds=[0, 1, 2], options=COVERED)
+        parallel = run_sweep(spec, seeds=[0, 1, 2], jobs=2, options=COVERED)
+        assert serial.coverage == parallel.coverage
+        assert serial.coverage == merge_coverage(r.coverage for r in serial.results)
+        assert sum(serial.coverage["handled"].values()) > max(
+            sum(r.coverage["handled"].values()) for r in serial.results
         )
-        assert len(unexercised_edges(graph)) == len(graph.handle_edges())
+        assert run_sweep(spec, seeds=[0]).coverage is None
 
 
 # ---------------------------------------------------- trajectory neutrality
@@ -181,32 +170,44 @@ class TestTrajectoryNeutrality:
     def test_covered_run_is_byte_identical(self):
         spec = small_spec()
         plain = run_scenario(spec, seed=11)
-        covered = run_scenario(spec, seed=11, protocol_coverage=True)
+        covered = run_scenario(spec, seed=11, options=COVERED)
         assert covered.summary_json() == plain.summary_json()
-        assert not protocol_coverage_active()
 
     def test_covered_fault_spec_is_byte_identical(self):
         spec = small_spec("asymmetric-partition")
         plain = run_scenario(spec, seed=3)
-        covered = run_scenario(spec, seed=3, protocol_coverage=True)
+        covered = run_scenario(spec, seed=3, options=COVERED)
         assert covered.summary_json() == plain.summary_json()
 
     def test_covered_sweep_is_byte_identical(self):
         spec = small_spec()
         plain = run_sweep(spec, seeds=[0, 1])
-        covered = run_sweep(spec, seeds=[0, 1], protocol_coverage=True)
+        covered = run_sweep(spec, seeds=[0, 1], options=COVERED)
         assert covered.summary_json() == plain.summary_json()
 
-    def test_stacks_with_sanitizer_and_isolation_checker(self):
+    def test_all_three_options_leave_the_network_class_alone(self):
         # scenarios run --sanitize --isolation-check --protocol-coverage:
-        # all three guards armed at once, restored in LIFO order.
+        # everything rides on the run's own network; at every phase
+        # boundary of the run the class still holds the stock functions.
+        def on_class():
+            return Network.send, Network.multicast, Network._deliver, Network._deliver_traced
+
+        seen = []
+
+        class Watcher(FlightRecorder):
+            def attach(self, sim):
+                super().attach(sim)
+                self.network = sim.network
+
+            def begin_phase(self, name):
+                super().begin_phase(name)
+                if name != "deploy":
+                    seen.append((on_class(), len(self.network.taps), vars(self.network).get("send")))
+
+        stock = on_class()
+        everything = RunOptions(sanitize=True, isolation_check=True, protocol_coverage=True)
         spec = small_spec("dht-crash-recover")
-        result = run_scenario(
-            spec,
-            seed=5,
-            sanitize=True,
-            isolation_check=True,
-            protocol_coverage=True,
-        )
-        assert result.metrics["events_processed"] > 0
-        assert coverage_snapshot()["handled"]
+        result = run_scenario(spec, seed=5, recorder=Watcher(), options=everything)
+        assert len(seen) >= 5 and set(seen) == {(stock, 2, None)}
+        assert result.coverage["handled"]
+        assert result.summary_json() == run_scenario(spec, seed=5).summary_json()

@@ -23,6 +23,32 @@ def test_every_module_all_resolves():
             assert hasattr(module, name), f"{info.name}.{name} missing"
 
 
+def test_the_message_path_has_one_interception_mechanism():
+    # Observers are taps on a Network instance (Network.add_tap). Nothing
+    # under src/ re-assigns an attribute of the Network class, and the
+    # mechanisms the taps replaced stay gone.
+    import os
+    import re
+
+    banned = re.compile(
+        r"\bNetwork\.\w+ *=[^=]|setattr\(Network\b|network\.tracer\b|"
+        r"\b(isolation_guard|isolation_active|protocol_coverage_active|coverage_snapshot)\b|"
+        r"def protocol_coverage\b"
+    )
+    offenders = []
+    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as source:
+                    offenders += [
+                        f"{path}:{number}: {line.strip()}"
+                        for number, line in enumerate(source, 1)
+                        if banned.search(line)
+                    ]
+    assert offenders == []
+
+
 def test_top_level_exports():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} missing"

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import DeterminismError
 from repro.lint import determinism_guard, guard_active
 from repro.scenarios.registry import load_bundled
-from repro.scenarios.runner import run_scenario, run_sweep
+from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -100,20 +100,22 @@ class TestTrajectoryNeutrality:
     def test_sanitized_run_is_byte_identical(self):
         spec = small_spec()
         plain = run_scenario(spec, seed=11)
-        sanitized = run_scenario(spec, seed=11, sanitize=True)
+        sanitized = run_scenario(spec, seed=11, options=RunOptions(sanitize=True))
         assert sanitized.summary_json() == plain.summary_json()
         assert not guard_active()
 
     def test_sanitized_sweep_is_byte_identical(self):
         spec = small_spec()
         plain = run_sweep(spec, seeds=[0, 1])
-        sanitized = run_sweep(spec, seeds=[0, 1], sanitize=True)
+        sanitized = run_sweep(spec, seeds=[0, 1], options=RunOptions(sanitize=True))
         assert sanitized.summary_json() == plain.summary_json()
 
     def test_dht_stack_runs_sanitized(self):
         # The second backend exercises a different sim path under the
         # guard; completing at all proves it draws no ambient entropy.
-        result = run_scenario(small_spec("dht-crash-recover"), seed=5, sanitize=True)
+        result = run_scenario(
+            small_spec("dht-crash-recover"), seed=5, options=RunOptions(sanitize=True)
+        )
         assert result.metrics["events_processed"] > 0
 
 
@@ -130,11 +132,11 @@ class TestHashSeedNeutrality:
     def _summary(hashseed: str) -> str:
         script = (
             "from repro.scenarios.registry import load_bundled\n"
-            "from repro.scenarios.runner import run_scenario\n"
+            "from repro.scenarios.runner import RunOptions, run_scenario\n"
             "spec = load_bundled('baseline').scaled(nodes=20, warmup=8.0, "
             "settle=6.0, cooldown=0.0, record_count=5, operation_count=8, "
             "num_slices=3)\n"
-            "print(run_scenario(spec, seed=11, sanitize=True).summary_json())\n"
+            "print(run_scenario(spec, seed=11, options=RunOptions(sanitize=True)).summary_json())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
