@@ -22,8 +22,8 @@ Quickstart::
 Storage stacks are pluggable: every experiment surface (scenario specs,
 workload runner, nemesis, benches, CLI) drives a
 :class:`~repro.backends.base.StoreBackend` resolved from
-:func:`get_backend`; ``core`` (DATAFLASKS), ``dht`` (Chord) and
-``oracle`` (idealized ground-truth store) ship registered. See
+:func:`get_backend`; ``core`` (the ``DataFlasksCluster`` above), ``dht``
+(Chord) and ``oracle`` (idealized ground-truth store) ship registered. See
 DESIGN.md ("Backend architecture") for the paper-vs-reproduction
 mapping and how to add a stack, and benchmarks/README.md for the
 reproduced figures.

@@ -31,9 +31,10 @@ def count_write_losses(
 ) -> Dict[str, float]:
     """``{"lost_updates", "lost_objects", "keys_checked"}`` for ``cluster``.
 
-    ``cluster`` is any deployment facade whose ``servers`` expose
-    ``alive`` and a :class:`~repro.core.store.VersionedStore` ``store``
-    (both the DATAFLASKS and the DHT stack do).
+    ``cluster`` is any :class:`~repro.backends.base.StoreBackend` whose
+    ``servers`` expose ``alive`` and a
+    :class:`~repro.core.store.VersionedStore` ``store`` (every shipped
+    stack does).
     """
     keys = sorted(acked)
     if sample is not None:

@@ -1,13 +1,18 @@
-"""Pluggable storage backends — the stack-neutral experiment surface.
+"""Pluggable storage stacks — the stack-neutral experiment surface.
 
-* :mod:`repro.backends.base` — the :class:`StoreBackend` protocol every
-  stack implements (deploy, converge, clients, churn, metrics hook)
+* :mod:`repro.backends.base` — :class:`StoreBackend`, the base class
+  that owns what every deployed stack shares (simulation, servers,
+  clients, churn, synchronous put/get, replication and message-load
+  metrics); a stack is one subclass
 * :mod:`repro.backends.registry` — :class:`BackendRegistry`,
   :func:`register_backend`, :func:`get_backend`, :func:`list_backends`
-* :mod:`repro.backends.core` — DATAFLASKS (``stack = "core"``)
-* :mod:`repro.backends.dht` — the Chord baseline (``stack = "dht"``)
-* :mod:`repro.backends.oracle` — an idealized centralized replicated
-  store (``stack = "oracle"``), the ground-truth consistency baseline
+* ``stack = "core"`` — :class:`repro.core.cluster.DataFlasksCluster`
+  (DATAFLASKS)
+* ``stack = "dht"`` — :class:`repro.dht.cluster.DhtCluster` (the Chord
+  baseline)
+* ``stack = "oracle"`` — :class:`repro.backends.oracle.OracleCluster`,
+  an idealized centralized replicated store, the ground-truth
+  consistency baseline
 
 Quickstart::
 
@@ -21,9 +26,11 @@ Quickstart::
     client = backend.new_client()
     backend.put_sync(client, "user:1", b"alice", version=1)
 
-Importing this package registers the three built-in backends; third
-parties register theirs with :func:`register_backend` (see DESIGN.md,
-"Backend architecture").
+``get_backend("core")`` *is* ``DataFlasksCluster``: what ``deploy``
+returns is the same object ``DataFlasksCluster(n=40, seed=7)`` builds
+directly. Importing this package registers the three built-in stacks;
+third parties register theirs with :func:`register_backend` (see
+DESIGN.md, "Backend architecture").
 """
 
 from repro.backends.base import REPLICATION_SAMPLE, StoreBackend, round_metric
@@ -35,18 +42,17 @@ from repro.backends.registry import (
     register_backend,
 )
 
-# Importing the built-in backend modules registers them.
-from repro.backends.core import CoreBackend
-from repro.backends.dht import DhtBackend
-from repro.backends.oracle import OracleBackend, OracleClient, OracleCluster, OracleNode
+# Importing a stack's module registers it. Plain `import` (not `from`)
+# for core: when `repro.core` is what led here, its cluster module is
+# still initialising and has no class to hand over yet.
+import repro.core.cluster  # noqa: F401
+import repro.dht.cluster  # noqa: F401
+from repro.backends.oracle import OracleClient, OracleCluster, OracleNode
 
 __all__ = [
     "REGISTRY",
     "REPLICATION_SAMPLE",
     "BackendRegistry",
-    "CoreBackend",
-    "DhtBackend",
-    "OracleBackend",
     "OracleClient",
     "OracleCluster",
     "OracleNode",

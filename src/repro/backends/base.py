@@ -1,35 +1,29 @@
-"""The pluggable storage-backend protocol.
+"""The storage-stack base class: one deployment, one driving surface.
 
-A :class:`StoreBackend` is everything the experiment pipeline — the
-scenario runner, the workload runner, the nemesis heal probe and the
-benches — needs from a storage stack, captured as one abstract surface:
+A :class:`StoreBackend` *is* a deployed storage stack — its simulation,
+its server and client nodes, and everything the experiment pipeline (the
+scenario runner, the workload runners, the nemesis heal probe, the
+benches) needs to drive and observe it. The base class owns what every
+stack shares, each defined once:
 
-* **provisioning** — :meth:`StoreBackend.deploy` builds the stack inside
-  an existing :class:`~repro.sim.simulator.Simulation` from a
-  :class:`~repro.scenarios.spec.ScenarioSpec`,
-* **driving** — :meth:`new_client`, :meth:`run_op`, :meth:`put_sync`,
-  :meth:`get_sync` (clients must speak the
-  :class:`~repro.core.client.PendingOp` protocol),
-* **convergence** — :meth:`converge` runs the stack's warm-up routine
-  once at deploy time; :meth:`converged` is the cheap "does the overlay
-  look whole right now?" predicate the heal probe polls after faults,
-* **membership** — :meth:`churn_controller` and :meth:`directory`, so
-  churn models and fault injectors work on any stack,
+* **state** — :attr:`sim`, :attr:`servers`, :attr:`clients`,
+* **membership** — :meth:`directory`, :meth:`alive_servers`,
+  :meth:`churn_controller`, so churn models and fault injectors work on
+  any stack,
+* **driving** — :meth:`run_op`, :meth:`put_sync`, :meth:`get_sync`
+  (clients speak the :class:`~repro.core.client.PendingOp` protocol),
 * **observation** — :meth:`replication_level`,
-  :meth:`server_message_load`, and the :meth:`collect_metrics` hook
-  where each backend contributes its stack-specific metric blocks
-  (slice health for DATAFLASKS, ring health for the DHT) instead of the
-  runner special-casing stacks.
+  :meth:`server_message_load`, :meth:`collect_replication`.
 
-Concrete backends are thin adapters over a deployment facade (kept on
-:attr:`StoreBackend.cluster`); the facade classes themselves —
-:class:`~repro.core.cluster.DataFlasksCluster`,
-:class:`~repro.dht.cluster.DhtCluster`,
-:class:`~repro.backends.oracle.OracleCluster` — stay importable and
-usable directly. Backends register under their ``spec.stack`` name with
-:func:`~repro.backends.registry.register_backend`; see
-:mod:`repro.backends.registry` for lookup and
-DESIGN.md ("Backend architecture") for how to add one.
+A stack is one subclass supplying the rest: a node factory
+(:meth:`_make_server`), :meth:`new_client`, :meth:`deploy`,
+:meth:`converge`, :meth:`converged` and, optionally, a
+:meth:`collect_metrics` override for stack-specific metric blocks (slice
+health for DATAFLASKS, ring health for the DHT), so the runner never
+special-cases stacks. Subclasses register under their ``spec.stack``
+name with :func:`~repro.backends.registry.register_backend`. This module
+and the registry import nothing from a stack; see DESIGN.md ("Backend
+architecture") for how to add one.
 """
 
 from __future__ import annotations
@@ -37,8 +31,11 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional, Set
 
+from repro.churn.controller import ChurnController
+from repro.errors import ConfigurationError, OperationTimeoutError
 from repro.sim.metrics import mean
-from repro.sim.simulator import Simulation
+from repro.sim.node import Node, SimContext
+from repro.sim.simulator import NodeFactory, Simulation
 
 __all__ = ["StoreBackend", "REPLICATION_SAMPLE", "round_metric"]
 
@@ -54,21 +51,27 @@ def round_metric(value: float) -> float:
 
 
 class StoreBackend(abc.ABC):
-    """Abstract storage stack behind the experiment pipeline.
+    """A deployed storage stack behind the experiment pipeline.
 
+    :param n: number of server nodes.
+    :param sim: the simulation to deploy into (created from ``seed`` if
+        omitted).
     :cvar name: the registry key ``spec.stack`` resolves
         (set by :func:`~repro.backends.registry.register_backend`).
     :cvar description: one line for ``repro backends list``.
-    :ivar cluster: the wrapped deployment facade; anything not covered
-        by the protocol (stack-specific helpers, direct store access)
-        remains reachable here.
+    :ivar servers: all server nodes ever deployed (alive and crashed);
+        fault injectors and churn scope their victims to these.
     """
 
     name: str = ""
     description: str = ""
 
-    def __init__(self, cluster: Any) -> None:
-        self.cluster = cluster
+    def __init__(self, n: int, sim: Optional[Simulation] = None, seed: int = 0) -> None:
+        if n <= 0:
+            raise ConfigurationError("cluster size must be positive")
+        self.sim = sim if sim is not None else Simulation(seed=seed)
+        self.servers: List[Any] = []
+        self.clients: List[Any] = []
 
     # --------------------------------------------------------- provisioning
 
@@ -76,6 +79,22 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def deploy(cls, spec: Any, sim: Simulation) -> "StoreBackend":
         """Build the stack described by ``spec`` inside ``sim``."""
+
+    @abc.abstractmethod
+    def _make_server(self, node_id: int, ctx: SimContext) -> Node:
+        """The stack's one node factory: founders and churn joiners are
+        both built here, so they can never be configured differently."""
+
+    def _admit(self, node_id: int, ctx: SimContext) -> Node:
+        """Build a server and track it (a ``sim.add_node`` factory)."""
+        node = self._make_server(node_id, ctx)
+        self.servers.append(node)
+        return node
+
+    def _found(self, n: int) -> None:
+        """Add the ``n`` founding servers (not started)."""
+        for _ in range(n):
+            self.sim.add_node(self._admit)
 
     # ---------------------------------------------------------- convergence
 
@@ -90,40 +109,51 @@ class StoreBackend(abc.ABC):
         """Cheap instantaneous predicate: does the overlay look whole
         right now? Polled by the nemesis heal probe after every heal."""
 
-    # ------------------------------------------------------------- plumbing
+    # ----------------------------------------------------------- membership
 
-    @property
-    def sim(self) -> Simulation:
-        return self.cluster.sim
-
-    @property
-    def servers(self) -> List[Any]:
-        """All server nodes ever deployed (alive and crashed); fault
-        injectors and churn scope their victims to these."""
-        return self.cluster.servers
-
-    @property
-    def clients(self) -> List[Any]:
-        return self.cluster.clients
+    def alive_servers(self) -> List[Any]:
+        """The servers currently up — the population churn may touch."""
+        return [s for s in self.servers if s.alive]
 
     def directory(self) -> List[int]:
         """Alive server ids — what a load-balancer/tracker would expose."""
-        return self.cluster.directory()
+        return [s.id for s in self.servers if s.alive]
 
-    def churn_controller(self, **kwargs: Any):
+    def server_factory(self) -> NodeFactory:
+        """A node factory for churn joins; joiners are tracked. Stacks
+        with a join protocol extend it (the DHT joins through a member)."""
+        return self._admit
+
+    def churn_controller(self, **kwargs: Any) -> ChurnController:
         """A :class:`~repro.churn.controller.ChurnController` scoped to
-        this stack's servers (co-simulated clients are never victims)."""
-        return self.cluster.churn_controller(**kwargs)
+        this stack's *servers*.
+
+        Clients co-simulated in the same network are never churn victims;
+        they model the measurement harness, not member machines.
+        """
+        return ChurnController(
+            self.sim, self.server_factory(), eligible=self.alive_servers, **kwargs
+        )
 
     # ------------------------------------------------------------- clients
 
+    @abc.abstractmethod
     def new_client(self, **kwargs: Any):
         """Create and start a client node speaking ``PendingOp``."""
-        return self.cluster.new_client(**kwargs)
+
+    def _enroll_client(self, factory: NodeFactory):
+        """The tail of every :meth:`new_client`: add, start, track."""
+        client = self.sim.add_node(factory)
+        client.start()
+        self.clients.append(client)
+        return client
 
     def run_op(self, op, timeout: float = 30.0):
         """Advance virtual time until ``op`` completes."""
-        return self.cluster.run_op(op, timeout)
+        self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
+        if not op.done:
+            raise OperationTimeoutError(op.kind, op.key, timeout)
+        return op
 
     def put_sync(
         self,
@@ -143,11 +173,12 @@ class StoreBackend(abc.ABC):
 
     def replication_level(self, key: str, version: Optional[int] = None) -> int:
         """How many alive servers hold the object right now."""
-        return self.cluster.replication_level(key, version)
+        return sum(1 for s in self.servers if s.alive and s.holds(key, version))
 
     def server_message_load(self) -> Dict[str, float]:
-        """Mean messages sent/received per *server* node."""
-        return self.cluster.server_message_load()
+        """Mean messages sent/received per *server* node — the paper's
+        Figures 3/4 metric (clients excluded)."""
+        return self.sim.metrics.message_load(population=[s.id for s in self.servers])
 
     def collect_metrics(self, groups: Set[str], workload: Any, metrics: Dict[str, float]) -> None:
         """Contribute stack-specific metric blocks to a scenario result.
@@ -164,8 +195,7 @@ class StoreBackend(abc.ABC):
     def collect_replication(
         self, groups: Set[str], workload: Any, metrics: Dict[str, float]
     ) -> None:
-        """The ``replication`` metric block, shared by every backend that
-        implements :meth:`replication_level` (all of them)."""
+        """The ``replication`` metric block, shared by every stack."""
         if "replication" not in groups:
             return
         sample = [

@@ -1,4 +1,4 @@
-"""The ``oracle`` backend: an idealized centralized replicated store.
+"""The ``oracle`` stack: an idealized centralized replicated store.
 
 The registry's proof of extensibility, and — more usefully — a
 **ground-truth consistency baseline** for the fault scenarios. The
@@ -41,11 +41,11 @@ from repro.backends.base import StoreBackend
 from repro.backends.registry import register_backend
 from repro.core.client import FAILED, GET, PUT, PendingOp, SUCCEEDED
 from repro.core.store import MemoryStore, VersionedStore
-from repro.errors import ClientError, ConfigurationError, OperationTimeoutError
+from repro.errors import ClientError
 from repro.sim.node import Node, SimContext
 from repro.sim.simulator import Simulation
 
-__all__ = ["OracleNode", "OracleClient", "OracleCluster", "OracleBackend"]
+__all__ = ["OracleNode", "OracleClient", "OracleCluster"]
 
 ReqId = tuple
 
@@ -239,15 +239,20 @@ class OracleClient(Node):
 # ------------------------------------------------------------------- cluster
 
 
-class OracleCluster:
-    """Deployment facade for the oracle, mirroring
-    :class:`~repro.core.cluster.DataFlasksCluster`'s driving surface.
+@register_backend("oracle")
+class OracleCluster(StoreBackend):
+    """Idealized centralized replicated store — the vs-ideal baseline.
 
     :param n: number of server front ends.
     :param sim: the simulation to deploy into (created if omitted).
     :param store: the shared store (a fresh unbounded
         :class:`~repro.core.store.MemoryStore` by default).
     """
+
+    description = "idealized centralized replicated store (ground-truth baseline)"
+
+    servers: List[OracleNode]
+    clients: List[OracleClient]
 
     def __init__(
         self,
@@ -256,110 +261,42 @@ class OracleCluster:
         seed: int = 0,
         store: Optional[VersionedStore] = None,
     ) -> None:
-        if n <= 0:
-            raise ConfigurationError("cluster size must be positive")
-        self.sim = sim if sim is not None else Simulation(seed=seed)
+        super().__init__(n, sim, seed)
         self.store = store if store is not None else MemoryStore()
-        self.servers: List[OracleNode] = []
-        self.clients: List[OracleClient] = []
-        for _ in range(n):
-            node = self.sim.add_node(self._factory)
-            assert isinstance(node, OracleNode)
-            self.servers.append(node)
+        self._found(n)
         for server in self.servers:
             server.start()
 
-    def _factory(self, node_id: int, ctx: SimContext) -> Node:
+    @classmethod
+    def deploy(cls, spec: Any, sim: Simulation) -> "OracleCluster":
+        return cls(n=spec.nodes, sim=sim)
+
+    def _make_server(self, node_id: int, ctx: SimContext) -> Node:
+        # Every server, joiners included, fronts the one shared store, so
+        # a joiner is fully caught up the moment it starts (ideal state
+        # transfer).
         return OracleNode(node_id, ctx, store=self.store)
-
-    # -------------------------------------------------------------- helpers
-
-    def server_factory(self) -> Callable[[int, SimContext], Node]:
-        """Factory for churn joins; the joiner shares the store, so it is
-        fully caught up the moment it starts (ideal state transfer)."""
-
-        def factory(node_id: int, ctx: SimContext) -> Node:
-            node = OracleNode(node_id, ctx, store=self.store)
-            self.servers.append(node)
-            return node
-
-        return factory
-
-    def directory(self) -> List[int]:
-        return [s.id for s in self.servers if s.alive]
-
-    def churn_controller(self, **kwargs):
-        """A ChurnController scoped to this cluster's servers."""
-        from repro.churn.controller import ChurnController
-
-        return ChurnController(
-            self.sim,
-            self.server_factory(),
-            eligible=lambda: [s for s in self.servers if s.alive],
-            **kwargs,
-        )
 
     def new_client(self, timeout: float = 5.0, retries: int = 2) -> OracleClient:
         def factory(node_id: int, ctx: SimContext) -> Node:
             return OracleClient(node_id, ctx, self.directory, timeout=timeout, retries=retries)
 
-        client = self.sim.add_node(factory)
-        assert isinstance(client, OracleClient)
-        client.start()
-        self.clients.append(client)
-        return client
+        return self._enroll_client(factory)
 
-    # ------------------------------------------------------------- sync ops
+    def converge(self, spec: Any) -> bool:
+        # Nothing to stabilise; burn the same warm-up budget as the real
+        # stacks so phase timelines stay comparable across backends.
+        self.sim.run_for(spec.warmup)
+        return self.converged()
 
-    def run_op(self, op: PendingOp, timeout: float = 30.0) -> PendingOp:
-        self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
-        if not op.done:
-            raise OperationTimeoutError(op.kind, op.key, timeout)
-        return op
-
-    def put_sync(self, client: OracleClient, key: str, value, version: int,
-                 acks_required: int = 1, timeout: float = 30.0) -> PendingOp:
-        return self.run_op(client.put(key, value, version, acks_required), timeout)
-
-    def get_sync(self, client: OracleClient, key: str, version: Optional[int] = None,
-                 timeout: float = 30.0) -> PendingOp:
-        return self.run_op(client.get(key, version), timeout)
-
-    # --------------------------------------------------------------- health
+    def converged(self) -> bool:
+        """The oracle is whole as soon as any server is reachable-alive:
+        there is no overlay to reconverge, which is exactly what makes
+        its time-to-heal the floor every real stack is measured against."""
+        return bool(self.directory())
 
     def replication_level(self, key: str, version: Optional[int] = None) -> int:
         # One lookup suffices: every alive server fronts the same store.
         if self.store.get(key, version) is None:
             return 0
         return len(self.directory())
-
-    def server_message_load(self) -> Dict[str, float]:
-        return self.sim.metrics.message_load(population=[s.id for s in self.servers])
-
-
-# ------------------------------------------------------------------- backend
-
-
-@register_backend("oracle")
-class OracleBackend(StoreBackend):
-    """Idealized centralized replicated store — the vs-ideal baseline."""
-
-    description = "idealized centralized replicated store (ground-truth baseline)"
-
-    cluster: OracleCluster
-
-    @classmethod
-    def deploy(cls, spec: Any, sim: Simulation) -> "OracleBackend":
-        return cls(OracleCluster(n=spec.nodes, sim=sim))
-
-    def converge(self, spec: Any) -> bool:
-        # Nothing to stabilise; burn the same warm-up budget as the real
-        # stacks so phase timelines stay comparable across backends.
-        self.cluster.sim.run_for(spec.warmup)
-        return bool(self.cluster.directory())
-
-    def converged(self) -> bool:
-        """The oracle is whole as soon as any server is reachable-alive:
-        there is no overlay to reconverge, which is exactly what makes
-        its time-to-heal the floor every real stack is measured against."""
-        return bool(self.cluster.directory())

@@ -2,7 +2,8 @@
 
 The node (Figure 2's four services), the versioned Data Store, the
 client library with reply deduplication, load-balancer strategies, and
-the cluster facade.
+:class:`~repro.core.cluster.DataFlasksCluster`, the ``core`` stack's
+:class:`~repro.backends.base.StoreBackend`.
 """
 
 from repro.core.autoslice import ReplicationManager, quantize_slices

@@ -1,19 +1,22 @@
-"""Deployment facade: build and drive a whole DATAFLASKS cluster.
+"""The ``core`` stack: build and drive a whole DATAFLASKS cluster.
 
 :class:`DataFlasksCluster` is the high-level entry point the examples,
-tests and benches use: it creates ``n`` server nodes inside a
+tests and benches use, and the :class:`~repro.backends.base.StoreBackend`
+registered as ``stack = "core"``: it creates ``n`` server nodes inside a
 :class:`~repro.sim.simulator.Simulation`, bootstraps the overlay, waits
-for slicing to converge, hands out clients wired to a chosen Load
-Balancer strategy, and offers synchronous ``put``/``get`` helpers that
-advance virtual time until an operation completes.
+for slicing to converge and hands out clients wired to a chosen Load
+Balancer strategy. The synchronous ``put``/``get`` helpers, churn and
+the message-load metric come from the base class.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.core.client import DataFlasksClient, PendingOp
+from repro.backends.base import StoreBackend, round_metric
+from repro.backends.registry import register_backend
+from repro.core.client import DataFlasksClient
 from repro.core.config import DataFlasksConfig
 from repro.core.keyspace import slice_for_key
 from repro.core.loadbalancer import (
@@ -24,7 +27,7 @@ from repro.core.loadbalancer import (
 )
 from repro.core.node import DataFlasksNode
 from repro.core.store import VersionedStore
-from repro.errors import ConfigurationError, OperationTimeoutError
+from repro.errors import ConfigurationError
 from repro.pss.bootstrap import bootstrap_random_views
 from repro.sim.node import Node, SimContext
 from repro.sim.simulator import Simulation
@@ -42,7 +45,8 @@ StoreFactory = Callable[[int], VersionedStore]
 AttributeFn = Callable[[int, random.Random], float]
 
 
-class DataFlasksCluster:
+@register_backend("core")
+class DataFlasksCluster(StoreBackend):
     """A DATAFLASKS deployment plus its clients.
 
     :param sim: the simulation to deploy into (created if omitted).
@@ -54,6 +58,11 @@ class DataFlasksCluster:
     :param store_factory: optional per-node Data Store constructor.
     """
 
+    description = "DATAFLASKS epidemic slice-based store (the paper's system)"
+
+    servers: List[DataFlasksNode]
+    clients: List[DataFlasksClient]
+
     def __init__(
         self,
         n: int,
@@ -64,18 +73,13 @@ class DataFlasksCluster:
         store_factory: Optional[StoreFactory] = None,
         bootstrap_degree: int = 8,
     ) -> None:
-        if n <= 0:
-            raise ConfigurationError("cluster size must be positive")
-        self.sim = sim if sim is not None else Simulation(seed=seed)
+        super().__init__(n, sim, seed)
         base = config or DataFlasksConfig()
         self.config = base.scaled_to(n)
         self._attribute_fn = attribute_fn or (lambda nid, rng: rng.uniform(100.0, 1000.0))
         self._store_factory = store_factory
         self._attr_rng = self.sim.rng_registry.stream("cluster.attributes")
-        self.servers: List[DataFlasksNode] = []
-        self.clients: List[DataFlasksClient] = []
-        for _ in range(n):
-            self.servers.append(self._build_server())
+        self._found(n)
         bootstrap_random_views(
             self.servers,
             degree=min(bootstrap_degree, max(1, n - 1)),
@@ -84,57 +88,21 @@ class DataFlasksCluster:
         for server in self.servers:
             server.start()
 
+    @classmethod
+    def deploy(cls, spec: Any, sim: Simulation) -> "DataFlasksCluster":
+        config = DataFlasksConfig(num_slices=spec.num_slices, **spec.config)
+        return cls(n=spec.nodes, config=config, sim=sim)
+
     # ------------------------------------------------------------- builders
 
-    def _build_server(self) -> DataFlasksNode:
-        def factory(node_id: int, ctx: SimContext) -> Node:
-            store = self._store_factory(node_id) if self._store_factory else None
-            return DataFlasksNode(
-                node_id,
-                ctx,
-                config=self.config,
-                attribute=self._attribute_fn(node_id, self._attr_rng),
-                store=store,
-            )
-
-        node = self.sim.add_node(factory)
-        assert isinstance(node, DataFlasksNode)
-        return node
-
-    def server_factory(self) -> Callable[[int, SimContext], Node]:
-        """A node factory for churn controllers; joiners are tracked."""
-
-        def factory(node_id: int, ctx: SimContext) -> Node:
-            store = self._store_factory(node_id) if self._store_factory else None
-            node = DataFlasksNode(
-                node_id,
-                ctx,
-                config=self.config,
-                attribute=self._attribute_fn(node_id, self._attr_rng),
-                store=store,
-            )
-            self.servers.append(node)
-            return node
-
-        return factory
-
-    def directory(self) -> List[int]:
-        """Alive server ids — what the Load Balancer service exposes."""
-        return [s.id for s in self.servers if s.alive]
-
-    def churn_controller(self, **kwargs):
-        """A ChurnController scoped to this cluster's *servers*.
-
-        Clients co-simulated in the same network are never churn victims;
-        they model the measurement harness, not member machines.
-        """
-        from repro.churn.controller import ChurnController
-
-        return ChurnController(
-            self.sim,
-            self.server_factory(),
-            eligible=lambda: [s for s in self.servers if s.alive],
-            **kwargs,
+    def _make_server(self, node_id: int, ctx: SimContext) -> Node:
+        store = self._store_factory(node_id) if self._store_factory else None
+        return DataFlasksNode(
+            node_id,
+            ctx,
+            config=self.config,
+            attribute=self._attribute_fn(node_id, self._attr_rng),
+            store=store,
         )
 
     def new_client(
@@ -160,11 +128,7 @@ class DataFlasksCluster:
                 node_id, ctx, lb, config=self.config, timeout=timeout, retries=retries
             )
 
-        client = self.sim.add_node(factory)
-        assert isinstance(client, DataFlasksClient)
-        client.start()
-        self.clients.append(client)
-        return client
+        return self._enroll_client(factory)
 
     # ---------------------------------------------------------- convergence
 
@@ -172,81 +136,40 @@ class DataFlasksCluster:
         """Let the PSS mix before measuring anything."""
         self.sim.run_for(duration)
 
+    def converged(self) -> bool:
+        """Every alive server placed in a slice and no slice empty."""
+        alive = self.alive_servers()
+        if not alive or unassigned_fraction(alive) > 0:
+            return False
+        hist = slice_histogram(alive)
+        return all(hist.get(i, 0) > 0 for i in range(self.config.num_slices))
+
     def wait_for_slices(self, timeout: float = 60.0) -> bool:
-        """Run until every alive server has a slice and no slice is empty."""
+        """Run until :meth:`converged` holds."""
+        return self.sim.run_until_condition(self.converged, timeout)
 
-        def converged() -> bool:
-            alive = [s for s in self.servers if s.alive]
-            if not alive:
-                return False
-            if unassigned_fraction(alive) > 0:
-                return False
-            hist = slice_histogram(alive)
-            return all(hist.get(i, 0) > 0 for i in range(self.config.num_slices))
-
-        return self.sim.run_until_condition(converged, timeout)
-
-    # ------------------------------------------------------------- sync ops
-
-    def run_op(self, op: PendingOp, timeout: float = 30.0) -> PendingOp:
-        """Advance virtual time until ``op`` completes."""
-        self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
-        if not op.done:
-            raise OperationTimeoutError(op.kind, op.key, timeout)
-        return op
-
-    def put_sync(
-        self,
-        client: DataFlasksClient,
-        key: str,
-        value: Any,
-        version: int,
-        acks_required: int = 1,
-        timeout: float = 30.0,
-    ) -> PendingOp:
-        return self.run_op(client.put(key, value, version, acks_required), timeout)
-
-    def get_sync(
-        self,
-        client: DataFlasksClient,
-        key: str,
-        version: Optional[int] = None,
-        timeout: float = 30.0,
-    ) -> PendingOp:
-        return self.run_op(client.get(key, version), timeout)
-
-    def load(
-        self,
-        client: DataFlasksClient,
-        items: Iterable[Tuple[str, Any, int]],
-        acks_required: int = 1,
-        op_timeout: float = 30.0,
-    ) -> List[PendingOp]:
-        """Sequentially put a batch of ``(key, value, version)`` items."""
-        results = []
-        for key, value, version in items:
-            op = client.put(key, value, version, acks_required)
-            self.sim.run_until_condition(lambda: op.done, op_timeout, check_interval=0.1)
-            results.append(op)
-        return results
+    def converge(self, spec: Any) -> bool:
+        self.warm_up(spec.warmup)
+        return self.wait_for_slices(timeout=spec.convergence_timeout)
 
     # --------------------------------------------------------------- health
 
-    def replication_level(self, key: str, version: Optional[int] = None) -> int:
-        """How many alive servers hold the object right now."""
-        return sum(1 for s in self.servers if s.alive and s.holds(key, version))
-
     def slice_population(self) -> Dict[int, int]:
         """slice -> number of alive servers claiming it."""
-        return slice_histogram([s for s in self.servers if s.alive])
+        return slice_histogram(self.alive_servers())
 
     def target_slice(self, key: str) -> int:
         return slice_for_key(key, self.config.num_slices)
 
-    def server_message_load(self) -> Dict[str, float]:
-        """Mean messages sent/received per *server* node — the paper's
-        Figures 3/4 metric (clients excluded)."""
-        return self.sim.metrics.message_load(population=[s.id for s in self.servers])
-
-    def alive_servers(self) -> List[DataFlasksNode]:
-        return [s for s in self.servers if s.alive]
+    def collect_metrics(self, groups: Set[str], workload: Any, metrics: Dict[str, float]) -> None:
+        alive = self.alive_servers()
+        if "slices" in groups and alive:
+            hist = slice_histogram(alive)
+            num_slices = self.config.num_slices
+            populated = [hist.get(i, 0) for i in range(num_slices)]
+            metrics["slices_total"] = float(num_slices)
+            metrics["slices_empty"] = float(sum(1 for c in populated if c == 0))
+            metrics["slice_population_min"] = float(min(populated))
+            metrics["slice_population_max"] = float(max(populated))
+            metrics["slice_unassigned_fraction"] = round_metric(unassigned_fraction(alive))
+        self.collect_replication(groups, workload, metrics)

@@ -3,7 +3,8 @@
 * :class:`~repro.dht.node.ChordNode` — ring member with stabilisation,
   finger tables, successor-list replication and repair rounds
 * :class:`~repro.dht.client.DhtClient` — iterative-lookup client
-* :class:`~repro.dht.cluster.DhtCluster` — deployment facade
+* :class:`~repro.dht.cluster.DhtCluster` — the ``dht`` stack's
+  :class:`~repro.backends.base.StoreBackend`
 * :mod:`repro.dht.ring` — 64-bit ring arithmetic
 * :mod:`repro.dht.rpc` — request/reply RPC with timeouts
 """

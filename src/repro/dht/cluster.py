@@ -1,23 +1,31 @@
-"""Deployment facade for the Chord baseline (mirror of DataFlasksCluster)."""
+"""The ``dht`` stack: a provisioned Chord ring plus its clients."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
-from repro.core.client import PendingOp
+from repro.backends.base import StoreBackend
+from repro.backends.registry import register_backend
 from repro.dht.client import DhtClient
 from repro.dht.node import ChordNode
-from repro.errors import ConfigurationError, OperationTimeoutError
 from repro.sim.node import Node, SimContext
-from repro.sim.simulator import Simulation
+from repro.sim.simulator import NodeFactory, Simulation
 
 __all__ = ["DhtCluster"]
 
 
-class DhtCluster:
-    """A Chord ring plus clients, with the same driving helpers as
+@register_backend("dht")
+class DhtCluster(StoreBackend):
+    """Chord-style DHT with successor-list replication — the paper's
+    structured-overlay control group, behind the same
+    :class:`~repro.backends.base.StoreBackend` surface as
     :class:`~repro.core.cluster.DataFlasksCluster` so benches can swap
     the two systems behind one workload loop."""
+
+    description = "Chord-style DHT with R-successor replication (baseline)"
+
+    servers: List[ChordNode]
+    clients: List[DhtClient]
 
     def __init__(
         self,
@@ -27,29 +35,25 @@ class DhtCluster:
         seed: int = 0,
         successor_list_len: int = 8,
     ) -> None:
-        if n <= 0:
-            raise ConfigurationError("cluster size must be positive")
-        self.sim = sim if sim is not None else Simulation(seed=seed)
+        super().__init__(n, sim, seed)
         self.replication = replication
-        self.servers: List[ChordNode] = []
-        self.clients: List[DhtClient] = []
-
-        def factory(node_id: int, ctx: SimContext) -> Node:
-            return ChordNode(
-                node_id,
-                ctx,
-                replication=replication,
-                successor_list_len=successor_list_len,
-            )
-
-        self._factory = factory
-        for _ in range(n):
-            node = self.sim.add_node(factory)
-            assert isinstance(node, ChordNode)
-            self.servers.append(node)
+        self.successor_list_len = successor_list_len
+        self._found(n)
         for node in self.servers:
             node.start()
         self._provision_ring()
+
+    @classmethod
+    def deploy(cls, spec: Any, sim: Simulation) -> "DhtCluster":
+        return cls(n=spec.nodes, replication=spec.replication, sim=sim)
+
+    def _make_server(self, node_id: int, ctx: SimContext) -> Node:
+        return ChordNode(
+            node_id,
+            ctx,
+            replication=self.replication,
+            successor_list_len=self.successor_list_len,
+        )
 
     def _provision_ring(self) -> None:
         """Initial ring pointers from the deployment manifest.
@@ -71,12 +75,11 @@ class DhtCluster:
 
     # -------------------------------------------------------------- helpers
 
-    def server_factory(self) -> Callable[[int, SimContext], Node]:
+    def server_factory(self) -> NodeFactory:
         """Factory for churn joins: the node joins through a live member."""
 
         def factory(node_id: int, ctx: SimContext) -> Node:
-            node = ChordNode(node_id, ctx, replication=self.replication)
-            self.servers.append(node)
+            node = self._admit(node_id, ctx)
             alive = [s for s in self.servers if s.alive and s.id != node_id]
             if alive:
                 node.after(0.1, node.join, alive[0].id)
@@ -84,29 +87,11 @@ class DhtCluster:
 
         return factory
 
-    def directory(self) -> List[int]:
-        return [s.id for s in self.servers if s.alive]
-
-    def churn_controller(self, **kwargs):
-        """A ChurnController scoped to this ring's servers (not clients)."""
-        from repro.churn.controller import ChurnController
-
-        return ChurnController(
-            self.sim,
-            self.server_factory(),
-            eligible=lambda: [s for s in self.servers if s.alive],
-            **kwargs,
-        )
-
     def new_client(self, timeout: float = 5.0, retries: int = 2) -> DhtClient:
         def factory(node_id: int, ctx: SimContext) -> Node:
             return DhtClient(node_id, ctx, self.directory, timeout=timeout, retries=retries)
 
-        client = self.sim.add_node(factory)
-        assert isinstance(client, DhtClient)
-        client.start()
-        self.clients.append(client)
-        return client
+        return self._enroll_client(factory)
 
     def stabilize(self, duration: float = 20.0) -> None:
         """Let stabilisation and finger repair settle the ring."""
@@ -128,24 +113,16 @@ class DhtCluster:
             current = node.successor[1]
         return current == start and seen == set(alive)
 
-    # ------------------------------------------------------------- sync ops
+    def converge(self, spec: Any) -> bool:
+        self.stabilize(spec.warmup)
+        return self.converged()
 
-    def run_op(self, op: PendingOp, timeout: float = 30.0) -> PendingOp:
-        self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
-        if not op.done:
-            raise OperationTimeoutError(op.kind, op.key, timeout)
-        return op
+    def converged(self) -> bool:
+        """Successor pointers form one cycle over all alive nodes."""
+        return self.ring_is_consistent()
 
-    def put_sync(self, client: DhtClient, key: str, value, version: int,
-                 timeout: float = 30.0) -> PendingOp:
-        return self.run_op(client.put(key, value, version), timeout)
-
-    def get_sync(self, client: DhtClient, key: str, version: Optional[int] = None,
-                 timeout: float = 30.0) -> PendingOp:
-        return self.run_op(client.get(key, version), timeout)
-
-    def replication_level(self, key: str, version: Optional[int] = None) -> int:
-        return sum(1 for s in self.servers if s.alive and s.holds(key, version))
-
-    def server_message_load(self):
-        return self.sim.metrics.message_load(population=[s.id for s in self.servers])
+    def collect_metrics(self, groups: Set[str], workload: Any, metrics: Dict[str, float]) -> None:
+        if "population" in groups:
+            # Ring health: the structured-overlay analogue of slice health.
+            metrics["ring_consistent"] = float(self.ring_is_consistent())
+        self.collect_replication(groups, workload, metrics)

@@ -31,8 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional
 
-from repro.core.client import DataFlasksClient
-from repro.core.cluster import DataFlasksCluster
+from repro.backends.base import StoreBackend
 from repro.errors import ClientError, ConfigurationError
 
 __all__ = ["DropletsSession"]
@@ -81,7 +80,8 @@ class _LruCache:
 class DropletsSession:
     """A client session with versioning, ordering and caching.
 
-    :param cluster: the DATAFLASKS deployment to talk to.
+    :param cluster: the deployed stack to talk to — any
+        :class:`~repro.backends.base.StoreBackend`.
     :param client: optional existing substrate client (one is created
         otherwise).
     :param acks_required: substrate ack quorum per write.
@@ -97,8 +97,8 @@ class DropletsSession:
 
     def __init__(
         self,
-        cluster: DataFlasksCluster,
-        client: Optional[DataFlasksClient] = None,
+        cluster: StoreBackend,
+        client: Optional[Any] = None,
         acks_required: int = 1,
         cache_capacity: int = 1024,
         op_timeout: float = 30.0,

@@ -50,7 +50,8 @@ __all__ = [
 
 class FaultContext:
     """What injectors act on: the simulation, its network, and — when the
-    nemesis drives a deployment facade — the cluster and a shared
+    nemesis drives a deployed :class:`~repro.backends.base.StoreBackend`
+    — that cluster and a shared
     :class:`~repro.churn.controller.ChurnController`.
 
     Scoping mirrors churn: with a cluster, faults hit *servers* only

@@ -27,8 +27,9 @@ class Nemesis:
     """Drives a fault schedule against one simulation.
 
     :param sim: the simulation under attack.
-    :param cluster: optional deployment facade; scopes victims to its
-        servers (clients are never fault victims).
+    :param cluster: optional deployed
+        :class:`~repro.backends.base.StoreBackend`; scopes victims to
+        its servers (clients are never fault victims).
     :param controller: optional shared
         :class:`~repro.churn.controller.ChurnController` so crash-recover
         and churn injectors land in the same join/leave accounting as

@@ -12,9 +12,10 @@ CLI and tests assert.
 
 The runner is stack-neutral: ``spec.stack`` resolves through the backend
 registry (:mod:`repro.backends`) to a
-:class:`~repro.backends.base.StoreBackend`, which owns deployment,
-convergence, the heal-probe predicate and the stack-specific metric
-blocks. Adding a stack never touches this module.
+:class:`~repro.backends.base.StoreBackend` subclass — the stack's one
+deployment class — which owns deployment, convergence, the heal-probe
+predicate and the stack-specific metric blocks. Adding a stack never
+touches this module.
 
 Timeline: deploy -> warmup/convergence -> load -> settle -> arm the
 nemesis schedule and churn -> transaction phase (kept running until the

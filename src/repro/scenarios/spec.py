@@ -367,15 +367,30 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         # Resolve the stack against the backend registry so an unknown
         # value fails loudly at spec-construction time with the list of
-        # registered backends (lazy import: backends pull in the cluster
-        # facades, which this description-only module must not).
+        # registered backends (lazy import: backends pull in the stack
+        # classes, which this description-only module must not).
         from repro.backends import get_backend
+        from repro.core.config import DataFlasksConfig
 
         get_backend(self.stack)
         if self.nodes <= 0:
             raise ConfigurationError("nodes must be positive")
         if self.num_slices <= 0 or self.replication <= 0:
             raise ConfigurationError("num_slices and replication must be positive")
+        # [config] is checked on every stack, not just core: a core spec
+        # re-stacked onto the oracle (search/scorer.py) keeps its block,
+        # and a misspelt key is a mistake wherever it is written.
+        valid = sorted(f.name for f in fields(DataFlasksConfig) if f.name != "num_slices")
+        unknown = sorted(set(self.config) - set(valid))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown [config] keys {unknown}; valid keys: {valid} "
+                "(num_slices is a top-level spec field)"
+            )
+        try:
+            DataFlasksConfig(num_slices=self.num_slices, **self.config)
+        except (ConfigurationError, TypeError) as exc:
+            raise ConfigurationError(f"invalid [config] {self.config}: {exc}") from None
         self.metrics = tuple(self.metrics)
         for group in self.metrics:
             if group not in METRIC_GROUPS:

@@ -153,10 +153,10 @@ class _Flight:
 class OpenLoopRunner:
     """Schedules an open-loop request stream inside the simulator.
 
-    ``cluster`` is duck-typed exactly like
-    :class:`~repro.workload.runner.WorkloadRunner`'s (``sim``,
-    ``servers``, ``new_client()``, ``server_message_load()``, clients
-    speaking ``PendingOp``). The operation *mix* comes from the workload
+    ``cluster`` is a deployed
+    :class:`~repro.backends.base.StoreBackend`, exactly like
+    :class:`~repro.workload.runner.WorkloadRunner`'s. The operation
+    *mix* comes from the workload
     generator seeded with ``seed`` — the same derivation the closed
     loop uses — while arrival *times* come from the dedicated
     ``workload.arrivals`` stream, so the engine is deterministic per

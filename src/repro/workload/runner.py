@@ -220,12 +220,11 @@ class RunStats:
 class WorkloadRunner:
     """Runs load and transaction phases against a storage stack.
 
-    ``cluster`` is duck-typed: a
-    :class:`~repro.backends.base.StoreBackend` or any deployment facade
-    exposing ``sim``, ``servers``, ``new_client()`` and
-    ``server_message_load()``, whose clients speak the
-    :class:`~repro.core.client.PendingOp` protocol — the runner never
-    branches on the concrete stack.
+    ``cluster`` is a deployed
+    :class:`~repro.backends.base.StoreBackend` (``sim``, ``servers``,
+    ``new_client()``, ``server_message_load()``), whose clients speak
+    the :class:`~repro.core.client.PendingOp` protocol — the runner
+    never branches on the concrete stack.
 
     ``observer`` shares one :class:`ConsistencyObserver` across several
     runners/engines (the scenario runner hands the load-phase observer

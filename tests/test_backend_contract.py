@@ -6,21 +6,31 @@ deploy, convergence, put/get round-trips, replication reporting, churn
 kill/recover, fault scheduling, and deterministic same-seed replay.
 Adding a backend means passing this file — no other test changes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.backends import (
     BackendRegistry,
+    OracleCluster,
     StoreBackend,
     get_backend,
     list_backends,
     register_backend,
 )
+from repro.core.cluster import DataFlasksCluster
+from repro.dht.cluster import DhtCluster
+from repro.droplets import DropletsSession
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import FaultSpec, ScenarioSpec, WorkloadSpec
 from repro.scenarios.runner import run_scenario
 from repro.sim.simulator import Simulation
 
 EXPECTED_BUILTINS = {"core", "dht", "oracle"}
+STACK_CLASSES = {"core": DataFlasksCluster, "dht": DhtCluster, "oracle": OracleCluster}
 
 
 def contract_spec(stack: str, **overrides) -> ScenarioSpec:
@@ -59,6 +69,36 @@ class TestRegistry:
             assert issubclass(cls, StoreBackend)
             assert cls.name == name
             assert cls.description
+
+    def test_lookup_returns_the_deployment_class_itself(self):
+        # No adapter layer: the registered class is the facade, and a
+        # directly constructed deployment is a StoreBackend.
+        for name, cls in STACK_CLASSES.items():
+            assert get_backend(name) is cls
+            deployment = cls(n=3)
+            assert isinstance(deployment, StoreBackend)
+            assert not hasattr(deployment, "cluster")
+
+    @pytest.mark.parametrize(
+        "first",
+        ["repro.backends", "repro.core.cluster", "repro.dht.cluster", "repro.backends.oracle"],
+    )
+    def test_any_stack_module_imported_first_registers_all_three(self, first):
+        code = (
+            f"import {first}\n"
+            "from repro.backends.registry import REGISTRY\n"
+            "print(','.join(f'{n}={c.__name__}' for n, c in REGISTRY.items()))\n"
+        )
+        src = os.path.dirname(repro.__path__[0])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "core=DataFlasksCluster,dht=DhtCluster,oracle=OracleCluster"
 
     def test_unknown_backend_error_lists_registered(self):
         with pytest.raises(ConfigurationError, match="registered backends"):
@@ -144,6 +184,29 @@ class TestRoundTrip:
         _, _, backend = stack_deployment
         load = backend.server_message_load()
         assert load["handled"] > 0
+
+
+class TestDropletsSession:
+    """The soft-state layer needs only new_client / put_sync / get_sync,
+    so its ordering contract must hold above every stack."""
+
+    def test_versions_strictly_increase_and_reads_see_own_writes(self, stack_deployment):
+        stack, _, backend = stack_deployment
+        session = DropletsSession(backend)
+        versions = [session.put(f"{stack}:droplet", f"v{i}".encode()) for i in range(3)]
+        assert versions == [1, 2, 3]
+        assert session.get(f"{stack}:droplet") == b"v2"
+        assert session.get_version(f"{stack}:droplet", 1) == b"v0"
+
+    def test_rebuild_recovers_counters_from_the_substrate(self, stack_deployment):
+        stack, _, backend = stack_deployment
+        session = DropletsSession(backend)
+        session.put(f"{stack}:rebuilt", b"a")
+        session.put(f"{stack}:rebuilt", b"b")
+        backend.sim.run_for(10)  # let both versions reach every replica
+        assert session.rebuild([f"{stack}:rebuilt", f"{stack}:never-written"]) == 1
+        assert session.current_version(f"{stack}:rebuilt") == 2
+        assert session.put(f"{stack}:rebuilt", b"c") == 3
 
 
 class TestChurn:

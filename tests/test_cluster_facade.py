@@ -51,18 +51,6 @@ def test_directory_tracks_liveness():
     assert set(cluster.directory()) == full - {victim.id}
 
 
-def test_load_batch_helper():
-    cluster = build_cluster(n=30, seed=44)
-    client = cluster.new_client()
-    items = [(f"batch:{i}", f"v{i}".encode(), 1) for i in range(5)]
-    ops = cluster.load(client, items)
-    assert len(ops) == 5
-    assert all(op.succeeded for op in ops)
-    for key, value, version in items:
-        result = cluster.get_sync(client, key)
-        assert result.value == value
-
-
 def test_multiple_clients_are_independent():
     cluster = build_cluster(n=30, seed=45)
     a = cluster.new_client()

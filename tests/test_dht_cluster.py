@@ -103,6 +103,15 @@ def test_joiner_integrates_into_ring():
     assert joiner.predecessor is not None
 
 
+def test_churn_joiner_gets_the_founders_successor_list_len():
+    # Founders and joiners come from one node factory: a ring that has
+    # churned keeps the failure slack it was provisioned with.
+    cluster = DhtCluster(n=12, seed=29, successor_list_len=6)
+    joiner = cluster.churn_controller().join()
+    assert {s.successor_list_len for s in cluster.servers} == {6}
+    assert joiner in cluster.servers and joiner.replication == cluster.replication
+
+
 def test_lookup_hops_logarithmic(ring):
     # With fingers fixed, iterative lookups should take far fewer hops
     # than a linear walk around 30 nodes.

