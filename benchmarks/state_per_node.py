@@ -1,0 +1,95 @@
+"""Bytes held per node, by owner — DESIGN.md "State per node".
+
+Runs the ledger's ``core_mixed_open`` unit (YCSB-A, open loop, 1,120
+operations) at each given population under ``tracemalloc`` and, when the
+run has finished but the simulation is still alive, groups every live
+allocation by the source file that made it. A file is an owner: each
+per-node structure is allocated by the module that defines it.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/state_per_node.py 100 400 1000
+
+To measure another commit, point ``PYTHONPATH`` at its ``src/``. Tracing
+every allocation makes a run several times slower and larger than the
+ledger's; 1,000 nodes takes minutes. Byte counts repeat exactly.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tracemalloc
+from collections import Counter
+from typing import Dict, List
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger"))
+
+from workloads import build_spec  # noqa: E402  (benchmarks/ledger/workloads.py)
+
+from repro.obs.recorder import FlightRecorder  # noqa: E402
+from repro.scenarios.runner import run_scenario  # noqa: E402
+
+SEED = 3000
+
+# Allocating file (suffix) -> owner; anything else is summed under "other".
+OWNERS = {
+    "repro/gossip/dissemination.py": "dedup (request handler)",
+    "repro/core/handler.py": "dedup (request handler)",
+    "repro/pss/view.py": "PSS view + slice view (PartialView)",
+    "repro/slicing/dslead.py": "slicing reservoir",
+    "repro/core/store.py": "store",
+    "repro/sim/rng.py": "RNG streams",
+    "random.py": "RNG streams",
+    # One row: both files build 4-tuples, which CPython recycles through
+    # a free list, so tracemalloc credits some heap entries to either.
+    "repro/sim/scheduler.py": "pending timers and deliveries",
+    "repro/sim/network.py": "pending timers and deliveries",
+    "repro/sim/node.py": "node, handler table, periodic tasks",
+    "repro/core/replication.py": "re-homing bookkeeping",
+    "repro/core/client.py": "clients",
+    "repro/workload/openloop.py": "workload engine",
+    "repro/workload/ycsb.py": "workload engine",
+}
+
+
+class _Snapshot(FlightRecorder):
+    """Every pillar off; ``finish`` is the runner's last call while the
+    simulation it built is still referenced."""
+
+    by_owner: Dict[str, int]
+
+    def finish(self, sim) -> None:
+        super().finish(sim)
+        self.by_owner = Counter()
+        for stat in tracemalloc.take_snapshot().statistics("filename"):
+            filename = stat.traceback[0].filename
+            owner = next((o for suffix, o in OWNERS.items() if filename.endswith(suffix)), "other")
+            self.by_owner[owner] += stat.size
+
+
+def measure(nodes: int) -> Dict[str, int]:
+    spec = build_spec("core_mixed_open").scaled(nodes=nodes)
+    recorder = _Snapshot()
+    tracemalloc.start()
+    try:
+        run_scenario(spec, SEED, recorder=recorder)
+    finally:
+        tracemalloc.stop()
+    return {owner: size // nodes for owner, size in recorder.by_owner.items()}
+
+
+def main(argv: List[str]) -> int:
+    sizes = [int(arg) for arg in argv] or [100]
+    columns = [measure(nodes) for nodes in sizes]
+    owners = sorted(columns[-1], key=columns[-1].get, reverse=True)
+    owners.sort(key="other".__eq__)
+    print(f"{'bytes per node, by owner':<40}" + "".join(f"{n:>10,} n" for n in sizes))
+    for owner in owners:
+        print(f"{owner:<40}" + "".join(f"{column.get(owner, 0):>12,}" for column in columns))
+    print(f"{'total':<40}" + "".join(f"{sum(column.values()):>12,}" for column in columns))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.config import DataFlasksConfig
 from repro.core.loadbalancer import LoadBalancer
 from repro.core.messages import GetReply, GetRequest, PutAck, PutRequest, ReqId
-from repro.errors import ClientError
+from repro.errors import ClientError, ConfigurationError
 from repro.sim.node import Node, SimContext
 
 __all__ = ["PendingOp", "DataFlasksClient", "PUT", "GET"]
@@ -115,7 +115,8 @@ class DataFlasksClient(Node):
 
     :param load_balancer: strategy choosing a contact node per request.
     :param timeout: simulated seconds before a retry (or failure).
-    :param retries: additional attempts after the first.
+    :param retries: additional attempts after the first, 0 to 6 (servers
+        remember the attempts of a request as the bits of one byte).
     """
 
     def __init__(
@@ -128,6 +129,10 @@ class DataFlasksClient(Node):
         retries: int = 2,
     ) -> None:
         super().__init__(node_id, ctx)
+        if not 0 <= retries <= 6:
+            raise ConfigurationError(f"retries must be in 0..6, got {retries!r}")
+        if not timeout > 0:
+            raise ConfigurationError(f"timeout must be positive, got {timeout!r}")
         self.load_balancer = load_balancer
         self.config = config or DataFlasksConfig()
         self.timeout = timeout
@@ -175,6 +180,11 @@ class DataFlasksClient(Node):
         self._pending[req_id] = op
         return op
 
+    def _forget(self, req_id: ReqId) -> None:
+        """Drop what is kept per operation, once it has succeeded or failed."""
+        self._pending.pop(req_id, None)
+        self._contact_of_attempt.pop(req_id, None)
+
     def _request_message(self, op: PendingOp):
         if op.kind == PUT:
             assert op.version is not None
@@ -201,7 +211,7 @@ class DataFlasksClient(Node):
         if contact is None:
             self.metrics.inc(f"client.{op.kind}.no_contact")
             op._complete(FAILED, self.now, error="no contact node available")
-            self._pending.pop(op.req_id, None)
+            self._forget(op.req_id)
             return
         self._contact_of_attempt[op.req_id] = contact
         self.send(contact, self._request_message(op))
@@ -217,7 +227,7 @@ class DataFlasksClient(Node):
         if op.attempts > self.retries:
             self.metrics.inc(f"client.{op.kind}.timeout")
             op._complete(FAILED, self.now, error=f"timed out after {op.attempts} attempts")
-            self._pending.pop(req_id, None)
+            self._forget(req_id)
             return
         op.attempts += 1
         self.metrics.inc(f"client.{op.kind}.retry")
@@ -240,7 +250,7 @@ class DataFlasksClient(Node):
             self.metrics.inc("client.put.ok")
             self.metrics.observe("client.put.latency", self.now - op.started_at)
             op._complete(SUCCEEDED, self.now)
-            self._pending.pop(msg.req_id, None)
+            self._forget(msg.req_id)
 
     def _on_get_reply(self, msg: GetReply, src: int) -> None:
         op = self._pending.get(msg.req_id)
@@ -256,4 +266,4 @@ class DataFlasksClient(Node):
         self.metrics.inc("client.get.ok")
         self.metrics.observe("client.get.latency", self.now - op.started_at)
         op._complete(SUCCEEDED, self.now)
-        self._pending.pop(msg.req_id, None)
+        self._forget(msg.req_id)

@@ -29,6 +29,9 @@ class DataFlasksConfig:
         its target slice (slice views are small, so a smaller fanout
         floods a slice reliably).
     :param ttl: dissemination hop budget for requests.
+    :param dedup_capacity: sequence numbers a node remembers per request
+        origin (client, or re-homing server); a request older than that
+        is dropped as a duplicate.
     :param slicing_protocol: one of ``dslead``, ``ordered``, ``sliver``,
         ``static``.
     :param store_capacity: max objects a node stores (None = unlimited).

@@ -22,7 +22,7 @@ Metrics written (per node): ``df.put.stored``, ``df.put.duplicate``,
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.config import DataFlasksConfig
 from repro.core.keyspace import slice_for_key
@@ -30,12 +30,42 @@ from repro.core.messages import GetReply, GetRequest, PutAck, PutRequest
 from repro.core.sliceview import SliceViewService
 from repro.core.store import VersionedStore
 from repro.errors import CapacityExceededError
-from repro.gossip.dissemination import DedupCache
+from repro.gossip.dissemination import ReplayWindow
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 from repro.slicing.base import SlicingService
 
 __all__ = ["RequestHandler"]
+
+
+def _once_per_id(handle: Callable[["RequestHandler", Any, int], None]):
+    """Run a request handler once per dissemination id ``(origin, seq,
+    attempt)``; count and drop every other copy."""
+
+    def on_request(self: "RequestHandler", msg: Any, src: int) -> None:
+        # Five deliveries in six are copies of an attempt this node has
+        # already relayed: they are decided here, on the window's own
+        # bytes, without a Python call or an allocation. Whatever this
+        # read cannot decide — a first sighting, a new origin, an id
+        # below the window, a malformed one — is ``ReplayWindow.seen``'s.
+        origin, seq = msg.req_id
+        attempt = msg.attempt
+        seen = self._seen
+        try:
+            window = seen[origin]
+            i = seq - window.base
+            duplicate = i >= 0 and window[i] >> attempt & 1
+        except (LookupError, TypeError, ValueError):
+            duplicate = False
+        if duplicate or seen.seen(origin, seq, attempt):
+            slots = self._dropped
+            if slots is None:
+                slots = self._dropped_slots()
+            slots[None] = slots.get(None, 0.0) + 1.0
+        else:
+            handle(self, msg, src)
+
+    return on_request
 
 
 class RequestHandler(Service):
@@ -47,7 +77,7 @@ class RequestHandler(Service):
         super().__init__()
         self.store = store
         self.config = config
-        self._seen = DedupCache(config.dedup_capacity)
+        self._seen = ReplayWindow(config.dedup_capacity)
         # The live ``df.dedup.dropped`` slots, fetched by the first
         # duplicate (as ``inc`` would create them), so a run without
         # duplicates reports no such counter.
@@ -107,19 +137,8 @@ class RequestHandler(Service):
 
     # ----------------------------------------------------------------- put
 
+    @_once_per_id
     def _on_put(self, msg: PutRequest, src: int) -> None:
-        # Five deliveries in six are duplicates: they leave here without
-        # a Python call (``DedupCache`` membership is ``set``'s own).
-        req_id = msg.req_id
-        key = ("put", req_id[0], req_id[1], msg.attempt)
-        seen = self._seen
-        if key in seen:
-            slots = self._dropped
-            if slots is None:
-                slots = self._dropped_slots()
-            slots[None] = slots.get(None, 0.0) + 1.0
-            return
-        seen.seen(key)
         node = self.node
         assert node is not None
         my_slice = self._my_slice()
@@ -154,17 +173,8 @@ class RequestHandler(Service):
 
     # ----------------------------------------------------------------- get
 
+    @_once_per_id
     def _on_get(self, msg: GetRequest, src: int) -> None:
-        req_id = msg.req_id
-        key = ("get", req_id[0], req_id[1], msg.attempt)
-        seen = self._seen
-        if key in seen:
-            slots = self._dropped
-            if slots is None:
-                slots = self._dropped_slots()
-            slots[None] = slots.get(None, 0.0) + 1.0
-            return
-        seen.seen(key)
         node = self.node
         assert node is not None
         # The paper's requirement is that "a read request must reach at

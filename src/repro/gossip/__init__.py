@@ -13,21 +13,21 @@ from repro.gossip.aggregation import (
 )
 from repro.gossip.antientropy import diff, make_digest, merge_digests, missing_from
 from repro.gossip.dissemination import (
-    DedupCache,
     DisseminationService,
     GossipMessage,
+    ReplayWindow,
     atomic_infection_probability,
     fanout_for_probability,
     recommended_fanout,
 )
 
 __all__ = [
-    "DedupCache",
     "DisseminationService",
     "GossipMessage",
     "MinSketchShare",
     "PushSumService",
     "PushSumShare",
+    "ReplayWindow",
     "SystemSizeEstimator",
     "atomic_infection_probability",
     "diff",

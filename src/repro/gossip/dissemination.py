@@ -13,17 +13,17 @@ standalone so its delivery guarantees can be measured in isolation
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 
 __all__ = [
     "GossipMessage",
+    "ReplayWindow",
     "DisseminationService",
     "recommended_fanout",
     "atomic_infection_probability",
@@ -72,34 +72,80 @@ class GossipMessage:
     hops: int = 0
 
 
-class DedupCache(set):
-    """Bounded FIFO set of already-seen message ids.
+class _Seqs(bytearray):
+    """One origin's window: byte ``i`` is the bitmask of attempts seen of
+    sequence number ``base + i``."""
 
-    The set itself (``key in cache`` and ``len(cache)`` run at C speed:
-    most deliveries of a flood are duplicates that only ask that) plus a
-    deque of the same keys in arrival order. (Evicting the first key of
-    a lone insertion-ordered dict scans every slot earlier evictions
-    left behind: ~25 µs per new id at 100 k live ids.) Insert through
-    :meth:`seen` only — ``set``'s own mutators bypass the eviction order.
+    __slots__ = ("base",)
+
+
+class ReplayWindow(dict):
+    """Which dissemination ids ``(origin, seq, attempt)`` were seen: a
+    sliding anti-replay window per origin (RFC 4303 section 3.4.3).
+
+    Every origin — a client, or a server re-homing objects — numbers its
+    ids from one counter, so a node remembers them in one byte per
+    sequence number (a bit per attempt, 0..7) instead of one hashed tuple
+    per id. The dict itself maps origin to that origin's bytes, which
+    start at 8 and double as sequence numbers arrive: an origin seen
+    once costs ~100 B, a busy one a byte or two per id.
+
+    ``capacity`` is how many sequence numbers are remembered *per
+    origin*, counted back from the highest one seen. Inside that window
+    the answers are exactly a ``set``'s, in any arrival order. An id
+    below it reads as already seen: a copy that old is dropped, never
+    re-processed — the same as losing the message, which the epidemic
+    and the client's retry already tolerate. (A FIFO of ids re-processed
+    an evicted id instead, re-igniting its flood.)
+
+    Insert through :meth:`seen` only. ``RequestHandler`` reads the bytes
+    directly for the duplicates that are most of its deliveries.
     """
 
-    __slots__ = ("capacity", "_order")
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int = 10_000) -> None:
         if capacity <= 0:
             raise ConfigurationError("dedup capacity must be positive")
         super().__init__()
         self.capacity = capacity
-        self._order: deque = deque()
 
-    def seen(self, key: Any) -> bool:
-        """Record ``key``; returns True if it was already present."""
-        if key in self:
+    def seen(self, origin: Any, seq: int, attempt: int = 0) -> bool:
+        """Record the id; returns True if it was already present, or is
+        older than the origin's window."""
+        if not isinstance(seq, int) or seq < 0:
+            raise SimulationError(
+                f"sequence number of a dissemination id must be an int >= 0, got {seq!r}"
+            )
+        if not isinstance(attempt, int) or not 0 <= attempt <= 7:
+            raise SimulationError(
+                f"attempt of a dissemination id must be an int in 0..7, got {attempt!r}"
+            )
+        bit = 1 << attempt
+        window = self.get(origin)
+        if window is None:
+            window = self[origin] = _Seqs()
+            window.base = 0
+        # ``i < 0`` is decided before indexing: a negative index would
+        # wrap around to the newest bytes.
+        i = seq - window.base
+        if i < 0:
             return True
-        self.add(key)
-        self._order.append(key)
-        if len(self._order) > self.capacity:
-            self.discard(self._order.popleft())
+        if i < len(window):
+            if window[i] & bit:
+                return True
+            window[i] |= bit
+            return False
+        capacity = self.capacity
+        if i >= capacity:
+            # Slide so that ``seq`` is the last of ``capacity`` numbers.
+            slid = i + 1 - capacity
+            del window[:slid]
+            window.base += slid
+            i -= slid
+        grown = min(capacity, max(i + 1, 2 * len(window), 8))
+        window.extend(bytes(grown - len(window)))
+        window[i] = bit
         return False
 
 
@@ -107,11 +153,13 @@ class DisseminationService(Service):
     """Infect-and-die probabilistic broadcast over a PSS.
 
     Every node forwards a *new* message to ``fanout`` random peers and
-    never again (duplicates are absorbed by the dedup cache). Subscribers
-    receive each payload exactly once per node.
+    never again (duplicates are absorbed by a :class:`ReplayWindow`).
+    Subscribers receive each payload exactly once per node.
 
     :param fanout: peers to forward to; defaults (per message) to
         ``ln N + c`` if ``None`` and ``expected_n`` is set.
+    :param dedup_capacity: sequence numbers remembered per origin; a
+        message older than that is dropped as a duplicate.
     """
 
     name = "dissemination"
@@ -133,7 +181,7 @@ class DisseminationService(Service):
             raise ConfigurationError("fanout and ttl must be positive")
         self.fanout = fanout
         self.ttl = ttl
-        self._dedup = DedupCache(dedup_capacity)
+        self._dedup = ReplayWindow(dedup_capacity)
         self._subscribers: List[Callable[[Any, Tuple[int, int], int], None]] = []
         self._next_seq = 0
         self.delivered = 0
@@ -167,7 +215,7 @@ class DisseminationService(Service):
         assert node is not None
         msg_id = (node.id, self._next_seq)
         self._next_seq += 1
-        self._dedup.seen(msg_id)
+        self._dedup.seen(*msg_id)
         self._notify(payload, msg_id, hops=0)
         self._forward(GossipMessage(msg_id, payload, self.ttl, hops=0))
         return msg_id
@@ -198,7 +246,7 @@ class DisseminationService(Service):
         self.forwarded += len(targets)
 
     def _on_gossip(self, msg: GossipMessage, src: int) -> None:
-        if self._dedup.seen(msg.msg_id):
+        if self._dedup.seen(*msg.msg_id):
             return
         self._notify(msg.payload, msg.msg_id, msg.hops)
         self._forward(msg)

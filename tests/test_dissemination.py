@@ -1,15 +1,16 @@
 """Tests for epidemic dissemination and the ln(N)+c fanout maths."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.gossip.dissemination import (
-    DedupCache,
     DisseminationService,
+    ReplayWindow,
     atomic_infection_probability,
     fanout_for_probability,
     recommended_fanout,
@@ -53,29 +54,92 @@ class TestFanoutMaths:
         assert recommended_fanout(n) <= math.log(n) + 3.01
 
 
-class TestDedupCache:
+class TestReplayWindow:
     def test_first_sighting_false_then_true(self):
-        cache = DedupCache(capacity=10)
-        assert cache.seen("a") is False
-        assert cache.seen("a") is True
+        window = ReplayWindow(capacity=10)
+        assert window.seen("a", 0) is False
+        assert window.seen("a", 0) is True
 
-    def test_capacity_evicts_fifo(self):
-        cache = DedupCache(capacity=2)
-        cache.seen("a")
-        cache.seen("b")
-        cache.seen("c")  # evicts "a"
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
+    def test_attempts_of_one_sequence_number_are_told_apart(self):
+        window = ReplayWindow(capacity=10)
+        answers = [window.seen(1, 4, attempt) for attempt in (2, 1, 2, 1, 7, 0)]
+        assert answers == [False, False, True, True, False, False]
+        assert window.seen(2, 4, 1) is False  # another origin, same numbers
+
+    def test_capacity_slides_the_oldest_out_as_seen(self):
+        window = ReplayWindow(capacity=2)
+        window.seen("a", 0)
+        window.seen("a", 1)
+        window.seen("a", 2)  # slides 0 out
+        assert window.seen("a", 0) is True  # too old to tell: never again
+        assert window.seen("a", 0, attempt=3) is True
+        assert window.seen("a", 1) is True and window.seen("a", 2) is True
+        assert window.seen("b", 0) is False  # windows are per origin
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
-            DedupCache(capacity=0)
+            ReplayWindow(capacity=0)
 
-    def test_len(self):
-        cache = DedupCache(capacity=10)
-        cache.seen(1)
-        cache.seen(2)
-        assert len(cache) == 2
+    @given(st.integers(1, 40), st.lists(st.integers(0, 400), max_size=60))
+    def test_len_never_exceeds_capacity(self, capacity, seqs):
+        window = ReplayWindow(capacity)
+        for seq in seqs:
+            window.seen(0, seq)
+            assert len(window[0]) <= capacity
+
+    def test_a_jump_ahead_allocates_no_gap_and_forgets_nothing_inside(self):
+        window = ReplayWindow(capacity=100)
+        for seq in (3, 50):
+            window.seen(0, seq)
+        window.seen(0, 10**12)
+        assert len(window[0]) <= 100 and sys.getsizeof(window[0]) < 300
+        window.seen(0, 10**12 - 99)  # the oldest number still inside
+        assert window.seen(0, 10**12 - 99) is True
+        assert window.seen(0, 10**12 - 100) is True  # just below: reads as seen
+        assert window.seen(0, 50) is True
+        # A jump that stays inside capacity keeps everything before it.
+        window = ReplayWindow(capacity=100)
+        window.seen(0, 3)
+        window.seen(0, 99)
+        assert window.seen(0, 3) is True and window.seen(0, 4) is False
+
+    @given(
+        st.sampled_from([1, 5, 16, 64]),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 60), st.integers(0, 7)),
+            max_size=120,
+        ),
+    )
+    def test_equals_a_set_of_ids_within_capacity(self, capacity, ids):
+        # Whatever the interleaving of origins, numbers and attempts: an
+        # id within ``capacity`` of its origin's highest number so far is
+        # answered as a plain set would (at capacity 64 that is every id
+        # drawn), an older one as seen.
+        window, reference, highest = ReplayWindow(capacity), set(), {}
+        for id_ in ids:
+            origin, seq, _ = id_
+            top = highest.get(origin, -1)
+            assert window.seen(*id_) == (seq <= top - capacity or id_ in reference)
+            reference.add(id_)
+            highest[origin] = max(top, seq)
+
+    @pytest.mark.parametrize(
+        "seq, attempt, named",
+        [(-1, 0, "-1"), (1.0, 0, "1.0"), ("7", 0, "'7'"), (0, 8, "8"), (0, -1, "-1"), (0, 0.5, "0.5")],
+    )
+    def test_malformed_ids_are_rejected_by_name(self, seq, attempt, named):
+        window = ReplayWindow(capacity=10)
+        window.seen(0, 5)
+        with pytest.raises(SimulationError, match=named):
+            window.seen(0, seq, attempt)
+        assert window.seen(0, 5) is True and len(window[0]) == 8  # untouched
+
+    def test_an_origin_seen_once_stays_small(self):
+        # At 1k+ nodes every server originates a few re-homing floods, so
+        # every node holds ~N such windows.
+        window = ReplayWindow(capacity=100_000)
+        window.seen(17, 0, 1)
+        assert sys.getsizeof(window[17]) <= 96
 
 
 def build_broadcast_overlay(n=60, fanout=None, seed=4, rounds=15.0):

@@ -5,6 +5,8 @@ each routing branch (dedup, TTL, wrong slice, right slice, store
 rejection) is exercised deterministically.
 """
 
+import sys
+
 import pytest
 
 from repro.core.autoslice import ReplicationManager
@@ -14,10 +16,13 @@ from repro.core.keyspace import slice_for_key
 from repro.core.messages import GetReply, GetRequest, PutAck, PutRequest
 from repro.core.node import DataFlasksNode
 from repro.core.store import MemoryStore
+from repro.errors import SimulationError
 from repro.pss.cyclon import CyclonService
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 from repro.slicing.static import StaticSlicing, hash_slice
+
+from tests.conftest import build_cluster
 
 
 def make_node(num_slices=4, store_capacity=None):
@@ -248,3 +253,98 @@ def test_dedup_counter_is_created_by_the_first_duplicate_only():
     client.send(node.id, get_msg(key_in_slice(2), client.id, seq=9))
     sim.run_for(1)
     assert sim.metrics.total("df.dedup.dropped") == 2
+
+
+# ------------------------------------------------- the dissemination id
+
+
+def test_late_first_attempt_after_a_retry_is_processed_once():
+    sim, node, client, inbox = make_node()
+    node.slicing._set_slice(2)
+    key = key_in_slice(2)
+    client.send(node.id, put_msg(key, client.id, attempt=2))
+    sim.run_for(1)
+    for _ in range(3):  # attempt 1 was merely slower: its copies trickle in
+        client.send(node.id, put_msg(key, client.id, attempt=1))
+    sim.run_for(1)
+    assert len(inbox) == 2
+    assert sim.metrics.total("df.dedup.dropped") == 2
+
+
+def test_a_put_and_a_get_of_one_client_never_shadow_each_other():
+    # The id carries no put/get tag: a client numbers both kinds from one
+    # counter, so consecutive operations differ in ``seq``.
+    sim, node, client, inbox = make_node()
+    node.slicing._set_slice(2)
+    key = key_in_slice(2)
+    client.send(node.id, put_msg(key, client.id, seq=0))
+    client.send(node.id, get_msg(key, client.id, seq=1))
+    client.send(node.id, put_msg(key, client.id, version=2, seq=2))
+    sim.run_for(1)
+    assert [type(m) for m in inbox] == [PutAck, GetReply, PutAck]
+    assert "df.dedup.dropped" not in sim.metrics._counters
+
+
+def test_every_origin_numbers_its_requests_from_one_counter():
+    # What dropping the tag relies on.
+    cluster = build_cluster(n=20, seed=5)
+    client = cluster.new_client()
+    ops = [client.put("a", b"v", 1), client.get("a"), client.get("b"), client.put("b", b"v", 1)]
+    assert [op.req_id for op in ops] == [(client.id, seq) for seq in range(4)]
+    # A server originates re-homing puts only, numbered by its own counter.
+    server = cluster.servers[0]
+    strays = [k for k in map("stray{}".format, range(40)) if slice_for_key(k, 4) != server.my_slice()]
+    for key in strays[:3]:
+        server.store.put(key, 1, b"v")
+    sent = []
+    server.multicast = lambda targets, msg: sent.append(msg)
+    cluster.sim.run_for(3)
+    own = [m for m in sent if getattr(m, "client_id", None) == server.id]
+    assert own and all(isinstance(m, PutRequest) for m in own)
+    assert [m.req_id for m in own] == [(server.id, seq) for seq in range(len(own))]
+
+
+@pytest.mark.parametrize("seq, attempt", [(-1, 1), (3, 8), (3, -1), (3.0, 1)])
+@pytest.mark.parametrize("known_origin", [False, True])
+def test_a_malformed_dissemination_id_is_rejected_not_wrapped(seq, attempt, known_origin):
+    sim, node, client, inbox = make_node()
+    handler = node.get_service(RequestHandler)
+    if known_origin:  # the handler's own read of the window must not decide it either
+        for earlier in range(5):
+            handler._on_put(put_msg("k", client.id, seq=earlier), client.id)
+    with pytest.raises(SimulationError, match="dissemination id"):
+        handler._on_put(put_msg("k", client.id, seq=seq, attempt=attempt), client.id)
+
+
+def test_a_duplicate_costs_one_python_frame():
+    # 84 % of a flood's deliveries end here; each extra frame is ~0.3 us
+    # on every one of them.
+    sim, node, client, inbox = make_node()
+    handler = node.get_service(RequestHandler)
+    msg = put_msg(key_in_slice(1), client.id, seq=3)
+    handler._on_put(msg, client.id)
+    handler._on_put(msg, client.id)  # creates the counter slot
+    frames = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and frames.append(frame.f_code.co_name))
+    try:
+        handler._on_put(msg, client.id)
+    finally:
+        sys.setprofile(None)
+    assert frames == ["on_request"]  # the check that wraps _on_put, and nothing below it
+    assert sim.metrics.total("df.dedup.dropped") == 2
+
+
+def test_dedup_state_is_bytes_per_request_not_tuples():
+    # One byte per sequence number (doubling, so at most two) plus a
+    # fixed cost per origin; a tuple in a set was ~200 B per request.
+    requests = 500
+    cluster = build_cluster(n=30, seed=6)
+    client = cluster.new_client()
+    for i in range(requests):
+        cluster.run_op(client.put(f"key{i % 40}", b"v", i + 1))
+    cluster.sim.run_for(2)
+    for server in cluster.servers:
+        seen = server.get_service(RequestHandler)._seen
+        assert len(seen[client.id]) >= requests * 0.9  # the flood did reach this node
+        held = sys.getsizeof(seen) + sum(sys.getsizeof(window) for window in seen.values())
+        assert held <= 2 * requests + 200 * len(seen) + 256

@@ -4,7 +4,6 @@ is pinned here against the reference it replaced.
 * ``UniformLatency.sample`` vs ``random.Random.uniform`` (values and RNG
   state);
 * ``PartialView``'s cached sorted-id list vs a freshly built view;
-* ``DedupCache`` vs the ``OrderedDict`` FIFO it used to be;
 * ``Scheduler.schedule``'s one-comparison validation;
 * the tight ``Scheduler.run`` loop vs the general one, with handle-free
   ``post_many`` entries beside ``schedule``d ones;
@@ -20,7 +19,6 @@ is pinned here against the reference it replaced.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import pytest
@@ -30,7 +28,6 @@ from hypothesis import strategies as st
 from repro.core.cluster import DataFlasksCluster
 from repro.core.messages import PutAck
 from repro.errors import SimulationError
-from repro.gossip.dissemination import DedupCache
 from repro.lint import CoverageTap, IsolationTap
 from repro.obs.trace import OpTracer
 from repro.pss.view import NodeDescriptor, PartialView
@@ -91,40 +88,6 @@ def test_sample_ids_hands_out_a_private_list():
     everything = view.sample_ids(random.Random(1), 10)
     everything.append(99)  # callers own the result
     assert sorted(view.sample_ids(random.Random(1), 10)) == [1, 2, 3]
-
-
-# ------------------------------------------------------------- dedup cache
-
-
-class _OrderedDictDedup:
-    """The cache as it was before: the reference for eviction order."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._seen = OrderedDict()
-
-    def seen(self, key):
-        if key in self._seen:
-            return True
-        self._seen[key] = None
-        while len(self._seen) > self.capacity:
-            self._seen.popitem(last=False)
-        return False
-
-
-@given(st.integers(1, 6), st.lists(st.integers(0, 12), max_size=80))
-def test_dedup_cache_fifo_eviction_matches_the_ordered_dict(capacity, keys):
-    ours, reference = DedupCache(capacity), _OrderedDictDedup(capacity)
-    for key in keys:
-        assert ours.seen(key) == reference.seen(key)
-        assert len(ours) == len(reference._seen) <= capacity
-        assert all((k in ours) == (k in reference._seen) for k in range(13))
-
-
-def test_dedup_cache_membership_is_the_sets_own():
-    # What lets a duplicate leave the request handler without a call.
-    assert DedupCache.__contains__ is set.__contains__
-    assert DedupCache.__len__ is set.__len__
 
 
 # --------------------------------------------------------------- scheduler
