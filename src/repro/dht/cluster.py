@@ -67,9 +67,10 @@ class DhtCluster(StoreBackend):
         ring = sorted(self.servers, key=lambda s: s.pos)
         n = len(ring)
         for index, node in enumerate(ring):
-            chain = [ring[(index + j) % n] for j in range(1, n)]
+            # Only the successor_list_len peers a node keeps: O(N * L).
             node.successors = [
-                peer.ref() for peer in chain[: node.successor_list_len]
+                ring[(index + j) % n].ref()
+                for j in range(1, min(n, node.successor_list_len + 1))
             ] or [node.ref()]
             node.predecessor = ring[(index - 1) % n].ref()
 

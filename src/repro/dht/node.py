@@ -9,7 +9,8 @@ versioned put/get API as DATAFLASKS so bench A4 can compare them under
 identical churn.
 
 Routing is *iterative*: the querier repeatedly asks ``route_step`` until
-an owner is found (handlers stay synchronous). Replication: the key's
+an owner is found (handlers stay synchronous); a ring member answers its
+own first step in-process. Replication: the key's
 owner stores and pushes copies to its ``replication - 1`` successors;
 a periodic repair round re-pushes owned keys so replicas follow ring
 membership.
@@ -22,11 +23,13 @@ keeps the comparison symmetric.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.store import MemoryStore, VersionedStore
 from repro.dht.ring import (
     RING_BITS,
+    RING_SIZE,
     finger_target,
     in_interval,
     node_position,
@@ -60,13 +63,21 @@ def iterative_lookup(
     (timeout, loop, or hop exhaustion). When ``hop_counter`` is given the
     number of route steps taken is appended to it (used by tests and the
     hop-count diagnostics).
+
+    A step at ``node`` itself — the first one of every lookup a ring
+    member starts — runs ``route_step`` in-process through
+    :meth:`RpcService.invoke`, as Chord's ``find_successor`` does, and
+    counts as a hop like any other: no node ever sends itself a message.
     """
 
     def step(current: int, hops: int) -> None:
         if hops > max_hops:
             finish(None, hops)
-            return
-        rpc.call(current, "route_step", (target,), on_reply=lambda ok, res: advance(ok, res, hops))
+        elif current == node.id:
+            ok, result = rpc.invoke("route_step", (target,), current)
+            advance(ok, result, hops)
+        else:
+            rpc.call(current, "route_step", (target,), on_reply=lambda ok, res: advance(ok, res, hops))
 
     def advance(ok: bool, result: Any, hops: int) -> None:
         if not ok or result is None:
@@ -168,14 +179,22 @@ class ChordNode(Node):
     # ------------------------------------------------------------- routing
 
     def _closest_preceding(self, target: int) -> RingRef:
+        """The known peer closest before ``target``, clockwise from here.
+
+        A candidate qualifies when its clockwise offset from this node
+        lies in ``(0, span)``, with a ``span`` of 0 meaning the full ring
+        (:func:`in_interval`'s convention); the first candidate with the
+        largest offset wins.
+        """
+        origin = self.pos
+        span = (target - origin) % RING_SIZE or RING_SIZE
         best: Optional[RingRef] = None
-        candidates = list(self.fingers.values()) + self.successors
-        for ref in candidates:
-            pos = ref[0]
-            if in_interval(pos, self.pos, target):
-                if best is None or in_interval(pos, best[0], target):
-                    best = tuple(ref)
-        return best if best is not None else self.successor
+        best_offset = 0
+        for ref in itertools.chain(self.fingers.values(), self.successors):
+            offset = (ref[0] - origin) % RING_SIZE
+            if best_offset < offset < span:
+                best, best_offset = ref, offset
+        return tuple(best) if best is not None else self.successor
 
     def _rpc_route_step(self, args: tuple, src: int):
         (target,) = args

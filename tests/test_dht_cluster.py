@@ -5,6 +5,10 @@ import pytest
 from repro.dht import DhtCluster
 from repro.dht.node import ChordNode
 from repro.errors import ConfigurationError
+from repro.obs.recorder import FlightRecorder
+from repro.scenarios import load_bundled
+from repro.scenarios.runner import run_scenario
+from repro.sim.network import Tap
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +136,76 @@ def test_lookup_hops_logarithmic(ring):
         assert outcome and outcome[0] is not None
     # Finger routing: average hops well under a linear walk of N/2 = 15.
     assert sum(hops) / len(hops) < 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 50])
+def test_provisioned_pointers_match_the_full_chain_construction(n):
+    # successor_list_len is 8: n covers a lone node, a pair, a ring
+    # exactly one list long, one node more, and a ring that truncates.
+    cluster = DhtCluster(n=n, seed=31)
+    ring = sorted(cluster.servers, key=lambda s: s.pos)
+    for index, node in enumerate(ring):
+        chain = [ring[(index + j) % n] for j in range(1, n)]
+        assert node.successors == [
+            peer.ref() for peer in chain[: node.successor_list_len]
+        ] or [node.ref()]
+        assert node.predecessor == ring[(index - 1) % n].ref()
+
+
+class SelfAddressed(Tap):
+    """Counts messages on the wire and those addressed to their sender."""
+
+    def __init__(self) -> None:
+        self.seen = 0
+        self.loops = []
+
+    def _check(self, src: int, dst: int, msg) -> None:
+        self.seen += 1
+        if src == dst:
+            self.loops.append(type(msg).__name__)
+
+    def on_send(self, network, src, dst, msg):
+        self._check(src, dst, msg)
+
+    def on_drop(self, network, src, dst, msg, cause):
+        self._check(src, dst, msg)
+
+
+class TapRecorder(FlightRecorder):
+    def __init__(self, tap: Tap) -> None:
+        super().__init__()
+        self.tap = tap
+
+    def attach(self, sim) -> None:
+        super().attach(sim)
+        sim.network.add_tap(self.tap)
+
+
+def test_no_node_messages_itself():
+    spec = load_bundled("dht-crash-recover").scaled(
+        nodes=30, record_count=8, operation_count=20
+    )
+    tap = SelfAddressed()
+    result = run_scenario(spec, 11, recorder=TapRecorder(tap))
+    assert result.metrics["txn_ops"] > 0 and tap.seen > 10_000
+    assert tap.loops == []
+
+
+def test_member_lookup_takes_the_hops_of_a_route_asked_from_outside(ring):
+    # A member answers its own first route step in-process; a client
+    # asking the same member over the network follows the same
+    # referrals, so both report the same owner after the same hops.
+    from repro.dht.node import iterative_lookup
+    from repro.dht.ring import key_position
+
+    client = ring.new_client()
+    for i, member in enumerate(s for s in ring.servers[:8] if s.alive):
+        target = key_position(f"self-hop:{i}")
+        local_hops, remote_hops, owners = [], [], []
+        iterative_lookup(member, member.rpc, member.id, target, owners.append,
+                         hop_counter=local_hops)
+        iterative_lookup(client, client.rpc, member.id, target, owners.append,
+                         hop_counter=remote_hops)
+        ring.sim.run_until_condition(lambda: len(owners) == 2, timeout=30)
+        assert owners[0] is not None and owners[0] == owners[1]
+        assert local_hops == remote_hops and local_hops[0] >= 1

@@ -1,8 +1,9 @@
 """Tests for Chord ring arithmetic."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dht.node import ChordNode
 from repro.dht.ring import (
     RING_SIZE,
     finger_target,
@@ -11,6 +12,7 @@ from repro.dht.ring import (
     node_position,
     ring_distance,
 )
+from repro.sim.simulator import Simulation
 
 pos_st = st.integers(min_value=0, max_value=RING_SIZE - 1)
 
@@ -76,3 +78,40 @@ class TestDistanceAndFingers:
         assert finger_target(0, 0) == 1
         assert finger_target(0, 10) == 1024
         assert finger_target(RING_SIZE - 1, 0) == 0  # wraps
+
+
+def closest_preceding_by_interval(node, target):
+    """The two-``in_interval``-per-candidate scan ``_closest_preceding``
+    replaced, kept as the reference."""
+    best = None
+    for ref in list(node.fingers.values()) + node.successors:
+        pos = ref[0]
+        if in_interval(pos, node.pos, target):
+            if best is None or in_interval(pos, best[0], target):
+                best = tuple(ref)
+    return best if best is not None else node.successor
+
+
+@st.composite
+def routing_tables(draw):
+    """A node position, a target and finger / successor refs biased to
+    the edges that matter: the node itself, the target, their
+    neighbours, both ends of the ring, and duplicates."""
+    own = draw(pos_st)
+    target = draw(st.one_of(st.just(own), pos_st))
+    edges = [own, target, own + 1, own - 1, target + 1, target - 1, 0, RING_SIZE - 1]
+    position = st.one_of(pos_st, st.sampled_from([p % RING_SIZE for p in edges]))
+    ref = st.tuples(position, st.integers(min_value=0, max_value=5))
+    fingers = draw(st.dictionaries(st.integers(min_value=0, max_value=63), ref, max_size=8))
+    successors = draw(st.lists(ref, max_size=6))
+    return own, target, fingers, successors
+
+
+class TestClosestPreceding:
+    @settings(max_examples=500)
+    @given(routing_tables())
+    def test_offset_scan_equals_interval_scan(self, table):
+        own, target, fingers, successors = table
+        node = ChordNode(0, Simulation(seed=0).ctx)
+        node.pos, node.fingers, node.successors = own, fingers, successors
+        assert node._closest_preceding(target) == closest_preceding_by_interval(node, target)
