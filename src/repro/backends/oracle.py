@@ -35,13 +35,12 @@ Deliberate idealisations, for honest reading of results:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.backends.base import StoreBackend
 from repro.backends.registry import register_backend
-from repro.core.client import FAILED, GET, PUT, PendingOp, SUCCEEDED
+from repro.core.client import PUT, Client, PendingOp
 from repro.core.store import MemoryStore, VersionedStore
-from repro.errors import ClientError
 from repro.sim.node import Node, SimContext
 from repro.sim.simulator import Simulation
 
@@ -120,10 +119,12 @@ class OracleNode(Node):
 # ------------------------------------------------------------------- clients
 
 
-class OracleClient(Node):
+class OracleClient(Client):
     """put/get against any alive oracle server, with the same
-    :class:`~repro.core.client.PendingOp` protocol, timeouts and retries
-    as the DATAFLASKS and DHT clients."""
+    :class:`~repro.core.client.Client` ops, timeouts and retries as the
+    DATAFLASKS and DHT clients."""
+
+    metric_prefix = "oracle.client"
 
     def __init__(
         self,
@@ -133,107 +134,44 @@ class OracleClient(Node):
         timeout: float = 5.0,
         retries: int = 2,
     ) -> None:
-        super().__init__(node_id, ctx)
-        self._directory = directory
-        self.timeout = timeout
-        self.retries = retries
-        self._next_seq = 0
-        self._pending: Dict[ReqId, PendingOp] = {}
+        super().__init__(node_id, ctx, timeout, retries, directory)
         self.register_handler(OraclePutAck, self._on_put_ack)
         self.register_handler(OracleGetReply, self._on_get_reply)
-
-    # ----------------------------------------------------------------- API
 
     def put(self, key: str, value: Any, version: int, acks_required: int = 1) -> PendingOp:
         """Store through any server; one ack is full replication, so
         ``acks_required`` is accepted for API parity and satisfied by 1."""
-        op = self._new_op(PUT, key, version)
-        op.value_to_put = value
-        self._dispatch(op)
-        return op
+        return super().put(key, value, version, 1)
 
-    def get(self, key: str, version: Optional[int] = None) -> PendingOp:
-        op = self._new_op(GET, key, version)
-        self._dispatch(op)
-        return op
-
-    # ------------------------------------------------------------ internal
-
-    def _new_op(self, kind: str, key: str, version: Optional[int]) -> PendingOp:
-        if not self.alive:
-            raise ClientError("client is not started")
-        req_id = (self.id, self._next_seq)
-        self._next_seq += 1
-        op = PendingOp(kind, key, version, req_id, 1, self.now)
-        self._pending[req_id] = op
-        return op
-
-    def _contact(self) -> Optional[int]:
-        servers = sorted(self._directory())
-        if not servers:
-            return None
-        return self.rng.choice(servers)
-
-    def _request_message(self, op: PendingOp):
+    def _issue(self, op: PendingOp, contact: int) -> None:
         if op.kind == PUT:
             assert op.version is not None
-            return OraclePut(op.key, op.version, op.value_to_put, op.req_id)
-        return OracleGet(op.key, op.version, op.req_id)
-
-    def _dispatch(self, op: PendingOp) -> None:
-        contact = self._contact()
-        if contact is None:
-            self.metrics.inc(f"oracle.client.{op.kind}.no_contact")
-            op._complete(FAILED, self.now, error="no server available")
-            self._pending.pop(op.req_id, None)
-            return
-        self.send(contact, self._request_message(op))
-        self.after(self.timeout, self._on_timeout, op.req_id, op.attempts)
-
-    def _on_timeout(self, req_id: ReqId, attempt: int) -> None:
-        op = self._pending.get(req_id)
-        if op is None or op.done or op.attempts != attempt:
-            return
-        if op.attempts > self.retries:
-            self.metrics.inc(f"oracle.client.{op.kind}.timeout")
-            op._complete(FAILED, self.now, error=f"timed out after {op.attempts} attempts")
-            self._pending.pop(req_id, None)
-            return
-        op.attempts += 1
-        self.metrics.inc(f"oracle.client.{op.kind}.retry")
-        self._dispatch(op)
+            self.send(contact, OraclePut(op.key, op.version, op.value_to_put, op.req_id))
+        else:
+            self.send(contact, OracleGet(op.key, op.version, op.req_id))
+        self._await_reply(op, contact)
 
     def _on_put_ack(self, msg: OraclePutAck, src: int) -> None:
-        op = self._pending.get(msg.req_id)
-        if op is None or op.done:
-            self.metrics.inc("oracle.client.duplicate_reply")
-            return
-        op.replies += 1
-        op.acks.add(src)
-        self.metrics.inc("oracle.client.put.ok")
-        self.metrics.observe("oracle.client.put.latency", self.now - op.started_at)
-        op._complete(SUCCEEDED, self.now)
-        self._pending.pop(msg.req_id, None)
+        op = self._live_op(msg.req_id)
+        if op is not None:
+            op.replies += 1
+            op.acks.add(src)
+            self._succeed(op)
 
     def _on_get_reply(self, msg: OracleGetReply, src: int) -> None:
-        op = self._pending.get(msg.req_id)
-        if op is None or op.done:
-            self.metrics.inc("oracle.client.duplicate_reply")
+        op = self._live_op(msg.req_id)
+        if op is None:
             return
         op.replies += 1
         if not msg.found:
             # The shared store is the ground truth: a miss is a real miss,
             # not a replica that has yet to catch up. Fail fast so reads
             # of never-written keys do not burn the retry budget.
-            op._complete(FAILED, self.now, error="key not found")
-            self._pending.pop(msg.req_id, None)
+            self._fail(op, "key not found")
             return
         op.value = msg.value
         op.result_version = msg.version
-        self.metrics.inc("oracle.client.get.ok")
-        self.metrics.observe("oracle.client.get.latency", self.now - op.started_at)
-        op._complete(SUCCEEDED, self.now)
-        self._pending.pop(msg.req_id, None)
+        self._succeed(op)
 
 
 # ------------------------------------------------------------------- cluster

@@ -6,12 +6,13 @@ contacting a DATAFLASKS node. The other is responsible for dealing with
 reply messages [...] it must know how to handle multiple replies for the
 same request."
 
-:class:`DataFlasksClient` is itself a simulated node (it sends and
-receives network messages). Operations are asynchronous: ``put``/``get``
+Clients are simulated nodes. Operations are asynchronous: ``put``/``get``
 return a :class:`PendingOp` which completes when enough acks / the first
 reply arrive; duplicates — inherent to epidemic dissemination — are
-counted and dropped by request id. Timeouts trigger retries through a
-fresh Load Balancer contact.
+counted and dropped by request id. :class:`Client` is the skeleton every
+stack's client shares (ids, pending table, one timeout timer, retries,
+bookkeeping); :class:`DataFlasksClient` adds the DATAFLASKS request,
+Load Balancer contact and quorum reply rules.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from repro.core.config import DataFlasksConfig
 from repro.core.loadbalancer import LoadBalancer
 from repro.core.messages import GetReply, GetRequest, PutAck, PutRequest, ReqId
 from repro.errors import ClientError, ConfigurationError
+from repro.sim.deadlines import DeadlineQueue
 from repro.sim.node import Node, SimContext
 
-__all__ = ["PendingOp", "DataFlasksClient", "PUT", "GET"]
+__all__ = ["PendingOp", "Client", "DataFlasksClient", "PUT", "GET"]
 
 PUT = "put"
 GET = "get"
@@ -110,8 +112,142 @@ class PendingOp:
         )
 
 
-class DataFlasksClient(Node):
-    """Client node implementing the ``put``/``get`` API.
+class Client(Node):
+    """The client skeleton: request ids, the pending table, ``put``/``get``,
+    retries and the ``<metric_prefix>.<kind>.*`` counters.
+
+    A stack supplies :meth:`_issue` (send an op's request to a contact),
+    its reply rule (ending ops with :meth:`_succeed` / :meth:`_fail`) and
+    optionally :meth:`_contact` (default: a uniform pick from
+    ``directory()``). An attempt issued with :meth:`_await_reply` waits
+    ``timeout`` seconds in the client's one
+    :class:`~repro.sim.deadlines.DeadlineQueue`; on expiry its contact goes
+    to :meth:`_contact_failed` and the op is retried through a fresh
+    contact, ``retries`` times, then failed.
+    """
+
+    metric_prefix = "client"
+    give_up = "timeout"  # counter of an op whose retries are spent
+
+    def __init__(
+        self,
+        node_id: int,
+        ctx: SimContext,
+        timeout: float,
+        retries: int,
+        directory: Optional[Callable[[], List[int]]] = None,
+    ) -> None:
+        super().__init__(node_id, ctx)
+        if not retries >= 0:
+            raise ConfigurationError(f"retries must be non-negative, got {retries!r}")
+        self._deadlines = DeadlineQueue(timeout)  # req_id -> contact
+        self.timeout = timeout
+        self.retries = retries
+        self._directory = directory
+        self._next_seq = 0
+        self._pending: Dict[ReqId, PendingOp] = {}
+
+    def put(self, key: str, value: Any, version: int, acks_required: int = 1) -> PendingOp:
+        """Store ``value`` under ``(key, version)``; versions come totally
+        ordered from the caller (the DATADROPLETS contract)."""
+        op = self._new_op(PUT, key, version, acks_required)
+        op.value_to_put = value
+        self._dispatch(op)
+        return op
+
+    def get(self, key: str, version: Optional[int] = None) -> PendingOp:
+        """Fetch ``key`` at ``version`` (``None`` = latest available)."""
+        op = self._new_op(GET, key, version, acks_required=1)
+        self._dispatch(op)
+        return op
+
+    @property
+    def pending_ops(self) -> int:
+        return len(self._pending)
+
+    def on_stop(self) -> None:
+        self._deadlines.clear()
+
+    # ------------------------------------------------------------ dispatch
+
+    def _new_op(self, kind: str, key: str, version: Optional[int], acks_required: int) -> PendingOp:
+        if not self.alive:
+            raise ClientError("client is not started")
+        req_id = (self.id, self._next_seq)
+        self._next_seq += 1
+        op = PendingOp(kind, key, version, req_id, acks_required, self.now)
+        self._pending[req_id] = op
+        return op
+
+    def _contact(self, op: PendingOp) -> Optional[int]:
+        nodes = sorted(self._directory())
+        return self.rng.choice(nodes) if nodes else None
+
+    def _dispatch(self, op: PendingOp) -> None:
+        contact = self._contact(op)
+        if contact is None:
+            self.metrics.inc(f"{self.metric_prefix}.{op.kind}.no_contact")
+            self._fail(op, "no contact node available")
+        else:
+            self._issue(op, contact)
+
+    def _issue(self, op: PendingOp, contact: int) -> None:
+        """Send the request for ``op`` (attempt ``op.attempts``) to ``contact``."""
+        raise NotImplementedError
+
+    def _await_reply(self, op: PendingOp, contact: int) -> None:
+        self._deadlines.push(self, op.req_id, contact, self._on_timeout)
+
+    def _on_timeout(self) -> None:
+        """The armed timer: time out every due attempt, then re-arm."""
+        self._deadlines.expire(self, self._on_timeout, self._time_out)
+
+    def _time_out(self, req_id: ReqId, contact: int) -> None:
+        op = self._pending[req_id]
+        self._contact_failed(contact)
+        self._retry(op, f"timed out after {op.attempts} attempts")
+
+    def _contact_failed(self, contact: int) -> None:
+        """An attempt sent to ``contact`` went unanswered."""
+
+    def _retry(self, op: PendingOp, error: str) -> None:
+        """Dispatch ``op`` again, or fail it once its retries are spent."""
+        if op.attempts > self.retries:
+            self.metrics.inc(f"{self.metric_prefix}.{op.kind}.{self.give_up}")
+            self._fail(op, error)
+            return
+        op.attempts += 1
+        self.metrics.inc(f"{self.metric_prefix}.{op.kind}.retry")
+        self._dispatch(op)
+
+    # ------------------------------------------------------------- outcome
+
+    def _live_op(self, req_id: ReqId) -> Optional[PendingOp]:
+        """The op a reply answers, or ``None`` (counted) if it has ended."""
+        op = self._pending.get(req_id)
+        if op is None or op.done:
+            self.metrics.inc(f"{self.metric_prefix}.duplicate_reply")
+            return None
+        return op
+
+    def _succeed(self, op: PendingOp) -> None:
+        prefix = f"{self.metric_prefix}.{op.kind}"
+        self.metrics.inc(f"{prefix}.ok")
+        self.metrics.observe(f"{prefix}.latency", self.now - op.started_at)
+        op._complete(SUCCEEDED, self.now)
+        self._forget(op)
+
+    def _fail(self, op: PendingOp, error: str) -> None:
+        op._complete(FAILED, self.now, error=error)
+        self._forget(op)
+
+    def _forget(self, op: PendingOp) -> None:
+        self._pending.pop(op.req_id, None)
+        self._deadlines.pop(op.req_id)
+
+
+class DataFlasksClient(Client):
+    """Client node implementing the DATAFLASKS ``put``/``get`` API.
 
     :param load_balancer: strategy choosing a contact node per request.
     :param timeout: simulated seconds before a retry (or failure).
@@ -128,67 +264,24 @@ class DataFlasksClient(Node):
         timeout: float = 5.0,
         retries: int = 2,
     ) -> None:
-        super().__init__(node_id, ctx)
         if not 0 <= retries <= 6:
             raise ConfigurationError(f"retries must be in 0..6, got {retries!r}")
-        if not timeout > 0:
-            raise ConfigurationError(f"timeout must be positive, got {timeout!r}")
+        super().__init__(node_id, ctx, timeout, retries)
         self.load_balancer = load_balancer
         self.config = config or DataFlasksConfig()
-        self.timeout = timeout
-        self.retries = retries
-        self._next_seq = 0
-        self._pending: Dict[ReqId, PendingOp] = {}
-        self._contact_of_attempt: Dict[ReqId, int] = {}
         self.register_handler(PutAck, self._on_put_ack)
         self.register_handler(GetReply, self._on_get_reply)
 
-    # ----------------------------------------------------------------- API
+    def _contact(self, op: PendingOp) -> Optional[int]:
+        return self.load_balancer.pick(op.key, self.config.num_slices)
 
-    def put(self, key: str, value: Any, version: int, acks_required: int = 1) -> PendingOp:
-        """Store ``value`` under ``(key, version)``.
+    def _contact_failed(self, contact: int) -> None:
+        self.load_balancer.note_failure(contact)
 
-        Completes once ``acks_required`` distinct target-slice nodes have
-        acknowledged. Versions must come totally ordered from the caller
-        (the DATADROPLETS contract).
-        """
-        if not self.alive:
-            raise ClientError("client is not started")
-        op = self._new_op(PUT, key, version, acks_required)
-        op.value_to_put = value
-        self._dispatch(op)
-        return op
-
-    def get(self, key: str, version: Optional[int] = None) -> PendingOp:
-        """Fetch ``key`` at ``version`` (``None`` = latest available)."""
-        if not self.alive:
-            raise ClientError("client is not started")
-        op = self._new_op(GET, key, version, acks_required=1)
-        self._dispatch(op)
-        return op
-
-    @property
-    def pending_ops(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------ dispatch
-
-    def _new_op(self, kind: str, key: str, version: Optional[int], acks_required: int) -> PendingOp:
-        req_id = (self.id, self._next_seq)
-        self._next_seq += 1
-        op = PendingOp(kind, key, version, req_id, acks_required, self.now)
-        self._pending[req_id] = op
-        return op
-
-    def _forget(self, req_id: ReqId) -> None:
-        """Drop what is kept per operation, once it has succeeded or failed."""
-        self._pending.pop(req_id, None)
-        self._contact_of_attempt.pop(req_id, None)
-
-    def _request_message(self, op: PendingOp):
+    def _issue(self, op: PendingOp, contact: int) -> None:
         if op.kind == PUT:
             assert op.version is not None
-            return PutRequest(
+            msg = PutRequest(
                 key=op.key,
                 version=op.version,
                 value=op.value_to_put,
@@ -197,49 +290,22 @@ class DataFlasksClient(Node):
                 client_id=self.id,
                 ttl=self.config.ttl,
             )
-        return GetRequest(
-            key=op.key,
-            version=op.version,
-            req_id=op.req_id,
-            attempt=op.attempts,
-            client_id=self.id,
-            ttl=self.config.ttl,
-        )
-
-    def _dispatch(self, op: PendingOp) -> None:
-        contact = self.load_balancer.pick(op.key, self.config.num_slices)
-        if contact is None:
-            self.metrics.inc(f"client.{op.kind}.no_contact")
-            op._complete(FAILED, self.now, error="no contact node available")
-            self._forget(op.req_id)
-            return
-        self._contact_of_attempt[op.req_id] = contact
-        self.send(contact, self._request_message(op))
-        self.after(self.timeout, self._on_timeout, op.req_id, op.attempts)
-
-    def _on_timeout(self, req_id: ReqId, attempt: int) -> None:
-        op = self._pending.get(req_id)
-        if op is None or op.done or op.attempts != attempt:
-            return
-        contact = self._contact_of_attempt.get(req_id)
-        if contact is not None:
-            self.load_balancer.note_failure(contact)
-        if op.attempts > self.retries:
-            self.metrics.inc(f"client.{op.kind}.timeout")
-            op._complete(FAILED, self.now, error=f"timed out after {op.attempts} attempts")
-            self._forget(req_id)
-            return
-        op.attempts += 1
-        self.metrics.inc(f"client.{op.kind}.retry")
-        self._dispatch(op)
-
-    # -------------------------------------------------------------- replies
+        else:
+            msg = GetRequest(
+                key=op.key,
+                version=op.version,
+                req_id=op.req_id,
+                attempt=op.attempts,
+                client_id=self.id,
+                ttl=self.config.ttl,
+            )
+        self.send(contact, msg)
+        self._await_reply(op, contact)
 
     def _on_put_ack(self, msg: PutAck, src: int) -> None:
-        op = self._pending.get(msg.req_id)
         self.load_balancer.note_responder(src, msg.responder_slice)
-        if op is None or op.done:
-            self.metrics.inc("client.duplicate_reply")
+        op = self._live_op(msg.req_id)
+        if op is None:
             return
         op.replies += 1
         if src in op.acks:
@@ -247,23 +313,15 @@ class DataFlasksClient(Node):
             return
         op.acks.add(src)
         if len(op.acks) >= op.acks_required:
-            self.metrics.inc("client.put.ok")
-            self.metrics.observe("client.put.latency", self.now - op.started_at)
-            op._complete(SUCCEEDED, self.now)
-            self._forget(msg.req_id)
+            self._succeed(op)
 
     def _on_get_reply(self, msg: GetReply, src: int) -> None:
-        op = self._pending.get(msg.req_id)
         self.load_balancer.note_responder(src, msg.responder_slice)
-        if op is None or op.done:
-            self.metrics.inc("client.duplicate_reply")
+        op = self._live_op(msg.req_id)
+        if op is None:
             return
         op.replies += 1
-        if not msg.found:
-            return
-        op.value = msg.value
-        op.result_version = msg.version
-        self.metrics.inc("client.get.ok")
-        self.metrics.observe("client.get.latency", self.now - op.started_at)
-        op._complete(SUCCEEDED, self.now)
-        self._forget(msg.req_id)
+        if msg.found:
+            op.value = msg.value
+            op.result_version = msg.version
+            self._succeed(op)

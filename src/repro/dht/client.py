@@ -9,21 +9,27 @@ replica list a fetch miss returns).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, List, Optional
 
-from repro.core.client import FAILED, GET, PENDING, PUT, SUCCEEDED, PendingOp
+from repro.core.client import PUT, Client, PendingOp
 from repro.dht.node import RingRef, iterative_lookup
 from repro.dht.ring import key_position
 from repro.dht.rpc import RpcService
-from repro.errors import ClientError
-from repro.sim.node import Node, SimContext
+from repro.sim.node import SimContext
 
 __all__ = ["DhtClient"]
 
 
-class DhtClient(Node):
-    """put/get against a Chord ring through any contact node."""
+class DhtClient(Client):
+    """put/get against a Chord ring through any contact node.
+
+    An op has no deadline of its own: every RPC of its lookup-then-fetch
+    chain times out in :class:`~repro.dht.rpc.RpcService`, and a failed
+    chain retries the op through a fresh contact.
+    """
+
+    metric_prefix = "dht.client"
+    give_up = "failed"
 
     def __init__(
         self,
@@ -33,77 +39,27 @@ class DhtClient(Node):
         timeout: float = 5.0,
         retries: int = 2,
     ) -> None:
-        super().__init__(node_id, ctx)
-        self._directory = directory
-        self.timeout = timeout
-        self.retries = retries
+        super().__init__(node_id, ctx, timeout, retries, directory)
         self.rpc = RpcService(timeout=timeout)
         self.add_service(self.rpc)
-        self._next_seq = 0
 
-    # ----------------------------------------------------------------- API
-
-    def put(self, key: str, value: Any, version: int, acks_required: int = 1) -> PendingOp:
-        """Store through the key's owner (owner replicates to successors)."""
-        op = self._new_op(PUT, key, version, acks_required)
-        op.value_to_put = value
-        self._attempt_put(op)
-        return op
-
-    def get(self, key: str, version: Optional[int] = None) -> PendingOp:
-        """Fetch from the owner, falling over to its replica list."""
-        op = self._new_op(GET, key, version, acks_required=1)
-        self._attempt_get(op)
-        return op
-
-    # ------------------------------------------------------------- internal
-
-    def _new_op(self, kind: str, key: str, version: Optional[int], acks_required: int) -> PendingOp:
-        if not self.alive:
-            raise ClientError("client is not started")
-        req_id = (self.id, self._next_seq)
-        self._next_seq += 1
-        return PendingOp(kind, key, version, req_id, acks_required, self.now)
-
-    def _contact(self) -> Optional[int]:
-        nodes = sorted(self._directory())
-        if not nodes:
-            return None
-        return self.rng.choice(nodes)
-
-    def _retry(self, op: PendingOp, action: Callable[[PendingOp], None], error: str) -> None:
-        if op.done:
-            return
-        if op.attempts > self.retries:
-            self.metrics.inc(f"dht.client.{op.kind}.failed")
-            op._complete(FAILED, self.now, error=error)
-            return
-        op.attempts += 1
-        self.metrics.inc(f"dht.client.{op.kind}.retry")
-        action(op)
-
-    def _lookup(self, op: PendingOp, then: Callable[[PendingOp, RingRef], None],
-                retry: Callable[[PendingOp], None]) -> None:
-        contact = self._contact()
-        if contact is None:
-            op._complete(FAILED, self.now, error="no contact node available")
-            return
-        target = key_position(op.key)
+    def _issue(self, op: PendingOp, contact: int) -> None:
+        """Look up the key's owner through ``contact``, then store at it
+        (put) or fetch along its replica chain (get)."""
 
         def resolved(owner: Optional[RingRef]) -> None:
             if op.done:
                 return
             if owner is None:
-                self._retry(op, retry, "lookup failed")
-                return
-            then(op, owner)
+                self._retry(op, "lookup failed")
+            elif op.kind == PUT:
+                self._send_store(op, owner)
+            else:
+                self._fetch_chain(op, [owner[1]], set())
 
-        iterative_lookup(self, self.rpc, contact, target, resolved)
+        iterative_lookup(self, self.rpc, contact, key_position(op.key), resolved)
 
     # ----------------------------------------------------------------- put
-
-    def _attempt_put(self, op: PendingOp) -> None:
-        self._lookup(op, self._send_store, self._attempt_put)
 
     def _send_store(self, op: PendingOp, owner: RingRef) -> None:
         def stored(ok: bool, result: Any) -> None:
@@ -111,11 +67,9 @@ class DhtClient(Node):
                 return
             if ok and result:
                 op.acks.add(owner[1])
-                self.metrics.inc("dht.client.put.ok")
-                self.metrics.observe("dht.client.put.latency", self.now - op.started_at)
-                op._complete(SUCCEEDED, self.now)
+                self._succeed(op)
             else:
-                self._retry(op, self._attempt_put, "store rejected or timed out")
+                self._retry(op, "store rejected or timed out")
 
         self.rpc.call(
             owner[1],
@@ -126,17 +80,13 @@ class DhtClient(Node):
 
     # ----------------------------------------------------------------- get
 
-    def _attempt_get(self, op: PendingOp) -> None:
-        self._lookup(op, lambda o, owner: self._fetch_chain(o, [owner[1]], set()),
-                     self._attempt_get)
-
     def _fetch_chain(self, op: PendingOp, candidates: List[int], tried: set) -> None:
         if op.done:
             return
         while candidates and candidates[0] in tried:
             candidates.pop(0)
         if not candidates:
-            self._retry(op, self._attempt_get, "object not found on any replica")
+            self._retry(op, "object not found on any replica")
             return
         target = candidates.pop(0)
         tried.add(target)
@@ -149,9 +99,7 @@ class DhtClient(Node):
                 op.value = value
                 op.result_version = version
                 op.replies += 1
-                self.metrics.inc("dht.client.get.ok")
-                self.metrics.observe("dht.client.get.latency", self.now - op.started_at)
-                op._complete(SUCCEEDED, self.now)
+                self._succeed(op)
                 return
             more: List[int] = list(candidates)
             if ok and result is not None:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.deadlines import DeadlineQueue
 from repro.sim.node import Service
-from repro.sim.scheduler import Event
 
 __all__ = ["RpcRequest", "RpcReply", "RpcService"]
 
@@ -40,35 +40,17 @@ class RpcService(Service):
     ``on_reply(ok, result)``; a call left unanswered for ``timeout``
     seconds fires it once with ``(False, 'timeout')``.
 
-    All calls share one timer, as a TCP connection shares one
-    retransmission timer (RFC 6298, section 5). Every call waits the same
-    ``timeout``, so deadlines ascend in call order and the pending table
-    (``rpc_id -> (deadline, on_reply)``, in call order) has the earliest
-    one at its head. At most one timer is armed, never later than the
-    head's deadline; it expires every due call in call order and re-arms
-    at the new head's deadline. A reply removes its call and leaves the
-    timer alone, which may then fire with nothing due.
-
-    Every timeout fires at exactly ``call_time + timeout``, the instant a
-    timer per call would have used, bit for bit. A call that arms the
-    timer passes ``timeout`` itself. Re-arming happens only inside the
-    timer, at ``now`` = an earlier deadline, so ``now >= timeout``; the
-    new head's deadline ``d`` is a later call's, so ``now < d <= now +
-    timeout <= 2 * now``. Sterbenz's lemma makes ``d - now`` exact there,
-    and ``now + (d - now)`` is ``d`` again.
+    All calls share one timer through a
+    :class:`~repro.sim.deadlines.DeadlineQueue` (``rpc_id -> on_reply``),
+    so every timeout fires at exactly ``call_time + timeout``.
     """
 
     name = "rpc"
 
     def __init__(self, timeout: float = 2.0) -> None:
         super().__init__()
-        if timeout <= 0:
-            raise ConfigurationError("rpc timeout must be positive")
-        self.timeout = timeout
+        self._calls = DeadlineQueue(timeout)  # rpc_id -> on_reply
         self._methods: Dict[str, Callable[[tuple, int], Any]] = {}
-        # rpc_id -> (deadline, on_reply), in call order: deadlines ascend.
-        self._pending: Dict[Tuple[int, int], Tuple[float, Callable[[bool, Any], None]]] = {}
-        self._timer: Optional[Event] = None  # the one armed timeout
         self._next_seq = 0
 
     # ----------------------------------------------------------- lifecycle
@@ -84,12 +66,7 @@ class RpcService(Service):
         assert node is not None
         node.unregister_handler(RpcRequest)
         node.unregister_handler(RpcReply)
-        self._pending.clear()
-        # Node.after would swallow the timer while the node is down, and
-        # a restart in place must not find it still counted as armed.
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._calls.clear()
 
     # ----------------------------------------------------------------- API
 
@@ -111,10 +88,7 @@ class RpcService(Service):
         rpc_id = (node.id, self._next_seq)
         self._next_seq += 1
         if on_reply is not None:
-            timeout = self.timeout
-            self._pending[rpc_id] = (node.now + timeout, on_reply)
-            if self._timer is None:
-                self._timer = node.after(timeout, self._expire)
+            self._calls.push(node, rpc_id, on_reply, self._expire)
         node.send(dst, RpcRequest(rpc_id, method, args))
 
     def invoke(self, method: str, args: tuple, src: int) -> Tuple[bool, Any]:
@@ -138,30 +112,14 @@ class RpcService(Service):
         node.send(src, RpcReply(msg.rpc_id, ok, result))
 
     def _on_reply(self, msg: RpcReply, src: int) -> None:
-        entry = self._pending.pop(msg.rpc_id, None)
-        if entry is not None:
-            entry[1](msg.ok, msg.result)
+        on_reply = self._calls.pop(msg.rpc_id)
+        if on_reply is not None:
+            on_reply(msg.ok, msg.result)
 
     def _expire(self) -> None:
         """The armed timer: time out every due call, then re-arm."""
-        node = self.node
-        assert node is not None
-        timer = self._timer
-        now = node.now
-        pending = self._pending
-        try:
-            while pending:
-                rpc_id = next(iter(pending))
-                deadline, on_reply = pending[rpc_id]
-                if deadline > now:
-                    break
-                del pending[rpc_id]
-                on_reply(False, "timeout")
-        finally:
-            # A callback that stopped the node (or stopped and restarted
-            # it, arming afresh) has already settled the timer.
-            if self._timer is timer:
-                self._timer = None
-                if pending:
-                    deadline = pending[next(iter(pending))][0]
-                    self._timer = node.after(deadline - now, self._expire)
+        self._calls.expire(self.node, self._expire, _time_out)
+
+
+def _time_out(rpc_id: Tuple[int, int], on_reply: Callable[[bool, Any], None]) -> None:
+    on_reply(False, "timeout")

@@ -21,6 +21,7 @@ from repro.backends import (
     list_backends,
     register_backend,
 )
+from repro.core.client import FAILED
 from repro.core.cluster import DataFlasksCluster
 from repro.dht.cluster import DhtCluster
 from repro.droplets import DropletsSession
@@ -272,6 +273,106 @@ class TestReplicationMetrics:
         assert metrics["replication_min"] >= 1.0
         assert metrics["replication_mean"] >= metrics["replication_min"]
         assert metrics["replication_lost"] == 0.0
+
+
+# ------------------------------------------------------------ client skeleton
+
+# Per stack: the client's counter prefix and the counter of an op whose
+# retries are spent.
+CLIENT_COUNTERS = {"core": ("client", "timeout"), "oracle": ("oracle.client", "timeout"),
+                   "dht": ("dht.client", "failed")}
+
+
+def timeout_queues(client):
+    """Every deadline queue a client's timeouts wait in."""
+    rpc = getattr(client, "rpc", None)
+    return [client._deadlines] + ([rpc._calls] if rpc is not None else [])
+
+
+def armed_client_timers(client) -> int:
+    """Live scheduler entries that would fire a timeout of ``client``."""
+    owners = [client, getattr(client, "rpc", client)]
+    count = 0
+    for _time, _seq, fn, _args, handle in client.scheduler._heap:
+        if handle is not None and handle.cancelled:
+            continue
+        for cell in getattr(fn, "__closure__", None) or ():
+            if any(getattr(cell.cell_contents, "__self__", None) is owner for owner in owners):
+                count += 1
+    return count
+
+
+def client_against_dead_contact(stack: str, retries: int = 2):
+    """A client whose every attempt goes to one crashed server."""
+    _, backend = deployed(stack, seed=16)
+    client = backend.new_client(timeout=1.0, retries=retries)
+    dead = backend.servers[0]
+    dead.crash()
+    client._contact = lambda op: dead.id
+    return backend, client
+
+
+class TestClientSkeleton:
+    @pytest.mark.parametrize("stack", sorted(EXPECTED_BUILTINS))
+    def test_fifty_ops_in_flight_arm_at_most_one_timeout(self, stack):
+        backend, client = client_against_dead_contact(stack)
+        peak = 0
+        ops = []
+        for i in range(50):
+            ops.append(client.put(f"k{i}", b"v", 1) if i % 2 else client.get(f"k{i}"))
+            peak = max(peak, armed_client_timers(client))
+            backend.sim.run_for(0.013)
+        while not all(op.done for op in ops):
+            backend.sim.run_for(0.1)
+            peak = max(peak, armed_client_timers(client))
+        assert peak == 1
+        assert armed_client_timers(client) == 0
+
+    @pytest.mark.parametrize("stack", sorted(EXPECTED_BUILTINS))
+    def test_timeout_retry_give_up_counters(self, stack):
+        backend, client = client_against_dead_contact(stack, retries=2)
+        ops = [client.put("a", b"v", 1), client.put("b", b"v", 1), client.get("a")]
+        backend.sim.run_for(30)
+        assert all(op.status == FAILED and op.attempts == 3 for op in ops)
+        prefix, give_up = CLIENT_COUNTERS[stack]
+        metrics = backend.sim.metrics
+        assert metrics.total(f"{prefix}.put.retry") == 4
+        assert metrics.total(f"{prefix}.get.retry") == 2
+        assert metrics.total(f"{prefix}.put.{give_up}") == 2
+        assert metrics.total(f"{prefix}.get.{give_up}") == 1
+
+    @pytest.mark.parametrize("stack", sorted(EXPECTED_BUILTINS))
+    def test_finished_ops_leave_no_pending_state(self, stack):
+        _, backend = deployed(stack, seed=17)
+        client = backend.new_client()
+        ops = [client.put(f"{stack}:{i}", b"v", 1) for i in range(5)]
+        ops += [client.get(f"{stack}:{i}") for i in range(5)]
+        backend.sim.run_until_condition(lambda: all(op.done for op in ops), 30.0)
+        assert all(op.succeeded for op in ops[:5])
+        assert client.pending_ops == 0
+        assert [len(queue) for queue in timeout_queues(client)] == [0] * len(timeout_queues(client))
+
+    @pytest.mark.parametrize("stack", sorted(EXPECTED_BUILTINS))
+    def test_no_contact_is_counted(self, stack):
+        _, backend = deployed(stack, seed=18)
+        client = backend.new_client()
+        for server in backend.servers:
+            server.crash()
+        op = client.put("k", b"v", 1)
+        assert op.status == FAILED and "no contact" in op.error
+        prefix, _ = CLIENT_COUNTERS[stack]
+        assert backend.sim.metrics.total(f"{prefix}.put.no_contact") == 1
+        assert client.pending_ops == 0
+
+    @pytest.mark.parametrize("stack", sorted(EXPECTED_BUILTINS))
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(dict(timeout=0.0), "timeout"), (dict(timeout=-1.0), "timeout"), (dict(retries=-1), "retries")],
+    )
+    def test_constructor_rejects_bad_timeout_and_retries(self, stack, bad, named):
+        backend = get_backend(stack)(n=3)
+        with pytest.raises(ConfigurationError, match=named):
+            backend.new_client(**bad)
 
 
 # ------------------------------------------------------------- determinism

@@ -101,7 +101,7 @@ class TestClientFailureModes:
         ops.append(client.put("c", b"v", 1))
         assert [op.status for op in ops] == [SUCCEEDED, SUCCEEDED, SUCCEEDED, FAILED, FAILED]
         assert ops[0].attempts == 2 and "timed out" in ops[3].error and "no contact" in ops[4].error
-        assert len(client._contact_of_attempt) == client.pending_ops == 0
+        assert len(client._deadlines) == client.pending_ops == 0
 
     @pytest.mark.parametrize(
         "bad, named",
