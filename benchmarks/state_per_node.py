@@ -47,6 +47,7 @@ OWNERS = {
     "repro/sim/network.py": "pending timers and deliveries",
     "repro/sim/node.py": "node, handler table, periodic tasks",
     "repro/core/replication.py": "re-homing bookkeeping",
+    "repro/core/sliceview.py": "slice contacts",
     "repro/core/client.py": "clients",
     "repro/workload/openloop.py": "workload engine",
     "repro/workload/ycsb.py": "workload engine",

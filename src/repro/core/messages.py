@@ -38,7 +38,10 @@ class PutRequest:
     """Store ``value`` under ``(key, version)``; epidemic-routed.
 
     ``client_id`` is the node id the ack must go to; ``ttl`` bounds
-    forwarding hops.
+    forwarding hops. ``handoff`` marks a re-homing server's put sent
+    straight to a known member of the owning slice: only members of that
+    slice act on it, anyone else drops it instead of flooding. Clients
+    never set it.
     """
 
     key: str
@@ -48,6 +51,7 @@ class PutRequest:
     attempt: int
     client_id: int
     ttl: int
+    handoff: bool = False
 
     @property
     def msg_id(self) -> MsgId:

@@ -12,10 +12,13 @@ answer — push-pull anti-entropy inside the slice:
 * A node that just joined a slice starts with an empty relevant digest,
   so the very same exchange doubles as **state transfer**.
 * Objects whose key maps to a *different* slice (because this node
-  migrated after storing them) are **re-homed**: re-injected into the
-  epidemic as ordinary put requests so the owning slice picks them up.
-  Without re-homing such objects would be stranded — invisible to the
-  slice's anti-entropy and lost if their lone holder dies.
+  migrated after storing them) are **re-homed**: handed as a put request
+  to the owning slice's contact (a member the slice view last heard
+  from), which stores it and spreads it inside its slice. With no contact
+  known, or when the handoff is still unacked at the next round, the put
+  is flooded through the whole system instead. Without re-homing such
+  objects would be stranded — invisible to the slice's anti-entropy and
+  lost if their lone holder dies.
 * Optionally (``gc_foreign_data``), a re-homed object is deleted once a
   member of the owning slice acknowledges it (a safe handoff), and any
   remaining foreign objects are garbage-collected after a grace period —
@@ -63,6 +66,9 @@ class AntiEntropyService(Service):
         # every member of the owning slice).
         self._rehoming: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._rehoming_by_req: Dict[Tuple[int, int], Tuple[str, int]] = {}
+        # req_id -> (slice, contact, request) of each targeted handoff
+        # not acked yet; the next round floods whatever is still here.
+        self._handoffs: Dict[Tuple[int, int], Tuple[int, int, PutRequest]] = {}
         # Handoffs already acknowledged; never re-injected again (unless
         # gc deleted the local copy, in which case the entry is moot).
         self._rehomed_done: set = set()
@@ -182,23 +188,37 @@ class AntiEntropyService(Service):
     # ------------------------------------------------------------- re-home
 
     def _rehome_foreign(self, my_slice: int) -> None:
-        """Re-inject stranded foreign objects into the epidemic.
+        """Hand stranded foreign objects to the slices that own them.
 
         An object whose key maps to another slice (we migrated since
-        storing it) is re-disseminated as a normal put request with this
-        node as the "client"; members of the owning slice store it and
-        ack, completing the handoff.
+        storing it) goes out as a put request with this node as the
+        "client": to the owning slice's contact when the slice view knows
+        one, as a system-wide flood otherwise. Members of the owning slice
+        store it, ack and spread it inside the slice; the first ack
+        completes the handoff. A handoff still unacked one round later
+        went to a stale contact (or was lost): the contact is forgotten
+        and the same request is flooded as attempt 2.
         """
         node = self.node
         assert node is not None
         pss = node.get_service(PeerSamplingService)
-        if pss is None:
+        slice_view = node.get_service(SliceViewService)
+        if pss is None or slice_view is None:
             return
+        first_hop = min(3, self.config.effective_fanout)
+        for target, contact, sent in self._handoffs.values():
+            slice_view.forget_contact(target, contact)
+            retry = PutRequest(
+                sent.key, sent.version, sent.value, sent.req_id, 2, node.id, sent.ttl
+            )
+            node.multicast(pss.sample(first_hop), retry)
+        self._handoffs.clear()
         started = 0
         for key, version in sorted(self.store.digest()):
             if started >= self.REHOME_BATCH:
                 break
-            if slice_for_key(key, self.config.num_slices) == my_slice:
+            target = slice_for_key(key, self.config.num_slices)
+            if target == my_slice:
                 continue
             if (key, version) in self._rehoming or (key, version) in self._rehomed_done:
                 continue
@@ -208,6 +228,7 @@ class AntiEntropyService(Service):
             req_id = (node.id, next(self._rehome_seq))
             self._rehoming[(key, version)] = req_id
             self._rehoming_by_req[req_id] = (key, version)
+            contact = slice_view.contact(target)
             request = PutRequest(
                 key=key,
                 version=version,
@@ -216,8 +237,13 @@ class AntiEntropyService(Service):
                 attempt=1,
                 client_id=node.id,
                 ttl=self.config.ttl,
+                handoff=contact is not None,
             )
-            node.multicast(pss.sample(min(3, self.config.effective_fanout)), request)
+            if contact is None:
+                node.multicast(pss.sample(first_hop), request)
+            else:
+                node.send(contact, request)
+                self._handoffs[req_id] = (target, contact, request)
             started += 1
             node.metrics.inc("df.ae.rehomed", node=node.id)
 
@@ -225,17 +251,30 @@ class AntiEntropyService(Service):
         """Forget handoff history — call after ``num_slices`` changes.
 
         A reconfiguration remaps every key, so objects previously handed
-        off may need re-homing again under the new mapping.
+        off may need re-homing again under the new mapping, and every
+        contact was learnt under the old one.
         """
         self._rehoming.clear()
         self._rehoming_by_req.clear()
+        self._handoffs.clear()
         self._rehomed_done.clear()
+        node = self.node
+        assert node is not None
+        slice_view = node.get_service(SliceViewService)
+        if slice_view is not None:
+            slice_view.clear_contacts()
 
     def _on_rehome_ack(self, msg: PutAck, src: int) -> None:
         """A member of the owning slice confirmed a re-homed object."""
+        node = self.node
+        assert node is not None
+        slice_view = node.get_service(SliceViewService)
+        if slice_view is not None and msg.responder_slice is not None:
+            slice_view.note_contact(msg.responder_slice, src)
         entry = self._rehoming_by_req.pop(msg.req_id, None)
         if entry is None:
             return  # stale ack for a handoff already settled
+        self._handoffs.pop(msg.req_id, None)
         del self._rehoming[entry]
         self._rehomed_done.add(entry)
         if self.config.gc_foreign_data:

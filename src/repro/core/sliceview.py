@@ -10,11 +10,16 @@ random *global* PSS peers and to a couple of known slice-mates. Receivers
 that believe they are in the advertised slice merge the entries. Ages
 bound how long departed or re-sliced nodes linger; changing slice resets
 the view.
+
+Adverts of *other* slices are not wasted: the sender of the latest one
+becomes that slice's **contact**, the member a re-homing server hands a
+stranded object to (one entry per slice, so the table is bounded by
+``num_slices``, not by the system size).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import SliceAdvert
 from repro.pss.base import PeerSamplingService
@@ -42,6 +47,8 @@ class SliceViewService(Service):
         self.period = period
         self.advert_fanout = advert_fanout
         self.max_age = max_age
+        # slice -> a node last seen claiming membership of it.
+        self._contacts: Dict[int, int] = {}
 
     # ----------------------------------------------------------- lifecycle
 
@@ -83,6 +90,28 @@ class SliceViewService(Service):
         assert node is not None
         return self.view.random_id(node.rng)
 
+    # ------------------------------------------------------------- contacts
+
+    def contact(self, slice_id: int) -> Optional[int]:
+        """The known member of ``slice_id``, if any."""
+        return self._contacts.get(slice_id)
+
+    def note_contact(self, slice_id: int, node_id: int) -> None:
+        """Remember ``node_id`` as a member of ``slice_id``."""
+        node = self.node
+        assert node is not None
+        slicing = node.get_service(SlicingService)
+        if slicing is not None and 0 <= slice_id < slicing.num_slices:
+            self._contacts[slice_id] = node_id
+
+    def forget_contact(self, slice_id: int, node_id: int) -> None:
+        """Drop ``node_id`` as ``slice_id``'s contact (if it still is)."""
+        if self._contacts.get(slice_id) == node_id:
+            del self._contacts[slice_id]
+
+    def clear_contacts(self) -> None:
+        self._contacts.clear()
+
     # --------------------------------------------------------------- rounds
 
     def _round(self) -> None:
@@ -113,6 +142,7 @@ class SliceViewService(Service):
         node = self.node
         assert node is not None
         if msg.slice_id != self._my_slice():
+            self.note_contact(msg.slice_id, src)
             return
         for node_id, age in msg.members:
             if node_id != node.id:

@@ -13,6 +13,7 @@ from repro.core.cluster import DataFlasksCluster
 from repro.core.config import DataFlasksConfig
 from repro.pss.bootstrap import bootstrap_random_views
 from repro.pss.cyclon import CyclonService
+from repro.sim.network import Tap
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 
@@ -53,6 +54,24 @@ def build_overlay(n: int = 50, seed: int = 3, rounds: float = 20.0) -> tuple:
     sim.start_all()
     sim.run_for(rounds)
     return sim, nodes
+
+
+class Outbox(Tap):
+    """Every message put on the wire, as ``(src, dst, msg)``."""
+
+    def __init__(self) -> None:
+        self.sent: list = []
+
+    def on_send(self, network, src, dst, msg):
+        self.sent.append((src, dst, msg))
+
+
+def wire(sim: Simulation) -> list:
+    """Watch ``sim``'s network from now on; returns the growing list of
+    ``(src, dst, msg)`` sends."""
+    outbox = Outbox()
+    sim.network.add_tap(outbox)
+    return outbox.sent
 
 
 @pytest.fixture(scope="module")

@@ -125,17 +125,32 @@ class TestDependability:
         assert ok == len(keys)
 
     def test_antientropy_restores_replication_level(self):
+        # Three members of the object's slice are down while it is
+        # written and come back once every other holder but one member
+        # has died: the slice keeps four live members, one replica, and
+        # anti-entropy must copy it to the rest. Killing holders alone
+        # can empty the slice, and the outcome then depends on where the
+        # lone survivor happens to sit.
         cluster = build_cluster(n=40, seed=28)
+        target = cluster.target_slice("heal")
+        away = [s for s in cluster.alive_servers() if s.my_slice() == target][:3]
+        for member in away:
+            member.crash()
         client = cluster.new_client()
         cluster.put_sync(client, "heal", b"x", 1)
         cluster.sim.run_for(20)
-        before = cluster.replication_level("heal")
-        assert before >= 3
+        assert cluster.replication_level("heal") >= 3
 
-        # Kill most holders (but not all — persistence needs survivors).
         holders = [s for s in cluster.alive_servers() if s.holds("heal")]
-        for victim in holders[:-1]:
-            victim.crash()
+        survivor = next(s for s in holders if s.my_slice() == target)
+        for victim in holders:
+            if victim is not survivor:
+                victim.crash()
+        controller = cluster.churn_controller()
+        for member in away:
+            controller.recover(member.id)
+        members = [s for s in cluster.alive_servers() if s.my_slice() == target]
+        assert survivor in members and len(members) >= 4
         assert cluster.replication_level("heal") == 1
 
         cluster.sim.run_for(40)

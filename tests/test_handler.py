@@ -22,7 +22,7 @@ from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 from repro.slicing.static import StaticSlicing, hash_slice
 
-from tests.conftest import build_cluster
+from tests.conftest import build_cluster, wire
 
 
 def make_node(num_slices=4, store_capacity=None):
@@ -296,12 +296,14 @@ def test_every_origin_numbers_its_requests_from_one_counter():
     strays = [k for k in map("stray{}".format, range(40)) if slice_for_key(k, 4) != server.my_slice()]
     for key in strays[:3]:
         server.store.put(key, 1, b"v")
-    sent = []
-    server.multicast = lambda targets, msg: sent.append(msg)
+    sent = wire(cluster.sim)  # the wire, not `multicast`: a handoff is a plain send
     cluster.sim.run_for(3)
-    own = [m for m in sent if getattr(m, "client_id", None) == server.id]
+    own = [
+        m for src, _, m in sent if src == server.id and getattr(m, "client_id", None) == server.id
+    ]
     assert own and all(isinstance(m, PutRequest) for m in own)
-    assert [m.req_id for m in own] == [(server.id, seq) for seq in range(len(own))]
+    req_ids = list(dict.fromkeys(m.req_id for m in own))  # a flood repeats its id
+    assert req_ids == [(server.id, seq) for seq in range(3)]
 
 
 @pytest.mark.parametrize("seq, attempt", [(-1, 1), (3, 8), (3, -1), (3.0, 1)])
