@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.messages import SliceAdvert
 from repro.pss.base import PeerSamplingService
-from repro.pss.view import NodeDescriptor, PartialView
+from repro.pss.view import PartialView
 from repro.sim.node import Service
 from repro.slicing.base import SlicingService
 
@@ -121,9 +121,7 @@ class SliceViewService(Service):
         if my_slice is None:
             return
         self.view.increase_ages()
-        for descriptor in self.view.descriptors():
-            if descriptor.age > self.max_age:
-                self.view.remove(descriptor.node_id)
+        self.view.drop_older_than(self.max_age)
         members: Tuple[Tuple[int, int], ...] = tuple(
             [(node.id, 0)]
             + [(d.node_id, d.age) for d in self.view.sample_descriptors(node.rng, 3)]
@@ -146,7 +144,7 @@ class SliceViewService(Service):
             return
         for node_id, age in msg.members:
             if node_id != node.id:
-                self.view.add(NodeDescriptor(node_id, age))
+                self.view.add_entry(node_id, age)
 
     def _on_slice_change(self, old: int, new: int) -> None:
         """Joining a new slice: stale intra-slice contacts are useless."""

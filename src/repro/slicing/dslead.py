@@ -93,6 +93,11 @@ class DSleadSlicing(SlicingService):
         self.stability_rounds = stability_rounds
         self.boundary_margin_fraction = boundary_margin_fraction
         self._reservoir: Deque[Tuple[float, int]] = deque(maxlen=reservoir_size)
+        # How many reservoir entries sort below ``_below_key``, kept up to
+        # date sample by sample; ``estimate`` recounts when ``sort_key()``
+        # no longer equals the key (``attribute`` is a public field).
+        self._below = 0
+        self._below_key: Optional[tuple] = None
         self.round_id = 0
         self._candidate: Optional[int] = None
         self._candidate_streak = 0
@@ -131,7 +136,15 @@ class DSleadSlicing(SlicingService):
         node.send(src, RankSample(msg.round_id, self.attribute, node.id))
 
     def _on_sample(self, msg: RankSample, src: int) -> None:
-        self._reservoir.append((msg.attribute, msg.node_id))
+        entry = (msg.attribute, msg.node_id)
+        reservoir = self._reservoir
+        mine = self._below_key
+        if mine is not None:
+            if len(reservoir) == self.reservoir_size and reservoir[0] < mine:
+                self._below -= 1  # the append below evicts reservoir[0]
+            if entry < mine:
+                self._below += 1
+        reservoir.append(entry)
 
     # ------------------------------------------------------------ estimate
 
@@ -141,8 +154,10 @@ class DSleadSlicing(SlicingService):
         if not self._reservoir:
             return None
         mine = self.sort_key()
-        below = sum(1 for key in self._reservoir if key < mine)
-        return below / len(self._reservoir)
+        if mine != self._below_key:
+            self._below_key = mine
+            self._below = sum(1 for key in self._reservoir if key < mine)
+        return self._below / len(self._reservoir)
 
     @property
     def observations(self) -> int:

@@ -1,5 +1,6 @@
-"""Golden trajectories: one small spec per backend plus a fault spec for
-``core`` and for ``dht``, pinned by the SHA-256 of ``summary_json()``.
+"""Golden trajectories: one small spec per backend, a fault spec for
+``core`` and for ``dht``, and a ``core`` spec for each of the two other
+adaptive Slice Managers, pinned by the SHA-256 of ``summary_json()``.
 
 Same-seed byte-identity between two runs of *one* commit is checked
 elsewhere; these pins hold it *across* commits, so a change sold as a
@@ -27,6 +28,13 @@ system-wide flood. Messages and events fall (``core``:
 with them every later RNG draw, so latencies and ``stale_reads`` move
 too (1 → 0 and 3 → 2). ``dht``, ``dht-faults`` and ``oracle`` run no
 re-homing code and did not move.
+
+``core-sliver`` and ``core-ordered`` were added later: the ``core`` spec
+with ``[config] slicing_protocol`` set to a Slice Manager no bundled spec
+selects. They were recorded on the commit before the gossip layer's
+``PartialView`` kept ages under a per-view clock and drew its samples
+over ``getrandbits``, and that change left them, and the five above, as
+they were.
 """
 
 from __future__ import annotations
@@ -49,6 +57,23 @@ GOLDEN = {
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
         "4caf5e8e5ca5863e50de55bd5c6d6c0ce37d85d1b65b89e8e00b811c24a622cf",
+    ),
+    # The other two adaptive Slice Managers, each over the same Cyclon view.
+    "core-sliver": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
+            config={"slicing_protocol": "sliver"},
+            metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
+        ),
+        "6e5a9614c022cb48a2e2dbe70ac1f81a02d0e34c0703ab65cd31c604b07c8d5f",
+    ),
+    "core-ordered": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
+            config={"slicing_protocol": "ordered"},
+            metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
+        ),
+        "3b7aaad7bcadf4f0a04b6c1bfccccf3f10029b675697c525cb3ffe5098141cbe",
     ),
     "dht": (
         dict(

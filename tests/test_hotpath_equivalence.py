@@ -3,7 +3,9 @@ is pinned here against the reference it replaced.
 
 * ``UniformLatency.sample`` vs ``random.Random.uniform`` (values and RNG
   state);
-* ``PartialView``'s cached sorted-id list vs a freshly built view;
+* ``PartialView``'s cached sorted-id list vs a freshly built view (the
+  view against its former self and against ``random.Random``'s own
+  draws: ``tests/test_view.py``);
 * ``Scheduler.schedule``'s one-comparison validation;
 * the tight ``Scheduler.run`` loop vs the general one, with handle-free
   ``post_many`` entries beside ``schedule``d ones;
@@ -75,8 +77,7 @@ def test_view_draws_equal_a_freshly_built_view(capacity, operations, count, seed
             view.sample_ids(random.Random(seed), args[0])
         else:
             getattr(view, op)(*args)
-        fresh = PartialView(capacity)
-        fresh._entries = dict(view._entries)
+        fresh = PartialView(capacity, view.descriptors())
         ours, reference = random.Random(seed), random.Random(seed)
         assert view.sample_ids(ours, count) == fresh.sample_ids(reference, count)
         assert view.random_id(ours) == fresh.random_id(reference)

@@ -1,6 +1,8 @@
 """Tests for the four slicing protocols and their shared contract."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.pss.bootstrap import bootstrap_random_views
@@ -18,6 +20,7 @@ from repro.slicing import (
     unassigned_fraction,
 )
 from repro.slicing.base import SlicingService
+from repro.slicing.dslead import RankSample
 
 ADAPTIVE_PROTOCOLS = [
     ("dslead", DSleadSlicing),
@@ -223,8 +226,47 @@ class TestDSleadDetails:
     def test_reservoir_bounded(self):
         service = DSleadSlicing(num_slices=4, attribute=1.0, reservoir_size=8)
         for i in range(50):
-            service._reservoir.append((float(i), i))
+            service._on_sample(RankSample(0, float(i), i), i)
         assert service.observations == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("sample"), st.integers(0, 3), st.integers(4, 6)),
+                st.tuples(st.just("estimate")),
+                st.tuples(st.just("attribute"), st.integers(0, 3)),
+                st.tuples(st.just("set_num_slices"), st.integers(1, 5)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_running_count_equals_a_recount(self, reservoir_size, steps):
+        service = DSleadSlicing(num_slices=4, attribute=2.0, reservoir_size=reservoir_size)
+        service.node = type("N", (), {"id": 5})()  # ties on attribute break by id
+
+        def recount(mine):
+            return sum(1 for key in service._reservoir if key < mine)
+
+        for op, *args in steps + [("estimate",)]:
+            if op == "sample":
+                service._on_sample(RankSample(0, float(args[0]), args[1]), args[1])
+            elif op == "estimate":
+                # Samples since the last estimate, and an attribute change,
+                # were counted against the key cached then.
+                expected = recount(service.sort_key())
+                estimate = service.estimate
+                if service._reservoir:
+                    assert estimate == expected / len(service._reservoir)
+                else:
+                    assert estimate is None
+            elif op == "attribute":
+                service.attribute = float(args[0])
+            else:
+                service.set_num_slices(args[0])
+            if service._below_key is not None:
+                assert service._below == recount(service._below_key)
 
     def test_estimate_none_when_empty(self):
         assert DSleadSlicing(num_slices=4, attribute=1.0).estimate is None
