@@ -1,20 +1,21 @@
-"""Declarative fault schedules for scenario specs.
+"""The fault vocabulary: one :class:`FaultSpec` per scheduled fault.
 
-A :class:`FaultSpec` is one entry of a scenario's ``[[faults]]`` array:
-what kind of fault, when it starts (seconds after the fault phase
-begins, i.e. after load + settle), how long it lasts (``duration``, or
-equivalently an absolute ``end`` instant in spec files — rejected when
-it does not lie after ``start``), and who it hits.
-``build()`` maps it onto the runtime injector from
-:mod:`repro.faults.injectors`; parsing/serialisation follows the same
-dataclass round-trip conventions as the rest of
-:mod:`repro.scenarios.spec`.
+A :class:`FaultSpec` is one entry of a scenario's ``[[faults]]`` array
+and the only fault type there is: what kind of fault, when it starts
+(seconds after the fault phase begins, i.e. after load + settle), how
+long it lasts (``duration``, or equivalently an absolute ``end`` instant
+in spec files — rejected when it does not lie after ``start``), and who
+it hits. The :class:`~repro.faults.nemesis.Nemesis` applies and reverts
+it by kind; parsing/serialisation follows the same dataclass round-trip
+conventions as the rest of :mod:`repro.scenarios.spec`.
 
-Kinds:
+Kinds (paper Section I: "faults and churn become the rule instead of
+the exception"):
 
-* ``partition`` — isolate ``fraction`` of the servers (or explicit
-  ``groups``) for ``duration`` seconds; ``symmetric = false`` makes the
-  cut one-way (the isolated side cannot send out),
+* ``partition`` — isolate ``fraction`` of the servers (or explicit,
+  disjoint ``groups``) for ``duration`` seconds; ``symmetric = false``
+  makes the cut one-way (the isolated side cannot send out but still
+  hears the rest — the classic half-broken link),
 * ``degrade`` — give ``fraction`` of the servers (or explicit ``nodes``)
   lossy/slow links: extra drop chance ``loss`` and/or ``extra_latency``
   seconds per message,
@@ -22,25 +23,30 @@ Kinds:
 * ``crash_recover`` — crash ``fraction`` of the servers (or explicit
   ``nodes``) at ``start``; they restart in place, stores retained, at
   ``start + duration``.
+
+Every kind is validated in full on construction, so ``repro scenarios
+validate`` needs nothing but parsing, and a field the kind never reads
+must keep its default instead of being silently ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import List
 
 from repro.errors import ConfigurationError
-from repro.faults.injectors import (
-    BurstLossFault,
-    CrashRecoverFault,
-    DegradeFault,
-    FaultInjector,
-    PartitionFault,
-)
 
 __all__ = ["FAULT_KINDS", "FaultSpec"]
 
 FAULT_KINDS = ("partition", "degrade", "burst_loss", "crash_recover")
+
+# What each kind reads besides its window.
+_READS = {
+    "partition": ("fraction", "groups", "symmetric"),
+    "degrade": ("fraction", "nodes", "loss", "extra_latency"),
+    "burst_loss": ("loss",),
+    "crash_recover": ("fraction", "nodes"),
+}
 
 
 @dataclass
@@ -66,43 +72,46 @@ class FaultSpec:
             raise ConfigurationError("fault start must be non-negative")
         if self.duration <= 0:
             raise ConfigurationError("fault duration must be positive")
+        reads = _READS[self.kind]
+        for name, default in _TARGET_DEFAULTS.items():
+            if name not in reads and getattr(self, name) != default:
+                raise ConfigurationError(
+                    f"a {self.kind} fault does not read {name!r}; "
+                    f"it reads {', '.join(reads)}"
+                )
+        seen = set()
         for group in self.groups:
             if not group:
                 raise ConfigurationError(
                     "fault target groups must not be empty; drop the entry instead"
                 )
-        # Kind-specific constraints surface at spec time, not run time:
-        # validation (and `repro scenarios validate`) just builds.
-        self.build()
-
-    def build(self) -> FaultInjector:
-        """The runtime injector this entry describes."""
-        if self.kind == "partition":
-            return PartitionFault(
-                start=self.start,
-                duration=self.duration,
-                fraction=self.fraction,
-                groups=self.groups or None,
-                symmetric=self.symmetric,
-            )
+            if seen.intersection(group):
+                raise ConfigurationError(
+                    f"nodes {sorted(seen.intersection(group))} appear in more than "
+                    "one partition group; groups must be disjoint"
+                )
+            seen.update(group)
+        if "fraction" in reads and not (self.nodes or self.groups):
+            if not 0.0 < self.fraction < 1.0:
+                raise ConfigurationError(f"{self.kind} fraction must be in (0, 1)")
         if self.kind == "degrade":
-            return DegradeFault(
-                start=self.start,
-                duration=self.duration,
-                fraction=self.fraction,
-                nodes=self.nodes or None,
-                loss=self.loss,
-                extra_latency=self.extra_latency,
-            )
-        if self.kind == "burst_loss":
-            return BurstLossFault(start=self.start, duration=self.duration, loss=self.loss)
-        return CrashRecoverFault(
-            start=self.start,
-            duration=self.duration,
-            fraction=self.fraction,
-            nodes=self.nodes or None,
-        )
+            if not 0.0 <= self.loss <= 1.0:
+                raise ConfigurationError("degrade loss must be in [0, 1]")
+            if self.extra_latency < 0:
+                raise ConfigurationError("extra latency must be non-negative")
+            if self.loss == 0.0 and self.extra_latency == 0.0:
+                raise ConfigurationError("degrade fault needs loss and/or extra_latency")
+        if self.kind == "burst_loss" and not 0.0 < self.loss <= 1.0:
+            raise ConfigurationError("burst loss must be in (0, 1]")
 
     @property
     def end(self) -> float:
         return self.start + self.duration
+
+
+# The default of every field some kind reads, in declaration order.
+_TARGET_DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(FaultSpec)
+    if f.name not in ("kind", "start", "duration")
+}

@@ -410,11 +410,11 @@ def _inject_faults_and_churn(
     nemesis: Optional[Nemesis] = None
     probe: Optional[_HealProbe] = None
     if spec.faults:
-        nemesis = Nemesis(backend.sim, cluster=backend, controller=controller)
+        nemesis = Nemesis(backend, controller)
         if "consistency" in spec.metrics:
             probe = _HealProbe(backend)
             nemesis.on_heal = probe.arm
-        nemesis.schedule([f.build() for f in spec.faults])
+        nemesis.schedule(spec.faults)
     if spec.churn is not None:
         backend.sim.run_for(spec.churn.start)
         if spec.churn.kind == "correlated":

@@ -1,7 +1,7 @@
 """Simulated message-passing network.
 
 Delivers messages between registered nodes with configurable latency,
-random loss and network partitions. Every send/delivery is accounted in
+random loss and directed cuts. Every send/delivery is accounted in
 the :class:`~repro.sim.metrics.MetricsRegistry`, both globally
 (``msg.sent`` / ``msg.received``) and per message type
 (``msg.sent.<Type>``), because per-node message load is the metric the
@@ -14,31 +14,38 @@ Semantics (matching the fault model of epidemic protocols):
 * messages to dead or unknown nodes are silently dropped (gossip protocols
   must tolerate this; there is no connection abstraction),
 * loss is Bernoulli per message; the effective per-message loss combines
-  the global ``loss_rate`` with any burst-loss window and per-node /
-  per-link overrides as independent drop chances
-  (``1 - prod(1 - p_i)``),
-* a partition divides nodes into groups; cross-group messages are
-  dropped. Directed :meth:`block` rules additionally express *partial*
-  and *asymmetric* partitions (A cannot reach B while B still reaches A),
+  the global ``loss_rate`` with every degradation layer covering the
+  link as independent drop chances (``1 - prod(1 - p_i)``),
+* a directed :meth:`~Network.block` cut drops messages from one node set
+  to another, so one cut is an asymmetric partition (A cannot reach B
+  while B still reaches A) and two cuts are a symmetric one,
 * latency is drawn per message from a pluggable :class:`LatencyModel`,
-  plus any per-node / per-link extra latency ("slow node" conditions).
+  plus the extra latency of every layer covering the link ("slow node"
+  conditions).
+
+The network keeps two fault tables and four mutators: directed cuts
+(:meth:`~Network.block` / :meth:`~Network.unblock`) and degradation
+layers over a node set or over every link
+(:meth:`~Network.add_conditions` / :meth:`~Network.remove_conditions`).
+Each mutator hands back or takes the id of one entry, so overlapping
+faults revert their own entries and nobody else's.
 
 Determinism: loss is sampled from the network's dedicated RNG stream
 (``rng_registry.stream("network")`` — seeded from the scenario's master
 seed), **never** from the global :mod:`random` module state, so fault
-schedules replay byte-identically for a given spec + seed. The per-link
-condition tables are plain dicts keyed by node id, mutated only through
-the methods below; iteration order never influences behaviour.
+schedules replay byte-identically for a given spec + seed. Both tables
+are plain dicts iterated in insertion order, mutated only through the
+four methods.
 
 Hot path: :meth:`Network.send` runs once per simulated message, so it
 avoids all per-call allocation — counter keys per message type are
 interned once into ``_type_cache`` (no f-string per send) and the
-always-hit counters update cached inner dicts directly. When no fault
-machinery is active (``_fault_free``, maintained by every partition /
-block / condition mutator) the partition and condition lookups are
-skipped entirely. The fast path consumes the RNG stream identically to
-the slow path — loss is sampled iff the effective loss is positive, and
-a run with only zero-impact fault layers makes exactly the same
+always-hit counters update cached inner dicts directly. When both fault
+tables are empty (``_fault_free``, maintained by the four mutators) the
+cut and layer lookups are skipped entirely. The fast path consumes the
+RNG stream identically to the slow path — loss is sampled iff the
+effective loss is positive, and a run with only zero-impact fault
+layers makes exactly the same
 drop/latency decisions as one with none (see DESIGN.md, "Performance").
 A fan-out of one message to many peers goes through
 :meth:`Network.multicast`, which is the loop over :meth:`Network.send`
@@ -70,10 +77,6 @@ __all__ = [
     "Network",
     "Tap",
 ]
-
-# Shared "no degradation" entry so condition lookups never allocate.
-_NO_CONDITIONS = (0.0, 0.0)
-
 
 class LatencyModel:
     """Strategy object producing one-way message latencies (seconds)."""
@@ -176,22 +179,15 @@ class Network:
         self.latency_model = latency_model or FixedLatency()
         self.loss_rate = loss_rate
         self._delivery: Dict[int, Callable[[Any, int], None]] = {}
-        self._group_of: Dict[int, int] = {}
-        self._partitioned = False
-        # Directed blackhole rules: rule id -> (src set, dst set).
-        self._blocks: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
-        self._next_block_id = 0
-        # Per-node / per-directed-link degradation: id -> (loss, extra latency).
-        self._node_conditions: Dict[int, Tuple[float, float]] = {}
-        self._link_conditions: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        # Token-based layers, so overlapping faults compose instead of
-        # clobbering each other: token -> (node set, loss, extra latency)
-        # and token -> burst rate.
-        self._condition_layers: Dict[int, Tuple[FrozenSet[int], float, float]] = {}
-        self._burst_layers: Dict[int, float] = {}
-        self._next_token = 0
-        # True while no partition/block/condition/burst machinery is
-        # active; every mutator below recomputes it via _refresh_fast_path.
+        # The two fault tables, keyed by the id their mutator returned.
+        # Directed cuts: rule id -> (src set, dst set). Degradation
+        # layers: token -> (member set, or None for every link; loss;
+        # extra latency).
+        self._cuts: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
+        self._layers: Dict[int, Tuple[Optional[FrozenSet[int]], float, float]] = {}
+        self._next_id = 0
+        # True while both tables are empty; every fault mutator
+        # recomputes it via _refresh_fast_path.
         self._fault_free = True
         # Interned per-message-type counter state:
         # type -> (kind, sent slots, received slots, partition-drop key,
@@ -216,14 +212,7 @@ class Network:
         return entry
 
     def _refresh_fast_path(self) -> None:
-        self._fault_free = not (
-            self._partitioned
-            or self._blocks
-            or self._node_conditions
-            or self._link_conditions
-            or self._condition_layers
-            or self._burst_layers
-        )
+        self._fault_free = not (self._cuts or self._layers)
 
     def add_tap(self, tap: Tap) -> None:
         """Attach ``tap`` after the ones already there. Attach before the
@@ -248,184 +237,80 @@ class Network:
     def registered_ids(self) -> List[int]:
         return list(self._delivery)
 
-    # ---------------------------------------------------------- partitions
-
-    def set_partitions(self, groups: Iterable[Iterable[int]]) -> None:
-        """Partition the network: messages between different groups drop.
-
-        Nodes not mentioned in any group form an implicit extra group.
-        A node listed in more than one group is a contradiction (it
-        cannot be on both sides of a cut) and raises
-        :class:`~repro.errors.ConfigurationError` instead of silently
-        keeping the last assignment.
-        """
-        group_of: Dict[int, int] = {}
-        for index, group in enumerate(groups):
-            for node_id in group:
-                previous = group_of.get(node_id)
-                if previous is not None and previous != index:
-                    raise ConfigurationError(
-                        f"node {node_id} appears in partition groups "
-                        f"{previous} and {index}; groups must be disjoint"
-                    )
-                group_of[node_id] = index
-        self._group_of = group_of
-        self._partitioned = bool(group_of)
-        self._refresh_fast_path()
-
-    def heal_partitions(self) -> None:
-        """Remove any group partition and directed blocks; full
-        connectivity is restored (degradation conditions are separate —
-        see :meth:`clear_conditions`)."""
-        self._group_of = {}
-        self._partitioned = False
-        self._blocks.clear()
-        self._refresh_fast_path()
+    # -------------------------------------------------------------- faults
 
     def block(self, src_ids: Iterable[int], dst_ids: Iterable[int]) -> int:
-        """Add a directed blackhole: messages from ``src_ids`` to
-        ``dst_ids`` are dropped (counted as partition drops).
+        """Add a directed cut: messages from ``src_ids`` to ``dst_ids``
+        are dropped (counted as partition drops).
 
-        Returns a rule id for :meth:`unblock`. Rules compose — an
-        asymmetric partition is one rule, a symmetric one is two — and
-        coexist with :meth:`set_partitions` groups.
+        Returns a rule id for :meth:`unblock`. Cuts compose: an
+        asymmetric partition is one cut, a symmetric one is two.
         """
-        rule_id = self._next_block_id
-        self._next_block_id += 1
-        self._blocks[rule_id] = (frozenset(src_ids), frozenset(dst_ids))
+        rule_id = self._next_id
+        self._next_id += 1
+        self._cuts[rule_id] = (frozenset(src_ids), frozenset(dst_ids))
         self._refresh_fast_path()
         return rule_id
 
     def unblock(self, rule_id: int) -> None:
-        """Remove one directed blackhole rule (idempotent)."""
-        self._blocks.pop(rule_id, None)
-        self._refresh_fast_path()
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if self._partitioned:
-            default = -1
-            if self._group_of.get(src, default) != self._group_of.get(dst, default):
-                return True
-        if self._blocks:
-            for src_ids, dst_ids in self._blocks.values():
-                if src in src_ids and dst in dst_ids:
-                    return True
-        return False
-
-    # ----------------------------------------------------------- conditions
-
-    def set_node_conditions(
-        self, node_id: int, loss: float = 0.0, extra_latency: float = 0.0
-    ) -> None:
-        """Degrade every link touching ``node_id``: an extra independent
-        drop chance and/or added one-way latency (a "slow node" / "lossy
-        node"). Zero for both clears the entry."""
-        self._node_conditions[node_id] = self._checked_conditions(loss, extra_latency)
-        if self._node_conditions[node_id] == (0.0, 0.0):
-            del self._node_conditions[node_id]
-        self._refresh_fast_path()
-
-    def set_link_conditions(
-        self, src: int, dst: int, loss: float = 0.0, extra_latency: float = 0.0
-    ) -> None:
-        """Degrade one *directed* link ``src -> dst``. ``loss`` may be 1.0
-        (a blackhole link), unlike the global ``loss_rate``. Zero for both
-        clears the entry."""
-        self._link_conditions[(src, dst)] = self._checked_conditions(loss, extra_latency)
-        if self._link_conditions[(src, dst)] == (0.0, 0.0):
-            del self._link_conditions[(src, dst)]
-        self._refresh_fast_path()
-
-    def clear_node_conditions(self, node_id: int) -> None:
-        self._node_conditions.pop(node_id, None)
-        self._refresh_fast_path()
-
-    def clear_link_conditions(self, src: int, dst: int) -> None:
-        self._link_conditions.pop((src, dst), None)
-        self._refresh_fast_path()
-
-    def clear_conditions(self) -> None:
-        """Drop every degradation override: per-node, per-link, layered
-        conditions, and burst-loss windows."""
-        self._node_conditions.clear()
-        self._link_conditions.clear()
-        self._condition_layers.clear()
-        self._burst_layers.clear()
+        """Remove one directed cut (idempotent)."""
+        self._cuts.pop(rule_id, None)
         self._refresh_fast_path()
 
     def add_conditions(
-        self, node_ids: Iterable[int], loss: float = 0.0, extra_latency: float = 0.0
+        self, node_ids: Optional[Iterable[int]], loss: float = 0.0, extra_latency: float = 0.0
     ) -> int:
-        """Add one degradation *layer* over a node set: every link
-        touching a member gets the extra drop chance / latency.
+        """Add one degradation *layer*: every link touching a member of
+        ``node_ids`` — every link at all when it is ``None`` — gets the
+        extra independent drop chance and the added one-way latency.
 
-        Layers stack as independent conditions and are removed by the
-        returned token, so overlapping faults whose victim sets intersect
-        compose instead of clobbering each other (unlike the single-slot
-        :meth:`set_node_conditions` override, which is last-wins).
+        Layers stack and are removed by the returned token, so
+        overlapping faults whose victim sets intersect compose instead
+        of clobbering each other.
         """
-        conditions = self._checked_conditions(loss, extra_latency)
-        token = self._next_token
-        self._next_token += 1
-        self._condition_layers[token] = (frozenset(node_ids),) + conditions
+        if not 0.0 <= loss <= 1.0:
+            raise ConfigurationError("condition loss must be in [0, 1]")
+        if extra_latency < 0:
+            raise ConfigurationError("extra latency must be non-negative")
+        token = self._next_id
+        self._next_id += 1
+        members = None if node_ids is None else frozenset(node_ids)
+        self._layers[token] = (members, loss, extra_latency)
         self._refresh_fast_path()
         return token
 
     def remove_conditions(self, token: int) -> None:
         """Remove one degradation layer (idempotent)."""
-        self._condition_layers.pop(token, None)
+        self._layers.pop(token, None)
         self._refresh_fast_path()
 
-    def add_burst_loss(self, rate: float) -> int:
-        """Open a burst-loss window: a global extra drop chance combined
-        independently with ``loss_rate`` and every other condition.
-        Returns a token for :meth:`remove_burst_loss`; concurrent windows
-        stack."""
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError("burst loss rate must be in [0, 1]")
-        token = self._next_token
-        self._next_token += 1
-        self._burst_layers[token] = rate
-        self._refresh_fast_path()
-        return token
-
-    def remove_burst_loss(self, token: int) -> None:
-        """Close one burst-loss window (idempotent)."""
-        self._burst_layers.pop(token, None)
-        self._refresh_fast_path()
-
-    @staticmethod
-    def _checked_conditions(loss: float, extra_latency: float) -> Tuple[float, float]:
-        if not 0.0 <= loss <= 1.0:
-            raise ConfigurationError("condition loss must be in [0, 1]")
-        if extra_latency < 0:
-            raise ConfigurationError("extra latency must be non-negative")
-        return (loss, extra_latency)
+    def _crosses_partition(self, src: int, dst: int) -> bool:
+        for src_ids, dst_ids in self._cuts.values():
+            if src in src_ids and dst in dst_ids:
+                return True
+        return False
 
     def _loss_for(self, src: int, dst: int) -> float:
         """Effective drop probability for one message on ``src -> dst``:
-        every active condition is an independent Bernoulli drop.
+        every layer that covers the link is an independent Bernoulli drop.
 
         Composed in place (``keep *= 1 - p_i``) — no intermediate list,
         this runs per message whenever any fault machinery is active.
-        When every active condition is zero-impact, ``keep`` stays exactly
-        1.0 and the base ``loss_rate`` is returned bit-for-bit, so the
-        slow path's drop threshold equals the fast path's (the
-        fast/slow-equivalence contract)."""
+        Layers over every link multiply first, then member layers, each
+        in the order they were opened: a float product of three or more
+        factors depends on its order. When every covering layer is
+        zero-impact, ``keep`` stays exactly 1.0 and the base
+        ``loss_rate`` is returned bit-for-bit, so the slow path's drop
+        threshold equals the fast path's (the fast/slow-equivalence
+        contract)."""
         keep = 1.0
-        node_conditions = self._node_conditions
-        if node_conditions:
-            keep *= (1.0 - node_conditions.get(src, _NO_CONDITIONS)[0]) * (
-                1.0 - node_conditions.get(dst, _NO_CONDITIONS)[0]
-            )
-        if self._link_conditions:
-            keep *= 1.0 - self._link_conditions.get((src, dst), _NO_CONDITIONS)[0]
-        if self._burst_layers:
-            for rate in self._burst_layers.values():
-                keep *= 1.0 - rate
-        if self._condition_layers:
-            for members, layer_loss, _ in self._condition_layers.values():
-                if src in members or dst in members:
+        layers = self._layers
+        if layers:
+            for members, layer_loss, _ in layers.values():
+                if members is None:
+                    keep *= 1.0 - layer_loss
+            for members, layer_loss, _ in layers.values():
+                if members is not None and (src in members or dst in members):
                     keep *= 1.0 - layer_loss
         if keep == 1.0:
             return self.loss_rate
@@ -433,18 +318,9 @@ class Network:
 
     def _extra_latency_for(self, src: int, dst: int) -> float:
         extra = 0.0
-        node_conditions = self._node_conditions
-        if node_conditions:
-            extra += (
-                node_conditions.get(src, _NO_CONDITIONS)[1]
-                + node_conditions.get(dst, _NO_CONDITIONS)[1]
-            )
-        if self._link_conditions:
-            extra += self._link_conditions.get((src, dst), _NO_CONDITIONS)[1]
-        if self._condition_layers:
-            for members, _, layer_latency in self._condition_layers.values():
-                if src in members or dst in members:
-                    extra += layer_latency
+        for members, _, layer_latency in self._layers.values():
+            if members is None or src in members or dst in members:
+                extra += layer_latency
         return extra
 
     # -------------------------------------------------------------- sending

@@ -1,6 +1,7 @@
-"""Fault-injector edge cases: overlapping windows, heal/inject ordering
-at coincident instants, reused injector instances, and recovery of nodes
-that are already alive (or already dead).
+"""Fault edge cases: overlapping windows, heal/inject ordering at
+coincident instants, one spec scheduled for several windows, recovery of
+nodes that are already alive (or already dead), and a property that any
+overlapping schedule unwinds completely.
 
 These pin down the composition semantics the adversarial hunter
 (:mod:`repro.search`) relies on: overlapping schedules must compose and
@@ -8,16 +9,11 @@ unwind without one fault reverting — or leaking — another's state.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.faults import (
-    BurstLossFault,
-    CrashRecoverFault,
-    DegradeFault,
-    FaultSpec,
-    Nemesis,
-    PartitionFault,
-)
+from repro.faults import FAULT_KINDS, FaultSpec, Nemesis
 
 from tests.conftest import build_cluster
 
@@ -25,7 +21,7 @@ from tests.conftest import build_cluster
 def build_nemesis(n: int = 24, seed: int = 91):
     cluster = build_cluster(n=n, seed=seed)
     controller = cluster.churn_controller()
-    nemesis = Nemesis(cluster.sim, cluster=cluster, controller=controller)
+    nemesis = Nemesis(cluster, controller)
     return cluster, controller, nemesis
 
 
@@ -43,8 +39,8 @@ class TestOverlappingPartitions:
         cluster, _, nemesis = build_nemesis()
         ids = sorted(s.id for s in cluster.servers)
         group = ids[:6]
-        first = PartitionFault(start=0.0, duration=6.0, groups=[group])
-        second = PartitionFault(start=3.0, duration=6.0, groups=[group])
+        first = FaultSpec(kind="partition", start=0.0, duration=6.0, groups=[group])
+        second = FaultSpec(kind="partition", start=3.0, duration=6.0, groups=[group])
         nemesis.schedule([first, second])
         sim = cluster.sim
 
@@ -59,12 +55,12 @@ class TestOverlappingPartitions:
         assert fault_free(sim)
 
     def test_reused_injector_instance_keeps_windows_separate(self):
-        """One injector object scheduled for two windows (the nemesis
-        composes schedules): the first window's heal must revert only the
-        first window's block rules."""
+        """One spec scheduled for two windows (the nemesis composes
+        schedules): the first window's heal must revert only the first
+        window's cuts."""
         cluster, _, nemesis = build_nemesis(seed=92)
         ids = sorted(s.id for s in cluster.servers)
-        fault = PartitionFault(start=0.0, duration=5.0, groups=[ids[:5]])
+        fault = FaultSpec(kind="partition", start=0.0, duration=5.0, groups=[ids[:5]])
         nemesis.schedule([fault])
         nemesis.schedule([fault], base=cluster.sim.now + 2.0)  # window [2, 7)
         sim = cluster.sim
@@ -89,8 +85,8 @@ class TestHealInjectOrdering:
         B's end."""
         cluster, _, nemesis = build_nemesis(seed=93)
         ids = sorted(s.id for s in cluster.servers)
-        a = PartitionFault(start=0.0, duration=4.0, groups=[ids[:4]])
-        b = PartitionFault(start=4.0, duration=4.0, groups=[ids[:4]])
+        a = FaultSpec(kind="partition", start=0.0, duration=4.0, groups=[ids[:4]])
+        b = FaultSpec(kind="partition", start=4.0, duration=4.0, groups=[ids[:4]])
         nemesis.schedule([a, b])
         sim = cluster.sim
 
@@ -107,8 +103,8 @@ class TestHealInjectOrdering:
         heals. Either order must leave a consistent final state."""
         cluster, _, nemesis = build_nemesis(seed=94)
         ids = sorted(s.id for s in cluster.servers)
-        b = PartitionFault(start=4.0, duration=4.0, groups=[ids[:4]])
-        a = PartitionFault(start=0.0, duration=4.0, groups=[ids[:4]])
+        b = FaultSpec(kind="partition", start=4.0, duration=4.0, groups=[ids[:4]])
+        a = FaultSpec(kind="partition", start=0.0, duration=4.0, groups=[ids[:4]])
         nemesis.schedule([b, a])
         sim = cluster.sim
         sim.run_for(9.0)
@@ -132,7 +128,7 @@ class TestCrashRecoverEdges:
         the node a second time."""
         cluster, controller, nemesis = build_nemesis(seed=96)
         victim_id = sorted(s.id for s in cluster.servers)[0]
-        fault = CrashRecoverFault(start=0.0, duration=6.0, nodes=[victim_id])
+        fault = FaultSpec(kind="crash_recover", start=0.0, duration=6.0, nodes=[victim_id])
         nemesis.schedule([fault])
         sim = cluster.sim
 
@@ -153,15 +149,14 @@ class TestCrashRecoverEdges:
         cluster, controller, nemesis = build_nemesis(seed=97)
         victim_id = sorted(s.id for s in cluster.servers)[0]
         controller.kill(victim_id)
-        fault = CrashRecoverFault(start=0.0, duration=4.0, nodes=[victim_id])
+        fault = FaultSpec(kind="crash_recover", start=0.0, duration=4.0, nodes=[victim_id])
         nemesis.schedule([fault])
         sim = cluster.sim
 
         sim.run_for(5.0)  # inject and heal both fired
         assert nemesis.injected == 1 and nemesis.healed == 1
-        assert fault._victims == []
         assert not sim.nodes[victim_id].alive  # still owned by the killer
-        assert controller.recoveries == 0
+        assert controller.leaves == 1 and controller.recoveries == 0
 
     def test_overlapping_explicit_windows_share_no_victims(self):
         """Two crash-recover faults naming the same node on overlapping
@@ -169,8 +164,8 @@ class TestCrashRecoverEdges:
         window's heal revives it — once."""
         cluster, controller, nemesis = build_nemesis(seed=98)
         victim_id = sorted(s.id for s in cluster.servers)[0]
-        first = CrashRecoverFault(start=0.0, duration=6.0, nodes=[victim_id])
-        second = CrashRecoverFault(start=2.0, duration=6.0, nodes=[victim_id])
+        first = FaultSpec(kind="crash_recover", start=0.0, duration=6.0, nodes=[victim_id])
+        second = FaultSpec(kind="crash_recover", start=2.0, duration=6.0, nodes=[victim_id])
         nemesis.schedule([first, second])
         sim = cluster.sim
 
@@ -188,40 +183,29 @@ class TestCrashRecoverEdges:
 class TestDegradeAndBurstEdges:
     def test_reused_degrade_injector_unwinds_fifo(self):
         cluster, _, nemesis = build_nemesis(seed=99)
-        fault = DegradeFault(start=0.0, duration=5.0, fraction=0.2, loss=0.4)
+        fault = FaultSpec(kind="degrade", start=0.0, duration=5.0, fraction=0.2, loss=0.4)
         nemesis.schedule([fault])
         nemesis.schedule([fault], base=cluster.sim.now + 2.0)
         sim = cluster.sim
 
         sim.run_for(6.0)  # first window healed, second still degrading
-        assert len(sim.network._condition_layers) == 1
+        assert len(sim.network._layers) == 1
         sim.run_for(2.0)
-        assert sim.network._condition_layers == {}
+        assert sim.network._layers == {}
         assert fault_free(sim)
 
     def test_reused_burst_injector_unwinds_fifo(self):
         cluster, _, nemesis = build_nemesis(seed=100)
-        fault = BurstLossFault(start=0.0, duration=4.0, loss=0.5)
+        fault = FaultSpec(kind="burst_loss", start=0.0, duration=4.0, loss=0.5)
         nemesis.schedule([fault])
         nemesis.schedule([fault], base=cluster.sim.now + 2.0)
         sim = cluster.sim
 
         sim.run_for(5.0)  # t=5: first window closed, second open
-        assert len(sim.network._burst_layers) == 1
+        assert len(sim.network._layers) == 1
         sim.run_for(2.0)
-        assert sim.network._burst_layers == {}
+        assert sim.network._layers == {}
         assert fault_free(sim)
-
-    def test_double_heal_is_idempotent(self):
-        cluster, _, _ = build_nemesis(seed=101)
-        from repro.faults import FaultContext
-
-        ctx = FaultContext(cluster.sim, cluster=cluster)
-        fault = DegradeFault(start=0.0, duration=2.0, fraction=0.2, loss=0.3)
-        fault.inject(ctx)
-        fault.heal(ctx)
-        fault.heal(ctx)  # nothing queued: must not raise or pop a stranger
-        assert fault_free(cluster.sim)
 
 
 # ------------------------------------------------------- spec validation
@@ -235,3 +219,58 @@ class TestFaultSpecTargets:
     def test_single_empty_group_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             FaultSpec(kind="partition", groups=[[]])
+
+
+# ------------------------------------------------------ unwind property
+
+SERVERS = 20
+
+
+@st.composite
+def fault_windows(draw):
+    """A spec of any kind on an early, likely overlapping window, with
+    either a random fraction or explicit targets among the servers."""
+    kind = draw(st.sampled_from(FAULT_KINDS))
+    window = dict(
+        start=draw(st.floats(0.0, 4.0)),
+        duration=draw(st.floats(0.5, 5.0)),
+    )
+    explicit = draw(st.booleans())
+    ids = st.lists(st.integers(0, SERVERS - 1), min_size=1, max_size=6, unique=True)
+    if kind == "burst_loss":
+        return FaultSpec(kind=kind, loss=draw(st.floats(0.01, 1.0)), **window)
+    targets = {} if not explicit else {"nodes": draw(ids)}
+    if kind == "partition":
+        if explicit:
+            members = draw(ids)
+            cut = draw(st.integers(0, len(members) - 1))
+            groups = [members[: cut + 1], members[cut + 1 :]]
+            targets = {"groups": [g for g in groups if g]}
+        return FaultSpec(kind=kind, symmetric=draw(st.booleans()), **targets, **window)
+    if kind == "degrade":
+        loss = draw(st.sampled_from([0.0, 0.2, 0.7]))
+        extra = 0.05 if loss == 0.0 else draw(st.sampled_from([0.0, 0.05]))
+        return FaultSpec(kind=kind, loss=loss, extra_latency=extra, **targets, **window)
+    return FaultSpec(kind=kind, **targets, **window)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.lists(fault_windows(), min_size=1, max_size=6),
+    st.lists(st.sampled_from([None, 0.5, 1.5, 3.0]), min_size=6, max_size=6),
+)
+def test_any_overlapping_schedule_unwinds_completely(faults, rescheduled):
+    cluster, controller, nemesis = build_nemesis(n=SERVERS, seed=102)
+    sim = cluster.sim
+    windows = nemesis.schedule(faults)
+    for fault, offset in zip(faults, rescheduled):
+        if offset is not None:
+            windows += nemesis.schedule([fault], base=sim.now + offset)
+    sim.run_until(nemesis.end_time)
+
+    network = sim.network
+    assert network._fault_free
+    assert network._cuts == {} and network._layers == {}
+    assert all(server.alive for server in cluster.servers)
+    assert controller.leaves == controller.recoveries
+    assert nemesis.injected == nemesis.healed == windows

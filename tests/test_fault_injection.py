@@ -19,6 +19,12 @@ def build_lossy_cluster(loss_rate: float, n: int = 40, seed: int = 55):
     return cluster
 
 
+def cut_between(network, a, b):
+    """A symmetric partition between node sets ``a`` and ``b``: one
+    directed cut each way. Returns the rule ids."""
+    return [network.block(a, b), network.block(b, a)]
+
+
 class TestMessageLoss:
     def test_operations_succeed_at_five_percent_loss(self):
         cluster = build_lossy_cluster(0.05)
@@ -62,7 +68,7 @@ class TestPartition:
         servers = [s.id for s in cluster.alive_servers()]
         minority = servers[: len(servers) // 4]
         majority = [i for i in servers if i not in minority] + [client.id]
-        cluster.sim.network.set_partitions([minority, majority])
+        cuts = cut_between(cluster.sim.network, minority, majority)
 
         ok = 0
         for i in range(5):
@@ -72,7 +78,8 @@ class TestPartition:
         # Slice-wide replication: at least most keys still have a replica
         # on the majority side.
         assert ok >= 4
-        cluster.sim.network.heal_partitions()
+        for rule in cuts:
+            cluster.sim.network.unblock(rule)
 
     def test_heal_reconciles_partitioned_writes(self):
         cluster = build_lossy_cluster(0.0, n=40, seed=59)
@@ -80,14 +87,15 @@ class TestPartition:
         servers = [s.id for s in cluster.alive_servers()]
         minority = servers[: len(servers) // 4]
         majority = [i for i in servers if i not in minority] + [client.id]
-        cluster.sim.network.set_partitions([minority, majority])
+        cuts = cut_between(cluster.sim.network, minority, majority)
 
         op = client.put("healed:key", b"written-during-split", 1)
         cluster.sim.run_until_condition(lambda: op.done, timeout=90)
         assert op.succeeded  # majority side accepted the write
         level_during = cluster.replication_level("healed:key")
 
-        cluster.sim.network.heal_partitions()
+        for rule in cuts:
+            cluster.sim.network.unblock(rule)
         cluster.sim.run_for(60)  # anti-entropy crosses the healed boundary
         level_after = cluster.replication_level("healed:key")
         assert level_after >= level_during

@@ -1,33 +1,26 @@
-"""Tests for the fault-injection (nemesis) subsystem: injector
-behaviour, deterministic victim selection, crash-recover semantics, and
-the end-to-end fault scenarios."""
+"""Tests for the fault-injection (nemesis) subsystem: spec validation,
+deterministic victim selection, what each kind does to the network and
+the servers, crash-recover semantics, and the end-to-end fault
+scenarios."""
 
 import pytest
 
-from repro.core.cluster import DataFlasksCluster
-from repro.churn.models import TraceChurn, ChurnEvent, LEAVE
-from repro.errors import ConfigurationError, SimulationError
-from repro.faults import (
-    BurstLossFault,
-    ChurnFault,
-    CrashRecoverFault,
-    DegradeFault,
-    FaultContext,
-    FaultSpec,
-    Nemesis,
-    PartitionFault,
-)
+from repro.errors import ConfigurationError
+from repro.faults import FaultSpec, Nemesis
 from repro.scenarios import load_bundled, run_scenario
-from repro.sim.simulator import Simulation
 
-from tests.conftest import build_cluster, small_config
+from tests.conftest import build_cluster
 
 
 def build_nemesis(n: int = 30, seed: int = 21):
     cluster = build_cluster(n=n, seed=seed)
     controller = cluster.churn_controller()
-    nemesis = Nemesis(cluster.sim, cluster=cluster, controller=controller)
+    nemesis = Nemesis(cluster, controller)
     return cluster, controller, nemesis
+
+
+def crashed(cluster):
+    return sorted(s.id for s in cluster.servers if not s.alive)
 
 
 # ------------------------------------------------------------- fault specs
@@ -64,51 +57,104 @@ class TestFaultSpec:
         with pytest.raises(ConfigurationError):
             FaultSpec(kind="burst_loss", loss=0.0)
 
-    def test_build_maps_kinds(self):
-        assert isinstance(
-            FaultSpec(kind="partition", fraction=0.3).build(), PartitionFault
-        )
-        assert isinstance(FaultSpec(kind="degrade", loss=0.1).build(), DegradeFault)
-        assert isinstance(FaultSpec(kind="burst_loss", loss=0.5).build(), BurstLossFault)
-        assert isinstance(
-            FaultSpec(kind="crash_recover", fraction=0.2).build(), CrashRecoverFault
-        )
-
     def test_explicit_nodes_skip_fraction_check(self):
         spec = FaultSpec(kind="crash_recover", fraction=0.0, nodes=[1, 2])
-        assert spec.build().nodes == [1, 2]
+        assert spec.nodes == [1, 2]
+
+    def test_partition_rejects_node_in_multiple_groups(self):
+        # A node on both sides of a cut is a contradiction.
+        with pytest.raises(ConfigurationError, match=r"\[2\].*disjoint"):
+            FaultSpec(kind="partition", groups=[[1, 2], [2, 3]])
+        # Duplicates within one group are harmless.
+        assert FaultSpec(kind="partition", groups=[[1, 1, 2], [3]]).groups == [[1, 1, 2], [3]]
+
+
+class TestFieldsTheKindDoesNotRead:
+    """A field the kind never reads must keep its default: a partition
+    given ``nodes`` would otherwise cut a random quarter instead."""
+
+    def test_partition(self):
+        with pytest.raises(
+            ConfigurationError, match="partition fault does not read 'nodes'.*fraction, groups, symmetric"
+        ):
+            FaultSpec(kind="partition", nodes=[1, 2, 3])
+        with pytest.raises(ConfigurationError, match="'loss'"):
+            FaultSpec(kind="partition", loss=0.5)
+
+    def test_degrade(self):
+        with pytest.raises(
+            ConfigurationError,
+            match="degrade fault does not read 'groups'.*fraction, nodes, loss, extra_latency",
+        ):
+            FaultSpec(kind="degrade", loss=0.2, groups=[[1], [2]])
+        with pytest.raises(ConfigurationError, match="'symmetric'"):
+            FaultSpec(kind="degrade", loss=0.2, symmetric=False)
+
+    def test_burst_loss(self):
+        with pytest.raises(ConfigurationError, match="burst_loss fault does not read 'fraction'.*reads loss$"):
+            FaultSpec(kind="burst_loss", loss=0.5, fraction=0.4)
+        with pytest.raises(ConfigurationError, match="'extra_latency'"):
+            FaultSpec(kind="burst_loss", loss=0.5, extra_latency=0.1)
+        with pytest.raises(ConfigurationError, match="'nodes'"):
+            FaultSpec(kind="burst_loss", loss=0.5, nodes=[1])
+
+    def test_crash_recover(self):
+        with pytest.raises(
+            ConfigurationError, match="crash_recover fault does not read 'loss'.*fraction, nodes$"
+        ):
+            FaultSpec(kind="crash_recover", loss=0.3)
+        with pytest.raises(ConfigurationError, match="'groups'"):
+            FaultSpec(kind="crash_recover", groups=[[1]])
+
+    def test_defaults_written_out_are_accepted(self):
+        # Exported reproducers spell every field out at its default.
+        spelled = dict(fraction=0.25, symmetric=True, loss=0.0, extra_latency=0.0, nodes=[], groups=[])
+        for kind, reads in (
+            ("partition", {}),
+            ("degrade", {"loss": 0.2}),
+            ("burst_loss", {"loss": 0.5}),
+            ("crash_recover", {}),
+        ):
+            FaultSpec(kind=kind, **dict(spelled, **reads))
 
 
 # -------------------------------------------------------- victim selection
 
 
 class TestFaultContext:
+    """What every fault acts on: the alive servers, drawn from the
+    nemesis's own ``faults`` stream."""
+
     def test_population_is_sorted_alive_servers(self):
         cluster = build_cluster(n=20, seed=22)
         cluster.new_client()  # clients must never be fault victims
         cluster.servers[3].crash()
-        ctx = FaultContext(cluster.sim, cluster=cluster)
-        population = ctx.population()
+        nemesis = Nemesis(cluster, cluster.churn_controller())
+        population = nemesis._population()
         assert population == sorted(population)
         assert cluster.servers[3].id not in population
-        assert all(i in {s.id for s in cluster.servers} for i in population)
+        assert population == sorted(s.id for s in cluster.servers if s.alive)
 
     def test_pick_is_deterministic_per_seed(self):
         picks = []
         for _ in range(2):
-            cluster = build_cluster(n=20, seed=23)
-            ctx = FaultContext(cluster.sim, cluster=cluster)
-            picks.append(ctx.pick(0.25, ()))
+            cluster, _, nemesis = build_nemesis(n=20, seed=23)
+            nemesis.schedule([FaultSpec(kind="crash_recover", start=0.0, duration=2.0)])
+            cluster.sim.run_for(1.0)
+            picks.append(crashed(cluster))
         assert picks[0] == picks[1]
         assert len(picks[0]) == 5
 
     def test_pick_explicit_wins(self):
-        cluster = build_cluster(n=20, seed=23)
-        ctx = FaultContext(cluster.sim, cluster=cluster)
-        assert ctx.pick(0.5, (1, 2, 3)) == [1, 2, 3]
+        cluster, _, nemesis = build_nemesis(n=20, seed=23)
+        nemesis.schedule(
+            [FaultSpec(kind="crash_recover", start=0.0, duration=2.0, fraction=0.5, nodes=[1, 2, 3])]
+        )
+        cluster.sim.run_for(1.0)
+        assert crashed(cluster) == [1, 2, 3]
 
 
-# -------------------------------------------------------------- injectors
+# -------------------------------------------------------------- fault kinds
 
 
 class TestPartitionFault:
@@ -116,8 +162,7 @@ class TestPartitionFault:
         cluster, _, nemesis = build_nemesis(seed=24)
         ids = sorted(s.id for s in cluster.alive_servers())
         a, b = ids[: len(ids) // 2], ids[len(ids) // 2 :]
-        fault = PartitionFault(start=1.0, duration=5.0, groups=[a, b])
-        nemesis.schedule([fault])
+        nemesis.schedule([FaultSpec(kind="partition", start=1.0, duration=5.0, groups=[a, b])])
         cluster.sim.run_for(2.0)  # inside the window
         net = cluster.sim.network
         assert net.send(a[0], b[0], object()) is False
@@ -133,7 +178,11 @@ class TestPartitionFault:
         ids = sorted(s.id for s in cluster.alive_servers())
         isolated, rest = ids[:5], ids[5:]
         nemesis.schedule(
-            [PartitionFault(start=0.5, duration=5.0, groups=[isolated, rest], symmetric=False)]
+            [
+                FaultSpec(
+                    kind="partition", start=0.5, duration=5.0, groups=[isolated, rest], symmetric=False
+                )
+            ]
         )
         cluster.sim.run_for(1.0)
         net = cluster.sim.network
@@ -143,7 +192,7 @@ class TestPartitionFault:
     def test_single_explicit_group_is_isolated_from_rest(self):
         cluster, _, nemesis = build_nemesis(seed=35)
         ids = sorted(s.id for s in cluster.alive_servers())
-        nemesis.schedule([PartitionFault(start=0.5, duration=4.0, groups=[ids[:3]])])
+        nemesis.schedule([FaultSpec(kind="partition", start=0.5, duration=4.0, groups=[ids[:3]])])
         cluster.sim.run_for(1.0)
         net = cluster.sim.network
         assert net.send(ids[0], ids[-1], object()) is False
@@ -152,7 +201,7 @@ class TestPartitionFault:
 
     def test_random_fraction_isolates_some_servers(self):
         cluster, _, nemesis = build_nemesis(seed=26)
-        nemesis.schedule([PartitionFault(start=0.0, duration=3.0, fraction=0.3)])
+        nemesis.schedule([FaultSpec(kind="partition", start=0.0, duration=3.0, fraction=0.3)])
         cluster.sim.run_for(1.0)
         assert nemesis.injected == 1
         # Some cross-cut traffic must have been dropped by protocol gossip.
@@ -163,13 +212,15 @@ class TestPartitionFault:
 class TestDegradeAndBurstLoss:
     def test_degrade_applies_and_clears_node_conditions(self):
         cluster, _, nemesis = build_nemesis(seed=27)
-        fault = DegradeFault(start=0.0, duration=4.0, fraction=0.25, loss=0.3, extra_latency=0.05)
-        nemesis.schedule([fault])
+        nemesis.schedule(
+            [FaultSpec(kind="degrade", start=0.0, duration=4.0, loss=0.3, extra_latency=0.05)]
+        )
         cluster.sim.run_for(1.0)
-        victims = set(fault._victims[0])
-        victim = fault._victims[0][0]
-        clean = next(s.id for s in cluster.alive_servers() if s.id not in victims)
         net = cluster.sim.network
+        [(victims, _, _)] = net._layers.values()
+        assert len(victims) == 7  # a quarter of the 30 servers
+        victim = min(victims)
+        clean = next(s.id for s in cluster.alive_servers() if s.id not in victims)
         assert net._loss_for(victim, clean) > 0.0
         assert net._extra_latency_for(victim, clean) == 0.05
         cluster.sim.run_for(4.0)
@@ -178,19 +229,19 @@ class TestDegradeAndBurstLoss:
 
     def test_burst_loss_window_drops_and_heals(self):
         cluster, _, nemesis = build_nemesis(seed=28)
-        nemesis.schedule([BurstLossFault(start=0.0, duration=3.0, loss=0.9)])
+        nemesis.schedule([FaultSpec(kind="burst_loss", start=0.0, duration=3.0, loss=0.9)])
         cluster.sim.run_for(1.5)
         dropped_during = cluster.sim.metrics.total("msg.dropped.loss")
         assert dropped_during > 0
         cluster.sim.run_for(2.0)  # healed at t=3
-        assert cluster.sim.network._burst_layers == {}
+        assert cluster.sim.network._layers == {}
 
     def test_overlapping_bursts_do_not_cancel_each_other(self):
         cluster, _, nemesis = build_nemesis(seed=32)
         nemesis.schedule(
             [
-                BurstLossFault(start=0.0, duration=4.0, loss=0.3),
-                BurstLossFault(start=2.0, duration=6.0, loss=0.6),
+                FaultSpec(kind="burst_loss", start=0.0, duration=4.0, loss=0.3),
+                FaultSpec(kind="burst_loss", start=2.0, duration=6.0, loss=0.6),
             ]
         )
         cluster.sim.run_for(5.0)  # first healed at t=4, second still open
@@ -205,8 +256,8 @@ class TestDegradeAndBurstLoss:
         shared = ids[0]
         nemesis.schedule(
             [
-                DegradeFault(start=0.0, duration=4.0, nodes=[shared], loss=0.2),
-                DegradeFault(start=2.0, duration=6.0, nodes=[shared], loss=0.5),
+                FaultSpec(kind="degrade", start=0.0, duration=4.0, nodes=[shared], loss=0.2),
+                FaultSpec(kind="degrade", start=2.0, duration=6.0, nodes=[shared], loss=0.5),
             ]
         )
         cluster.sim.run_for(3.0)  # both active
@@ -231,9 +282,9 @@ class TestCrashRecover:
         victim = holders[0]
 
         controller = cluster.churn_controller()
-        nemesis = Nemesis(cluster.sim, cluster=cluster, controller=controller)
+        nemesis = Nemesis(cluster, controller)
         nemesis.schedule(
-            [CrashRecoverFault(start=1.0, duration=5.0, nodes=[victim.id])]
+            [FaultSpec(kind="crash_recover", start=1.0, duration=5.0, nodes=[victim.id])]
         )
         cluster.sim.run_for(2.0)
         assert not victim.alive
@@ -252,45 +303,33 @@ class TestCrashRecover:
         assert controller.recoveries == 0
 
 
-class TestChurnFault:
-    def test_wraps_a_churn_model(self):
-        cluster, controller, nemesis = build_nemesis(n=20, seed=31)
-        model = TraceChurn([ChurnEvent(0.5, LEAVE), ChurnEvent(1.0, LEAVE)])
-        nemesis.schedule([ChurnFault(model, start=1.0, duration=5.0)])
-        cluster.sim.run_for(3.0)
-        assert controller.leaves == 2
-        assert nemesis.injected == 1
-        assert nemesis.healed == 0  # churn has nothing to heal
-
-    def test_requires_controller(self):
-        sim = Simulation(seed=1)
-        nemesis = Nemesis(sim)  # no controller
-        nemesis.schedule([ChurnFault(TraceChurn([ChurnEvent(0.0, LEAVE)]), duration=1.0)])
-        with pytest.raises(SimulationError):
-            sim.run_for(1.0)
-
-
 # ---------------------------------------------------------------- nemesis
 
 
 class TestNemesis:
     def test_schedule_tracks_horizon_and_counts(self):
-        sim = Simulation(seed=2)
-        nemesis = Nemesis(sim)
+        cluster, _, nemesis = build_nemesis(n=10, seed=2)
+        sim = cluster.sim
+        base = sim.now
         count = nemesis.schedule(
             [
-                BurstLossFault(start=1.0, duration=2.0, loss=0.5),
-                BurstLossFault(start=5.0, duration=4.0, loss=0.5),
+                FaultSpec(kind="burst_loss", start=1.0, duration=2.0, loss=0.5),
+                FaultSpec(kind="burst_loss", start=5.0, duration=4.0, loss=0.5),
             ]
         )
         assert count == 2
-        assert nemesis.end_time == 9.0
-        sim.run_until(9.0)
+        assert nemesis.end_time == base + 9.0
+        sim.run_until(base + 9.0)
         assert nemesis.injected == 2
         assert nemesis.healed == 2
-        assert nemesis.last_heal_time == 9.0
+        assert nemesis.last_heal_time == base + 9.0
         assert sim.metrics.total("fault.injected.burst_loss") == 2
         assert sim.metrics.total("fault.healed.burst_loss") == 2
+
+    def test_needs_a_backend_and_a_controller(self):
+        cluster = build_cluster(n=10, seed=3)
+        with pytest.raises(TypeError):
+            Nemesis(cluster)
 
 
 # ---------------------------------------------------- end-to-end scenarios

@@ -35,6 +35,10 @@ selects. They were recorded on the commit before the gossip layer's
 ``PartialView`` kept ages under a per-view clock and drew its samples
 over ``getrandbits``, and that change left them, and the five above, as
 they were.
+
+``core-fault-overlap`` was recorded on the commit before the fault
+injectors folded into ``FaultSpec`` and the network's six fault tables
+into two, and that change left it, and every pin above, as it was.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from repro.scenarios.spec import METRIC_GROUPS, spec_from_dict
 SEED = 7
 LATENCY = {"kind": "uniform", "low": 0.005, "high": 0.015}
 YCSB_A = dict(preset="ycsb-a", record_count=12)
+_GROUPS_CUT = dict(kind="partition", groups=[[0, 1, 2, 3], [10, 11, 12]], start=7.0, duration=3.0)
 
 GOLDEN = {
     "core": (
@@ -115,6 +120,28 @@ GOLDEN = {
             workload=dict(YCSB_A, operation_count=40),
         ),
         "21c9cd8e3e8d52d4075c359d478e63ae1074e1734ea29009cf574cb32a85da8c",
+    ),
+    # Windows that overlap: a burst over two degrade layers (three loss
+    # layers at once), a symmetric explicit-groups partition under an
+    # asymmetric fraction partition, a crash-recover inside both, and
+    # one entry listed twice.
+    "core-fault-overlap": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0, cooldown=4.0,
+            metrics=list(METRIC_GROUPS),
+            faults=[
+                dict(kind="degrade", fraction=0.3, loss=0.05, extra_latency=0.02,
+                     start=1.0, duration=5.0),
+                dict(kind="degrade", nodes=[3, 4, 5, 6], loss=0.1, start=2.0, duration=4.0),
+                dict(kind="burst_loss", loss=0.2, start=3.0, duration=1.5),
+                _GROUPS_CUT,
+                dict(kind="partition", symmetric=False, fraction=0.2, start=8.0, duration=3.0),
+                dict(kind="crash_recover", fraction=0.2, start=9.0, duration=3.0),
+                _GROUPS_CUT,
+            ],
+            workload=dict(YCSB_A, operation_count=40),
+        ),
+        "08238654ce25e0d1ca83e1da3588a70cb2ddb1a88f31e91bdefd2bd125592181",
     ),
 }
 

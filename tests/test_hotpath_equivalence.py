@@ -249,14 +249,25 @@ class _Pong:
     body: int
 
 
+def _cuts(*pairs):
+    """Arm directed cuts; the armer returns how to revert them."""
+    return lambda net: [(net.unblock, net.block(src, dst)) for src, dst in pairs]
+
+
+def _layer(members, **conditions):
+    """Arm one degradation layer; the armer returns how to revert it."""
+    return lambda net: [(net.remove_conditions, net.add_conditions(members, **conditions))]
+
+
 _ARMED = {
-    "partition": lambda net: net.set_partitions([[0, 1, 2], [3, 4, 5]]),
-    "block": lambda net: net.block([0], [3]),
-    "node-condition": lambda net: net.set_node_conditions(2, loss=0.3, extra_latency=0.01),
-    "link-condition": lambda net: net.set_link_conditions(0, 1, loss=1.0),
-    "condition-layer": lambda net: net.add_conditions([4], extra_latency=0.02),
-    "zero-impact-layer": lambda net: net.add_conditions([4]),
-    "burst": lambda net: net.add_burst_loss(0.4),
+    "partition": _cuts(([0, 1, 2], [3, 4, 5]), ([3, 4, 5], [0, 1, 2])),
+    "block": _cuts(([0], [3])),
+    "node-condition": _layer([2], loss=0.3, extra_latency=0.01),
+    # A blackhole on every link touching 0 or 1, the link 0-1 among them.
+    "link-condition": _layer([0, 1], loss=1.0),
+    "condition-layer": _layer([4], extra_latency=0.02),
+    "zero-impact-layer": _layer([4]),
+    "burst": _layer(None, loss=0.4),
 }
 
 
@@ -342,12 +353,13 @@ def _per_message_lane(sim):
 
 @pytest.mark.parametrize("trigger", sorted(_ARMED))
 def test_armed_fault_machinery_takes_the_per_message_lane(trigger):
-    sim = _network(3, armed=[trigger])
+    sim = _network(3)
+    armed = _ARMED[trigger](sim.network)
     sim.network.multicast(5, [1, 2, 4], _Ping(1))
     dropped = sim.metrics.total("msg.dropped.partition") + sim.metrics.total("msg.dropped.loss")
     assert 0 < sim.scheduler.pending == 3 - dropped and _per_message_lane(sim)
-    sim.network.heal_partitions()
-    sim.network.clear_conditions()
+    for revert, rule in armed:
+        revert(rule)
     sim.network.multicast(5, [1, 2, 4], _Ping(1))
     assert not _per_message_lane(sim)  # the lane follows the network's state
 

@@ -85,12 +85,17 @@ def test_invalid_loss_rate_rejected():
         make_network(loss_rate=1.0)
 
 
+def cut_between(net, a, b):
+    """A symmetric partition: one directed cut each way."""
+    return [net.block(a, b), net.block(b, a)]
+
+
 def test_partition_blocks_cross_group_traffic():
     net, sched, metrics = make_network()
     inbox = []
     for node_id in (1, 2, 3):
         net.register(node_id, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1], [2, 3]])
+    cut_between(net, [1], [2, 3])
     assert net.send(1, 2, Probe()) is False
     assert net.send(2, 3, Probe()) is True
     sched.run()
@@ -103,45 +108,25 @@ def test_heal_partitions_restores_connectivity():
     inbox = []
     net.register(1, lambda msg, src: inbox.append(src))
     net.register(2, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1], [2]])
-    net.heal_partitions()
+    for rule in cut_between(net, [1], [2]):
+        net.unblock(rule)
     net.send(1, 2, Probe())
     sched.run()
     assert inbox == [1]
 
 
-def test_partition_rejects_node_in_multiple_groups():
-    # A node on both sides of a cut is a contradiction; the old last-wins
-    # behaviour let fault specs express impossible partitions silently.
-    net, _, _ = make_network()
-    with pytest.raises(ConfigurationError):
-        net.set_partitions([[1, 2], [2, 3]])
-    # The failed call must not leave a half-built partition behind.
-    assert net.send(1, 3, Probe()) is True
-    # Duplicates within one group are harmless.
-    net.set_partitions([[1, 1, 2], [3]])
-    assert net.send(1, 2, Probe()) is True
-    assert net.send(1, 3, Probe()) is False
-
-
-def test_failed_partition_keeps_previous_partition():
-    net, _, _ = make_network()
-    net.set_partitions([[1], [2]])
-    with pytest.raises(ConfigurationError):
-        net.set_partitions([[1, 2], [2]])
-    assert net.send(1, 2, Probe()) is False  # old cut still in force
-
-
 def test_unmentioned_nodes_form_implicit_group():
+    # Nodes no cut names stay connected to each other.
     net, sched, _ = make_network()
     inbox = []
     for node_id in (1, 2, 3):
         net.register(node_id, lambda msg, src: inbox.append(src))
-    net.set_partitions([[1]])
-    net.send(2, 3, Probe())  # both in the implicit group
-    assert net.send(1, 3, Probe()) is False
+    cut_between(net, [1], [2])
+    net.send(2, 3, Probe())
+    net.send(3, 1, Probe())
+    assert net.send(1, 2, Probe()) is False
     sched.run()
-    assert inbox == [2]
+    assert inbox == [2, 3]
 
 
 def test_self_send_is_delivered():
@@ -187,7 +172,7 @@ class TestDirectedBlocks:
 
     def test_rules_compose_with_partition_groups(self):
         net, _, _ = make_network()
-        net.set_partitions([[1], [2, 3]])
+        cut_between(net, [1], [2, 3])
         net.block([2], [3])
         assert net.send(1, 2, Probe()) is False  # group cut
         assert net.send(2, 3, Probe()) is False  # directed rule
@@ -198,24 +183,25 @@ class TestDirectedBlocks:
         inbox = []
         for node_id in (1, 2):
             net.register(node_id, lambda msg, src: inbox.append(src))
-        net.set_partitions([[1], [2]])
-        net.block([2], [1])
+        rules = cut_between(net, [1], [2]) + [net.block([2], [1])]
         net.send(1, 2, Probe())
         net.send(2, 1, Probe())
         assert metrics.total("msg.dropped.partition") == 2
-        net.heal_partitions()
+        for rule in rules:
+            net.unblock(rule)
         # Post-heal delivery: both directions flow again.
         net.send(1, 2, Probe())
         net.send(2, 1, Probe())
         sched.run()
         assert sorted(inbox) == [1, 2]
         assert metrics.total("msg.dropped.partition") == 2  # no new drops
+        assert net._fault_free
 
 
 class TestPerTypeDropAccounting:
     def test_partition_drops_are_counted_per_type(self):
         net, _, metrics = make_network()
-        net.set_partitions([[1], [2]])
+        net.block([1], [2])
         net.send(1, 2, Probe())
         assert metrics.total("msg.dropped.partition.Probe") == 1
         assert metrics.total("msg.dropped.partition") == 1
@@ -232,23 +218,17 @@ class TestPerTypeDropAccounting:
 class TestLinkConditions:
     def test_node_loss_combines_with_global_loss(self):
         net, _, _ = make_network(loss_rate=0.1)
-        net.set_node_conditions(2, loss=0.5)
+        net.add_conditions([2], loss=0.5)
         assert net._loss_for(1, 3) == pytest.approx(0.1)
         assert net._loss_for(1, 2) == pytest.approx(1 - 0.9 * 0.5)
         assert net._loss_for(2, 1) == pytest.approx(1 - 0.9 * 0.5)
 
-    def test_link_loss_is_directional(self):
-        net, _, _ = make_network()
-        net.set_link_conditions(1, 2, loss=1.0)  # blackhole link allowed
-        assert net._loss_for(1, 2) == 1.0
-        assert net._loss_for(2, 1) == 0.0
-        assert net.send(1, 2, Probe()) is False
-
     def test_extra_latency_sums_over_conditions(self):
         net, sched, _ = make_network(latency_model=FixedLatency(0.1))
-        net.set_node_conditions(1, extra_latency=0.2)
-        net.set_node_conditions(2, extra_latency=0.3)
-        net.set_link_conditions(1, 2, extra_latency=0.4)
+        net.add_conditions([1], extra_latency=0.2)
+        net.add_conditions([2], extra_latency=0.3)
+        net.add_conditions([1, 2], extra_latency=0.4)
+        net.add_conditions([3], extra_latency=5.0)  # touches neither end
         arrivals = []
         net.register(2, lambda msg, src: arrivals.append(sched.now))
         net.send(1, 2, Probe())
@@ -256,40 +236,44 @@ class TestLinkConditions:
         assert arrivals == [pytest.approx(1.0)]
 
     def test_zero_conditions_clear_the_entry(self):
-        net, _, _ = make_network()
-        net.set_node_conditions(1, loss=0.5)
-        net.set_node_conditions(1)
-        assert net._loss_for(1, 2) == 0.0
-        net.set_link_conditions(1, 2, loss=0.5)
-        net.set_link_conditions(1, 2)
-        assert net._loss_for(1, 2) == 0.0
+        net, _, _ = make_network(loss_rate=0.1)
+        token = net.add_conditions([1])
+        assert net._loss_for(1, 2) == 0.1  # the base rate, bit for bit
+        assert net._extra_latency_for(1, 2) == 0.0
+        net.remove_conditions(token)
+        assert net._layers == {} and net._fault_free
 
     def test_clear_conditions_removes_everything(self):
         net, _, _ = make_network()
-        net.set_node_conditions(1, loss=0.5, extra_latency=0.1)
-        net.set_link_conditions(2, 3, loss=0.5)
-        net.clear_conditions()
+        tokens = [
+            net.add_conditions([1], loss=0.5, extra_latency=0.1),
+            net.add_conditions([2, 3], loss=0.5),
+            net.add_conditions(None, loss=0.3),
+        ]
+        for token in tokens:
+            net.remove_conditions(token)
         assert net._loss_for(1, 2) == 0.0
         assert net._loss_for(2, 3) == 0.0
         assert net._extra_latency_for(1, 2) == 0.0
+        assert net._fault_free
 
     def test_burst_loss_window(self):
         net, _, metrics = make_network()
-        token = net.add_burst_loss(1.0)
+        token = net.add_conditions(None, loss=1.0)
         assert net.send(1, 2, Probe()) is False
         assert metrics.total("msg.dropped.loss") == 1
-        net.remove_burst_loss(token)
+        net.remove_conditions(token)
         assert net.send(1, 2, Probe()) is True
 
     def test_overlapping_burst_windows_stack(self):
         net, _, _ = make_network()
-        first = net.add_burst_loss(0.5)
-        second = net.add_burst_loss(0.5)
+        first = net.add_conditions(None, loss=0.5)
+        second = net.add_conditions(None, loss=0.5)
         assert net._loss_for(1, 2) == pytest.approx(0.75)
-        net.remove_burst_loss(first)
+        net.remove_conditions(first)
         # The second window survives the first one's heal.
         assert net._loss_for(1, 2) == pytest.approx(0.5)
-        net.remove_burst_loss(second)
+        net.remove_conditions(second)
         assert net._loss_for(1, 2) == 0.0
 
     def test_condition_layers_compose_on_shared_victims(self):
@@ -308,13 +292,29 @@ class TestLinkConditions:
     def test_invalid_conditions_rejected(self):
         net, _, _ = make_network()
         with pytest.raises(ConfigurationError):
-            net.set_node_conditions(1, loss=1.5)
+            net.add_conditions([1], loss=1.5)
         with pytest.raises(ConfigurationError):
-            net.set_link_conditions(1, 2, extra_latency=-0.1)
+            net.add_conditions([1, 2], extra_latency=-0.1)
         with pytest.raises(ConfigurationError):
-            net.add_burst_loss(2.0)
+            net.add_conditions(None, loss=2.0)
         with pytest.raises(ConfigurationError):
             net.add_conditions([1], loss=-0.5)
+        assert net._fault_free  # a rejected layer leaves nothing behind
+
+    def test_global_layers_multiply_before_member_layers(self):
+        # A float product of three factors depends on its order: layers
+        # over every link go first, then member layers, each in the order
+        # they were opened, whatever order the two kinds interleave in.
+        net, _, _ = make_network()
+        net.add_conditions([1], loss=0.13)
+        net.add_conditions(None, loss=0.85)
+        net.add_conditions([1], loss=0.76)
+        net.add_conditions(None, loss=0.26)
+        keep = (1.0 - 0.85) * (1.0 - 0.26) * (1.0 - 0.13) * (1.0 - 0.76)
+        interleaved = (1.0 - 0.13) * (1.0 - 0.85) * (1.0 - 0.76) * (1.0 - 0.26)
+        assert keep != interleaved  # the two orders round differently
+        assert net._loss_for(1, 2) == 1.0 - keep
+        assert net._loss_for(2, 3) == 1.0 - (1.0 - 0.85) * (1.0 - 0.26)
 
 
 class TestFastSlowPathEquivalence:
@@ -352,9 +352,8 @@ class TestFastSlowPathEquivalence:
         # Arm every kind of fault machinery at zero impact: the slow path
         # runs its partition/condition lookups but must decide identically.
         slow.add_conditions([0, 1, 2], loss=0.0, extra_latency=0.0)
-        slow.add_burst_loss(0.0)
+        slow.add_conditions(None, loss=0.0)
         slow.block([], [])
-        slow.set_link_conditions(0, 1, loss=0.0, extra_latency=0.0)  # clears to empty
         assert fast._fault_free is True
         assert slow._fault_free is False
 
@@ -370,17 +369,16 @@ class TestFastSlowPathEquivalence:
         net, _, _ = make_network()
         assert net._fault_free is True
         token = net.add_conditions([1], loss=0.5)
-        net.set_partitions([[1], [2]])
+        rules = cut_between(net, [1], [2])
         rule = net.block([1], [2])
-        burst = net.add_burst_loss(0.2)
-        net.set_node_conditions(3, loss=0.1)
-        net.set_link_conditions(1, 2, extra_latency=0.5)
+        burst = net.add_conditions(None, loss=0.2)
         assert net._fault_free is False
         net.remove_conditions(token)
-        net.heal_partitions()
+        for each in rules:
+            net.unblock(each)
         net.unblock(rule)
-        net.remove_burst_loss(burst)
-        net.clear_conditions()
+        assert net._fault_free is False  # the burst is still open
+        net.remove_conditions(burst)
         assert net._fault_free is True
 
     def test_counters_match_pre_overhaul_semantics(self):

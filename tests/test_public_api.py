@@ -77,6 +77,39 @@ def test_each_stack_is_one_class_and_the_driving_surface_is_defined_once():
     assert _source_lines_matching(adapters) == []
 
 
+def test_a_fault_has_one_type_from_spec_to_wire():
+    # FaultSpec is the fault; the nemesis applies and reverts it, and the
+    # network keeps one cut table and one layer table. The injector
+    # classes, their context and the network's other fault mutators stay
+    # gone (spelt indirectly so a repo-wide grep for them is empty).
+    import re
+
+    import repro.faults
+
+    assert sorted(repro.faults.__all__) == ["FAULT_KINDS", "FaultSpec", "Nemesis"]
+    injectors = "|".join(
+        f"{name}Fault" for name in ("Partition", "Degrade", "BurstLoss", "CrashRecover", "Churn")
+    )
+    retired = re.compile(
+        rf"\b({injectors}|Fault(Context|Injector))\b|faults\.injectors|needs_heal|"
+        r"\b(set|heal)_partitions\b|\b(set|clear)_(node|link)_conditions\b|"
+        r"\bclear_conditions\b|\b(add|remove)_burst_loss\b|_burst_layers|_condition_layers"
+    )
+    assert _source_lines_matching(retired) == []
+
+
+def test_faults_quickstart_from_module_docstring():
+    import repro.faults
+
+    snippet = repro.faults.__doc__.split("Quickstart::", 1)[1]
+    code = "\n".join(line[4:] for line in snippet.splitlines())
+    scope: dict = {}
+    exec(code, scope)
+    nemesis = scope["nemesis"]
+    assert nemesis.injected == nemesis.healed == 1
+    assert scope["cluster"].sim.network._fault_free
+
+
 def test_top_level_exports():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} missing"

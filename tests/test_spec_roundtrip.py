@@ -49,16 +49,14 @@ def fault_specs(draw):
         kind=kind,
         start=draw(st.floats(min_value=0.0, max_value=50.0, **finite)),
         duration=draw(st.floats(min_value=0.1, max_value=60.0, **finite)),
-        fraction=draw(st.floats(min_value=0.01, max_value=0.99, **finite)),
     )
+    if kind != "burst_loss":  # the one kind without a victim set
+        entry["fraction"] = draw(st.floats(min_value=0.01, max_value=0.99, **finite))
     if kind == "partition":
         entry["symmetric"] = draw(st.booleans())
-        groups = draw(
-            st.lists(
-                st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True),
-                max_size=2,
-            )
-        )
+        members = draw(st.lists(st.integers(0, 99), max_size=6, unique=True))
+        cut = draw(st.integers(0, len(members)))
+        groups = [g for g in (members[:cut], members[cut:]) if g]
         if groups:
             entry["groups"] = groups
     if kind in ("degrade", "crash_recover"):
