@@ -19,7 +19,7 @@ Run:  python examples/churn_tolerance.py
 """
 
 from repro import DataFlasksCluster, DataFlasksConfig
-from repro.churn import SessionChurn
+from repro.churn import ChurnSpec
 from repro.slicing.base import SlicingService
 
 
@@ -53,7 +53,7 @@ def main() -> None:
           f"  mean replicas={mean_replication(cluster, keys):.1f}")
 
     print("\nphase 1: steady session churn (mean session 200s, 60s)...")
-    controller.apply(SessionChurn(population=80, mean_session=200), horizon=60)
+    controller.apply(ChurnSpec(kind="session", mean_session=200, duration=60), population=80)
     cluster.sim.run_for(61)
     print(f"  joins={controller.joins} leaves={controller.leaves}")
     print(f"  availability={availability(cluster, client, keys):.0%}"

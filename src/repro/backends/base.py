@@ -8,8 +8,7 @@ stack shares, each defined once:
 
 * **state** — :attr:`sim`, :attr:`servers`, :attr:`clients`,
 * **membership** — :meth:`directory`, :meth:`alive_servers`,
-  :meth:`churn_controller`, so churn models and fault injectors work on
-  any stack,
+  :meth:`churn_controller`, so churn and faults work on any stack,
 * **driving** — :meth:`run_op`, :meth:`put_sync`, :meth:`get_sync`
   (clients speak the :class:`~repro.core.client.PendingOp` protocol),
 * **observation** — :meth:`replication_level`,

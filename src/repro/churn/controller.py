@@ -1,21 +1,24 @@
-"""Applying churn models to a running simulation.
+"""Applying churn to a running simulation.
 
-The :class:`ChurnController` schedules a model's events on the simulation
-clock. Leaves crash a random alive node (or the one the event names);
-joins build a fresh node with the deployment's node factory and bootstrap
-its Peer Sampling Service from a few random alive contacts — exactly how
-a real node would join via a tracker. :meth:`ChurnController.recover`
-implements crash-*recover* churn: the crashed node restarts in place with
-its retained Data Store and protocol state, rather than joining fresh —
-the path the fault-injection subsystem (:mod:`repro.faults`) drives.
+The :class:`ChurnController` draws a :class:`~repro.churn.spec.ChurnSpec`'s
+event times and schedules them on the simulation clock. Leaves crash a
+random alive node; joins build a fresh node with the deployment's node
+factory and bootstrap its Peer Sampling Service from a few random alive
+contacts — exactly how a real node would join via a tracker.
+:meth:`ChurnController.recover` implements crash-*recover* churn: the
+crashed node restarts in place with its retained Data Store and protocol
+state, rather than joining fresh — the path the fault-injection
+subsystem (:mod:`repro.faults`) drives.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, List, Optional
 
-from repro.churn.models import JOIN, LEAVE, ChurnEvent, ChurnModel
+from repro.churn.spec import ChurnSpec
+from repro.errors import ConfigurationError
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Node
 from repro.sim.simulator import NodeFactory, Simulation
@@ -87,15 +90,9 @@ class ChurnController:
 
     def join(self) -> Optional[Node]:
         """Add and start a new node, bootstrapped from alive contacts."""
-        alive = self._population()
         node = self.sim.add_node(self.node_factory)
-        node.start()
+        self._start(node)
         self.joins += 1
-        if alive:
-            contacts = self.rng.sample(alive, min(self.bootstrap_degree, len(alive)))
-            pss = node.get_service(PeerSamplingService)
-            if pss is not None:
-                pss.bootstrap([c.id for c in contacts])
         if self.on_join is not None:
             self.on_join(node)
         return node
@@ -115,33 +112,62 @@ class ChurnController:
         node = self.sim.nodes.get(node_id)
         if node is None or node.alive:
             return None
-        contacts = self._population()
-        node.start()
+        self._start(node)
         self.recoveries += 1
-        if contacts:
-            sample = self.rng.sample(contacts, min(self.bootstrap_degree, len(contacts)))
+        return node
+
+    def _start(self, node: Node) -> None:
+        """Start a down node and bootstrap its PSS from up to
+        ``bootstrap_degree`` random members of the population it joins."""
+        alive = self._population()
+        node.start()
+        if alive:
+            contacts = self.rng.sample(alive, min(self.bootstrap_degree, len(alive)))
             pss = node.get_service(PeerSamplingService)
             if pss is not None:
-                pss.bootstrap([c.id for c in sample])
-        return node
+                pss.bootstrap([c.id for c in contacts])
 
     # ----------------------------------------------------------- schedule
 
-    def apply(self, model: ChurnModel, horizon: float) -> int:
-        """Schedule all of ``model``'s events up to ``horizon`` from now.
+    def apply(self, churn: ChurnSpec, population: int) -> float:
+        """Draw ``churn``'s events and schedule them from now.
 
-        Returns the number of events scheduled. Times in the model are
-        relative to the current simulation time.
+        ``population`` is the deployment's server count, which sets the
+        ``session`` leave rate. A ``correlated`` failure kills its
+        fraction at once. Returns the virtual time the schedule ends at.
         """
-        start = self.sim.now
-        count = 0
-        for event in model.events(self.rng, horizon):
-            self.sim.scheduler.schedule_at(start + event.time, self._apply_event, event)
-            count += 1
-        return count
-
-    def _apply_event(self, event: ChurnEvent) -> None:
-        if event.kind == LEAVE:
-            self.kill(event.node_id)
-        elif event.kind == JOIN:
-            self.join()
+        now = self.sim.now
+        if churn.kind == "correlated":
+            self.kill_fraction(churn.fraction)
+            return now
+        rng = self.rng
+        events = []
+        if churn.kind == "poisson":
+            horizon = churn.duration
+            for rate, action in ((churn.join_rate, self.join), (churn.leave_rate, self.kill)):
+                if rate > 0:
+                    t = rng.expovariate(rate)
+                    while t <= horizon:
+                        events.append((t, action))
+                        t += rng.expovariate(rate)
+            events.sort(key=itemgetter(0))
+        elif churn.kind == "session":
+            if population <= 0:
+                raise ConfigurationError("session churn needs a positive population")
+            horizon = churn.duration
+            rate = population / churn.mean_session
+            t = rng.expovariate(rate)
+            while t <= horizon:
+                events += ((t, self.kill), (t, self.join))
+                t += rng.expovariate(rate)
+        elif churn.kind == "flash_crowd":
+            horizon = churn.over
+            step = churn.over / churn.joins
+            events = [(i * step, self.join) for i in range(churn.joins)]
+        else:  # trace
+            actions = {"join": self.join, "leave": self.kill}
+            events = sorted(((t, actions[kind]) for t, kind in churn.events), key=itemgetter(0))
+            horizon = max((t for t, _ in events), default=0.0)
+        for t, action in events:
+            self.sim.scheduler.schedule_at(now + t, action)
+        return now + horizon

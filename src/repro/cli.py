@@ -636,17 +636,15 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 def _validate_spec(target: str) -> int:
     """Check a spec file (or bundled name) without running it: parse it
-    (which resolves ``stack`` against the backend registry), then build
-    every runtime object it describes — latency model, churn model and
-    workload. ``[[faults]]`` entries are checked in full as they parse."""
+    (which resolves ``stack`` against the backend registry and checks
+    ``[churn]`` and ``[[faults]]`` in full), then build the latency model
+    and the workload."""
     try:
         if target.endswith((".toml", ".json")):
             spec = load_spec(target)
         else:
             spec = load_bundled(target)
         spec.latency.build()
-        if spec.churn is not None:
-            spec.churn.build(population=spec.nodes)
         spec.workload.build()
     except OSError as exc:
         print(f"error: cannot read spec: {exc}")

@@ -241,7 +241,7 @@ def _run_scenario_inner(
         recorder.begin_phase("settle")
     sim.run_for(spec.settle)
 
-    controller, nemesis, probe = _inject_faults_and_churn(spec, backend)
+    controller, nemesis, probe, churn_end = _inject_faults_and_churn(spec, backend)
 
     txn_stats: Optional[RunStats] = None
     if recorder is not None:
@@ -272,10 +272,10 @@ def _run_scenario_inner(
             txn_stats = engine.run_transactions(spec.workload.operation_count)
         else:
             txn_stats = runner.run_transactions(spec.workload.operation_count)
-    elif spec.churn is not None:
+    elif churn_end is not None:
         # No transaction phase: still play the churn schedule out so its
         # effects are visible in the population/replication metrics.
-        sim.run_for(spec.churn.horizon)
+        sim.run_until(churn_end)
     if recorder is not None:
         recorder.begin_phase("heal")
     if nemesis is not None and sim.now < nemesis.end_time:
@@ -400,12 +400,15 @@ class _HealProbe:
 
 def _inject_faults_and_churn(
     spec: ScenarioSpec, backend: StoreBackend
-) -> Tuple[Optional[ChurnController], Optional[Nemesis], Optional[_HealProbe]]:
+) -> Tuple[
+    Optional[ChurnController], Optional[Nemesis], Optional[_HealProbe], Optional[float]
+]:
     """Arm the fault phase: one shared controller feeds both the nemesis
     schedule and spec-level churn, so fault-driven crashes/recoveries and
-    churn land in the same join/leave accounting."""
+    churn land in the same join/leave accounting. The last element is
+    the virtual time the churn schedule ends at."""
     if spec.churn is None and not spec.faults:
-        return None, None, None
+        return None, None, None, None
     controller = backend.churn_controller()
     nemesis: Optional[Nemesis] = None
     probe: Optional[_HealProbe] = None
@@ -415,14 +418,11 @@ def _inject_faults_and_churn(
             probe = _HealProbe(backend)
             nemesis.on_heal = probe.arm
         nemesis.schedule(spec.faults)
+    churn_end: Optional[float] = None
     if spec.churn is not None:
         backend.sim.run_for(spec.churn.start)
-        if spec.churn.kind == "correlated":
-            controller.kill_fraction(spec.churn.fraction)
-        else:
-            model = spec.churn.build(population=spec.nodes)
-            controller.apply(model, horizon=spec.churn.horizon)
-    return controller, nemesis, probe
+        churn_end = controller.apply(spec.churn, population=spec.nodes)
+    return controller, nemesis, probe, churn_end
 
 
 def _measure_heal(

@@ -3,17 +3,20 @@
 A :class:`ScenarioSpec` is a complete, serialisable description of one
 experiment: which storage stack to deploy (any backend registered with
 :mod:`repro.backends` — DATAFLASKS, the Chord baseline, the oracle),
-how big, over what network, under what churn and fault schedule
-(``[[faults]]`` — see :mod:`repro.faults.spec`), driven by which
-workload, and which metric groups to collect. Specs round-trip through plain
+how big, over what network, under what churn (``[churn]`` — see
+:mod:`repro.churn.spec`) and fault schedule (``[[faults]]`` — see
+:mod:`repro.faults.spec`), driven by which workload, and which metric
+groups to collect. Specs round-trip through plain
 dicts, JSON and TOML, so experiments live in version-controlled files
 instead of ad-hoc benchmark wiring (the bundled ones are the ``*.toml``
 files next to this module; see :mod:`repro.scenarios.registry`).
 
 The spec layer only *describes*; :mod:`repro.scenarios.runner` executes.
-Every sub-spec knows how to build the runtime object it describes
-(latency model, churn model, workload), which keeps the mapping between
-file format and simulator in one place.
+The latency and workload sub-specs build the runtime object they
+describe; churn and faults need no runtime twin — the
+:class:`~repro.churn.controller.ChurnController` and the
+:class:`~repro.faults.nemesis.Nemesis` apply the spec itself. Every
+sub-spec is checked in full when it is built.
 """
 
 from __future__ import annotations
@@ -22,15 +25,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.churn.models import (
-    JOIN,
-    LEAVE,
-    ChurnEvent,
-    ChurnModel,
-    PoissonChurn,
-    SessionChurn,
-    TraceChurn,
-)
+from repro.churn.spec import ChurnSpec
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultSpec
 from repro.sim.network import (
@@ -111,79 +106,6 @@ class LatencySpec:
         if self.kind == "lognormal":
             return LogNormalLatency(self.median, self.sigma, self.cap)
         return FixedLatency(self.latency)
-
-
-@dataclass
-class ChurnSpec:
-    """Membership-change schedule applied during the measurement phase.
-
-    ``start`` is seconds after the cluster is loaded and settled;
-    rate-based models generate events for ``duration`` seconds.
-
-    Kinds:
-
-    * ``poisson`` — independent join/leave arrivals (``join_rate``,
-      ``leave_rate``, per second),
-    * ``session`` — constant-population turnover with ``mean_session``
-      expected lifetime (effective rate scales with ``nodes``),
-    * ``correlated`` — kill ``fraction`` of the alive servers at one
-      instant (the paper's catastrophic rack/switch failure),
-    * ``flash_crowd`` — ``joins`` new nodes arriving over ``over``
-      seconds,
-    * ``trace`` — replay explicit ``events`` of ``[time, "join"|"leave"]``
-      pairs (times relative to ``start``).
-    """
-
-    kind: str = "poisson"
-    start: float = 0.0
-    duration: float = 30.0
-    join_rate: float = 0.0
-    leave_rate: float = 0.0
-    mean_session: float = 120.0
-    fraction: float = 0.0
-    joins: int = 0
-    over: float = 1.0
-    events: List[List[Any]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("poisson", "session", "correlated", "flash_crowd", "trace"):
-            raise ConfigurationError(f"unknown churn kind {self.kind!r}")
-        if self.start < 0 or self.duration < 0:
-            raise ConfigurationError("churn start/duration must be non-negative")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ConfigurationError("churn fraction must be in [0, 1]")
-        for event in self.events:
-            if len(event) != 2 or event[1] not in (JOIN, LEAVE):
-                raise ConfigurationError(f"malformed trace event {event!r}")
-
-    def build(self, population: int) -> Optional[ChurnModel]:
-        """The churn model for a deployment of ``population`` servers.
-
-        ``correlated`` returns ``None`` — a fractional mass failure needs
-        the live population at failure time, so the runner applies it
-        directly via :meth:`ChurnController.kill_fraction`.
-        """
-        if self.kind == "poisson":
-            return PoissonChurn(self.join_rate, self.leave_rate)
-        if self.kind == "session":
-            return SessionChurn(population, self.mean_session)
-        if self.kind == "flash_crowd":
-            step = self.over / max(1, self.joins)
-            return TraceChurn(ChurnEvent(i * step, JOIN) for i in range(self.joins))
-        if self.kind == "trace":
-            return TraceChurn(ChurnEvent(t, kind) for t, kind in self.events)
-        return None  # correlated
-
-    @property
-    def horizon(self) -> float:
-        """How long after ``start`` the model keeps emitting events."""
-        if self.kind == "correlated":
-            return 0.0
-        if self.kind == "flash_crowd":
-            return self.over
-        if self.kind == "trace":
-            return max((e[0] for e in self.events), default=0.0)
-        return self.duration
 
 
 @dataclass
@@ -391,6 +313,14 @@ class ScenarioSpec:
             DataFlasksConfig(num_slices=self.num_slices, **self.config)
         except (ConfigurationError, TypeError) as exc:
             raise ConfigurationError(f"invalid [config] {self.config}: {exc}") from None
+        for fault in self.faults:
+            named = fault.nodes + [i for group in fault.groups for i in group]
+            stray = [i for i in named if not (isinstance(i, int) and 0 <= i < self.nodes)]
+            if stray:
+                raise ConfigurationError(
+                    f"a {fault.kind} fault names {stray}, which are not servers: "
+                    f"server ids are 0..{self.nodes - 1} (clients take the ids after them)"
+                )
         self.metrics = tuple(self.metrics)
         for group in self.metrics:
             if group not in METRIC_GROUPS:
@@ -471,22 +401,23 @@ def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
     faults = data.pop("faults", None)
     workload = data.pop("workload", None)
     observability = data.pop("observability", None)
-    spec = ScenarioSpec(**_filter_kwargs(ScenarioSpec, data, "scenario"))
+    kwargs = _filter_kwargs(ScenarioSpec, data, "scenario")
+    # Sub-specs go to the constructor, so its cross-checks see them.
     if observability is not None:
-        spec.observability = ObservabilitySpec(
+        kwargs["observability"] = ObservabilitySpec(
             **_filter_kwargs(
                 ObservabilitySpec, dict(observability), "observability"
             )
         )
     if latency is not None:
-        spec.latency = LatencySpec(**_filter_kwargs(LatencySpec, dict(latency), "latency"))
+        kwargs["latency"] = LatencySpec(**_filter_kwargs(LatencySpec, dict(latency), "latency"))
     if churn is not None:
         churn = dict(churn)
         if "events" in churn:
             churn["events"] = [list(e) for e in churn["events"]]
-        spec.churn = ChurnSpec(**_filter_kwargs(ChurnSpec, churn, "churn"))
+        kwargs["churn"] = ChurnSpec(**_filter_kwargs(ChurnSpec, churn, "churn"))
     if faults is not None:
-        spec.faults = []
+        kwargs["faults"] = []
         for entry in faults:
             entry = dict(entry)
             if "nodes" in entry:
@@ -506,12 +437,12 @@ def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
                         f"fault end ({end}) must be after start ({start})"
                     )
                 entry["duration"] = end - start
-            spec.faults.append(FaultSpec(**_filter_kwargs(FaultSpec, entry, "fault")))
+            kwargs["faults"].append(FaultSpec(**_filter_kwargs(FaultSpec, entry, "fault")))
     if workload is not None:
-        spec.workload = WorkloadSpec(
+        kwargs["workload"] = WorkloadSpec(
             **_filter_kwargs(WorkloadSpec, dict(workload), "workload")
         )
-    return spec
+    return ScenarioSpec(**kwargs)
 
 
 def load_spec(path: str) -> ScenarioSpec:

@@ -3,7 +3,7 @@ versioning, churn recovery and the paper's key dependability claims."""
 
 import pytest
 
-from repro.churn import SessionChurn
+from repro.churn import ChurnSpec
 from repro.core.client import FAILED, SUCCEEDED
 from repro.core.cluster import DataFlasksCluster
 from repro.errors import ConfigurationError
@@ -174,12 +174,10 @@ class TestDependability:
             assert joiner.holds(key)
 
     def test_writes_succeed_during_continuous_churn(self):
-        from repro.churn import SessionChurn
-
         cluster = build_cluster(n=40, seed=30)
         client = cluster.new_client(timeout=4.0, retries=3)
         controller = cluster.churn_controller()
-        controller.apply(SessionChurn(population=40, mean_session=400), horizon=60)
+        controller.apply(ChurnSpec(kind="session", mean_session=400, duration=60), population=40)
 
         ok = 0
         for i in range(10):

@@ -1,6 +1,7 @@
 """Golden trajectories: one small spec per backend, a fault spec for
-``core`` and for ``dht``, and a ``core`` spec for each of the two other
-adaptive Slice Managers, pinned by the SHA-256 of ``summary_json()``.
+``core`` and for ``dht``, a ``core`` spec for each of the two other
+adaptive Slice Managers and two ``core`` churn specs, pinned by the
+SHA-256 of ``summary_json()``.
 
 Same-seed byte-identity between two runs of *one* commit is checked
 elsewhere; these pins hold it *across* commits, so a change sold as a
@@ -39,6 +40,11 @@ they were.
 ``core-fault-overlap`` was recorded on the commit before the fault
 injectors folded into ``FaultSpec`` and the network's six fault tables
 into two, and that change left it, and every pin above, as it was.
+
+``core-churn-poisson`` and ``core-churn-trace`` were recorded on the
+commit before the churn model classes folded into ``ChurnSpec`` and
+``ChurnController.apply``, and that change left them, and every pin
+above, as they were. They are the only pins that run spec-level churn.
 """
 
 from __future__ import annotations
@@ -142,6 +148,30 @@ GOLDEN = {
             workload=dict(YCSB_A, operation_count=40),
         ),
         "08238654ce25e0d1ca83e1da3588a70cb2ddb1a88f31e91bdefd2bd125592181",
+    ),
+    # Spec-level churn: Poisson joins and leaves drawn from the churn
+    # stream, then a replayed trace given out of order, with a leave and
+    # a join tied at one instant.
+    "core-churn-poisson": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0, cooldown=4.0,
+            metrics=list(METRIC_GROUPS),
+            churn=dict(kind="poisson", join_rate=0.4, leave_rate=0.3, duration=8.0, start=1.0),
+            workload=dict(YCSB_A, operation_count=40),
+        ),
+        "60ec470fa704d80189680fbd82be4aaf4e17680988c5b63acab29cb36246af0a",
+    ),
+    "core-churn-trace": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0, cooldown=4.0,
+            metrics=list(METRIC_GROUPS),
+            churn=dict(kind="trace", start=1.0, events=[
+                [3.0, "leave"], [0.5, "leave"], [2.0, "join"], [2.0, "leave"],
+                [1.0, "join"], [4.5, "join"],
+            ]),
+            workload=dict(YCSB_A, operation_count=40),
+        ),
+        "e7a8632a377924f0f0630dfb79036f695eecc3f9a86d066dd6a1244d60b72815",
     ),
 }
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.churn.models import JOIN, LEAVE, CorrelatedFailure, PoissonChurn, SessionChurn, TraceChurn
+from repro.churn import ChurnController
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     ChurnSpec,
@@ -23,6 +23,8 @@ from repro.scenarios import (
     spec_from_dict,
 )
 from repro.sim.network import FixedLatency, LogNormalLatency, UniformLatency
+from repro.sim.node import Node
+from repro.sim.simulator import Simulation
 
 EXPECTED_BUNDLED = {
     "asymmetric-partition",
@@ -125,27 +127,13 @@ class TestSpecBuilders:
         assert isinstance(LatencySpec(kind="uniform").build(), UniformLatency)
         assert isinstance(LatencySpec(kind="lognormal").build(), LogNormalLatency)
 
-    def test_churn_builders(self):
-        assert isinstance(
-            ChurnSpec(kind="poisson", join_rate=1.0).build(10), PoissonChurn
-        )
-        assert isinstance(ChurnSpec(kind="session").build(10), SessionChurn)
-        assert isinstance(
-            ChurnSpec(kind="flash_crowd", joins=5).build(10), TraceChurn
-        )
-        assert isinstance(
-            ChurnSpec(kind="trace", events=[[0.5, JOIN], [1.0, LEAVE]]).build(10),
-            TraceChurn,
-        )
-        # Correlated failure is applied directly by the runner.
-        assert ChurnSpec(kind="correlated", fraction=0.3).build(10) is None
-
     def test_flash_crowd_horizon_and_events(self):
         spec = ChurnSpec(kind="flash_crowd", joins=4, over=2.0)
-        assert spec.horizon == 2.0
-        events = list(spec.build(10).events(None, horizon=10.0))
-        assert len(events) == 4
-        assert all(e.kind == JOIN for e in events)
+        sim = Simulation(seed=0)
+        controller = ChurnController(sim, Node)
+        assert controller.apply(spec, population=10) == 2.0
+        sim.run_for(2.0)
+        assert controller.joins == 4 and controller.leaves == 0
 
     def test_workload_build_applies_overrides(self):
         workload = WorkloadSpec(
@@ -194,7 +182,7 @@ class TestSpecRoundTrip:
             seed=9,
             loss_rate=0.01,
             latency=LatencySpec(kind="lognormal", median=0.05),
-            churn=ChurnSpec(kind="trace", events=[[1.0, JOIN], [2.0, LEAVE]], start=3.0),
+            churn=ChurnSpec(kind="trace", events=[[1.0, "join"], [2.0, "leave"]], start=3.0),
             faults=[
                 FaultSpec(kind="partition", fraction=0.3, symmetric=False, start=1.0),
                 FaultSpec(kind="degrade", loss=0.2, extra_latency=0.05, nodes=[1, 2]),

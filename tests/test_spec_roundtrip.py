@@ -8,8 +8,9 @@ a reproducer written today must describe the identical experiment when
 replayed years later.
 
 Plus rejection tests: malformed ``[[faults]]`` entries (end before
-start, unknown injector kinds, empty target groups, unknown keys) must
-fail loudly at parse time, never run half-understood.
+start, unknown injector kinds, empty target groups, unknown keys, ids
+that name no server) must fail loudly at parse time, never run
+half-understood.
 """
 
 import tomllib
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.churn.spec import CHURN_KINDS
 from repro.errors import ConfigurationError
 from repro.faults.spec import FAULT_KINDS
 from repro.scenarios.spec import (
@@ -43,24 +45,25 @@ finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def fault_specs(draw):
+def fault_specs(draw, nodes=100):
     kind = draw(st.sampled_from(FAULT_KINDS))
     entry = dict(
         kind=kind,
         start=draw(st.floats(min_value=0.0, max_value=50.0, **finite)),
         duration=draw(st.floats(min_value=0.1, max_value=60.0, **finite)),
     )
+    server_ids = st.integers(0, nodes - 1)
     if kind != "burst_loss":  # the one kind without a victim set
         entry["fraction"] = draw(st.floats(min_value=0.01, max_value=0.99, **finite))
     if kind == "partition":
         entry["symmetric"] = draw(st.booleans())
-        members = draw(st.lists(st.integers(0, 99), max_size=6, unique=True))
+        members = draw(st.lists(server_ids, max_size=6, unique=True))
         cut = draw(st.integers(0, len(members)))
         groups = [g for g in (members[:cut], members[cut:]) if g]
         if groups:
             entry["groups"] = groups
     if kind in ("degrade", "crash_recover"):
-        nodes = draw(st.lists(st.integers(0, 99), max_size=3, unique=True))
+        nodes = draw(st.lists(server_ids, max_size=3, unique=True))
         if nodes:
             entry["nodes"] = nodes
     if kind == "degrade":
@@ -73,21 +76,23 @@ def fault_specs(draw):
 
 @st.composite
 def churn_specs(draw):
-    kind = draw(st.sampled_from(["poisson", "session", "correlated", "trace"]))
-    spec = ChurnSpec(
-        kind=kind,
-        start=draw(st.floats(min_value=0.0, max_value=30.0, **finite)),
-        duration=draw(st.floats(min_value=0.0, max_value=60.0, **finite)),
-    )
+    """A valid churn spec that sets only the fields its kind reads."""
+    kind = draw(st.sampled_from(CHURN_KINDS))
+    entry = dict(kind=kind, start=draw(st.floats(min_value=0.0, max_value=30.0, **finite)))
+    if kind in ("poisson", "session"):
+        entry["duration"] = draw(st.floats(min_value=0.0, max_value=60.0, **finite))
     if kind == "poisson":
-        spec.join_rate = draw(st.floats(min_value=0.0, max_value=2.0, **finite))
-        spec.leave_rate = draw(st.floats(min_value=0.0, max_value=2.0, **finite))
+        entry["join_rate"] = draw(st.floats(min_value=0.0, max_value=2.0, **finite))
+        entry["leave_rate"] = draw(st.floats(min_value=0.0, max_value=2.0, **finite))
     if kind == "session":
-        spec.mean_session = draw(st.floats(min_value=1.0, max_value=600.0, **finite))
+        entry["mean_session"] = draw(st.floats(min_value=1.0, max_value=600.0, **finite))
     if kind == "correlated":
-        spec.fraction = draw(st.floats(min_value=0.0, max_value=1.0, **finite))
+        entry["fraction"] = draw(st.floats(min_value=0.0, max_value=1.0, **finite))
+    if kind == "flash_crowd":
+        entry["joins"] = draw(st.integers(1, 60))
+        entry["over"] = draw(st.floats(min_value=0.01, max_value=60.0, **finite))
     if kind == "trace":
-        spec.events = draw(
+        entry["events"] = draw(
             st.lists(
                 st.tuples(
                     st.floats(min_value=0.0, max_value=60.0, **finite),
@@ -96,7 +101,7 @@ def churn_specs(draw):
                 max_size=4,
             )
         )
-    return spec
+    return ChurnSpec(**entry)
 
 
 @st.composite
@@ -122,11 +127,12 @@ def scenario_specs(draw):
         acks_required=draw(st.integers(1, 3)),
         op_timeout=draw(st.floats(min_value=1.0, max_value=60.0, **finite)),
     )
+    nodes = draw(st.integers(1, 500))
     return ScenarioSpec(
         name=draw(SAFE_TEXT),
         description=draw(SAFE_TEXT),
         stack=draw(st.sampled_from(["core", "dht", "oracle"])),
-        nodes=draw(st.integers(1, 500)),
+        nodes=nodes,
         num_slices=draw(st.integers(1, 10)),
         replication=draw(st.integers(1, 5)),
         seed=draw(st.integers(0, 2**64 - 1)),
@@ -136,7 +142,7 @@ def scenario_specs(draw):
         cooldown=draw(st.floats(min_value=0.0, max_value=10.0, **finite)),
         latency=draw(latency_specs()),
         churn=draw(st.none() | churn_specs()),
-        faults=draw(st.lists(fault_specs(), max_size=3)),
+        faults=draw(st.lists(fault_specs(nodes), max_size=3)),
         workload=workload,
         metrics=tuple(
             draw(
@@ -226,3 +232,25 @@ class TestMalformedFaults:
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigurationError, match="duration must be positive"):
             spec_from_dict(self.base(kind="burst_loss", loss=0.5, duration=-1.0))
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            dict(kind="crash_recover", nodes=[20]),  # the workload client
+            dict(kind="degrade", nodes=[3, 20], loss=0.1),
+            dict(kind="degrade", nodes=[999], loss=0.1),
+            dict(kind="partition", groups=[[0, 1], [19, 20]]),
+            dict(kind="crash_recover", nodes=[-1]),
+        ],
+    )
+    def test_fault_naming_a_non_server_rejected(self, fault):
+        with pytest.raises(ConfigurationError, match=r"server ids are 0\.\.19"):
+            spec_from_dict({"name": "x", "nodes": 20, "faults": [fault]})
+
+    def test_scaling_below_a_named_server_rejected(self):
+        spec = spec_from_dict(
+            {"name": "x", "nodes": 20, "faults": [dict(kind="crash_recover", nodes=[19])]}
+        )
+        assert spec.scaled(nodes=20).faults[0].nodes == [19]
+        with pytest.raises(ConfigurationError, match=r"\[19\]"):
+            spec.scaled(nodes=10)
