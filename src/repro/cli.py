@@ -294,10 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         "whole-program message graph: dead letters (P1xx), payload "
         "schema drift (P2xx), request/reply discipline (P3xx), dead "
         "protocol code (P4xx). "
-        "Inline comments of the form `repro-lint: ignore[D301] reason` "
-        "(after a `#`) and the "
-        "committed .repro-lint.toml policy govern exemptions. Exits "
-        "non-zero on any un-baselined violation.",
+        "The only exemptions are the audited [[baseline]] budgets in the "
+        "committed .repro-lint.toml policy. Exits non-zero on any "
+        "un-baselined violation.",
     )
     lint.add_argument(
         "paths",
@@ -325,16 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. I2,D1); unknown selectors exit 2",
     )
     lint.add_argument(
-        "--ignore-family",
-        metavar="FAMILY",
-        action="append",
-        default=[],
-        help="drop one rule family (repeatable, e.g. --ignore-family I4)",
-    )
-    lint.add_argument(
         "--verbose",
         action="store_true",
-        help="also list suppressed, allowlisted and baselined findings",
+        help="also list the findings the baseline absorbed",
     )
     lint.add_argument(
         "--write-baseline",
@@ -991,18 +983,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.select
         else None
     )
-    ignore_families = args.ignore_family or None
     if args.write_baseline:
         # Regenerate against an empty baseline so existing budget entries
         # don't absorb the violations we are trying to record.
         from dataclasses import replace
 
-        result = lint_paths(
-            args.paths,
-            replace(config, baseline=[]),
-            select=select,
-            ignore_families=ignore_families,
-        )
+        result = lint_paths(args.paths, replace(config, baseline=[]), select=select)
         baseline = baseline_from_violations(result.violations)
         with open(args.write_baseline, "w", encoding="utf-8") as f:
             f.write(render_policy_toml(config, baseline))
@@ -1013,9 +999,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             "justification before committing"
         )
         return 0
-    result = lint_paths(
-        args.paths, config, select=select, ignore_families=ignore_families
-    )
+    result = lint_paths(args.paths, config, select=select)
     if args.format == "json":
         print(format_json(result))
     else:

@@ -6,9 +6,10 @@ replay. This package enforces that contract from two directions:
 * ``repro lint`` — an AST pass over the source tree flagging determinism
   hazards before any event runs: ambient randomness (D1xx), wall-clock
   reads (D2xx), hash/filesystem order dependence (D3xx) and ``__all__``
-  drift (D4xx), governed by inline suppressions and the committed
-  ``.repro-lint.toml`` policy (see :mod:`repro.lint.rules` for the
-  catalogue).
+  drift (D4xx), judged against the built-in policy in
+  :mod:`repro.lint.config`; the only exemptions are the audited
+  ``[[baseline]]`` budgets in the committed ``.repro-lint.toml`` (see
+  :mod:`repro.lint.rules` for the catalogue).
 * :func:`~repro.lint.sanitizer.determinism_guard` — a runtime tripwire
   (``scenarios run --sanitize``) that makes the same ambient calls raise
   mid-run, catching the code paths static analysis cannot see.
@@ -39,12 +40,12 @@ static analysis", "Isolation contract", "Protocol graph & flow
 analysis") is the narrative version.
 """
 
-from repro.lint.baseline import apply_baseline, render_policy_toml
+from repro.lint.baseline import apply_baseline
 from repro.lint.config import (
-    AllowEntry,
     BaselineEntry,
     LintConfig,
     baseline_from_violations,
+    render_policy_toml,
 )
 from repro.lint.coverage import CoverageTap, merge_coverage, unexercised_edges
 from repro.lint.engine import (
@@ -60,7 +61,6 @@ from repro.lint.rules import CATALOG, FAMILIES, Rule, Violation
 from repro.lint.sanitizer import determinism_guard, guard_active
 
 __all__ = [
-    "AllowEntry",
     "BaselineEntry",
     "CATALOG",
     "CoverageTap",

@@ -1,10 +1,10 @@
-"""Baseline bookkeeping: absorbing grandfathered violations, auditing
-stale entries, and rewriting the committed policy file.
+"""Baseline bookkeeping: absorbing grandfathered violations and auditing
+stale entries.
 
 The baseline is a *budget*, not a blanket: each entry tolerates at most
 ``max`` violations of one rule (or family) under one path prefix, and an
 entry that matches nothing is reported as stale so the file only ever
-shrinks. ``--update-baseline`` regenerates entries from the current
+shrinks. ``--write-baseline`` regenerates entries from the current
 violations with placeholder justifications — committing one unedited is
 a review smell by design.
 """
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.lint.config import BaselineEntry, LintConfig, reset_baseline
+from repro.lint.config import BaselineEntry, LintConfig
 from repro.lint.rules import Violation
 
-__all__ = ["apply_baseline", "render_policy_toml"]
+__all__ = ["apply_baseline"]
 
 
 def apply_baseline(
@@ -27,9 +27,11 @@ def apply_baseline(
 
     Violations are matched in sorted order against entries in file
     order, each entry absorbing at most its ``max`` count — so the same
-    tree and policy always produce the same split.
+    tree and policy always produce the same split. The matched counters
+    restart on every call, so one config can judge several trees.
     """
-    reset_baseline(config)
+    for entry in config.baseline:
+        entry.matched = 0
     remaining: List[Violation] = []
     absorbed: List[Violation] = []
     for violation in sorted(violations, key=Violation.sort_key):
@@ -48,66 +50,3 @@ def _matching_entry(violation: Violation, config: LintConfig):
         if entry.matches(violation.rule, violation.path):
             return entry
     return None
-
-
-def render_policy_toml(config: LintConfig, baseline: Sequence[BaselineEntry]) -> str:
-    """Serialise a policy file with ``baseline`` replacing the current
-    entries. Hand-rolled like the regression-spec exporter: tomllib only
-    reads, and the output must be byte-stable for review diffs."""
-    lines: List[str] = [
-        "# repro-lint policy: sim-path classification, permanent allowlist,",
-        "# and the violation baseline. See DESIGN.md, \"Determinism contract",
-        "# & static analysis\".",
-        "",
-        "schema = 1",
-        "",
-        "[lint]",
-        f"simpath = {_string_array(config.simpath)}",
-        f"set_returning = {_string_array(config.set_returning)}",
-        f"node_collections = {_string_array(config.node_collections)}",
-        f"node_returning = {_string_array(config.node_returning)}",
-        f"node_state = {_string_array(config.node_state)}",
-        f"payload_attrs = {_string_array(config.payload_attrs)}",
-        "",
-        "[lint.protocol]",
-        f"request_reply = {_pair_array(config.request_reply)}",
-    ]
-    for entry in config.allow:
-        lines += [
-            "",
-            "[[allow]]",
-            f"rule = {_quote(entry.rule)}",
-            f"path = {_quote(entry.path)}",
-            f"justification = {_quote(entry.justification)}",
-        ]
-    for entry in baseline:
-        lines += [
-            "",
-            "[[baseline]]",
-            f"rule = {_quote(entry.rule)}",
-            f"path = {_quote(entry.path)}",
-            f"max = {entry.max_count}",
-            f"justification = {_quote(entry.justification)}",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-def _quote(value: str) -> str:
-    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
-
-
-def _string_array(values: Sequence[str]) -> str:
-    if not values:
-        return "[]"
-    inner = ",\n    ".join(_quote(v) for v in values)
-    return f"[\n    {inner},\n]"
-
-
-def _pair_array(pairs: Sequence[Tuple[str, str]]) -> str:
-    if not pairs:
-        return "[]"
-    inner = ",\n    ".join(
-        f"[{_quote(a)}, {_quote(b)}]" for a, b in pairs
-    )
-    return f"[\n    {inner},\n]"

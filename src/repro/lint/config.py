@@ -1,14 +1,17 @@
-"""Lint policy: what counts as sim-path, what is allowlisted, where the
-baseline lives.
+"""Lint policy: what counts as sim-path, which names the visitors treat
+specially, and the baseline of grandfathered violations.
 
-Policy is data, not code: the committed ``.repro-lint.toml`` at the repo
-root carries the whole contract — sim-path classification for the D3xx
-order rules, set-returning helper names the visitor should treat as
-set-valued, permanent ``[[allow]]`` exemptions, and the ``[[baseline]]``
-of grandfathered violations (each entry with a written justification;
-the acceptance bar is a handful, trending to zero). The defaults baked
-in here mirror the committed file so ``lint_paths`` works without one
-(fixture tests, external trees).
+The built-in defaults below *are* the policy. The committed
+``.repro-lint.toml`` at the repo root carries the ``[[baseline]]`` —
+each entry a finite, audited budget with a written justification; the
+acceptance bar is a handful, trending to zero — and any ``[lint]`` key
+that differs from a default, of which it has none. ``lint_paths``
+therefore judges a tree the same with or without the file, apart from
+the baseline.
+
+The file is parsed strictly: an unknown key, a wrong type or an
+out-of-range value is a :class:`~repro.errors.ConfigurationError` that
+names the key, never a silently different verdict.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lint.rules import is_known_rule
+from repro.toml_writer import dumps_toml
 
 __all__ = [
-    "AllowEntry",
     "BaselineEntry",
     "LintConfig",
     "DEFAULT_CONFIG_NAME",
     "baseline_from_violations",
-    "reset_baseline",
+    "render_policy_toml",
 ]
 
 DEFAULT_CONFIG_NAME = ".repro-lint.toml"
@@ -97,25 +100,34 @@ DEFAULT_REQUEST_REPLY: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AllowEntry:
-    """A permanent exemption: ``rule`` (id or family prefix) at ``path``
-    (substring match), with a written justification."""
+_SCHEMA = 1
 
-    rule: str
-    path: str
-    justification: str
+# The [lint] keys that hold a list of strings; each sets the LintConfig
+# field of the same name.
+_STRING_LISTS = (
+    "simpath",
+    "set_returning",
+    "node_collections",
+    "node_returning",
+    "node_state",
+    "payload_attrs",
+)
+_BASELINE_KEYS = ("rule", "path", "max", "justification")
 
-    def matches(self, rule: str, path: str) -> bool:
-        return rule.startswith(self.rule) and self.path in path
+_HEADER = (
+    "# repro-lint policy: the audited violation baseline, plus any [lint]\n"
+    "# key that differs from the built-in defaults in repro/lint/config.py.\n"
+    '# See DESIGN.md, "Determinism contract & static analysis".\n'
+    "\n"
+)
 
 
 @dataclass
 class BaselineEntry:
     """A grandfathered violation budget: up to ``max_count`` violations
-    of ``rule`` (id or family prefix) under ``path`` are tolerated.
-    Unlike an allow entry the budget is finite and audited — a stale
-    entry (nothing matched) is reported so the baseline only shrinks."""
+    of ``rule`` (id or family prefix) under ``path`` (substring match)
+    are tolerated. The budget is finite and audited — a stale entry
+    (nothing matched) is reported so the baseline only shrinks."""
 
     rule: str
     path: str
@@ -150,18 +162,11 @@ class LintConfig:
     node_state: Tuple[str, ...] = DEFAULT_NODE_STATE
     payload_attrs: Tuple[str, ...] = DEFAULT_PAYLOAD_ATTRS
     request_reply: Tuple[Tuple[str, str], ...] = DEFAULT_REQUEST_REPLY
-    allow: List[AllowEntry] = field(default_factory=list)
     baseline: List[BaselineEntry] = field(default_factory=list)
     source: Optional[str] = None  # config file path, for reporting
 
     def is_simpath(self, path: str) -> bool:
         return any(pattern in path for pattern in self.simpath)
-
-    def allowed(self, rule: str, path: str) -> Optional[AllowEntry]:
-        for entry in self.allow:
-            if entry.matches(rule, path):
-                return entry
-        return None
 
     # ----------------------------------------------------------- loading
 
@@ -169,7 +174,7 @@ class LintConfig:
     def load(cls, path: Optional[str] = None) -> "LintConfig":
         """Load policy from ``path``; with ``None``, look for
         ``.repro-lint.toml`` in the working directory and fall back to
-        pure defaults (empty allowlist and baseline) when absent."""
+        pure defaults (empty baseline) when absent."""
         if path is None:
             candidate = os.path.join(os.getcwd(), DEFAULT_CONFIG_NAME)
             if not os.path.exists(candidate):
@@ -186,88 +191,130 @@ class LintConfig:
 
     @classmethod
     def from_dict(cls, doc: Dict, source: Optional[str] = None) -> "LintConfig":
-        lint = doc.get("lint", {})
-        simpath = tuple(lint.get("simpath", DEFAULT_SIMPATH))
-        set_returning = tuple(lint.get("set_returning", DEFAULT_SET_RETURNING))
-        node_collections = tuple(
-            lint.get("node_collections", DEFAULT_NODE_COLLECTIONS)
-        )
-        node_returning = tuple(lint.get("node_returning", DEFAULT_NODE_RETURNING))
-        node_state = tuple(lint.get("node_state", DEFAULT_NODE_STATE))
-        payload_attrs = tuple(lint.get("payload_attrs", DEFAULT_PAYLOAD_ATTRS))
-        protocol = lint.get("protocol", {})
-        raw_pairs = protocol.get("request_reply", DEFAULT_REQUEST_REPLY)
-        request_reply = []
-        for pair in raw_pairs:
-            if (
-                len(pair) != 2
-                or not all(isinstance(half, str) and half for half in pair)
-            ):
-                raise ConfigurationError(
-                    "every [lint.protocol] request_reply entry must be a "
-                    '["Request", "Reply"] pair of class names'
-                    + (f" ({source})" if source else "")
-                )
-            request_reply.append((pair[0], pair[1]))
-        allow = [
-            AllowEntry(
-                rule=_required(entry, "rule", source, "allow"),
-                path=_required(entry, "path", source, "allow"),
-                justification=_required(entry, "justification", source, "allow"),
+        where = f" ({source})" if source else ""
+        _table(doc, ("schema", "lint", "baseline"), "", where)
+        schema = doc.get("schema", _SCHEMA)
+        if type(schema) is not int or schema != _SCHEMA:
+            raise ConfigurationError(
+                f"lint config key 'schema' must be {_SCHEMA}, got {schema!r}{where}"
             )
-            for entry in doc.get("allow", ())
-        ]
-        baseline = [
-            BaselineEntry(
-                rule=_required(entry, "rule", source, "baseline"),
-                path=_required(entry, "path", source, "baseline"),
-                max_count=int(entry.get("max", 1)),
-                justification=_required(entry, "justification", source, "baseline"),
-            )
-            for entry in doc.get("baseline", ())
-        ]
-        for entry in list(allow) + list(baseline):
-            if not is_known_rule(entry.rule):
-                raise ConfigurationError(
-                    f"lint config names unknown rule {entry.rule!r} "
-                    f"(expected a Dxxx/Ixxx/Pxxx id or a Dx/Ix/Px family "
-                    f"prefix)"
-                )
-        return cls(
-            simpath=simpath,
-            set_returning=set_returning,
-            node_collections=node_collections,
-            node_returning=node_returning,
-            node_state=node_state,
-            payload_attrs=payload_attrs,
-            request_reply=tuple(request_reply),
-            allow=allow,
-            baseline=baseline,
-            source=source,
+        lint = _table(doc.get("lint", {}), _STRING_LISTS + ("protocol",), "lint", where)
+        protocol = _table(
+            lint.get("protocol", {}), ("request_reply",), "lint.protocol", where
         )
+        fields: Dict[str, object] = {
+            key: _string_list(lint[key], f"lint.{key}", where)
+            for key in _STRING_LISTS
+            if key in lint
+        }
+        if "request_reply" in protocol:
+            fields["request_reply"] = _pairs(protocol["request_reply"], where)
+        entries = doc.get("baseline", [])
+        if not isinstance(entries, list):
+            raise ConfigurationError(
+                f"lint config key 'baseline' must be [[baseline]] tables{where}"
+            )
+        baseline = [_baseline_entry(entry, where) for entry in entries]
+        return cls(**fields, baseline=baseline, source=source)
 
 
-def _required(entry: Dict, key: str, source: Optional[str], kind: str) -> str:
-    value = entry.get(key)
-    if not isinstance(value, str) or not value.strip():
+def render_policy_toml(config: LintConfig, baseline: Sequence[BaselineEntry]) -> str:
+    """Serialise a policy file with ``baseline`` as its entries: the
+    schema, the ``[lint]`` keys whose value differs from the built-in
+    default (none for the default policy), then the baseline. The
+    output is byte-stable for review diffs and reads back through
+    :meth:`LintConfig.from_dict` to the same policy."""
+    default = LintConfig()
+    lint: Dict[str, object] = {
+        key: list(getattr(config, key))
+        for key in _STRING_LISTS
+        if getattr(config, key) != getattr(default, key)
+    }
+    if config.request_reply != default.request_reply:
+        lint["protocol"] = {
+            "request_reply": [list(pair) for pair in config.request_reply]
+        }
+    doc: Dict[str, object] = {"schema": _SCHEMA}
+    if lint:
+        doc["lint"] = lint
+    if baseline:
+        doc["baseline"] = [entry.to_dict() for entry in baseline]
+    return _HEADER + dumps_toml(doc)
+
+
+def _table(value: object, known: Sequence[str], name: str, where: str) -> Dict:
+    """``value`` (the table at key ``name``), checked to be a table that
+    holds only ``known`` keys."""
+    if not isinstance(value, dict):
         raise ConfigurationError(
-            f"every [[{kind}]] entry needs a non-empty {key!r} string"
-            + (f" ({source})" if source else "")
+            f"lint config key {name!r} must be a table, got {value!r}{where}"
         )
+    for key in value:
+        if key not in known:
+            dotted = f"{name}.{key}" if name else key
+            raise ConfigurationError(f"unknown lint config key {dotted!r}{where}")
     return value
 
 
-def reset_baseline(config: LintConfig) -> None:
-    """Zero the matched counters so one config can judge several trees."""
-    for entry in config.baseline:
-        entry.matched = 0
+def _string_list(value: object, name: str, where: str) -> Tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ConfigurationError(
+            f"lint config key {name!r} must be a list of strings, "
+            f"got {value!r}{where}"
+        )
+    return tuple(value)
+
+
+def _pairs(value: object, where: str) -> Tuple[Tuple[str, str], ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(half, str) and half for half in pair)
+        for pair in value
+    ):
+        raise ConfigurationError(
+            "lint config key 'lint.protocol.request_reply' must be a list of "
+            f'["Request", "Reply"] pairs of class names{where}'
+        )
+    return tuple((request, reply) for request, reply in value)
+
+
+def _baseline_entry(entry: object, where: str) -> BaselineEntry:
+    entry = _table(entry, _BASELINE_KEYS, "baseline", where)
+    max_count = entry.get("max", 1)
+    if type(max_count) is not int or max_count < 1:
+        raise ConfigurationError(
+            f"lint config key 'baseline.max' must be an integer >= 1, "
+            f"got {max_count!r}{where}"
+        )
+    rule = _required(entry, "rule", where)
+    if not is_known_rule(rule):
+        raise ConfigurationError(
+            f"lint config names unknown rule {rule!r} (expected a "
+            f"Dxxx/Ixxx/Pxxx id or a Dx/Ix/Px family prefix){where}"
+        )
+    return BaselineEntry(
+        rule=rule,
+        path=_required(entry, "path", where),
+        max_count=max_count,
+        justification=_required(entry, "justification", where),
+    )
+
+
+def _required(entry: Dict, key: str, where: str) -> str:
+    value = entry.get(key)
+    if not isinstance(value, str) or not value.strip():
+        raise ConfigurationError(
+            f"every [[baseline]] entry needs a non-empty {key!r} string{where}"
+        )
+    return value
 
 
 def baseline_from_violations(
     violations: Sequence, justification: str = "TODO: justify this exemption"
 ) -> List[BaselineEntry]:
     """Collapse violations into per-(rule, path) baseline entries — the
-    ``--update-baseline`` path. Every generated entry carries the
+    ``--write-baseline`` path. Every generated entry carries the
     placeholder justification; committing it unedited is a review smell
     by design."""
     counts: Dict[Tuple[str, str], int] = {}

@@ -1,4 +1,4 @@
-"""The lint engine: walk files, parse, audit, apply suppressions and the
+"""The lint engine: walk files, parse, audit, select, apply the
 baseline, and return one structured result.
 
 Dogfooding note: the engine itself obeys the rules it enforces — file
@@ -10,25 +10,18 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lint.baseline import apply_baseline
 from repro.lint.config import BaselineEntry, LintConfig
 from repro.lint.protocol import analyze_modules, build_graph, extract_module
 from repro.lint.protograph import ProtocolGraph
-from repro.lint.rules import FAMILIES, Violation, is_known_rule
+from repro.lint.rules import Violation, is_known_rule
 from repro.lint.visitors import audit_module
 
 __all__ = ["LintResult", "build_protocol_graph", "lint_paths", "lint_source"]
-
-# `# repro-lint: ignore[D301] reason` — rule ids comma-separated; the
-# trailing reason is mandatory (enforced as rule D002, not by parsing).
-_SUPPRESSION = re.compile(
-    r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9*,\s]+)\]\s*(.*)$"
-)
 
 
 @dataclass
@@ -37,8 +30,6 @@ class LintResult:
 
     files: List[str] = field(default_factory=list)
     violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Violation] = field(default_factory=list)
-    allowed: List[Violation] = field(default_factory=list)
     baselined: List[Violation] = field(default_factory=list)
     stale_baseline: List[BaselineEntry] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
@@ -62,29 +53,32 @@ def lint_paths(
     paths: Sequence[str],
     config: Optional[LintConfig] = None,
     select: Optional[Sequence[str]] = None,
-    ignore_families: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Lint every ``*.py`` under ``paths`` (files or directories).
 
-    ``select`` scopes the run to the named rule ids/families;
-    ``ignore_families`` drops whole families. Unknown selectors raise
-    :class:`~repro.errors.ConfigurationError` — a typo'd ``--select``
-    must not pass as a vacuously clean run.
+    ``select`` scopes the run to the named rule ids/families. Unknown
+    selectors raise :class:`~repro.errors.ConfigurationError` — a
+    typo'd ``--select`` must not pass as a vacuously clean run.
     """
     config = config if config is not None else LintConfig()
-    keep = _make_filter(select, ignore_families)
+    selectors = _selectors(select)
     result = LintResult()
-    raw: List[Violation] = []
-    suppressed: List[Violation] = []
-    allowed: List[Violation] = []
+    files = set()
     for target in paths:
-        # A vanished target must fail loudly: "0 files checked, clean"
-        # on a typo'd path would be a vacuously green CI gate.
-        if not os.path.exists(target):
-            result.errors.append(f"{target}: no such file or directory")
-    sources: Dict[str, str] = {}
+        found = _python_files(target)
+        # A target that yields no file must fail loudly: "0 files
+        # checked, clean" on a typo'd or wrong path would be a
+        # vacuously green CI gate.
+        if not found:
+            reason = (
+                "no Python files" if os.path.exists(target)
+                else "no such file or directory"
+            )
+            result.errors.append(f"{target}: {reason}")
+        files.update(found)
+    raw: List[Violation] = []
     modules = []
-    for path in _iter_python_files(paths):
+    for path in sorted(files):
         result.files.append(path)
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -93,39 +87,16 @@ def lint_paths(
             result.errors.append(f"{path}: unreadable: {exc}")
             continue
         file_raw, file_errors, tree = _lint_one(source, path, config)
+        raw.extend(file_raw)
         result.errors.extend(file_errors)
         if tree is not None and config.is_simpath(path):
             modules.append(extract_module(tree, path))
-            sources[path] = source
-        for violation in file_raw:
-            if keep is not None and not keep(violation):
-                continue
-            status = _classify(violation, source, config, raw_list=raw)
-            if status == "suppressed":
-                suppressed.append(violation)
-            elif status == "allowed":
-                allowed.append(violation)
     # The protocol pass is whole-program: it runs once over every
-    # sim-path module collected above, then each P-violation routes
-    # through the same suppression/allow/baseline machinery, judged
-    # against the source of the file it anchors in.
+    # sim-path module collected above, and its violations are judged
+    # with the rest.
     _, protocol_violations = analyze_modules(modules, config)
-    for violation in protocol_violations:
-        if keep is not None and not keep(violation):
-            continue
-        status = _classify(
-            violation, sources.get(violation.path, ""), config, raw_list=raw
-        )
-        if status == "suppressed":
-            suppressed.append(violation)
-        elif status == "allowed":
-            allowed.append(violation)
-    remaining, baselined, stale = apply_baseline(raw, config)
-    result.violations = remaining
-    result.suppressed = sorted(suppressed, key=Violation.sort_key)
-    result.allowed = sorted(allowed, key=Violation.sort_key)
-    result.baselined = baselined
-    result.stale_baseline = stale
+    raw.extend(protocol_violations)
+    _judge(result, raw, config, selectors)
     return result
 
 
@@ -134,19 +105,16 @@ def lint_source(
     path: str = "<string>",
     config: Optional[LintConfig] = None,
     select: Optional[Sequence[str]] = None,
-    ignore_families: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Lint one in-memory module — the test-fixture entry point.
 
-    Suppressions and the allowlist apply; the baseline applies too, so a
-    config carrying baseline entries round-trips through the same logic
-    as a tree walk.
+    The baseline applies, so a config carrying baseline entries
+    round-trips through the same logic as a tree walk.
     """
     config = config if config is not None else LintConfig()
-    keep = _make_filter(select, ignore_families)
+    selectors = _selectors(select)
     result = LintResult(files=[path])
-    file_raw, file_errors, tree = _lint_one(source, path, config)
-    result.errors.extend(file_errors)
+    raw, result.errors, tree = _lint_one(source, path, config)
     if tree is not None and config.is_simpath(path):
         # Single-module protocol pass: fixtures exercise the P-rules
         # without a tree walk. Whole-program caveats apply (see
@@ -154,20 +122,8 @@ def lint_source(
         _, protocol_violations = analyze_modules(
             [extract_module(tree, path)], config
         )
-        file_raw = file_raw + protocol_violations
-    raw: List[Violation] = []
-    for violation in file_raw:
-        if keep is not None and not keep(violation):
-            continue
-        status = _classify(violation, source, config, raw_list=raw)
-        if status == "suppressed":
-            result.suppressed.append(violation)
-        elif status == "allowed":
-            result.allowed.append(violation)
-    remaining, baselined, stale = apply_baseline(raw, config)
-    result.violations = remaining
-    result.baselined = baselined
-    result.stale_baseline = stale
+        raw.extend(protocol_violations)
+    _judge(result, raw, config, selectors)
     return result
 
 
@@ -180,7 +136,8 @@ def build_protocol_graph(
     the same tree serialise byte-identically."""
     config = config if config is not None else LintConfig()
     modules = []
-    for path in _iter_python_files(paths):
+    files = {path for target in paths for path in _python_files(target)}
+    for path in sorted(files):
         if not config.is_simpath(path):
             continue
         try:
@@ -196,14 +153,8 @@ def build_protocol_graph(
 # ------------------------------------------------------------------ internals
 
 
-def _make_filter(
-    select: Optional[Sequence[str]],
-    ignore_families: Optional[Sequence[str]],
-):
-    """Build a violation predicate from ``--select``/``--ignore-family``
-    values, validating every selector up front."""
-    if not select and not ignore_families:
-        return None
+def _selectors(select: Optional[Sequence[str]]) -> Tuple[str, ...]:
+    """The ``--select`` values, each validated up front."""
     chosen = tuple(select or ())
     for selector in chosen:
         if not is_known_rule(selector):
@@ -211,20 +162,22 @@ def _make_filter(
                 f"unknown rule selector {selector!r} (expected a rule id "
                 f"like D301/I203 or a family prefix like D3/I2)"
             )
-    ignored = tuple(ignore_families or ())
-    for family in ignored:
-        if family not in FAMILIES:
-            known = ", ".join(sorted(FAMILIES))
-            raise ConfigurationError(
-                f"unknown rule family {family!r} (known families: {known})"
-            )
+    return chosen
 
-    def keep(violation: Violation) -> bool:
-        if chosen and not any(violation.rule.startswith(s) for s in chosen):
-            return False
-        return violation.rule[:2] not in ignored
 
-    return keep
+def _judge(
+    result: LintResult,
+    raw: List[Violation],
+    config: LintConfig,
+    selectors: Tuple[str, ...],
+) -> None:
+    """The one judging step: keep what ``--select`` names, then let the
+    baseline absorb what it budgets for."""
+    if selectors:
+        raw = [v for v in raw if v.rule.startswith(selectors)]
+    result.violations, result.baselined, result.stale_baseline = apply_baseline(
+        raw, config
+    )
 
 
 def _lint_one(
@@ -239,95 +192,23 @@ def _lint_one(
             None,
         )
     module_name = os.path.basename(path).rsplit(".", 1)[0]
-    violations = audit_module(tree, path, config, module_name)
-    violations.extend(_audit_suppression_comments(source, path))
-    return violations, [], tree
+    return audit_module(tree, path, config, module_name), [], tree
 
 
-def _audit_suppression_comments(source: str, path: str) -> List[Violation]:
-    """D002: every suppression must carry a written reason."""
-    violations: List[Violation] = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESSION.search(line)
-        if match is None:
-            continue
-        rules = [r.strip() for r in match.group(1).split(",") if r.strip()]
-        reason = match.group(2).strip()
-        if not reason:
-            violations.append(
-                Violation(
-                    rule="D002",
-                    path=path,
-                    line=lineno,
-                    col=match.start(),
-                    message="suppression without a written justification",
-                )
-            )
-        for rule in rules:
-            if rule != "*" and not is_known_rule(rule):
-                violations.append(
-                    Violation(
-                        rule="D002",
-                        path=path,
-                        line=lineno,
-                        col=match.start(),
-                        message=f"suppression names unknown rule {rule!r}",
-                    )
-                )
-    return violations
-
-
-def _classify(
-    violation: Violation,
-    source: str,
-    config: LintConfig,
-    raw_list: List[Violation],
-) -> str:
-    """Route one raw violation: suppressed inline, allowlisted, or kept
-    for the baseline pass (appended to ``raw_list``)."""
-    if violation.rule != "D002" and _is_suppressed(violation, source):
-        return "suppressed"
-    entry = config.allowed(violation.rule, violation.path)
-    if entry is not None:
-        return "allowed"
-    raw_list.append(violation)
-    return "kept"
-
-
-def _is_suppressed(violation: Violation, source: str) -> bool:
-    lines = source.splitlines()
-    if not 1 <= violation.line <= len(lines):
-        return False
-    match = _SUPPRESSION.search(lines[violation.line - 1])
-    if match is None:
-        return False
-    rules = {r.strip() for r in match.group(1).split(",")}
-    return "*" in rules or violation.rule in rules or violation.rule[:2] in rules
-
-
-def _iter_python_files(paths: Sequence[str]) -> Iterable[str]:
-    """Every ``*.py`` file under ``paths``, each exactly once, in sorted
-    posix-path order (byte-stable reports whatever the platform)."""
-    seen = set()
+def _python_files(target: str) -> List[str]:
+    """Every ``*.py`` file under ``target`` (or ``target`` itself when
+    it is a file), as posix paths in sorted walk order (byte-stable
+    reports whatever the platform)."""
+    if os.path.isfile(target):
+        return [_posix(target)]
     collected: List[str] = []
-    for target in paths:
-        if os.path.isfile(target):
-            candidate = _posix(target)
-            if candidate not in seen:
-                seen.add(candidate)
-                collected.append(candidate)
-            continue
-        for dirpath, dirnames, filenames in os.walk(target):
-            dirnames.sort()
-            dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                candidate = _posix(os.path.join(dirpath, filename))
-                if candidate not in seen:
-                    seen.add(candidate)
-                    collected.append(candidate)
-    return sorted(collected)
+    for dirpath, dirnames, filenames in os.walk(target):
+        dirnames.sort()
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                collected.append(_posix(os.path.join(dirpath, filename)))
+    return collected
 
 
 def _posix(path: str) -> str:

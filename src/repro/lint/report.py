@@ -15,7 +15,7 @@ from repro.lint.rules import CATALOG
 
 __all__ = ["JSON_SCHEMA", "format_text", "format_json"]
 
-JSON_SCHEMA = 1
+JSON_SCHEMA = 2
 
 
 def format_text(result: LintResult, verbose: bool = False) -> str:
@@ -30,10 +30,6 @@ def format_text(result: LintResult, verbose: bool = False) -> str:
         if rule is not None:
             lines.append(f"    [{rule.title}] {rule.advice}")
     if verbose:
-        for violation in result.suppressed:
-            lines.append(f"suppressed: {violation.render()}")
-        for violation in result.allowed:
-            lines.append(f"allowed: {violation.render()}")
         for violation in result.baselined:
             lines.append(f"baselined: {violation.render()}")
     for entry in result.stale_baseline:
@@ -44,7 +40,6 @@ def format_text(result: LintResult, verbose: bool = False) -> str:
     status = "clean" if result.clean else f"{len(result.violations)} violation(s)"
     lines.append(
         f"{status}: {len(result.files)} file(s) checked, "
-        f"{len(result.suppressed)} suppressed, {len(result.allowed)} allowed, "
         f"{len(result.baselined)} baselined"
     )
     return "\n".join(lines)
@@ -60,8 +55,6 @@ def format_json(result: LintResult) -> str:
         "violations": [v.to_dict() for v in result.violations],
         "counts": {
             "violations": len(result.violations),
-            "suppressed": len(result.suppressed),
-            "allowed": len(result.allowed),
             "baselined": len(result.baselined),
             "by_rule": result.rule_counts(),
         },

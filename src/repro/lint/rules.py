@@ -9,9 +9,6 @@ a smoke spec happens to exercise.
 
 Rule families:
 
-* **D0xx — suppression hygiene.** The suppression syntax itself is
-  policed: a ``# repro-lint: ignore[...]`` without a written reason is a
-  violation, so every exemption in the tree carries its justification.
 * **D1xx — ambient randomness.** Anything that draws entropy outside the
   simulation's seeded :class:`~repro.sim.rng.RngRegistry` streams:
   module-level ``random.*`` functions (hidden shared state), unseeded
@@ -137,7 +134,6 @@ class Violation:
 
 
 FAMILIES: Dict[str, str] = {
-    "D0": "suppression hygiene",
     "D1": "ambient randomness",
     "D2": "wall-clock reads",
     "D3": "order hazards",
@@ -153,12 +149,6 @@ FAMILIES: Dict[str, str] = {
 }
 
 _RULES = (
-    Rule(
-        "D002",
-        "suppression without justification",
-        "append a reason after the bracket: "
-        "`# repro-lint: ignore[D301] digest feeds a frozenset`",
-    ),
     Rule(
         "D101",
         "ambient random-module function",

@@ -2,8 +2,8 @@
 
 :func:`audit_module` parses nothing itself — the engine hands it a
 parsed tree — and returns raw :class:`~repro.lint.rules.Violation`
-records; suppressions, allowlist and baseline are applied later by the
-engine, so this module stays a pure function of (tree, policy).
+records; the ``--select`` filter and the baseline are applied later by
+the engine, so this module stays a pure function of (tree, policy).
 
 Detection is deliberately *syntactic*. A type checker would know more,
 but the hazards this linter exists for are exactly the ones simple

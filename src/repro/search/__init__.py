@@ -20,7 +20,6 @@ The packages splits the hunt into four orthogonal pieces:
 from repro.search.exporter import (
     RegressionSpec,
     check_bounds,
-    dumps_toml,
     export_regression,
     list_regressions,
     load_regression,
@@ -38,6 +37,7 @@ from repro.search.hunter import (
 from repro.search.sampler import SampleSpace, sample_schedule
 from repro.search.scorer import DamageScore, Weights, attach_faults, score_scenario
 from repro.search.shrinker import ShrinkResult, shrink_schedule
+from repro.toml_writer import dumps_toml
 
 __all__ = [
     "Candidate",

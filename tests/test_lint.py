@@ -1,10 +1,10 @@
-"""The determinism linter: rule fixtures, suppressions, allowlist,
-baseline round-trips, the JSON report, and the tree-level contract that
-``repro lint src`` is clean against the committed policy.
+"""The determinism linter: rule fixtures, the strictly parsed policy
+file, baseline round-trips, the JSON report, and the tree-level contract
+that ``repro lint src`` is clean against the committed policy.
 
 The isolation families (I1xx–I4xx) are covered here too: per-rule
-positive/negative fixtures, the ``--select``/``--ignore-family``
-filters, and mixed-report exit codes with I-rules present.
+positive/negative fixtures, the ``--select`` filter, and mixed-report
+exit codes with I-rules present.
 
 The protocol families (P1xx–P4xx) close the file out: per-rule
 positive/negative fixtures, whole-program cross-module linking (and the
@@ -18,12 +18,12 @@ import os
 import subprocess
 import sys
 import tomllib
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.lint import (
-    AllowEntry,
     BaselineEntry,
     CATALOG,
     FAMILIES,
@@ -499,7 +499,7 @@ class TestCallbackCapture:
         assert rules_of(lint(source)) == []
 
 
-# --------------------------------------------- select / ignore filters
+# ---------------------------------------------------------- select filter
 
 # One D-violation and one I-violation in the same module, so scoping is
 # observable in both directions.
@@ -519,17 +519,9 @@ class TestSelectFilters:
         result = lint_source(MIXED, path=SIM, select=["D201"])
         assert rules_of(result) == ["D201"]
 
-    def test_ignore_family_drops_it(self):
-        result = lint_source(MIXED, path=SIM, ignore_families=["I2"])
-        assert rules_of(result) == ["D201"]
-
     def test_unknown_selector_raises(self):
         with pytest.raises(ConfigurationError, match="unknown rule selector"):
             lint_source(MIXED, path=SIM, select=["BOGUS"])
-
-    def test_unknown_ignore_family_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown rule family"):
-            lint_source(MIXED, path=SIM, ignore_families=["Z9"])
 
     def test_cli_unknown_selector_exits_2(self):
         proc = subprocess.run(
@@ -589,105 +581,93 @@ class TestMixedExitCodes:
         payload = json.loads(format_json(lint(MIXED)))
         assert payload["counts"]["by_rule"] == {"D201": 1, "I202": 1}
 
-    def test_i_rule_suppression_needs_reason(self):
-        source = (
-            "def _f(self, msg, src):\n"
-            "    self.send(src, msg)  # repro-lint: ignore[I203]\n"
-        )
-        result = lint(source)
-        assert "D002" in rules_of(result)
-        assert "I203" not in rules_of(result)
-
-    def test_i_rule_suppression_with_reason_is_clean(self):
-        source = (
-            "def _f(self, msg, src):\n"
-            "    self.send(src, msg)  # repro-lint: ignore[I203] echo test rig\n"
-        )
-        result = lint(source)
-        assert rules_of(result) == []
-        assert [v.rule for v in result.suppressed] == ["I203"]
-
-
-# ---------------------------------------------------------- suppressions
-
-
-class TestSuppressions:
-    def test_inline_suppression_with_reason(self):
-        source = (
-            "s = {1, 2}\n"
-            "for x in s:  # repro-lint: ignore[D301] order-neutral fold\n"
-            "    pass\n"
-        )
-        result = lint(source)
-        assert rules_of(result) == []
-        assert [v.rule for v in result.suppressed] == ["D301"]
-
-    def test_family_prefix_suppression(self):
-        source = (
-            "s = {1, 2}\n"
-            "for x in s:  # repro-lint: ignore[D3] audited by hand\n"
-            "    pass\n"
-        )
-        result = lint(source)
-        assert rules_of(result) == []
-
-    def test_star_suppression(self):
-        source = "import time\nt = time.time()  # repro-lint: ignore[*] test rig\n"
-        result = lint(source)
-        assert rules_of(result) == []
-
-    def test_suppression_without_reason_is_d002(self):
-        source = (
-            "s = {1, 2}\n"
-            "for x in s:  # repro-lint: ignore[D301]\n"
-            "    pass\n"
-        )
-        result = lint(source)
-        assert "D002" in rules_of(result)
-
-    def test_suppression_of_unknown_rule_is_d002(self):
-        source = "x = 1  # repro-lint: ignore[D999] no such rule\n"
-        result = lint(source)
-        assert rules_of(result) == ["D002"]
-
-    def test_d002_cannot_suppress_itself(self):
-        source = (
-            "s = {1, 2}\n"
-            "for x in s:  # repro-lint: ignore[D301, D002]\n"
-            "    pass\n"
-        )
-        result = lint(source)
-        assert "D002" in rules_of(result)
-
 
 # ------------------------------------------------------------- allowlist
 
+# The baseline is the only exemption: no allowlist, no inline comment.
+
 
 class TestAllowlist:
-    def test_allow_entry_diverts_violation(self):
-        config = LintConfig(
-            allow=[AllowEntry(rule="D2", path="fixture.py", justification="test")]
+    def test_inline_comment_does_not_hide_a_finding(self):
+        result = lint(
+            "import time\nt = time.time()  # repro-lint: ignore[D201] reason\n"
         )
-        result = lint("import time\nt = time.time()\n", config=config)
-        assert rules_of(result) == []
-        assert [v.rule for v in result.allowed] == ["D201"]
+        assert rules_of(result) == ["D201"]
 
-    def test_allow_is_scoped_by_path(self):
-        config = LintConfig(
-            allow=[AllowEntry(rule="D2", path="elsewhere/", justification="test")]
-        )
-        result = lint("import time\nt = time.time()\n", config=config)
-        assert "D201" in rules_of(result)
+    def test_leftover_allow_table_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="'allow'"):
+            LintConfig.from_dict(
+                {"allow": [{"rule": "D2", "path": "x", "justification": "y"}]}
+            )
 
     def test_unknown_rule_in_config_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown rule 'D9'"):
             LintConfig.from_dict(
-                {"allow": [{"rule": "D9", "path": "x", "justification": "y"}]}
+                {"baseline": [{"rule": "D9", "path": "x", "justification": "y"}]}
             )
 
     def test_entry_without_justification_rejected(self):
         with pytest.raises(ConfigurationError):
             LintConfig.from_dict({"baseline": [{"rule": "D2", "path": "x"}]})
+
+
+# ------------------------------------------------------------ policy file
+
+ENTRY = {"rule": "D2", "path": "x", "justification": "j"}
+
+
+class TestPolicyFile:
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"lint": {"simpath": "repro/core/"}}, "lint.simpath"),
+            ({"lint": {"simpaht": ["repro/core/"]}}, "lint.simpaht"),
+            ({"lint": {"node_state": ["store", 3]}}, "lint.node_state"),
+            ({"lint": ["repro/core/"]}, "lint"),
+            ({"lint": {"protocol": {"request_replies": []}}},
+             "lint.protocol.request_replies"),
+            ({"lint": {"protocol": {"request_reply": ["ab"]}}},
+             "lint.protocol.request_reply"),
+            ({"baseline": [{**ENTRY, "max": "five"}]}, "baseline.max"),
+            ({"baseline": [{**ENTRY, "max": -3}]}, "baseline.max"),
+            ({"baseline": [{**ENTRY, "max": True}]}, "baseline.max"),
+            ({"baseline": [{**ENTRY, "maxx": 2}]}, "baseline.maxx"),
+            ({"schema": 7}, "schema"),
+        ],
+        ids=[
+            "string-simpath",
+            "misspelt-key",
+            "non-string-item",
+            "lint-not-a-table",
+            "unknown-protocol-key",
+            "string-pair",
+            "max-not-int",
+            "max-negative",
+            "max-bool",
+            "unknown-entry-key",
+            "schema-7",
+        ],
+    )
+    def test_bad_policy_is_rejected_by_key(self, doc, key):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            LintConfig.from_dict(doc)
+
+    def test_cli_bad_policy_exits_2_naming_the_key(self, tmp_path):
+        policy = tmp_path / "policy.toml"
+        policy.write_text('schema = 1\n\n[lint]\nsimpath = "repro/core/"\n')
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "lint", "src",
+                "--config", str(policy),
+            ],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "simpath" in proc.stdout + proc.stderr
+
 
 
 # --------------------------------------------------------------- baseline
@@ -742,21 +722,17 @@ class TestBaseline:
         assert entries[0].max_count == 2
 
     def test_policy_toml_round_trip(self):
-        config = LintConfig(
-            allow=[AllowEntry(rule="D3", path="repro/x.py", justification="why")],
-        )
+        config = LintConfig(simpath=("repro/x/",))
         baseline = [
             BaselineEntry(
                 rule="D2", path="repro/obs/", max_count=5, justification="prov"
             )
         ]
-        text = render_policy_toml(config, baseline)
-        doc = tomllib.loads(text)
+        doc = tomllib.loads(render_policy_toml(config, baseline))
+        # Only the key that differs from the built-in defaults is written.
+        assert doc["lint"] == {"simpath": ["repro/x/"]}
         loaded = LintConfig.from_dict(doc)
-        assert loaded.simpath == config.simpath
-        assert loaded.set_returning == config.set_returning
-        assert loaded.allow == config.allow
-        assert loaded.baseline == baseline
+        assert loaded == replace(config, baseline=baseline)
 
     def test_rendered_policy_is_byte_stable(self):
         config = LintConfig()
@@ -775,7 +751,7 @@ class TestJsonReport:
     def test_schema_and_keys(self):
         result = lint("import time\nt = time.time()\n")
         payload = json.loads(format_json(result))
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["clean"] is False
         assert payload["files_checked"] == 1
         assert payload["counts"]["violations"] == 1
@@ -800,6 +776,16 @@ class TestTreeContract:
         assert result.violations == [], format_text(result)
         assert result.errors == []
         assert result.stale_baseline == [], "baseline carries dead entries"
+
+    def test_committed_policy_is_the_defaults_plus_its_baseline(self):
+        path = os.path.join(REPO_ROOT, ".repro-lint.toml")
+        with open(path, "rb") as f:
+            assert "lint" not in tomllib.load(f)
+        config = LintConfig.load(path)
+        assert config == LintConfig(baseline=config.baseline, source=path)
+        # The committed file is exactly what --write-baseline writes.
+        with open(path, encoding="utf-8") as f:
+            assert f.read() == render_policy_toml(config, config.baseline)
 
     def test_committed_baseline_is_small_and_justified(self):
         config = LintConfig.load(os.path.join(REPO_ROOT, ".repro-lint.toml"))
@@ -845,6 +831,12 @@ class TestTreeContract:
         assert not result.clean
         assert result.exit_code == 1
         assert "no such file" in result.errors[0]
+
+    def test_target_without_python_files_fails(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        result = lint_paths([str(tmp_path)], LintConfig())
+        assert result.exit_code == 1
+        assert result.errors == [f"{tmp_path}: no Python files"]
 
     def test_missing_config_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="cannot read lint config"):
@@ -953,16 +945,6 @@ class TestProtocolDeadLetters:
 
     def test_off_simpath_module_is_exempt(self):
         assert rules_of(lint(P101_DEAD_LETTER, path=OFF)) == []
-
-    def test_p_violation_can_be_suppressed_inline(self):
-        source = P101_DEAD_LETTER.replace(
-            "self.node.send(dst, Orphan(body=\"x\"))",
-            "self.node.send(dst, Orphan(body=\"x\"))"
-            "  # repro-lint: ignore[P101] wired up in a later PR",
-        )
-        result = lint(source)
-        assert rules_of(result) == []
-        assert [v.rule for v in result.suppressed] == ["P101"]
 
     def test_p_violation_can_be_baselined(self):
         config = LintConfig(
@@ -1159,12 +1141,6 @@ class TestProtocolSelect:
     def test_select_family_p1(self):
         result = lint_source(P101_DEAD_LETTER, path=SIM, select=["P1"])
         assert rules_of(result) == ["P101"]
-
-    def test_ignore_family_p1(self):
-        result = lint_source(
-            P101_DEAD_LETTER, path=SIM, ignore_families=["P1"]
-        )
-        assert rules_of(result) == []
 
     def test_unknown_p_selector_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown rule selector"):
