@@ -18,9 +18,11 @@ A stack is one subclass supplying the rest: a node factory
 (:meth:`_make_server`), :meth:`new_client`, :meth:`deploy`,
 :meth:`converge`, :meth:`converged` and, optionally, a
 :meth:`collect_metrics` override for stack-specific metric blocks (slice
-health for DATAFLASKS, ring health for the DHT), so the runner never
-special-cases stacks. Subclasses register under their ``spec.stack``
-name with :func:`~repro.backends.registry.register_backend`. This module
+health for DATAFLASKS, ring health for the DHT) and a :meth:`check_spec`
+override for spec fields only the stack can judge, so neither the runner
+nor the spec validator special-cases stacks. Subclasses register under
+their ``spec.stack`` name with
+:func:`~repro.backends.registry.register_backend`. This module
 and the registry import nothing from a stack; see DESIGN.md ("Backend
 architecture") for how to add one.
 """
@@ -73,6 +75,12 @@ class StoreBackend(abc.ABC):
         self.clients: List[Any] = []
 
     # --------------------------------------------------------- provisioning
+
+    @classmethod
+    def check_spec(cls, spec: Any) -> None:
+        """Raise :class:`~repro.errors.ConfigurationError` when this stack
+        cannot deploy ``spec`` as written; called when a spec is built,
+        so ``repro scenarios validate`` catches it. Accepts by default."""
 
     @classmethod
     @abc.abstractmethod

@@ -7,11 +7,13 @@ from typing import Any, Dict, List, Optional, Set
 from repro.backends.base import StoreBackend
 from repro.backends.registry import register_backend
 from repro.dht.client import DhtClient
-from repro.dht.node import ChordNode
+from repro.dht.node import ChordNode, check_ring_shape
 from repro.sim.node import Node, SimContext
 from repro.sim.simulator import NodeFactory, Simulation
 
 __all__ = ["DhtCluster"]
+
+SUCCESSOR_LIST_LEN = 8  # successors a ring member keeps unless told otherwise
 
 
 @register_backend("dht")
@@ -33,7 +35,7 @@ class DhtCluster(StoreBackend):
         replication: int = 3,
         sim: Optional[Simulation] = None,
         seed: int = 0,
-        successor_list_len: int = 8,
+        successor_list_len: int = SUCCESSOR_LIST_LEN,
     ) -> None:
         super().__init__(n, sim, seed)
         self.replication = replication
@@ -42,6 +44,10 @@ class DhtCluster(StoreBackend):
         for node in self.servers:
             node.start()
         self._provision_ring()
+
+    @classmethod
+    def check_spec(cls, spec: Any) -> None:
+        check_ring_shape(spec.replication, SUCCESSOR_LIST_LEN)
 
     @classmethod
     def deploy(cls, spec: Any, sim: Simulation) -> "DhtCluster":

@@ -10,10 +10,10 @@ identical churn.
 
 Routing is *iterative*: the querier repeatedly asks ``route_step`` until
 an owner is found (handlers stay synchronous); a ring member answers its
-own first step in-process. Replication: the key's
-owner stores and pushes copies to its ``replication - 1`` successors;
-a periodic repair round re-pushes owned keys so replicas follow ring
-membership.
+own first step in-process, so a finger fix that step settles needs no
+lookup at all. Replication: the key's owner stores and pushes copies to
+its ``replication - 1`` successors; a periodic repair round re-pushes
+owned keys so replicas follow ring membership.
 
 Known, documented simplification: no key handoff on *join* (a joiner
 acquires data through the owners' repair rounds rather than an explicit
@@ -24,6 +24,7 @@ keeps the comparison symmetric.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.store import MemoryStore, VersionedStore
@@ -36,9 +37,10 @@ from repro.dht.ring import (
     key_position,
 )
 from repro.dht.rpc import RpcService
+from repro.errors import ConfigurationError
 from repro.sim.node import Node, SimContext
 
-__all__ = ["ChordNode", "iterative_lookup", "RingRef"]
+__all__ = ["ChordNode", "check_ring_shape", "iterative_lookup", "RingRef"]
 
 RingRef = Tuple[int, int]  # (position, node id)
 
@@ -55,6 +57,7 @@ def iterative_lookup(
     callback: Callable[[Optional[RingRef]], None],
     max_hops: int = 3 * RING_BITS,
     hop_counter: Optional[List[int]] = None,
+    hops: int = 0,
 ) -> None:
     """Drive an iterative Chord lookup from any node (server or client).
 
@@ -68,6 +71,8 @@ def iterative_lookup(
     member starts — runs ``route_step`` in-process through
     :meth:`RpcService.invoke`, as Chord's ``find_successor`` does, and
     counts as a hop like any other: no node ever sends itself a message.
+    ``hops`` is the number of steps already taken before ``start`` (a
+    caller that stepped in-process and follows the referral passes 1).
     """
 
     def step(current: int, hops: int) -> None:
@@ -95,7 +100,22 @@ def iterative_lookup(
             hop_counter.append(hops)
         callback(owner)
 
-    step(start, 0)
+    step(start, hops)
+
+
+def check_ring_shape(replication: int, successor_list_len: int, fingers_per_round: int = 1) -> None:
+    """Reject a ring shape that cannot hold its own replicas: the owner
+    keeps one copy and pushes the others to its successor list, so
+    ``replication`` must lie in ``1 .. successor_list_len + 1``."""
+    if successor_list_len < 1:
+        raise ConfigurationError(f"successor_list_len must be at least 1, got {successor_list_len}")
+    if fingers_per_round < 1:
+        raise ConfigurationError(f"fingers_per_round must be at least 1, got {fingers_per_round}")
+    if not 1 <= replication <= successor_list_len + 1:
+        raise ConfigurationError(
+            f"replication must be in 1..{successor_list_len + 1} (the owner plus its "
+            f"successor_list_len = {successor_list_len} successors), got {replication}"
+        )
 
 
 class ChordNode(Node):
@@ -112,6 +132,7 @@ class ChordNode(Node):
         fingers_per_round: int = 4,
         store: Optional[VersionedStore] = None,
     ) -> None:
+        check_ring_shape(replication, successor_list_len, fingers_per_round)
         super().__init__(node_id, ctx)
         self.pos = node_position(node_id)
         self.replication = replication
@@ -124,6 +145,15 @@ class ChordNode(Node):
         self.predecessor: Optional[RingRef] = None
         self.fingers: dict = {}
         self._next_finger = 0
+        # The routing table _closest_preceding bisects: distinct clockwise
+        # offsets from ``pos``, ascending, and the ref at each. It stands
+        # for the ``fingers`` dict, ``successors`` list and ``pos`` it was
+        # built from; _set_finger clears ``_table_fingers`` on a change.
+        self._offsets: List[int] = []
+        self._refs: List[RingRef] = []
+        self._table_fingers: Optional[dict] = None
+        self._table_successors: Optional[List[RingRef]] = None
+        self._table_pos: Optional[int] = None
         self.rpc = RpcService()
         self.add_service(self.rpc)
         for method, handler in (
@@ -184,30 +214,52 @@ class ChordNode(Node):
         A candidate qualifies when its clockwise offset from this node
         lies in ``(0, span)``, with a ``span`` of 0 meaning the full ring
         (:func:`in_interval`'s convention); the first candidate with the
-        largest offset wins.
+        largest offset wins. One bisect over the routing table.
         """
+        if (
+            self._table_fingers is not self.fingers
+            or self._table_successors is not self.successors
+            or self._table_pos != self.pos
+        ):
+            self._build_table()
+        index = bisect_left(self._offsets, (target - self.pos) % RING_SIZE or RING_SIZE)
+        return self._refs[index - 1] if index else self.successor
+
+    def _build_table(self) -> None:
+        """Sort the distinct nonzero offsets of ``fingers.values()`` then
+        ``successors``, keeping the first ref seen at each. A ref's offset
+        never changes, and successor lists are replaced, never mutated,
+        so the table stands until a finger changes or a list or ``pos``
+        is replaced."""
         origin = self.pos
-        span = (target - origin) % RING_SIZE or RING_SIZE
-        best: Optional[RingRef] = None
-        best_offset = 0
+        first: dict = {}
         for ref in itertools.chain(self.fingers.values(), self.successors):
             offset = (ref[0] - origin) % RING_SIZE
-            if best_offset < offset < span:
-                best, best_offset = ref, offset
-        return tuple(best) if best is not None else self.successor
+            if offset and offset not in first:
+                first[offset] = tuple(ref)
+        self._offsets = sorted(first)
+        self._refs = [first[offset] for offset in self._offsets]
+        self._table_fingers, self._table_successors = self.fingers, self.successors
+        self._table_pos = origin
 
     def _rpc_route_step(self, args: tuple, src: int):
+        """Answer ``OWNER`` or refer to the ``NEXT`` peer, comparing
+        clockwise offsets from this node: the target is ours when it lies
+        in ``(predecessor, self]``, the successor's in ``(self,
+        successor]``, and an end at offset 0 makes that the full ring."""
         (target,) = args
-        if target == self.pos:
+        pos = self.pos
+        offset = (target - pos) % RING_SIZE
+        if not offset:
             return (OWNER, self.ref())
-        if self.predecessor is not None and in_interval(
-            target, self.predecessor[0], self.pos, inclusive_end=True
-        ):
+        pred = self.predecessor
+        if pred is not None and offset > (pred[0] - pos) % RING_SIZE:
             return (OWNER, self.ref())
         succ = self.successor
         if succ[1] == self.id:
             return (OWNER, self.ref())  # single-node ring
-        if in_interval(target, self.pos, succ[0], inclusive_end=True):
+        succ_offset = (succ[0] - pos) % RING_SIZE
+        if offset <= succ_offset or not succ_offset:
             return (OWNER, succ)
         nxt = self._closest_preceding(target)
         if nxt[1] == self.id:
@@ -270,23 +322,37 @@ class ChordNode(Node):
         self.rpc.call(pred[1], "ping", (), on_reply=answered)
 
     def _fix_fingers(self) -> None:
+        """Refresh the next ``fingers_per_round`` fingers. Each target's
+        first route step runs here, in-process, exactly as
+        :func:`iterative_lookup` would run it; only a ``NEXT`` referral
+        starts a network lookup, from the referral at hop 1."""
         for _ in range(self.fingers_per_round):
             index = self._next_finger
-            self._next_finger = (self._next_finger + 1) % RING_BITS
+            self._next_finger = (index + 1) % RING_BITS
             target = finger_target(self.pos, index)
-            iterative_lookup(
-                self,
-                self.rpc,
-                self.id,
-                target,
-                lambda owner, i=index: self._set_finger(i, owner),
-            )
+            ok, result = self.rpc.invoke("route_step", (target,), self.id)
+            if not ok:  # the handler raised: as a failed lookup
+                self._set_finger(index, None)
+            elif result[0] == OWNER:
+                self._set_finger(index, tuple(result[1]))
+            else:
+                iterative_lookup(
+                    self,
+                    self.rpc,
+                    result[1][1],
+                    target,
+                    lambda owner, i=index: self._set_finger(i, owner),
+                    hops=1,
+                )
 
     def _set_finger(self, index: int, owner: Optional[RingRef]) -> None:
+        fingers = self.fingers
         if owner is None:
-            self.fingers.pop(index, None)
-        elif owner[1] != self.id:
-            self.fingers[index] = owner
+            if fingers.pop(index, None) is not None:
+                self._table_fingers = None
+        elif owner[1] != self.id and fingers.get(index) != owner:
+            fingers[index] = owner
+            self._table_fingers = None
 
     # ------------------------------------------------------------- storage
 

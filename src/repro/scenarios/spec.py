@@ -250,7 +250,9 @@ class ScenarioSpec:
         :class:`~repro.errors.ConfigurationError` listing the registry.
     :param nodes: server population at deployment.
     :param num_slices: DATAFLASKS slice count ``k`` (core-only).
-    :param replication: Chord replica count (dht-only).
+    :param replication: Chord replica count (dht-only): the owner plus
+        its successors, so at most the successor list's length + 1 (9);
+        the stack's ``check_spec`` rejects more.
     :param config: extra :class:`~repro.core.config.DataFlasksConfig`
         field overrides, applied on top of the size-scaled defaults.
     :param faults: the ``[[faults]]`` nemesis schedule; each entry's
@@ -294,11 +296,12 @@ class ScenarioSpec:
         from repro.backends import get_backend
         from repro.core.config import DataFlasksConfig
 
-        get_backend(self.stack)
+        backend = get_backend(self.stack)
         if self.nodes <= 0:
             raise ConfigurationError("nodes must be positive")
         if self.num_slices <= 0 or self.replication <= 0:
             raise ConfigurationError("num_slices and replication must be positive")
+        backend.check_spec(self)
         # [config] is checked on every stack, not just core: a core spec
         # re-stacked onto the oracle (search/scorer.py) keeps its block,
         # and a misspelt key is a mistake wherever it is written.

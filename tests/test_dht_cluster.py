@@ -1,14 +1,21 @@
 """Integration tests for the Chord DHT baseline."""
 
+from bisect import bisect_left
+from collections import Counter
+
 import pytest
 
+from repro.cli import main
 from repro.dht import DhtCluster
-from repro.dht.node import ChordNode
+from repro.dht.node import ChordNode, iterative_lookup
+from repro.dht.ring import RING_BITS, finger_target
 from repro.errors import ConfigurationError
 from repro.obs.recorder import FlightRecorder
-from repro.scenarios import load_bundled
+from repro.scenarios import load_bundled, spec_from_dict
 from repro.scenarios.runner import run_scenario
 from repro.sim.network import Tap
+from repro.sim.simulator import Simulation
+from tests.test_golden_trajectory import GOLDEN, LATENCY, SEED
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +28,60 @@ def ring():
 def test_size_validated():
     with pytest.raises(ConfigurationError):
         DhtCluster(n=0)
+
+
+# The owner keeps one copy and pushes the rest to its successor list, so
+# a ring of successor_list_len L places at most L + 1 copies.
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(replication=0), "replication"),
+        (dict(replication=6), "replication"),  # L = 4 places at most 5
+        (dict(successor_list_len=0), "successor_list_len"),
+        (dict(fingers_per_round=0), "fingers_per_round"),
+    ],
+)
+def test_chord_node_rejects_a_shape_the_ring_cannot_place(kwargs, field):
+    with pytest.raises(ConfigurationError, match=field):
+        ChordNode(0, Simulation(seed=0).ctx, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(replication=0), "replication"),
+        (dict(replication=10), "replication"),  # L = 8 places at most 9
+        (dict(replication=4, successor_list_len=2), "replication"),
+        (dict(successor_list_len=0), "successor_list_len"),
+    ],
+)
+def test_cluster_rejects_a_shape_the_ring_cannot_place(kwargs, field):
+    with pytest.raises(ConfigurationError, match=field):
+        DhtCluster(n=10, **kwargs)
+
+
+def test_the_largest_placeable_replication_is_placed():
+    cluster = DhtCluster(n=20, replication=9, seed=41)
+    cluster.stabilize(5)
+    client = cluster.new_client()
+    assert cluster.put_sync(client, "dht:nine", b"x", 1).succeeded
+    cluster.sim.run_for(10)  # repair rounds fill every successor
+    assert cluster.replication_level("dht:nine") == 9
+
+
+def test_spec_rejects_a_dht_replication_the_ring_cannot_place():
+    with pytest.raises(ConfigurationError, match="replication"):
+        spec_from_dict(dict(name="r12", stack="dht", nodes=20, replication=12))
+    spec_from_dict(dict(name="r9", stack="dht", nodes=20, replication=9))
+    # replication is the Chord replica count; the core stack ignores it.
+    spec_from_dict(dict(name="core12", stack="core", nodes=20, replication=12))
+
+
+def test_scenarios_validate_exits_2_on_an_unplaceable_replication(tmp_path, capsys):
+    path = tmp_path / "r12.toml"
+    path.write_text('name = "r12"\nstack = "dht"\nnodes = 20\nreplication = 12\n')
+    assert main(["scenarios", "validate", str(path)]) == 2
+    assert "replication" in capsys.readouterr().out
 
 
 def test_provisioned_ring_is_consistent(ring):
@@ -209,3 +270,74 @@ def test_member_lookup_takes_the_hops_of_a_route_asked_from_outside(ring):
         ring.sim.run_until_condition(lambda: len(owners) == 2, timeout=30)
         assert owners[0] is not None and owners[0] == owners[1]
         assert local_hops == remote_hops and local_hops[0] >= 1
+
+
+def fix_fingers_by_lookup(self):
+    """``ChordNode._fix_fingers`` before in-process fixes: every finger
+    through :func:`iterative_lookup`, first step included — kept as the
+    reference."""
+    for _ in range(self.fingers_per_round):
+        index = self._next_finger
+        self._next_finger = (self._next_finger + 1) % RING_BITS
+        target = finger_target(self.pos, index)
+        iterative_lookup(
+            self, self.rpc, self.id, target, lambda owner, i=index: self._set_finger(i, owner)
+        )
+
+
+def golden_end_state(name, monkeypatch):
+    """Run the golden pin ``name``; return what a finger fix can touch."""
+    deployed = []
+    deploy = DhtCluster.deploy.__func__
+
+    def capture(cls, spec, sim):
+        deployed.append(deploy(cls, spec, sim))
+        return deployed[-1]
+
+    monkeypatch.setattr(DhtCluster, "deploy", classmethod(capture))
+    data, _ = GOLDEN[name]
+    result = run_scenario(spec_from_dict(dict(data, name=f"golden-{name}", latency=LATENCY)), SEED)
+    (cluster,) = deployed
+    metrics = cluster.sim.metrics
+    return (
+        result.metrics["events_processed"],
+        [(s.id, list(s.fingers.items()), s.successors, s.predecessor) for s in cluster.servers],
+        {counter: metrics.counter(counter) for counter in metrics.counter_names()},
+        {hist: metrics.histogram(hist).samples for hist in metrics.histogram_names()},
+    )
+
+
+@pytest.mark.parametrize("name", ["dht", "dht-faults"])
+def test_in_process_finger_fixes_equal_lookups_end_to_end(name, monkeypatch):
+    stock = golden_end_state(name, monkeypatch)
+    monkeypatch.setattr(ChordNode, "_fix_fingers", fix_fingers_by_lookup)
+    assert golden_end_state(name, monkeypatch) == stock
+
+
+def test_one_finger_cycle_points_every_finger_at_its_true_successor(monkeypatch):
+    # Chord's finger invariant on a static ring: once every index has
+    # been fixed, fingers[i] is the first node at or after pos + 2^i, and
+    # an index that the node itself owns holds no finger.
+    rounds = Counter()
+    fix = ChordNode._fix_fingers
+
+    def counted(self):
+        rounds[self.id] += 1
+        fix(self)
+
+    monkeypatch.setattr(ChordNode, "_fix_fingers", counted)
+    cluster = DhtCluster(n=40, seed=37)
+    cycle = RING_BITS // cluster.servers[0].fingers_per_round
+    while min(rounds[s.id] for s in cluster.servers) < cycle:
+        cluster.sim.run_for(0.5)
+    cluster.sim.run_for(0.5)  # the last round's network lookups answer
+
+    ring = sorted(cluster.servers, key=lambda s: s.pos)
+    positions = [s.pos for s in ring]
+
+    def true_successor(point):
+        return ring[bisect_left(positions, point) % len(ring)].ref()
+
+    for node in cluster.servers:
+        owners = {i: true_successor(finger_target(node.pos, i)) for i in range(RING_BITS)}
+        assert node.fingers == {i: ref for i, ref in owners.items() if ref[1] != node.id}

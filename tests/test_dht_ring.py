@@ -1,9 +1,9 @@
-"""Tests for Chord ring arithmetic."""
+"""Tests for Chord ring arithmetic and a node's routing decisions."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dht.node import ChordNode
+from repro.dht.node import NEXT, OWNER, ChordNode
 from repro.dht.ring import (
     RING_SIZE,
     finger_target,
@@ -94,9 +94,10 @@ def closest_preceding_by_interval(node, target):
 
 @st.composite
 def routing_tables(draw):
-    """A node position, a target and finger / successor refs biased to
-    the edges that matter: the node itself, the target, their
-    neighbours, both ends of the ring, and duplicates."""
+    """A node position, a target, finger / successor refs and a
+    predecessor, biased to the edges that matter: the node itself, the
+    target, their neighbours, both ends of the ring, and duplicates. The
+    predecessor is ``None``, the node itself or any such position."""
     own = draw(pos_st)
     target = draw(st.one_of(st.just(own), pos_st))
     edges = [own, target, own + 1, own - 1, target + 1, target - 1, 0, RING_SIZE - 1]
@@ -104,14 +105,96 @@ def routing_tables(draw):
     ref = st.tuples(position, st.integers(min_value=0, max_value=5))
     fingers = draw(st.dictionaries(st.integers(min_value=0, max_value=63), ref, max_size=8))
     successors = draw(st.lists(ref, max_size=6))
-    return own, target, fingers, successors
+    predecessor = draw(st.one_of(st.none(), st.just((own, 0)), ref))
+    return own, target, fingers, successors, predecessor
+
+
+def table_node(own, fingers, successors, predecessor=None):
+    node = ChordNode(0, Simulation(seed=0).ctx)
+    node.pos, node.fingers, node.successors = own, fingers, successors
+    node.predecessor = predecessor
+    return node
+
+
+def route_step_by_interval(node, target):
+    """``_rpc_route_step`` as three :func:`in_interval` tests over
+    absolute positions, the formulation the offset version replaced,
+    kept as the reference."""
+    if target == node.pos:
+        return (OWNER, node.ref())
+    if node.predecessor is not None and in_interval(
+        target, node.predecessor[0], node.pos, inclusive_end=True
+    ):
+        return (OWNER, node.ref())
+    succ = node.successor
+    if succ[1] == node.id:
+        return (OWNER, node.ref())
+    if in_interval(target, node.pos, succ[0], inclusive_end=True):
+        return (OWNER, succ)
+    nxt = closest_preceding_by_interval(node, target)
+    if nxt[1] == node.id:
+        return (OWNER, node.ref())
+    return (NEXT, nxt)
 
 
 class TestClosestPreceding:
     @settings(max_examples=500)
     @given(routing_tables())
     def test_offset_scan_equals_interval_scan(self, table):
-        own, target, fingers, successors = table
-        node = ChordNode(0, Simulation(seed=0).ctx)
-        node.pos, node.fingers, node.successors = own, fingers, successors
+        own, target, fingers, successors, _ = table
+        node = table_node(own, fingers, successors)
         assert node._closest_preceding(target) == closest_preceding_by_interval(node, target)
+
+    @settings(max_examples=200)
+    @given(routing_tables(), st.data())
+    def test_table_follows_every_change(self, table, data):
+        # The table is built lazily and kept until something it was built
+        # from changes; after every step of a random history each query
+        # must still see the current fingers, successors and position.
+        own, target, fingers, successors, _ = table
+        node = table_node(own, fingers, successors)
+        ref = st.tuples(
+            st.one_of(pos_st, st.sampled_from([own, target, (own + 1) % RING_SIZE])),
+            st.integers(min_value=0, max_value=5),
+        )
+        kinds = ["finger", "own finger", "stabilise", "failover", "provision", "fingers", "pos"]
+        past = {own, target}  # just past every ref the table has held
+        for _ in range(data.draw(st.integers(1, 12))):
+            past.update((r[0] + 1) % RING_SIZE for r in list(node.fingers.values()) + node.successors)
+            known = sorted(node.fingers)
+            index = data.draw(st.sampled_from(known) if known else st.integers(0, 63))
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "finger":
+                node._set_finger(index, data.draw(st.one_of(st.none(), ref)))
+            elif kind == "own finger":
+                node._set_finger(index, node.ref())
+            elif kind == "stabilise":  # _on_neighbors' replacement list
+                chain = [node.successor] + data.draw(st.lists(ref, max_size=6))
+                node.successors = node._alive_filter(chain)[: node.successor_list_len] or [node.ref()]
+            elif kind == "failover":
+                node.successors = node.successors[1:] if len(node.successors) > 1 else [node.ref()]
+            elif kind == "provision":
+                node.successors = data.draw(st.lists(ref, max_size=8)) or [node.ref()]
+            elif kind == "fingers":
+                node.fingers = data.draw(st.dictionaries(st.integers(0, 63), ref, max_size=8))
+            else:
+                node.pos = data.draw(st.one_of(pos_st, st.just(target)))
+            # Just past a ref that is, or was, in the table is where a stale
+            # entry would be the answer.
+            for query in [target] + data.draw(st.lists(st.sampled_from(sorted(past)), max_size=3)):
+                assert node._closest_preceding(query) == closest_preceding_by_interval(node, query)
+
+
+class TestRouteStep:
+    @settings(max_examples=500)
+    @given(routing_tables())
+    # The ends of both intervals, each a rare draw: a successor at this
+    # node's position (the full ring), the target on the successor, and a
+    # predecessor at this node's position.
+    @example(table=(100, 50, {}, [(100, 3)], None))
+    @example(table=(100, 200, {}, [(200, 3)], None))
+    @example(table=(100, 50, {}, [(200, 3)], (100, 4)))
+    def test_offsets_equal_interval_tests(self, table):
+        own, target, fingers, successors, predecessor = table
+        node = table_node(own, fingers, successors, predecessor)
+        assert node._rpc_route_step((target,), 1) == route_step_by_interval(node, target)
