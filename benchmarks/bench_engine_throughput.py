@@ -114,7 +114,7 @@ def measure_obs_overhead(
     (A B A B ...) so slow process drift — allocator state, frequency
     scaling — hits both sides equally; at smoke sizes that drift alone
     is several percent, far above the probe's real cost."""
-    from repro.obs import FlightRecorder
+    from repro.obs import FlightRecorder, ObservabilitySpec
 
     spec = throughput_spec(stack, nodes)
     best = {False: float("inf"), True: float("inf")}
@@ -122,7 +122,9 @@ def measure_obs_overhead(
     for _ in range(repeats):
         for with_recorder in (False, True):
             recorder = (
-                FlightRecorder(timeline=True, window=1.0) if with_recorder else None
+                FlightRecorder(ObservabilitySpec(timeline=True, window=1.0))
+                if with_recorder
+                else None
             )
             start = time.perf_counter()
             result = run_scenario(spec, seed=seed, recorder=recorder)

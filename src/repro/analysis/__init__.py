@@ -8,8 +8,6 @@
   accounting for fault scenarios
 * :mod:`repro.analysis.loadcurve` — offered-vs-delivered throughput and
   per-window latency percentiles for the open-loop engine
-* :mod:`repro.analysis.timeline` — rate/damage views over
-  flight-recorder timelines (:mod:`repro.obs`)
 * :mod:`repro.analysis.tables` — ASCII tables/series for bench output
 """
 
@@ -25,13 +23,6 @@ from repro.analysis.experiments import (
     run_write_workload_point,
 )
 from repro.analysis.tables import format_series, format_table, rows_to_table
-from repro.analysis.timeline import (
-    damage_series,
-    format_timeline,
-    load_timeline,
-    timeline_rates,
-    top_counters,
-)
 
 __all__ = [
     "ConsistencyReport",
@@ -39,19 +30,14 @@ __all__ = [
     "aggregate_table_rows",
     "check_cluster",
     "count_write_losses",
-    "damage_series",
     "missing_objects",
     "default_node_counts",
     "format_series",
     "format_table",
-    "format_timeline",
     "full_scale",
     "knee_point",
     "load_curve_row",
-    "load_timeline",
     "rows_to_table",
-    "timeline_rates",
-    "top_counters",
     "window_rows",
     "run_constant_slices",
     "run_proportional_slices",

@@ -32,9 +32,9 @@ benches.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.aggregate import aggregate_table_rows
@@ -48,6 +48,7 @@ from repro.backends import REGISTRY, get_backend
 from repro.core.cluster import DataFlasksCluster
 from repro.core.config import DataFlasksConfig
 from repro.errors import ConfigurationError, DeterminismError, IsolationError
+from repro.obs.recorder import FlightRecorder, ObservabilitySpec, render_report
 from repro.scenarios.registry import bundled_names, load_all_bundled, load_bundled
 from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 from repro.scenarios.spec import ScenarioSpec, load_spec
@@ -578,7 +579,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     spec = _resolve_spec(args)
     if args.action == "run":
-        recorder = _build_recorder(spec, args)
+        obs = _observability(spec, args)
+        recorder = FlightRecorder(obs)
         result = run_scenario(
             spec, seed=args.seed, recorder=recorder, options=_run_options(args)
         )
@@ -594,7 +596,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                     ["metric", "value"], sorted(result.metrics.items())
                 )
             )
-        if recorder is not None:
+        if obs.enabled:
             obs_dir = args.obs_dir or os.path.join(
                 "obs", f"{result.scenario}-s{result.seed}"
             )
@@ -671,25 +673,18 @@ def _validate_spec(target: str) -> int:
     return 0
 
 
-def _build_recorder(spec: ScenarioSpec, args: argparse.Namespace):
-    """The run's :class:`~repro.obs.recorder.FlightRecorder`, or ``None``.
-
-    Each pillar is on when its CLI flag forces it, or when the spec's
-    ``[observability]`` section enables it and ``--no-obs`` was not
-    given. Spec-level tuning (window, sample rate) always comes from the
-    spec.
-    """
+def _observability(spec: ScenarioSpec, args: argparse.Namespace) -> ObservabilitySpec:
+    """The run's flight-recorder configuration: ``spec.observability``
+    with each pillar on when its CLI flag forces it, or when the spec
+    enables it and ``--no-obs`` was not given. Spec-level tuning
+    (window, sample rate) always comes from the spec."""
     obs = spec.observability
-    spec_on = obs.enabled and not args.no_obs
-    want_timeline = args.timeline or (spec_on and obs.timeline)
-    want_trace = args.trace or (spec_on and obs.trace)
-    want_profile = args.profile or (spec_on and obs.profile)
-    if not (want_timeline or want_trace or want_profile):
-        return None
-    from repro.obs import FlightRecorder
-
-    return FlightRecorder.from_spec(
-        obs, timeline=want_timeline, trace=want_trace, profile=want_profile
+    keep = not args.no_obs
+    return replace(
+        obs,
+        timeline=args.timeline or (keep and obs.timeline),
+        trace=args.trace or (keep and obs.trace),
+        profile=args.profile or (keep and obs.profile),
     )
 
 
@@ -750,86 +745,12 @@ def _brief_lines(spec: ScenarioSpec, result) -> List[str]:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.timeline import format_timeline
-    from repro.obs import load_manifest
-
     try:
-        manifest = load_manifest(args.directory)
+        print(render_report(args.directory, top=args.top))
     except OSError as exc:
-        print(f"error: cannot read manifest: {exc}")
+        print(f"error: cannot read artifacts: {exc}")
         return 2
-    directory = (
-        os.path.dirname(args.directory)
-        if os.path.isfile(args.directory)
-        else args.directory
-    )
-    env = manifest.get("environment", {})
-    wall = manifest.get("wall", {})
-    print(
-        f"run: {manifest.get('scenario')} ({manifest.get('stack')}, "
-        f"{manifest.get('nodes')} nodes, seed {manifest.get('seed')})"
-    )
-    print(
-        f"  repro {env.get('package_version', '?')} on python "
-        f"{env.get('python', '?')}; wall {wall.get('total_s', 0.0):g}s"
-    )
-    print(f"  spec sha256: {manifest.get('spec_sha256', '?')[:16]}…")
-    phases = wall.get("phases", {})
-    if phases:
-        print(
-            "  phases: "
-            + ", ".join(f"{name} {secs:g}s" for name, secs in phases.items())
-        )
-    obs = manifest.get("observability", {})
-    artifacts = {a["name"]: a for a in manifest.get("artifacts", [])}
-
-    timeline_path = os.path.join(directory, "timeline.json")
-    if "timeline.json" in artifacts and os.path.exists(timeline_path):
-        with open(timeline_path, "r", encoding="utf-8") as f:
-            timeline = json.load(f)
-        print(f"\ntimeline ({len(timeline['windows'])} windows, rates are per second):")
-        print(format_timeline(timeline))
-
-    if "trace.json" in artifacts:
-        print(
-            f"\ntrace: {obs.get('sampled_ops', 0)}/{obs.get('total_ops', 0)} ops "
-            f"sampled, {obs.get('hops', 0)} hops, {obs.get('drops', 0)} drops"
-        )
-        print(
-            f"  load {os.path.join(directory, 'trace.json')} in Perfetto "
-            "(ui.perfetto.dev) or chrome://tracing"
-        )
-
-    hotspots_path = os.path.join(directory, "hotspots.json")
-    if "hotspots.json" in artifacts and os.path.exists(hotspots_path):
-        with open(hotspots_path, "r", encoding="utf-8") as f:
-            prof = json.load(f)
-        print(
-            f"\nhotspots ({prof['total_events']} events, "
-            f"{prof['total_wall_s']:g}s in handlers):"
-        )
-        print(_hotspot_table(prof["hotspots"], top=args.top))
     return 0
-
-
-def _hotspot_table(rows: List[Dict[str, object]], top: int) -> str:
-    """Fixed-width rendering of a ``hotspots.json`` row list (same shape
-    :meth:`HotspotProfiler.table` prints for a live profiler)."""
-    rows = rows[:top]
-    if not rows:
-        return "(no events profiled)"
-    width = max(len("handler"), max(len(str(r["handler"])) for r in rows))
-    lines = [
-        f"{'handler':<{width}}  {'events':>9}  {'wall_s':>9}  "
-        f"{'share':>6}  {'us/event':>9}"
-    ]
-    for r in rows:
-        lines.append(
-            f"{str(r['handler']):<{width}}  {int(r['events']):>9}  "
-            f"{float(r['wall_s']):>9.3f}  {float(r['share']):>6.1%}  "
-            f"{float(r['us_per_event']):>9.2f}"
-        )
-    return "\n".join(lines)
 
 
 def _hunt_config(args: argparse.Namespace) -> "HuntConfig":
@@ -986,8 +907,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.write_baseline:
         # Regenerate against an empty baseline so existing budget entries
         # don't absorb the violations we are trying to record.
-        from dataclasses import replace
-
         result = lint_paths(args.paths, replace(config, baseline=[]), select=select)
         baseline = baseline_from_violations(result.violations)
         with open(args.write_baseline, "w", encoding="utf-8") as f:

@@ -19,6 +19,9 @@ Four pillars, all optional and independently switchable:
 * :mod:`repro.obs.manifest` — run provenance: spec hash, seed, package
   version, wall-phase timings, artifact checksums.
 
+:func:`~repro.obs.recorder.render_report` (``repro report DIR``) is the
+one reader of the artifacts; no other package parses them.
+
 The determinism contract (asserted in CI): probes draw **no** RNG and
 mutate **no** protocol state; timeline probes do add scheduler events,
 so the runner subtracts their count from the reported
@@ -37,17 +40,19 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.profile import HotspotProfiler
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, ObservabilitySpec, render_report
 from repro.obs.timeline import TimelineRecorder
 from repro.obs.trace import OpTracer
 
 __all__ = [
     "FlightRecorder",
     "HotspotProfiler",
+    "ObservabilitySpec",
     "OpTracer",
     "TimelineRecorder",
     "build_environment",
     "load_manifest",
+    "render_report",
     "sha256_bytes",
     "sha256_file",
     "spec_sha256",

@@ -12,6 +12,9 @@ in CI).
 Wall-clock fields (``created_at``, phase timings) are provenance, not
 metrics — they naturally differ between runs; everything derived from
 the simulation is deterministic.
+
+``wall.phases`` is a list of ``[name, seconds]`` pairs (schema 2) so
+that the sorted-key dump keeps the phases in execution order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ __all__ = [
     "write_manifest",
 ]
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 MANIFEST_NAME = "manifest.json"
 
 

@@ -7,7 +7,10 @@ elapsed wall time here, keyed by the handler's qualified name. Network
 deliveries are specialised per message type
 (``Network._deliver[CyclonRequest]``), because "delivery" at paper scale
 is most of the run and the per-type split is what directs optimisation
-work (see ROADMAP, the 1k-node wall).
+work (see ROADMAP, the 1k-node wall). Periodic tasks are split the same
+way, by the callback each one wraps
+(``PeriodicTask._fire[CyclonService._shuffle]``): every protocol's rounds
+run through that one method, so an unsplit row would lump them all.
 
 This is the one pillar whose *output* is not deterministic — wall time
 never is — but its presence still cannot change a run's trajectory: the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-__all__ = ["HotspotProfiler"]
+__all__ = ["HotspotProfiler", "format_hotspots"]
 
 # Delivery handlers worth splitting per message type.
 _DELIVER_LABELS = ("Network._deliver", "Network._deliver_traced")
@@ -43,6 +46,10 @@ class HotspotProfiler:
         elif label in _DELIVER_LABELS and len(args) > 2:
             # args = (src, dst, msg, ...): split delivery cost per type.
             label = f"Network._deliver[{type(args[2]).__name__}]"
+        elif label == "PeriodicTask._fire":
+            wrapped = fn.__self__._fn
+            name = getattr(wrapped, "__qualname__", None) or type(wrapped).__name__
+            label = f"PeriodicTask._fire[{name}]"
         entry = self._stats.get(label)
         if entry is None:
             self._stats[label] = [1, elapsed]
@@ -88,17 +95,23 @@ class HotspotProfiler:
 
     def table(self, top: int = 15) -> str:
         """A fixed-width hotspot table for terminal output."""
-        rows = self.rows()[:top]
-        if not rows:
-            return "(no events profiled)"
-        width = max(len("handler"), max(len(r["handler"]) for r in rows))
-        lines = [
-            f"{'handler':<{width}}  {'events':>9}  {'wall_s':>9}  "
-            f"{'share':>6}  {'us/event':>9}"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['handler']:<{width}}  {r['events']:>9}  {r['wall_s']:>9.3f}  "
-                f"{r['share']:>6.1%}  {r['us_per_event']:>9.2f}"
-            )
-        return "\n".join(lines)
+        return format_hotspots(self.rows(), top)
+
+
+def format_hotspots(rows: List[Dict[str, Any]], top: int = 15) -> str:
+    """Fixed-width table of the first ``top`` hotspot rows — the shape
+    :meth:`HotspotProfiler.rows` returns and ``hotspots.json`` stores."""
+    rows = rows[:top]
+    if not rows:
+        return "(no events profiled)"
+    width = max(len("handler"), max(len(r["handler"]) for r in rows))
+    lines = [
+        f"{'handler':<{width}}  {'events':>9}  {'wall_s':>9}  "
+        f"{'share':>6}  {'us/event':>9}"
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['handler']:<{width}}  {r['events']:>9}  {r['wall_s']:>9.3f}  "
+            f"{r['share']:>6.1%}  {r['us_per_event']:>9.2f}"
+        )
+    return "\n".join(lines)

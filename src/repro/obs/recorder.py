@@ -1,51 +1,86 @@
-"""The flight-recorder coordinator.
+"""The flight recorder: its configuration, its coordinator, its report.
 
-:class:`FlightRecorder` bundles the enabled pillars (timeline, tracer,
-profiler), owns wall-clock phase timing for the run manifest, and knows
-how to write the artifact directory. The scenario runner only ever talks
-to this class: ``attach(sim)`` after the simulation exists,
-``attach_observer`` / wiring ``tracer`` once the workload runner is
-built, ``begin_phase`` at phase boundaries, ``finish(sim)`` at the end,
-and ``write_artifacts`` to persist everything plus the manifest.
+:class:`ObservabilitySpec` (a scenario's ``[observability]`` block) is
+the one configuration type. :class:`FlightRecorder` takes it whole,
+bundles the pillars it enables, times the runner's wall phases and
+writes the artifact directory; :func:`render_report` reads it back.
 
-A recorder is single-use: one recorder per scenario run.
+The scenario runner always holds a recorder (a pillar-less one when the
+caller passes none) and calls it once each, in this order, which
+subclasses such as the performance ledger's rely on:
+``begin_phase("deploy")``, ``attach(sim)``, ``begin_phase("converge")``,
+``attach_observer(observer)``, ``begin_phase`` for ``load``, ``settle``,
+``transactions``, ``heal`` and ``collect``, ``finish(sim)``, then
+``overhead_events``. A recorder is single-use: one per scenario run.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs import manifest as manifest_mod
-from repro.obs.profile import HotspotProfiler
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.profile import HotspotProfiler, format_hotspots
+from repro.obs.timeline import TimelineRecorder, format_timeline
 from repro.obs.trace import OpTracer
 
-__all__ = ["FlightRecorder"]
+__all__ = ["FlightRecorder", "ObservabilitySpec", "render_report"]
+
+
+@dataclass
+class ObservabilitySpec:
+    """Flight-recorder configuration (the ``[observability]`` block).
+
+    Everything defaults to off; a spec without the block behaves exactly
+    as before the recorder existed. The CLI's per-run pillar flags
+    (``--timeline`` / ``--trace`` / ``--profile`` / ``--no-obs``) are one
+    :func:`dataclasses.replace` of it.
+
+    * ``timeline`` — per-``window``-second counter/damage deltas
+      (:class:`~repro.obs.timeline.TimelineRecorder`).
+    * ``trace`` — head-sample every ``trace_sample``-th client op (up to
+      ``trace_max_ops`` sampled ops) into a Perfetto-loadable Chrome
+      trace (:class:`~repro.obs.trace.OpTracer`).
+    * ``profile`` — wall-clock hotspot attribution per handler type
+      (:class:`~repro.obs.profile.HotspotProfiler`).
+    """
+
+    timeline: bool = False
+    window: float = 5.0
+    trace: bool = False
+    trace_sample: int = 10
+    trace_max_ops: int = 1000
+    profile: bool = False
+
+    def __post_init__(self) -> None:
+        if self.window <= 0:
+            raise ConfigurationError("observability window must be positive")
+        if self.trace_sample < 1:
+            raise ConfigurationError("trace_sample must be >= 1")
+        if self.trace_max_ops < 1:
+            raise ConfigurationError("trace_max_ops must be >= 1")
+
+    @property
+    def enabled(self) -> bool:
+        return self.timeline or self.trace or self.profile
 
 
 class FlightRecorder:
-    """Coordinates the enabled observability pillars for one run."""
+    """Coordinates the pillars ``obs`` enables for one run."""
 
-    def __init__(
-        self,
-        *,
-        timeline: bool = False,
-        window: float = 5.0,
-        trace: bool = False,
-        trace_sample: int = 10,
-        trace_max_ops: int = 1000,
-        profile: bool = False,
-    ) -> None:
+    def __init__(self, obs: ObservabilitySpec = ObservabilitySpec()) -> None:
         self.timeline: Optional[TimelineRecorder] = (
-            TimelineRecorder(window) if timeline else None
+            TimelineRecorder(obs.window) if obs.timeline else None
         )
         self.tracer: Optional[OpTracer] = (
-            OpTracer(trace_sample, trace_max_ops) if trace else None
+            OpTracer(obs.trace_sample, obs.trace_max_ops) if obs.trace else None
         )
         self.profiler: Optional[HotspotProfiler] = (
-            HotspotProfiler() if profile else None
+            HotspotProfiler() if obs.profile else None
         )
         self._phases: List[Tuple[str, float]] = []
         self._phase: Optional[str] = None
@@ -53,34 +88,6 @@ class FlightRecorder:
         self._wall0 = perf_counter()
         self.total_wall = 0.0
         self._finished = False
-
-    @classmethod
-    def from_spec(
-        cls,
-        obs,
-        *,
-        timeline: Optional[bool] = None,
-        trace: Optional[bool] = None,
-        profile: Optional[bool] = None,
-    ) -> "FlightRecorder":
-        """Build from an :class:`~repro.scenarios.spec.ObservabilitySpec`,
-        with per-pillar overrides (``None`` inherits the spec value)."""
-        return cls(
-            timeline=obs.timeline if timeline is None else timeline,
-            window=obs.window,
-            trace=obs.trace if trace is None else trace,
-            trace_sample=obs.trace_sample,
-            trace_max_ops=obs.trace_max_ops,
-            profile=obs.profile if profile is None else profile,
-        )
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.timeline is not None
-            or self.tracer is not None
-            or self.profiler is not None
-        )
 
     @property
     def overhead_events(self) -> int:
@@ -127,13 +134,9 @@ class FlightRecorder:
         if self.timeline is not None:
             self.timeline.stop(sim.now)
 
-    def phase_wall(self) -> Dict[str, float]:
-        """Phase name -> wall seconds, in execution order (repeated
-        phase names accumulate)."""
-        phases: Dict[str, float] = {}
-        for name, wall in self._phases:
-            phases[name] = phases.get(name, 0.0) + wall
-        return {name: round(wall, 6) for name, wall in phases.items()}
+    def phase_wall(self) -> List[List[Any]]:
+        """``[name, wall seconds]`` per phase, in execution order."""
+        return [[name, round(wall, 6)] for name, wall in self._phases]
 
     # ----------------------------------------------------------- artifacts
 
@@ -169,12 +172,10 @@ class FlightRecorder:
             _write(directory, "trace.json", self.tracer.to_chrome_json())
             names.append("trace.json")
         if self.profiler is not None:
-            import json as _json
-
             _write(
                 directory,
                 "hotspots.json",
-                _json.dumps(self.profiler.to_dict(), indent=2, sort_keys=True),
+                json.dumps(self.profiler.to_dict(), indent=2, sort_keys=True),
             )
             names.append("hotspots.json")
         summary = result.summary_json()
@@ -201,8 +202,70 @@ class FlightRecorder:
         return manifest_mod.write_manifest(directory, manifest)
 
 
+def render_report(path: str, top: int = 12) -> str:
+    """Render an artifact directory :meth:`FlightRecorder.write_artifacts`
+    wrote (``path`` is the directory or its manifest): provenance, the
+    wall phases in execution order, the timeline as per-second rates, the
+    trace summary and the ``top`` hotspot rows. An unreadable file raises
+    :class:`OSError`; a manifest of another schema raises
+    :class:`~repro.errors.ConfigurationError`."""
+    manifest = manifest_mod.load_manifest(path)
+    schema = manifest.get("schema")
+    if schema != manifest_mod.MANIFEST_SCHEMA:
+        raise ConfigurationError(
+            f"manifest schema {schema!r} is not {manifest_mod.MANIFEST_SCHEMA}; "
+            "re-record the run with this version"
+        )
+    directory = os.path.dirname(path) if os.path.isfile(path) else path
+    env = manifest["environment"]
+    wall = manifest["wall"]
+    lines = [
+        f"run: {manifest['scenario']} ({manifest['stack']}, "
+        f"{manifest['nodes']} nodes, seed {manifest['seed']})",
+        f"  repro {env['package_version']} on python {env['python']}; "
+        f"wall {wall['total_s']:g}s",
+        f"  spec sha256: {manifest['spec_sha256'][:16]}…",
+    ]
+    if wall["phases"]:
+        lines.append(
+            "  phases: "
+            + ", ".join(f"{name} {secs:g}s" for name, secs in wall["phases"])
+        )
+    obs = manifest["observability"]
+    artifacts = {entry["name"] for entry in manifest["artifacts"]}
+    if "timeline.json" in artifacts:
+        timeline = _read_json(directory, "timeline.json")
+        lines += [
+            "",
+            f"timeline ({len(timeline['windows'])} windows, rates are per second):",
+            format_timeline(timeline),
+        ]
+    if "trace.json" in artifacts:
+        lines += [
+            "",
+            f"trace: {obs['sampled_ops']}/{obs['total_ops']} ops sampled, "
+            f"{obs['hops']} hops, {obs['drops']} drops",
+            f"  load {os.path.join(directory, 'trace.json')} in Perfetto "
+            "(ui.perfetto.dev) or chrome://tracing",
+        ]
+    if "hotspots.json" in artifacts:
+        prof = _read_json(directory, "hotspots.json")
+        lines += [
+            "",
+            f"hotspots ({prof['total_events']} events, "
+            f"{prof['total_wall_s']:g}s in handlers):",
+            format_hotspots(prof["hotspots"], top),
+        ]
+    return "\n".join(lines)
+
+
 def _write(directory: str, name: str, content: str) -> None:
     with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
         f.write(content)
         if not content.endswith("\n"):
             f.write("\n")
+
+
+def _read_json(directory: str, name: str) -> Any:
+    with open(os.path.join(directory, name), "r", encoding="utf-8") as f:
+        return json.load(f)

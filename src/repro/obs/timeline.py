@@ -16,16 +16,24 @@ subtract them from the reported ``events_processed`` (the one core
 metric a probe would otherwise perturb). Two same-seed runs therefore
 produce byte-identical :meth:`to_json` output, and a run with the
 recorder attached produces byte-identical core metrics to one without.
+
+The readers below take the dict form (:meth:`TimelineRecorder.to_dict`
+or a loaded ``timeline.json``), so they serve live and archived runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["TimelineRecorder"]
+__all__ = [
+    "TimelineRecorder",
+    "format_timeline",
+    "timeline_rates",
+    "top_counters",
+]
 
 TIMELINE_SCHEMA = 1
 
@@ -154,3 +162,55 @@ class TimelineRecorder:
                 }
             )
         return rows
+
+
+def top_counters(timeline: Dict[str, Any], limit: int = 6) -> List[str]:
+    """The ``limit`` counters with the largest whole-run totals —
+    the default column set when the caller names none. Per-type message
+    breakdowns are skipped in favour of their aggregates."""
+    totals: Dict[str, float] = {}
+    for row in timeline["windows"]:
+        for name, value in row["counters"].items():
+            totals[name] = totals.get(name, 0.0) + value
+    keep = {
+        name: total
+        for name, total in totals.items()
+        if name in ("msg.sent", "msg.received")
+        or (not name.startswith("msg.sent.") and not name.startswith("msg.received."))
+    }
+    ranked = sorted(keep.items(), key=lambda item: (-item[1], item[0]))
+    return [name for name, _ in ranked[:limit]]
+
+
+def timeline_rates(
+    timeline: Dict[str, Any], counters: Optional[Sequence[str]] = None
+) -> List[Dict[str, float]]:
+    """One row per window with per-second rates for ``counters``
+    (defaults to :func:`top_counters`), plus any staleness /
+    availability columns the recorder captured."""
+    if counters is None:
+        counters = top_counters(timeline)
+    rows = []
+    for window in timeline["windows"]:
+        span = window["end"] - window["start"]
+        row: Dict[str, float] = {"t": window["start"], "span": span}
+        for name in counters:
+            delta = window["counters"].get(name, 0.0)
+            row[name] = delta / span if span > 0 else 0.0
+        for extra in ("stale_reads", "unavail_closed", "unavail_open"):
+            if extra in window:
+                row[extra] = float(window[extra])
+        rows.append(row)
+    return rows
+
+
+def format_timeline(
+    timeline: Dict[str, Any], counters: Optional[Sequence[str]] = None
+) -> str:
+    """ASCII table of per-window rates (counters are per-second)."""
+    from repro.analysis.tables import rows_to_table  # late: obs stays light
+
+    rows = timeline_rates(timeline, counters)
+    if not rows:
+        return "(empty timeline)"
+    return rows_to_table(rows, list(rows[0].keys()))

@@ -52,6 +52,7 @@ from repro.backends.base import round_metric as _r
 from repro.errors import ConfigurationError
 from repro.churn.controller import ChurnController
 from repro.faults.nemesis import Nemesis
+from repro.obs.recorder import FlightRecorder
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.rng import derive_seed
 from repro.sim.simulator import Simulation, relaxed_gc
@@ -181,15 +182,17 @@ class SweepResult:
 def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
-    recorder=None,
+    recorder: Optional[FlightRecorder] = None,
     options: RunOptions = RunOptions(),
 ) -> ScenarioResult:
     """Execute ``spec`` once; ``seed`` overrides the spec's default.
 
-    ``recorder`` is an optional
-    :class:`~repro.obs.recorder.FlightRecorder` the caller owns (the
-    CLI builds one from ``spec.observability`` plus its flags, then
-    writes the artifact directory after the run). The recorder's probes
+    ``recorder`` is the run's
+    :class:`~repro.obs.recorder.FlightRecorder`, which the caller owns
+    (the CLI builds one from ``spec.observability`` plus its flags, then
+    writes the artifact directory after the run); ``None`` runs with a
+    pillar-less one. The runner drives every recorder through the same
+    call order (see :mod:`repro.obs.recorder`). The recorder's probes
     are RNG-free and event-order-neutral, and its timeline probe events
     are subtracted from ``events_processed``, so a recorded run returns
     byte-identical metrics to an unrecorded one — the obs determinism
@@ -203,25 +206,24 @@ def run_scenario(
     the trajectory, so summaries stay byte-identical either way.
     """
     seed = spec.seed if seed is None else seed
+    if recorder is None:
+        recorder = FlightRecorder()
     with options.guard(), relaxed_gc():
         return _run_scenario_inner(spec, seed, recorder, options)
 
 
 def _run_scenario_inner(
-    spec: ScenarioSpec, seed: int, recorder, options: RunOptions
+    spec: ScenarioSpec, seed: int, recorder: FlightRecorder, options: RunOptions
 ) -> ScenarioResult:
-    if recorder is not None:
-        recorder.begin_phase("deploy")
+    recorder.begin_phase("deploy")
     sim = Simulation(seed=seed, latency_model=spec.latency.build(), loss_rate=spec.loss_rate)
-    if recorder is not None:
-        recorder.attach(sim)
+    recorder.attach(sim)
     coverage = options.attach(sim)
     backend = get_backend(spec.stack).deploy(spec, sim)
     metrics: Dict[str, float] = {}
 
     cluster_size_before = len(backend.servers)
-    if recorder is not None:
-        recorder.begin_phase("converge")
+    recorder.begin_phase("converge")
     metrics["converged"] = float(backend.converge(spec))
 
     workload = spec.workload.build()
@@ -232,20 +234,17 @@ def _run_scenario_inner(
         op_timeout=spec.workload.op_timeout,
         acks_required=spec.workload.acks_required,
     )
-    if recorder is not None:
-        recorder.attach_observer(runner.observer)
-        runner.tracer = recorder.tracer
-        recorder.begin_phase("load")
+    recorder.attach_observer(runner.observer)
+    runner.tracer = recorder.tracer
+    recorder.begin_phase("load")
     load_stats = runner.run_load_phase()
-    if recorder is not None:
-        recorder.begin_phase("settle")
+    recorder.begin_phase("settle")
     sim.run_for(spec.settle)
 
     controller, nemesis, probe, churn_end = _inject_faults_and_churn(spec, backend)
 
     txn_stats: Optional[RunStats] = None
-    if recorder is not None:
-        recorder.begin_phase("transactions")
+    recorder.begin_phase("transactions")
     if spec.workload.operation_count > 0:
         if spec.workload.mode == "open":
             # The concurrent engine shares the load phase's consistency
@@ -267,8 +266,7 @@ def _run_scenario_inner(
                 acks_required=spec.workload.acks_required,
                 observer=runner.observer,
             )
-            if recorder is not None:
-                engine.tracer = recorder.tracer
+            engine.tracer = recorder.tracer
             txn_stats = engine.run_transactions(spec.workload.operation_count)
         else:
             txn_stats = runner.run_transactions(spec.workload.operation_count)
@@ -276,8 +274,7 @@ def _run_scenario_inner(
         # No transaction phase: still play the churn schedule out so its
         # effects are visible in the population/replication metrics.
         sim.run_until(churn_end)
-    if recorder is not None:
-        recorder.begin_phase("heal")
+    recorder.begin_phase("heal")
     if nemesis is not None and sim.now < nemesis.end_time:
         # The transaction phase ended before the fault schedule did:
         # keep running so every scheduled heal fires.
@@ -285,18 +282,15 @@ def _run_scenario_inner(
     _measure_heal(spec, backend, probe, metrics)
     sim.run_for(spec.cooldown)
 
-    if recorder is not None:
-        recorder.begin_phase("collect")
+    recorder.begin_phase("collect")
     _collect(spec, backend, controller, nemesis, runner, load_stats, txn_stats, workload, metrics)
     metrics["population_before_churn"] = float(cluster_size_before)
     metrics["sim_time"] = _r(sim.now)
     events = sim.scheduler.events_processed
-    if recorder is not None:
-        recorder.finish(sim)
-        # Timeline probes are the one place observability adds scheduler
-        # events; subtract them so obs-on metrics equal obs-off byte-for-byte.
-        events -= recorder.overhead_events
-    metrics["events_processed"] = float(events)
+    recorder.finish(sim)
+    # Timeline probes are the one place observability adds scheduler
+    # events; subtract them so obs-on metrics equal obs-off byte-for-byte.
+    metrics["events_processed"] = float(events - recorder.overhead_events)
     return ScenarioResult(
         spec.name,
         seed,

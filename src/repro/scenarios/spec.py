@@ -5,17 +5,20 @@ experiment: which storage stack to deploy (any backend registered with
 :mod:`repro.backends` — DATAFLASKS, the Chord baseline, the oracle),
 how big, over what network, under what churn (``[churn]`` — see
 :mod:`repro.churn.spec`) and fault schedule (``[[faults]]`` — see
-:mod:`repro.faults.spec`), driven by which workload, and which metric
-groups to collect. Specs round-trip through plain
-dicts, JSON and TOML, so experiments live in version-controlled files
-instead of ad-hoc benchmark wiring (the bundled ones are the ``*.toml``
-files next to this module; see :mod:`repro.scenarios.registry`).
+:mod:`repro.faults.spec`), driven by which workload, which metric
+groups to collect, and what the flight recorder captures
+(``[observability]`` — see :mod:`repro.obs.recorder`). Specs
+round-trip through plain dicts, JSON and TOML, so experiments live in
+version-controlled files instead of ad-hoc benchmark wiring (the bundled
+ones are the ``*.toml`` files next to this module; see
+:mod:`repro.scenarios.registry`).
 
 The spec layer only *describes*; :mod:`repro.scenarios.runner` executes.
 The latency and workload sub-specs build the runtime object they
-describe; churn and faults need no runtime twin — the
-:class:`~repro.churn.controller.ChurnController` and the
-:class:`~repro.faults.nemesis.Nemesis` apply the spec itself. Every
+describe; churn, faults and observability need no runtime twin — the
+:class:`~repro.churn.controller.ChurnController`, the
+:class:`~repro.faults.nemesis.Nemesis` and the
+:class:`~repro.obs.recorder.FlightRecorder` apply the spec itself. Every
 sub-spec is checked in full when it is built.
 """
 
@@ -28,6 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.churn.spec import ChurnSpec
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultSpec
+from repro.obs.recorder import ObservabilitySpec
 from repro.sim.network import (
     FixedLatency,
     LatencyModel,
@@ -187,50 +191,6 @@ class WorkloadSpec:
         if self.value_size is not None:
             overrides["value_size"] = self.value_size
         return replace(workload, **overrides) if overrides else workload
-
-
-@dataclass
-class ObservabilitySpec:
-    """Flight-recorder configuration (the ``[observability]`` block).
-
-    Everything defaults to off; a spec without the block behaves exactly
-    as before the recorder existed. The CLI can override each pillar per
-    run (``--timeline`` / ``--trace`` / ``--profile`` / ``--no-obs``).
-
-    * ``timeline`` — per-``window``-second counter/damage deltas
-      (:class:`~repro.obs.timeline.TimelineRecorder`).
-    * ``trace`` — head-sample every ``trace_sample``-th client op (up to
-      ``trace_max_ops`` sampled ops) into a Perfetto-loadable Chrome
-      trace (:class:`~repro.obs.trace.OpTracer`).
-    * ``profile`` — wall-clock hotspot attribution per handler type
-      (:class:`~repro.obs.profile.HotspotProfiler`).
-    """
-
-    timeline: bool = False
-    window: float = 5.0
-    trace: bool = False
-    trace_sample: int = 10
-    trace_max_ops: int = 1000
-    profile: bool = False
-
-    def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ConfigurationError("observability window must be positive")
-        if self.trace_sample < 1:
-            raise ConfigurationError("trace_sample must be >= 1")
-        if self.trace_max_ops < 1:
-            raise ConfigurationError("trace_max_ops must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        return self.timeline or self.trace or self.profile
-
-    def build(self):
-        """A fresh :class:`~repro.obs.recorder.FlightRecorder` configured
-        from this spec (lazy import: the spec layer only describes)."""
-        from repro.obs import FlightRecorder
-
-        return FlightRecorder.from_spec(self)
 
 
 @dataclass

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.backends.base import round_metric
 from repro.faults.spec import FaultSpec
+from repro.obs.recorder import FlightRecorder, ObservabilitySpec
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
@@ -118,11 +119,11 @@ def score_scenario(
     trajectory-neutral, so the score itself is unchanged.
     """
     weights = weights or Weights()
-    recorder = None
-    if timeline_window > 0:
-        from repro.obs import FlightRecorder
-
-        recorder = FlightRecorder(timeline=True, window=timeline_window)
+    recorder = FlightRecorder(
+        ObservabilitySpec(timeline=True, window=timeline_window)
+        if timeline_window > 0
+        else ObservabilitySpec()
+    )
     target = run_scenario(spec, recorder=recorder).metrics
     oracle_spec = spec.scaled(stack=oracle_stack, name=f"{spec.name}@{oracle_stack}")
     oracle = run_scenario(oracle_spec).metrics
@@ -147,7 +148,7 @@ def score_scenario(
         total=total,
         target_metrics=target,
         oracle_metrics=oracle,
-        timeline=recorder.timeline.damage_rows() if recorder is not None else None,
+        timeline=recorder.timeline.damage_rows() if recorder.timeline is not None else None,
     )
 
 

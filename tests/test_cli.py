@@ -262,6 +262,11 @@ def test_report_command(tmp_path, capsys):
     assert "timeline (" in out
     assert "Perfetto" in out
     assert "hotspots (" in out
+    # Phases print in the order the runner ran them, not sorted by name.
+    (phases,) = [line for line in out.splitlines() if line.startswith("  phases: ")]
+    assert [part.split()[0] for part in phases.split(": ", 1)[1].split(", ")] == [
+        "deploy", "converge", "load", "settle", "transactions", "heal", "collect"
+    ]
 
 
 def test_report_missing_directory(capsys):

@@ -12,14 +12,17 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultSpec
 from repro.obs import (
     FlightRecorder,
     HotspotProfiler,
     OpTracer,
     TimelineRecorder,
     load_manifest,
+    render_report,
     sha256_file,
 )
+from repro.obs.profile import format_hotspots
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import (
     ObservabilitySpec,
@@ -27,6 +30,7 @@ from repro.scenarios.spec import (
     WorkloadSpec,
     spec_from_dict,
 )
+from repro.sim.node import PeriodicTask
 from repro.sim.simulator import Simulation
 
 
@@ -167,12 +171,48 @@ class TestHotspotProfiler:
         profiler.record(TestHotspotProfiler.test_table_renders, (), 0.001)
         assert "handler" in profiler.table()
 
+    def test_artifact_rows_render_like_the_live_profiler(self):
+        profiler = HotspotProfiler()
+        profiler.record(TestHotspotProfiler.test_table_renders, (), 0.003)
+        profiler.record(_Gossip.round, (), 0.001)
+        archived = json.loads(json.dumps(profiler.to_dict()))["hotspots"]
+        assert format_hotspots(archived, top=1) == profiler.table(top=1)
+        assert format_hotspots(archived) == profiler.table()
+
+    def test_periodic_tasks_are_split_by_callback(self):
+        sim = Simulation(seed=1)
+        profiler = HotspotProfiler()
+        sim.scheduler.profiler = profiler
+        PeriodicTask(sim.scheduler, 1.0, _Gossip().round)
+        PeriodicTask(sim.scheduler, 2.0, lambda: None)
+        sim.run_for(4.5)
+        events = {row["handler"]: row["events"] for row in profiler.rows()}
+        assert events == {
+            "PeriodicTask._fire[_Gossip.round]": 4,
+            "PeriodicTask._fire[TestHotspotProfiler."
+            "test_periodic_tasks_are_split_by_callback.<locals>.<lambda>]": 2,
+        }
+
+    def test_a_real_run_has_no_lumped_periodic_row(self):
+        recorder = FlightRecorder(ObservabilitySpec(profile=True))
+        run_scenario(_small_spec(), recorder=recorder)
+        labels = {row["handler"] for row in recorder.profiler.rows()}
+        assert "PeriodicTask._fire" not in labels
+        periodic = {label for label in labels if label.startswith("PeriodicTask._fire[")}
+        assert len(periodic) >= 3  # peer sampling, slicing, replication at least
+
+
+class _Gossip:
+    def round(self) -> None:
+        pass
+
 
 class TestObservabilitySpec:
     def test_defaults_are_off(self):
         obs = ObservabilitySpec()
         assert not obs.enabled
-        assert not obs.build().enabled
+        recorder = FlightRecorder(obs)
+        assert (recorder.timeline, recorder.tracer, recorder.profiler) == (None,) * 3
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -218,11 +258,15 @@ class TestObservabilitySpec:
         assert copy.observability == spec.observability
         assert copy.observability is not spec.observability
 
-    def test_build_honours_pillars(self):
-        recorder = ObservabilitySpec(timeline=True, trace=True).build()
+    def test_recorder_honours_pillars(self):
+        recorder = FlightRecorder(ObservabilitySpec(timeline=True, trace=True))
         assert recorder.timeline is not None
         assert recorder.tracer is not None
         assert recorder.profiler is None
+
+
+# The runner's wall phases, in execution order.
+RUNNER_PHASES = ("deploy", "converge", "load", "settle", "transactions", "heal", "collect")
 
 
 def _small_spec(**overrides) -> ScenarioSpec:
@@ -243,8 +287,88 @@ def _small_spec(**overrides) -> ScenarioSpec:
 
 def _full_recorder() -> FlightRecorder:
     return FlightRecorder(
-        timeline=True, window=5.0, trace=True, trace_sample=3, profile=True
+        ObservabilitySpec(
+            timeline=True, window=5.0, trace=True, trace_sample=3, profile=True
+        )
     )
+
+
+def _open_spec() -> ScenarioSpec:
+    return _small_spec(
+        name="obs-open",
+        workload=WorkloadSpec(
+            record_count=5, operation_count=25, mode="open", clients=2, rate=4.0
+        ),
+    )
+
+
+def _fault_spec() -> ScenarioSpec:
+    return _small_spec(
+        name="obs-faults",
+        faults=[FaultSpec(kind="crash_recover", fraction=0.25, start=1.0, duration=6.0)],
+    )
+
+
+class _CallLog(FlightRecorder):
+    """Logs every call the runner makes on its recorder."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def begin_phase(self, name):
+        self.calls.append(("begin_phase", name))
+        super().begin_phase(name)
+
+    def attach(self, sim):
+        self.calls.append(("attach",))
+        super().attach(sim)
+
+    def attach_observer(self, observer):
+        self.calls.append(("attach_observer",))
+        super().attach_observer(observer)
+
+    def finish(self, sim):
+        self.calls.append(("finish",))
+        super().finish(sim)
+
+    @property
+    def overhead_events(self):
+        self.calls.append(("overhead_events",))
+        return super().overhead_events
+
+
+class TestRecorderProtocol:
+    """The call order subclasses (the performance ledger's among them)
+    rely on: see :mod:`repro.obs.recorder`."""
+
+    @pytest.mark.parametrize("build", [_small_spec, _open_spec, _fault_spec])
+    def test_runner_call_order(self, build):
+        spec = build()
+        recorder = _CallLog()
+        result = run_scenario(spec, recorder=recorder)
+        assert recorder.calls == [
+            ("begin_phase", "deploy"),
+            ("attach",),
+            ("begin_phase", "converge"),
+            ("attach_observer",),
+            ("begin_phase", "load"),
+            ("begin_phase", "settle"),
+            ("begin_phase", "transactions"),
+            ("begin_phase", "heal"),
+            ("begin_phase", "collect"),
+            ("finish",),
+            ("overhead_events",),
+        ]
+        assert result.summary_json() == run_scenario(spec).summary_json()
+
+    def test_default_recorder_has_no_pillars(self):
+        recorder = FlightRecorder()
+        assert (recorder.timeline, recorder.tracer, recorder.profiler) == (None,) * 3
+        assert recorder.overhead_events == 0
+        # Names the ledger's recorder subclass sets for itself.
+        names = set(vars(recorder)) | set(dir(FlightRecorder))
+        assert not names & {"trace", "sim", "layers", "marks"}
 
 
 class TestRecorderNeutrality:
@@ -260,16 +384,7 @@ class TestRecorderNeutrality:
         assert recorder.tracer.sampled_ops > 0
 
     def test_open_loop_metrics_identical(self):
-        spec = _small_spec(
-            name="obs-open",
-            workload=WorkloadSpec(
-                record_count=5,
-                operation_count=25,
-                mode="open",
-                clients=2,
-                rate=4.0,
-            ),
-        )
+        spec = _open_spec()
         plain = run_scenario(spec)
         recorder = _full_recorder()
         observed = run_scenario(spec, recorder=recorder)
@@ -288,9 +403,8 @@ class TestRecorderNeutrality:
     def test_phases_and_profile_recorded(self):
         recorder = _full_recorder()
         run_scenario(_small_spec(), recorder=recorder)
-        phases = recorder.phase_wall()
-        for name in ("deploy", "converge", "load", "settle", "transactions"):
-            assert name in phases
+        phases = [name for name, _ in recorder.phase_wall()]
+        assert phases == list(RUNNER_PHASES)
         assert recorder.total_wall > 0
         labels = {row["handler"] for row in recorder.profiler.rows()}
         assert any(label.startswith("Network._deliver[") for label in labels)
@@ -325,9 +439,47 @@ class TestManifest:
             assert sha256_file(target) == entry["sha256"]
             assert os.path.getsize(target) == entry["bytes"]
 
+    def test_phases_keep_execution_order(self, tmp_path):
+        spec = _small_spec()
+        recorder = _full_recorder()
+        result = run_scenario(spec, recorder=recorder)
+        manifest = load_manifest(recorder.write_artifacts(str(tmp_path), spec, result))
+        assert manifest["schema"] == 2
+        assert [name for name, _ in manifest["wall"]["phases"]] == list(RUNNER_PHASES)
+        (line,) = [
+            line
+            for line in render_report(str(tmp_path)).splitlines()
+            if line.startswith("  phases: ")
+        ]
+        shown = [part.split()[0] for part in line[len("  phases: "):].split(", ")]
+        assert shown == list(RUNNER_PHASES)
+
+    def test_report_renders_every_artifact(self, tmp_path):
+        spec = _small_spec()
+        recorder = _full_recorder()
+        result = run_scenario(spec, recorder=recorder)
+        path = recorder.write_artifacts(str(tmp_path), spec, result)
+        report = render_report(path)  # the manifest path works too
+        assert report.startswith("run: obs-mini (core, 15 nodes, seed 5)")
+        assert "\ntimeline (" in report
+        assert "\ntrace: " in report
+        assert recorder.profiler.table(top=12) in report
+
+    def test_report_refuses_another_schema(self, tmp_path):
+        spec = _small_spec()
+        recorder = FlightRecorder(ObservabilitySpec(timeline=True))
+        result = run_scenario(spec, recorder=recorder)
+        path = recorder.write_artifacts(str(tmp_path), spec, result)
+        manifest = load_manifest(path)
+        manifest["schema"] = 1
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(manifest, f)
+        with pytest.raises(ConfigurationError, match="schema 1"):
+            render_report(str(tmp_path))
+
     def test_load_manifest_accepts_directory(self, tmp_path):
         spec = _small_spec()
-        recorder = FlightRecorder(timeline=True)
+        recorder = FlightRecorder(ObservabilitySpec(timeline=True))
         result = run_scenario(spec, recorder=recorder)
         recorder.write_artifacts(str(tmp_path), spec, result)
         manifest = load_manifest(str(tmp_path))
@@ -352,6 +504,17 @@ class TestHuntTimeline:
         assert candidate.score.timeline is not None
         assert all("drops" in row for row in candidate.score.timeline)
         assert "timeline" in json.loads(result.log_json())["candidates"][0]
+
+    def test_timeline_window_leaves_the_score_unchanged(self):
+        from repro.search import score_scenario
+
+        spec = _fault_spec()
+        plain = score_scenario(spec)
+        timed = score_scenario(spec, timeline_window=5.0)
+        assert plain.timeline is None and timed.timeline
+        assert timed.components() == plain.components()
+        assert timed.target_metrics == plain.target_metrics
+        assert timed.oracle_metrics == plain.oracle_metrics
 
     def test_default_hunt_log_has_no_timeline_key(self):
         from repro.search import HuntConfig, run_hunt

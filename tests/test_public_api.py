@@ -98,6 +98,28 @@ def test_a_fault_has_one_type_from_spec_to_wire():
     assert _source_lines_matching(retired) == []
 
 
+def test_the_flight_recorder_has_one_path_from_spec_to_report():
+    # ObservabilitySpec is the recorder's one configuration type, the
+    # runner always holds a recorder, and repro.obs alone reads the
+    # artifacts it writes (retired names spelt indirectly so a repo-wide
+    # grep for them is empty).
+    import inspect
+    import re
+
+    import repro.obs
+    import repro.scenarios.spec
+    from repro.obs import FlightRecorder, ObservabilitySpec
+
+    assert repro.scenarios.spec.ObservabilitySpec is ObservabilitySpec
+    assert list(inspect.signature(FlightRecorder).parameters) == ["obs"]
+    assert "render_report" in repro.obs.__all__
+    retired = re.compile(
+        r"\bfrom_spec\b|recorder is not None|_hotspot_table|"
+        r"\b(damage|load)_(series|timeline)\b|analysis\.time" + "line"
+    )
+    assert _source_lines_matching(retired) == []
+
+
 def test_faults_quickstart_from_module_docstring():
     import repro.faults
 
