@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.cluster import DataFlasksCluster
 from repro.core.config import DataFlasksConfig
-from repro.workload.runner import WorkloadRunner
 from repro.workload.ycsb import WRITE_ONLY
 
 __all__ = [

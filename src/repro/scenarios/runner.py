@@ -485,13 +485,13 @@ def _collect(
     if "consistency" in groups:
         stale = load_stats.stale_reads + (txn_stats.stale_reads if txn_stats else 0)
         metrics["stale_reads"] = float(stale)
-        avail = runner.availability.summary(now=backend.sim.now)
+        avail = runner.observer.availability.summary(now=backend.sim.now)
         metrics["unavail_keys"] = avail["keys"]
         metrics["unavail_windows"] = avail["windows"]
         metrics["unavail_window_mean"] = _r(avail["mean"])
         metrics["unavail_window_max"] = _r(avail["max"])
         losses = count_write_losses(
-            backend, runner.acked_versions, sample=CONSISTENCY_SAMPLE
+            backend, runner.observer.acked_versions, sample=CONSISTENCY_SAMPLE
         )
         metrics["lost_updates"] = losses["lost_updates"]
         metrics["lost_objects"] = losses["lost_objects"]

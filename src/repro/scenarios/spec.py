@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from math import inf
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.churn.spec import ChurnSpec
@@ -122,11 +123,13 @@ class WorkloadSpec:
     preset's mix (0 skips the phase, matching the paper's load-only
     evaluation).
 
-    ``mode`` selects how the transaction phase is driven:
+    ``mode`` selects how the transaction phase is driven; both modes
+    run the same op scripts (:class:`~repro.workload.runner.OpEngine`):
 
-    * ``closed`` (default) — today's single-client closed loop
+    * ``closed`` (default) — the single-client closed loop
       (:class:`~repro.workload.runner.WorkloadRunner`): one operation in
-      flight at a time. All pre-existing specs replay byte-identically.
+      flight at a time, resumed at a 0.1 s poll. It reads none of the
+      open-only fields below, so each must keep its default.
     * ``open`` — the concurrent engine
       (:class:`~repro.workload.openloop.OpenLoopRunner`): operations
       arrive at ``rate`` ops/s (``arrival`` = ``poisson`` or
@@ -135,6 +138,11 @@ class WorkloadSpec:
       The first ``warmup`` seconds are excluded from the reported
       statistics, and measured operations are bucketed into
       ``window``-second measurement windows.
+
+    Either loop gives up on an operation after ``op_timeout`` seconds
+    (finite, > 0) and records it as failed; a write it gave up on still
+    counts as acknowledged if its acks arrive later. A put succeeds on
+    ``acks_required`` (>= 1) acknowledgements.
     """
 
     preset: str = "write-only"
@@ -164,13 +172,23 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"unknown workload mode {self.mode!r}; choose 'closed' or 'open'"
             )
+        if not 0 < self.op_timeout < inf:
+            raise ConfigurationError(
+                f"op_timeout must be finite and > 0, got {self.op_timeout!r}"
+            )
+        if self.acks_required < 1:
+            raise ConfigurationError(
+                f"acks_required must be >= 1, got {self.acks_required!r}"
+            )
         if self.clients < 1:
             raise ConfigurationError("clients must be >= 1")
-        if self.mode == "closed" and self.clients != 1:
-            raise ConfigurationError(
-                "the closed-loop runner is single-client; use mode = 'open' "
-                "for concurrent clients"
-            )
+        if self.mode == "closed":
+            for name, default in _OPEN_ONLY.items():
+                if getattr(self, name) != default:
+                    raise ConfigurationError(
+                        f"a closed-loop workload does not read {name!r}; "
+                        "set mode = 'open' to use it"
+                    )
         if self.mode == "open" and self.rate <= 0:
             raise ConfigurationError("open-loop mode needs a positive rate (ops/s)")
         if self.arrival not in ("poisson", "constant"):
@@ -191,6 +209,14 @@ class WorkloadSpec:
         if self.value_size is not None:
             overrides["value_size"] = self.value_size
         return replace(workload, **overrides) if overrides else workload
+
+
+# The defaults of the fields only the open loop reads.
+_OPEN_ONLY = {
+    f.name: f.default
+    for f in fields(WorkloadSpec)
+    if f.name in ("clients", "rate", "arrival", "warmup", "max_in_flight", "window")
+}
 
 
 @dataclass

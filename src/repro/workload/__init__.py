@@ -4,8 +4,8 @@
   key choosers (Gray et al. sampling, FNV scrambling)
 * :mod:`repro.workload.ycsb` — core workloads A–F plus the paper's
   write-only workload
-* :class:`~repro.workload.runner.WorkloadRunner` — closed-loop execution
-  against a cluster with version assignment
+* :mod:`repro.workload.runner` — the op engine both loops run, and the
+  closed loop (:class:`~repro.workload.runner.WorkloadRunner`)
 * :class:`~repro.workload.openloop.OpenLoopRunner` — concurrent
   open-loop execution: Poisson/constant arrivals fanned over a client
   pool, bounded in-flight window, warmup/measurement windows

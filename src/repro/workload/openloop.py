@@ -2,8 +2,7 @@
 
 The paper's evaluation drives DATAFLASKS with many concurrent YCSB
 clients, so latency is a function of *offered load*. The closed-loop
-:class:`~repro.workload.runner.WorkloadRunner` issues one operation,
-waits for it, then issues the next — it can never hold more than one
+:class:`~repro.workload.runner.WorkloadRunner` holds at most one
 request in flight, so it cannot produce the paper's latency-vs-offered-
 load curves. :class:`OpenLoopRunner` decouples issue from completion:
 
@@ -18,21 +17,12 @@ load curves. :class:`OpenLoopRunner` decouples issue from completion:
   shed and recorded as *not issued* (an open-loop client has finite
   request slots; shedding is what makes saturation visible as the gap
   between offered and delivered throughput);
-* **completions** are observed through
-  :meth:`~repro.core.client.PendingOp.on_complete` callbacks plus a
+* an issued operation runs its op script from
+  :class:`~repro.workload.runner.OpEngine`, resumed from its pendings'
+  :meth:`~repro.core.client.PendingOp.on_complete` callbacks, under a
   per-operation watchdog, so the issue loop never blocks — a timed-out
-  operation is recorded as failed without stalling later arrivals.
-
-Consistency accounting under concurrency follows the
-:class:`~repro.workload.runner.ConsistencyObserver` contract: versions
-are assigned at issue time (total order), acknowledged versions are
-recorded at **completion** time (an in-flight write is not yet a
-promise), and a read is judged stale against the acked-version
-snapshot taken when it was *issued* — a write whose ack lands while
-the read is in flight may legally linearize after it, so it must not
-retroactively make the read look stale. A write that completes after
-its watchdog fired still registers its acknowledgement (the store did
-ack it; the lost-update audit must know).
+  operation is recorded as failed without stalling later arrivals, and
+  a write acked after its watchdog fired still counts as acknowledged.
 
 Statistics are windowed: the first ``warmup`` seconds of the run are
 excluded from :class:`OpenLoopStats` (ramp-up must not pollute
@@ -55,12 +45,13 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import derive_seed
 from repro.workload.runner import (
     ConsistencyObserver,
+    OpEngine,
     RunStats,
+    _Flight,
     messages_per_alive_node,
-    scan_range,
     server_message_total,
 )
-from repro.workload.ycsb import INSERT, READ, RMW, SCAN, UPDATE, CoreWorkload, Operation
+from repro.workload.ycsb import CoreWorkload
 
 __all__ = ["ARRIVAL_PROCESSES", "OpenLoopRunner", "OpenLoopStats", "Window"]
 
@@ -129,39 +120,14 @@ class OpenLoopStats(RunStats):
         return self.offered / self.duration
 
 
-class _Flight:
-    """One top-level operation in flight (possibly composite)."""
-
-    __slots__ = (
-        "kind", "key", "measured", "window", "issued_at",
-        "done", "remaining_gets", "all_ok", "watchdog", "trace",
-    )
-
-    def __init__(self, kind: str, key: str, measured: bool, window, issued_at: float):
-        self.kind = kind
-        self.key = key
-        self.measured = measured
-        self.window = window
-        self.issued_at = issued_at
-        self.done = False
-        self.remaining_gets = 0
-        self.all_ok = True
-        self.watchdog = None
-        self.trace = None
-
-
-class OpenLoopRunner:
+class OpenLoopRunner(OpEngine):
     """Schedules an open-loop request stream inside the simulator.
 
-    ``cluster`` is a deployed
-    :class:`~repro.backends.base.StoreBackend`, exactly like
-    :class:`~repro.workload.runner.WorkloadRunner`'s. The operation
-    *mix* comes from the workload
-    generator seeded with ``seed`` — the same derivation the closed
-    loop uses — while arrival *times* come from the dedicated
-    ``workload.arrivals`` stream, so the engine is deterministic per
-    ``(cluster seed, engine seed)`` and the two concerns never share
-    RNG state.
+    The operation *mix* comes from the workload generator seeded with
+    ``seed``, as in the closed loop, while arrival *times* come from the
+    dedicated ``workload.arrivals`` stream, so the engine is
+    deterministic per ``(cluster seed, engine seed)`` and the two
+    concerns never share RNG state.
 
     :param clients: size of the client pool arrivals fan over
         (round-robin). Pass ``client_pool`` to reuse existing clients
@@ -204,30 +170,17 @@ class OpenLoopRunner:
             raise ConfigurationError("warmup must be >= 0 and window > 0")
         if max_in_flight < 0:
             raise ConfigurationError(f"max_in_flight must be >= 0, got {max_in_flight}")
-        self.cluster = cluster
-        self.workload = workload
+        super().__init__(cluster, workload, seed, op_timeout, acks_required, observer)
         self.rate = float(rate)
         self.arrival = arrival
         self.warmup = warmup
         self.window = window
         self.max_in_flight = max_in_flight if max_in_flight > 0 else 4 * clients
-        self.op_timeout = op_timeout
-        self.acks_required = acks_required
-        self.rng = random.Random(seed)
         self.arrival_rng = random.Random(derive_seed(seed, ARRIVAL_STREAM))
-        self.observer = observer if observer is not None else ConsistencyObserver()
-        self.clients = (
-            list(client_pool)
-            if client_pool
-            else [cluster.new_client() for _ in range(clients)]
-        )
+        self.clients = list(client_pool or (cluster.new_client() for _ in range(clients)))
         self._next_client = 0
         self._outstanding = 0
         self.max_observed_in_flight = 0
-        # Optional repro.obs.trace.OpTracer, wired by the scenario
-        # runner. Activated only around synchronous client issue calls
-        # (including the RMW write half inside its completion callback).
-        self.tracer = None
         # Per-run state, reset by run_transactions.
         self._stats: OpenLoopStats = OpenLoopStats()
         self._ops = iter(())
@@ -296,19 +249,31 @@ class OpenLoopRunner:
             sim.scheduler.schedule(self._interarrival(), self._on_arrival)
         else:
             self._done_issuing = True
-        measured = sim.now >= self._measure_start
-        window = self._window_for(sim.now) if measured else None
+        window = self._window_for(sim.now) if sim.now >= self._measure_start else None
         if window is not None:
             window.offered += 1
         else:
             self._stats.warmup_ops += 1
-        if self._outstanding >= self.max_in_flight:
+        if self._outstanding >= self.max_in_flight or not self._issuable(op):
             # Open loop: arrivals are never queued behind completions.
-            if measured:
+            if window is not None:
                 self._stats.record_not_issued(op.kind)
                 window.not_issued += 1
             return
-        self._issue(op, measured, window)
+        self._outstanding += 1
+        if self._outstanding > self.max_observed_in_flight:
+            self.max_observed_in_flight = self._outstanding
+        if window is not None:
+            window.issued += 1
+        flight = _Flight(op.kind, sim.now, window, measured=window is not None)
+        flight.watchdog = sim.scheduler.schedule(
+            self.op_timeout, self._on_watchdog, flight
+        )
+        client = self.clients[self._next_client]
+        self._next_client = (self._next_client + 1) % len(self.clients)
+        self._start(flight, client, op)
+        if flight.script is not None:
+            self._resume_on_completion(flight)
 
     def _window_for(self, now: float) -> Window:
         index = int((now - self._measure_start) / self.window)
@@ -318,156 +283,20 @@ class OpenLoopRunner:
             windows.append(Window(start=start, end=start + self.window))
         return windows[index]
 
-    # -------------------------------------------------------------- issuing
-
-    def _pick_client(self):
-        client = self.clients[self._next_client]
-        self._next_client = (self._next_client + 1) % len(self.clients)
-        return client
-
-    def _issue(self, op: Operation, measured: bool, window: Optional[Window]) -> None:
-        sim = self.cluster.sim
-        flight = _Flight(op.kind, op.key, measured, window, sim.now)
-        if op.kind == SCAN:
-            base_index, end_index = scan_range(self.workload, op)
-            if end_index <= base_index:
-                # Degenerate scan: zero gets — never issued (see the
-                # closed-loop runner's identical rule).
-                if measured:
-                    self._stats.record_not_issued(op.kind)
-                    window.not_issued += 1
-                return
-        self._outstanding += 1
-        if self._outstanding > self.max_observed_in_flight:
-            self.max_observed_in_flight = self._outstanding
-        if window is not None:
-            window.issued += 1
-        flight.watchdog = sim.scheduler.schedule(
-            self.op_timeout, self._on_watchdog, flight
-        )
-        client = self._pick_client()
-        tracer = self.tracer
-        if tracer is not None:
-            # Head-sampling counts every issued top-level op; shed and
-            # degenerate arrivals never reach this point.
-            flight.trace = tracer.sample_op(
-                op.kind, op.key, getattr(client, "id", 0), sim.now
-            )
-        if op.kind in (INSERT, UPDATE):
-            self._issue_put(client, flight, op.key, op.value)
-        elif op.kind == READ:
-            expected = self.observer.expected_version(op.key)
-            pending = self._client_call(flight, client.get, op.key)
-            pending.on_complete(
-                lambda p, f=flight, e=expected: self._on_read_done(f, e, p)
-            )
-        elif op.kind == RMW:
-            expected = self.observer.expected_version(op.key)
-            pending = self._client_call(flight, client.get, op.key)
-            pending.on_complete(
-                lambda p, f=flight, c=client, v=op.value, e=expected:
-                    self._on_rmw_read_done(f, c, v, e, p)
-            )
-        else:  # SCAN
-            flight.remaining_gets = end_index - base_index
-            for index in range(base_index, end_index):
-                key = self.workload.key_for(index)
-                expected = self.observer.expected_version(key)
-                pending = self._client_call(flight, client.get, key)
-                pending.on_complete(
-                    lambda p, f=flight, e=expected: self._on_scan_get_done(f, e, p)
-                )
-
-    def _client_call(self, flight: _Flight, fn, *args):
-        """Issue one client call with the flight's trace (if sampled)
-        active, so the sends it causes are attributed to the op."""
-        if flight.trace is None:
-            return fn(*args)
-        with self.tracer.activated(flight.trace):
-            return fn(*args)
-
-    def _issue_put(self, client, flight: _Flight, key: str, value) -> None:
-        version = self.observer.next_version(key)
-        pending = self._client_call(
-            flight, client.put, key, value, version, self.acks_required
-        )
-        pending.on_complete(
-            lambda p, f=flight, k=key, v=version: self._on_put_done(f, k, v, p)
-        )
-
     # ---------------------------------------------------------- completions
 
-    def _on_put_done(self, flight: _Flight, key: str, version: int, pending) -> None:
-        # Acked-version accounting happens even for operations the
-        # watchdog already gave up on: the store acknowledged the write,
-        # so the lost-update audit must expect it to survive.
-        self.observer.write_completed(key, version, pending.succeeded)
-        self._finish(flight, pending.succeeded, pending.latency)
-
-    def _on_read_done(self, flight: _Flight, expected: Optional[int], pending) -> None:
-        if self._account_read(flight.key, expected, pending):
-            self._stats.stale_reads += 1
-        self._finish(flight, pending.succeeded, pending.latency)
-
-    def _on_rmw_read_done(
-        self, flight: _Flight, client, value, expected: Optional[int], pending
-    ) -> None:
-        if self._account_read(flight.key, expected, pending):
-            self._stats.stale_reads += 1
-        if not pending.succeeded:
-            self._finish(flight, False, None)
-            return
-        if flight.done:
-            # The watchdog expired during the read half; don't start the
-            # write half of an operation already recorded as failed.
-            return
-        self._issue_put(client, flight, flight.key, value)
-
-    def _on_scan_get_done(self, flight: _Flight, expected: Optional[int], pending) -> None:
-        if self._account_read(pending.key, expected, pending):
-            self._stats.stale_reads += 1
-        flight.all_ok = flight.all_ok and pending.succeeded
-        flight.remaining_gets -= 1
-        if flight.remaining_gets == 0:
-            latency = self.cluster.sim.now - flight.issued_at
-            self._finish(flight, flight.all_ok, latency if flight.all_ok else None)
-
-    def _account_read(self, key: str, expected: Optional[int], pending) -> bool:
-        """Stale/availability accounting: ``expected`` is the acked
-        version snapshot taken when the read was issued."""
-        return self.observer.read_completed(
-            key,
-            self.cluster.sim.now,
-            pending.succeeded,
-            pending.result_version,
-            expected=expected,
-        )
-
     def _on_watchdog(self, flight: _Flight) -> None:
-        if flight.done:
-            return
+        # Closing a flight cancels its watchdog, so this one is open.
         if flight.measured:
             self._stats.timed_out += 1
-        self._finish(flight, False, None)
+        self._close(flight, False, None)
 
-    def _finish(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
-        """Close out a top-level operation exactly once."""
-        if flight.done:
-            return
-        flight.done = True
+    def _closed(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
         self._outstanding -= 1
-        if flight.watchdog is not None:
-            flight.watchdog.cancel()
-        if flight.trace is not None:
-            self.tracer.op_end(flight.trace, ok, self.cluster.sim.now)
-        if not flight.measured:
-            return
-        # For RMW the latency spans read issue to write completion; for
-        # composite failures there is no meaningful latency sample.
-        if flight.kind == RMW and ok:
-            latency = self.cluster.sim.now - flight.issued_at
-        self._stats.record(flight.kind, ok, latency if ok else None)
+        flight.watchdog.cancel()
         window = flight.window
+        if window is None:
+            return
         if ok:
             window.succeeded += 1
             if latency is not None:

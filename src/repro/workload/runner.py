@@ -1,41 +1,39 @@
-"""Closed-loop workload runner and shared consistency accounting.
+"""The YCSB op engine, the closed loop, and shared consistency accounting.
 
 Drives a :class:`~repro.workload.ycsb.CoreWorkload` against any storage
-stack through one client, assigning the totally ordered versions the
-DATADROPLETS layer would
-(inserts start at version 1, each update bumps the key's version), and
-collects the statistics the benches report: success rates, latency
-percentiles, and — the paper's metric — messages per server node
-(the run's message delta divided by the alive-server count).
+stack, assigning the totally ordered versions the DATADROPLETS layer
+would (inserts start at version 1, each update bumps the key's
+version), and collects success rates, latency percentiles and — the
+paper's metric — messages per alive server node.
 
-The version oracle and the consistency bookkeeping live in
-:class:`ConsistencyObserver` so the concurrent open-loop engine
-(:mod:`repro.workload.openloop`) can share one observer with the load
-phase: the observer knows the highest version each key was
-*acknowledged* at, so it detects **stale reads** (a successful read
-returning an older version), tracks per-key **unavailability windows**
-(first failed read until the next successful one) in an
-:class:`~repro.sim.metrics.AvailabilityTracker`, and exposes
-:attr:`ConsistencyObserver.acked_versions` for the server-side
-lost-update audit (:func:`repro.analysis.consistency.count_write_losses`).
+Each operation kind (put, read, read-modify-write, scan) is written
+once, as an *op script* on :class:`OpEngine`: a generator that issues
+its client calls, yields the tuple of pendings it waits on, and
+returns ``(ok, latency)``. The two loops differ only in when they
+resume a script: :class:`WorkloadRunner` (closed) at the 0.1 s poll
+that sees its pendings done, :class:`~repro.workload.openloop.OpenLoopRunner`
+(open) from their completion callbacks. Each completion is accounted
+where its loop observes it, and each operation is closed out once.
+
+:class:`ConsistencyObserver` holds the version oracle and what it
+enables, shared by the load phase and either loop: **stale reads** (a
+read older than the version acked when it was issued), per-key
+**unavailability windows** (first failed read until the next successful
+one) and :attr:`~ConsistencyObserver.acked_versions` for the lost-update
+audit (:func:`repro.analysis.consistency.count_write_losses`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.sim.metrics import AvailabilityTracker, mean, percentile
 from repro.workload.ycsb import INSERT, READ, RMW, SCAN, UPDATE, CoreWorkload, Operation
 
-__all__ = ["ConsistencyObserver", "RunStats", "WorkloadRunner"]
-
-# Distinguishes "caller took no snapshot" (closed loop) from "snapshot
-# taken, nothing acked yet" (open loop, expected=None): the two must
-# not conflate, or a write acked while a never-acked key's read is in
-# flight would retroactively make that read look stale.
-_NO_SNAPSHOT = object()
+__all__ = ["ConsistencyObserver", "OpEngine", "RunStats", "WorkloadRunner"]
 
 
 def server_message_total(cluster) -> float:
@@ -58,9 +56,9 @@ def scan_range(workload: CoreWorkload, op: Operation):
     """``(base_index, end_index)`` of the keys a scan actually covers.
 
     Empty (``end <= base``) when the scan starts at/after
-    ``record_count`` or has zero length — both drive modes record such
-    a scan as not issued rather than a zero-get "success"."""
-    base_index = _key_index(op.key, workload.key_prefix)
+    ``record_count`` or has zero length — both loops record such a scan
+    as not issued rather than a zero-get "success"."""
+    base_index = int(op.key[len(workload.key_prefix):])
     return base_index, min(base_index + op.scan_length, workload.record_count)
 
 
@@ -119,29 +117,19 @@ class ConsistencyObserver:
         return self._acked.get(key)
 
     def read_completed(
-        self,
-        key: str,
-        now: float,
-        succeeded: bool,
-        result_version: Optional[int],
-        expected=_NO_SNAPSHOT,
+        self, key: str, now: float, succeeded: bool,
+        result_version: Optional[int], expected: Optional[int],
     ) -> bool:
         """Account a finished read; returns whether it was stale.
 
         A read is stale when it succeeds but returns a version older
-        than ``expected`` — the highest version acknowledged when the
-        read was *issued* (pass the :meth:`expected_version` snapshot
-        taken at issue time; ``None`` there means nothing was acked
-        yet, so the read cannot be stale no matter what lands while it
-        is in flight). A concurrent engine must not judge a read
-        against writes whose acks arrived only after issue: the read
-        may legally linearize before them. When no snapshot is passed
-        at all, the acked map is consulted now — equivalent for a
-        closed loop, where nothing completes between issue and await.
+        than ``expected`` — the :meth:`expected_version` snapshot taken
+        when the read was *issued* (``None``: nothing was acked yet, so
+        the read cannot be stale no matter what lands while it is in
+        flight). A read must not be judged against writes whose acks
+        arrived only after issue: it may legally linearize before them.
         """
         self.availability.record(key, now, succeeded)
-        if expected is _NO_SNAPSHOT:
-            expected = self._acked.get(key)
         stale = bool(
             succeeded and expected is not None and (result_version or 0) < expected
         )
@@ -217,18 +205,202 @@ class RunStats:
         self.not_issued_by_kind[kind] = self.not_issued_by_kind.get(kind, 0) + 1
 
 
-class WorkloadRunner:
-    """Runs load and transaction phases against a storage stack.
+class _Flight:
+    """One top-level operation: its op script and what it waits on.
+
+    Only ``measured`` flights feed the run's statistics; ``window`` and
+    ``watchdog`` are the open loop's. A finished script drops its
+    generator and pendings: a cancelled watchdog keeps its flight in the
+    scheduler for ``op_timeout``.
+    """
+
+    __slots__ = (
+        "kind", "issued_at", "measured", "window", "watchdog", "trace",
+        "script", "waiting", "unseen", "expected", "done",
+    )
+
+    def __init__(self, kind: str, issued_at: float, window=None, measured: bool = True):
+        self.kind = kind
+        self.issued_at = issued_at
+        self.measured = measured
+        self.window = window
+        self.watchdog = None
+        self.trace = None
+        self.script = None
+        self.waiting = ()
+        self.unseen = 0
+        self.expected: Optional[dict] = {}  # read pending -> issue-time snapshot
+        self.done = False
+
+
+class OpEngine:
+    """The op scripts and their accounting, shared by both loops.
 
     ``cluster`` is a deployed
     :class:`~repro.backends.base.StoreBackend` (``sim``, ``servers``,
     ``new_client()``, ``server_message_load()``), whose clients speak
-    the :class:`~repro.core.client.PendingOp` protocol — the runner
-    never branches on the concrete stack.
+    the :class:`~repro.core.client.PendingOp` protocol — the engine
+    never branches on the concrete stack. ``observer`` shares one
+    :class:`ConsistencyObserver` across several runners (the scenario
+    runner hands the load phase's observer to the open loop); by
+    default each runner gets its own.
+    """
 
-    ``observer`` shares one :class:`ConsistencyObserver` across several
-    runners/engines (the scenario runner hands the load-phase observer
-    to the open-loop engine); by default each runner gets its own.
+    def __init__(
+        self,
+        cluster,
+        workload: CoreWorkload,
+        seed: int,
+        op_timeout: float,
+        acks_required: int,
+        observer: Optional[ConsistencyObserver],
+    ) -> None:
+        self.cluster = cluster
+        self.workload = workload
+        self.rng = random.Random(seed)
+        self.op_timeout = op_timeout
+        self.acks_required = acks_required
+        self.observer = observer if observer is not None else ConsistencyObserver()
+        # Optional repro.obs.trace.OpTracer, wired by the scenario
+        # runner. A sampled op's trace is active only while its script
+        # runs, which is where its client calls are issued — never
+        # across a wait, which executes unrelated simulation events.
+        self.tracer = None
+        self._stats = RunStats()
+
+    # ------------------------------------------------------------ op scripts
+
+    def _put_script(self, flight: _Flight, client, op: Operation):
+        pending = self._put(client, op.key, op.value)
+        yield (pending,)
+        return pending.succeeded, pending.latency
+
+    def _read_script(self, flight: _Flight, client, op: Operation):
+        pending = self._get(flight, client, op.key)
+        yield (pending,)
+        return pending.succeeded, pending.latency
+
+    def _rmw_script(self, flight: _Flight, client, op: Operation):
+        read = self._get(flight, client, op.key)
+        yield (read,)
+        if not read.succeeded or flight.done:
+            # A failed read ends the op; so does a give-up during the
+            # read half, which must not start the write half.
+            return False, None
+        write = self._put(client, op.key, op.value)
+        yield (write,)
+        # The latency spans read issue to write completion.
+        return write.succeeded, self.cluster.sim.now - flight.issued_at
+
+    def _scan_script(self, flight: _Flight, client, op: Operation):
+        # The gets go out together; the scan ends when the last is done.
+        base_index, end_index = scan_range(self.workload, op)
+        gets = tuple(
+            self._get(flight, client, self.workload.key_for(index))
+            for index in range(base_index, end_index)
+        )
+        yield gets
+        return all(get.succeeded for get in gets), self.cluster.sim.now - flight.issued_at
+
+    _SCRIPTS = {
+        INSERT: _put_script, UPDATE: _put_script, READ: _read_script,
+        RMW: _rmw_script, SCAN: _scan_script,
+    }
+
+    def _put(self, client, key: str, value):
+        return client.put(key, value, self.observer.next_version(key), self.acks_required)
+
+    def _get(self, flight: _Flight, client, key: str):
+        expected = self.observer.expected_version(key)
+        pending = client.get(key)
+        flight.expected[pending] = expected
+        return pending
+
+    # --------------------------------------------------------------- engine
+
+    def _issuable(self, op: Operation) -> bool:
+        """A scan with no keys in range performs zero gets, so neither
+        loop issues it: a ~0-latency success would skew p50."""
+        if op.kind != SCAN:
+            return True
+        base_index, end_index = scan_range(self.workload, op)
+        return end_index > base_index
+
+    def _start(self, flight: _Flight, client, op: Operation) -> None:
+        """Head-sample the op and run its script to its first wait."""
+        if self.tracer is not None:
+            flight.trace = self.tracer.sample_op(
+                op.kind, op.key, getattr(client, "id", 0), flight.issued_at
+            )
+        flight.script = self._SCRIPTS[op.kind](self, flight, client, op)
+        self._resume(flight)
+
+    def _resume(self, flight: _Flight) -> None:
+        """Run the script to its next wait, or close the flight out
+        with what it returns."""
+        try:
+            if flight.trace is None:
+                flight.waiting = next(flight.script)
+            else:
+                with self.tracer.activated(flight.trace):
+                    flight.waiting = next(flight.script)
+            flight.unseen = len(flight.waiting)
+        except StopIteration as end:
+            flight.script = flight.waiting = flight.expected = None
+            self._close(flight, *end.value)
+
+    def _observe(self, flight: _Flight, pending) -> None:
+        """Account one client call its loop has seen complete."""
+        if pending in flight.expected:
+            if self.observer.read_completed(
+                pending.key,
+                self.cluster.sim.now,
+                pending.succeeded,
+                pending.result_version,
+                flight.expected.pop(pending),
+            ):
+                self._stats.stale_reads += 1
+        else:
+            # Recorded even after a give-up: the store acknowledged the
+            # write, so the lost-update audit must expect it to survive.
+            self.observer.write_completed(pending.key, pending.version, pending.succeeded)
+
+    def _resume_on_completion(self, flight: _Flight) -> None:
+        """Resume the script from its pendings' completion callbacks."""
+        for pending in flight.waiting:
+            pending.on_complete(partial(self._completed, flight))
+
+    def _completed(self, flight: _Flight, pending) -> None:
+        self._observe(flight, pending)
+        flight.unseen -= 1
+        if flight.unseen == 0:
+            self._resume(flight)
+            if flight.script is not None:
+                self._resume_on_completion(flight)
+
+    def _close(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
+        """Close out a top-level operation exactly once."""
+        if flight.done:
+            return
+        flight.done = True
+        if flight.trace is not None:
+            self.tracer.op_end(flight.trace, ok, self.cluster.sim.now)
+        if flight.measured:
+            self._stats.record(flight.kind, ok, latency)
+        self._closed(flight, ok, latency)
+
+    def _closed(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
+        """The loop's own close-out bookkeeping."""
+
+
+class WorkloadRunner(OpEngine):
+    """The closed loop: one client, one operation in flight at a time.
+
+    Each script is resumed at the 0.1 s poll that sees its pendings
+    done, waiting at most ``op_timeout`` per wait. An op that times out
+    is closed as failed and the next one starts; its pendings'
+    completion callbacks then finish the script, so a late ack still
+    reaches :attr:`ConsistencyObserver.acked_versions`.
     """
 
     def __init__(
@@ -241,30 +413,8 @@ class WorkloadRunner:
         acks_required: int = 1,
         observer: Optional[ConsistencyObserver] = None,
     ) -> None:
-        self.cluster = cluster
-        self.workload = workload
+        super().__init__(cluster, workload, seed, op_timeout, acks_required, observer)
         self.client = client if client is not None else cluster.new_client()
-        self.rng = random.Random(seed)
-        self.op_timeout = op_timeout
-        self.acks_required = acks_required
-        self.observer = observer if observer is not None else ConsistencyObserver()
-        # Optional repro.obs.trace.OpTracer, wired by the scenario
-        # runner. The tracer is activated only around the synchronous
-        # client issue calls — never across _await, which executes
-        # unrelated simulation events.
-        self.tracer = None
-        self._trace = None
-
-    # ------------------------------------------------ observer pass-throughs
-
-    @property
-    def acked_versions(self) -> Dict[str, int]:
-        """key -> highest acknowledged version (a copy)."""
-        return self.observer.acked_versions
-
-    @property
-    def availability(self) -> AvailabilityTracker:
-        return self.observer.availability
 
     # ------------------------------------------------------------- phases
 
@@ -276,104 +426,30 @@ class WorkloadRunner:
         """Run ``count`` transaction-phase operations."""
         return self._run(self.workload.operations(count, self.rng))
 
-    # ------------------------------------------------------------ internals
-
     def _run(self, operations) -> RunStats:
-        stats = RunStats()
+        stats = self._stats = RunStats()
         sim = self.cluster.sim
         start_time = sim.now
         start_msgs = server_message_total(self.cluster)
         for op in operations:
-            self._execute(op, stats)
+            if not self._issuable(op):
+                stats.record_not_issued(op.kind)
+                continue
+            flight = _Flight(op.kind, sim.now)
+            self._start(flight, self.client, op)
+            while flight.script is not None:
+                waiting = flight.waiting
+                if not sim.run_until_condition(
+                    lambda: all(pending.done for pending in waiting),
+                    self.op_timeout,
+                    check_interval=0.1,
+                ):
+                    self._close(flight, False, None)
+                    self._resume_on_completion(flight)
+                    break
+                for pending in waiting:
+                    self._observe(flight, pending)
+                self._resume(flight)
         stats.duration = sim.now - start_time
         stats.messages_per_node = messages_per_alive_node(self.cluster, start_msgs)
         return stats
-
-    def _execute(self, op: Operation, stats: RunStats) -> None:
-        tracer = self.tracer
-        if tracer is None:
-            self._dispatch(op, stats)
-            return
-        # Head-sampling counts every top-level op; a sampled op's trace
-        # id is active only while its client calls are being issued.
-        trace = tracer.sample_op(
-            op.kind, op.key, getattr(self.client, "id", 0), self.cluster.sim.now
-        )
-        self._trace = trace
-        try:
-            ok = self._dispatch(op, stats)
-        finally:
-            self._trace = None
-        if trace is not None:
-            tracer.op_end(trace, bool(ok), self.cluster.sim.now)
-
-    def _dispatch(self, op: Operation, stats: RunStats) -> Optional[bool]:
-        """Issue one operation; returns its outcome (``None`` = never
-        issued, e.g. a degenerate scan)."""
-        if op.kind in (INSERT, UPDATE):
-            pending = self._put(op.key, op.value)
-            stats.record(op.kind, pending.succeeded, pending.latency)
-            return pending.succeeded
-        if op.kind == READ:
-            pending = self._get(op.key, stats)
-            stats.record(op.kind, pending.succeeded, pending.latency)
-            return pending.succeeded
-        if op.kind == RMW:
-            started = self.cluster.sim.now
-            read = self._get(op.key, stats)
-            if not read.succeeded:
-                stats.record(op.kind, False, None)
-                return False
-            write = self._put(op.key, op.value)
-            latency = self.cluster.sim.now - started
-            stats.record(op.kind, write.succeeded, latency if write.succeeded else None)
-            return write.succeeded
-        if op.kind == SCAN:
-            started = self.cluster.sim.now
-            base_index, end_index = scan_range(self.workload, op)
-            if end_index <= base_index:
-                # Nothing in range: zero gets were performed, so recording
-                # a ~0-latency success would skew p50 — it was never issued.
-                stats.record_not_issued(op.kind)
-                return None
-            all_ok = True
-            for index in range(base_index, end_index):
-                pending = self._get(self.workload.key_for(index), stats)
-                all_ok = all_ok and pending.succeeded
-            latency = self.cluster.sim.now - started
-            stats.record(op.kind, all_ok, latency if all_ok else None)
-            return all_ok
-        return None
-
-    def _put(self, key: str, value):
-        version = self.observer.next_version(key)
-        if self._trace is not None:
-            with self.tracer.activated(self._trace):
-                pending = self.client.put(key, value, version, self.acks_required)
-        else:
-            pending = self.client.put(key, value, version, self.acks_required)
-        self._await(pending)
-        self.observer.write_completed(key, version, pending.succeeded)
-        return pending
-
-    def _get(self, key: str, stats: RunStats):
-        if self._trace is not None:
-            with self.tracer.activated(self._trace):
-                pending = self.client.get(key)
-        else:
-            pending = self.client.get(key)
-        self._await(pending)
-        if self.observer.read_completed(
-            key, self.cluster.sim.now, pending.succeeded, pending.result_version
-        ):
-            stats.stale_reads += 1
-        return pending
-
-    def _await(self, pending) -> None:
-        self.cluster.sim.run_until_condition(
-            lambda: pending.done, self.op_timeout, check_interval=0.1
-        )
-
-
-def _key_index(key: str, prefix: str) -> int:
-    return int(key[len(prefix):])

@@ -45,6 +45,13 @@ into two, and that change left it, and every pin above, as it was.
 commit before the churn model classes folded into ``ChurnSpec`` and
 ``ChurnController.apply``, and that change left them, and every pin
 above, as they were. They are the only pins that run spec-level churn.
+
+``open-loop`` (YCSB-A through the open loop, with a warmup, windows and
+arrivals shed at a full in-flight window) and ``core-rmw`` (YCSB-F's
+read-modify-writes through the closed loop) were recorded on the commit
+before both loops came to run one op engine, and that change left them,
+and every pin above, as they were. They are the only pins that run the
+open loop or a composite operation.
 """
 
 from __future__ import annotations
@@ -172,6 +179,23 @@ GOLDEN = {
             workload=dict(YCSB_A, operation_count=40),
         ),
         "e7a8632a377924f0f0630dfb79036f695eecc3f9a86d066dd6a1244d60b72815",
+    ),
+    "open-loop": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
+            metrics=list(METRIC_GROUPS),
+            workload=dict(YCSB_A, operation_count=60, mode="open", clients=3, rate=60.0,
+                          max_in_flight=2, warmup=0.5, window=0.5),
+        ),
+        "07034df08d7333b0619c614786798d2a5a57d4bf93a2a4e0369ae11a587c9e1d",
+    ),
+    "core-rmw": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
+            metrics=list(METRIC_GROUPS),
+            workload=dict(preset="ycsb-f", record_count=12, operation_count=30),
+        ),
+        "f772a0ab93bd58bdf633d41796e8fb132710642f0b4e681cea1a210e308b34e6",
     ),
 }
 

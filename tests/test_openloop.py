@@ -172,9 +172,6 @@ class TestConsistencyObserverSnapshots:
         version = obs.next_version("k")
         obs.write_completed("k", version, succeeded=True)  # ack lands mid-read
         assert obs.read_completed("k", 1.0, True, None, expected=snapshot) is False
-        # The closed loop passes no snapshot and consults the map now:
-        # the same not-found read after an acked write IS stale there.
-        assert obs.read_completed("k", 2.0, True, None) is True
 
     def test_snapshot_still_detects_genuinely_stale_reads(self):
         obs = ConsistencyObserver()
@@ -192,6 +189,26 @@ class TestWorkloadSpecValidation:
     def test_closed_mode_is_single_client(self):
         with pytest.raises(ConfigurationError):
             WorkloadSpec(mode="closed", clients=4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rate", 500.0), ("arrival", "constant"), ("warmup", 3.0),
+         ("window", 2.0), ("max_in_flight", 2)],
+    )
+    def test_closed_mode_rejects_open_only_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            WorkloadSpec(mode="closed", **{field: value})
+        WorkloadSpec(mode="open", **dict({"rate": 10.0}, **{field: value}))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_op_timeout_must_be_finite_and_positive(self, value):
+        with pytest.raises(ConfigurationError, match="op_timeout"):
+            WorkloadSpec(op_timeout=value)
+
+    def test_acks_required_at_least_one(self):
+        with pytest.raises(ConfigurationError, match="acks_required"):
+            WorkloadSpec(acks_required=0)
+        WorkloadSpec(acks_required=1)
 
     def test_unknown_mode_and_arrival(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,12 @@
 """Tests for the closed-loop workload runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.workload.runner import RunStats, WorkloadRunner
 from repro.workload.ycsb import (
+    INSERT,
     SCAN,
     CoreWorkload,
     Operation,
@@ -115,16 +118,22 @@ class TestTransactionPhase:
         assert stats.messages_per_node == pytest.approx((after - before) / alive)
 
 
+def run_ops(cluster, workload, *ops, **runner_args):
+    """Drive exactly ``ops`` through the runner's public transaction path."""
+    scripted = replace(workload)
+    scripted.operations = lambda count, rng: iter(ops)
+    runner = WorkloadRunner(cluster, scripted, **runner_args)
+    return runner, runner.run_transactions(len(ops))
+
+
 class TestScanEdgeCases:
     """Regression: a scan with no keys in range used to record a
     ~0-latency success, dragging p50 toward zero."""
 
     def test_scan_past_record_count_not_issued(self, loaded_cluster):
         cluster, workload, _ = loaded_cluster
-        runner = WorkloadRunner(cluster, workload, seed=7)
-        stats = RunStats()
         beyond = workload.key_for(workload.record_count + 5)
-        runner._execute(Operation(SCAN, beyond, scan_length=3), stats)
+        _, stats = run_ops(cluster, workload, Operation(SCAN, beyond, scan_length=3), seed=7)
         assert stats.not_issued == 1
         assert stats.not_issued_by_kind == {SCAN: 1}
         assert stats.issued == 0
@@ -134,21 +143,27 @@ class TestScanEdgeCases:
 
     def test_zero_length_scan_not_issued(self, loaded_cluster):
         cluster, workload, _ = loaded_cluster
-        runner = WorkloadRunner(cluster, workload, seed=8)
-        stats = RunStats()
-        runner._execute(Operation(SCAN, workload.key_for(0), scan_length=0), stats)
+        scan = Operation(SCAN, workload.key_for(0), scan_length=0)
+        _, stats = run_ops(cluster, workload, scan, seed=8)
         assert stats.not_issued == 1
         assert stats.issued == 0
 
     def test_in_range_scan_still_succeeds(self, loaded_cluster):
         cluster, workload, _ = loaded_cluster
-        runner = WorkloadRunner(cluster, workload, seed=9)
-        stats = RunStats()
-        runner._execute(Operation(SCAN, workload.key_for(0), scan_length=3), stats)
+        scan = Operation(SCAN, workload.key_for(0), scan_length=3)
+        _, stats = run_ops(cluster, workload, scan, seed=9)
         assert stats.issued == 1
         assert stats.succeeded == 1
         # A real scan takes real time: at least one network round trip.
         assert stats.latencies[SCAN][0] > 0
+
+    def test_scan_gets_go_out_together(self, loaded_cluster):
+        """A 3-key scan waits for one poll, not one poll per get."""
+        cluster, workload, _ = loaded_cluster
+        scan = Operation(SCAN, workload.key_for(0), scan_length=3)
+        _, stats = run_ops(cluster, workload, scan, seed=11)
+        assert stats.succeeded == 1
+        assert stats.latencies[SCAN][0] < 0.2
 
     def test_workload_e_mix_runs_clean(self, loaded_cluster):
         cluster, _, _ = loaded_cluster
@@ -158,3 +173,18 @@ class TestScanEdgeCases:
         # Every op is accounted exactly once, issued or shed.
         assert stats.offered == 15
         assert stats.issued + stats.not_issued == 15
+
+
+class TestTimeout:
+    def test_late_ack_reaches_the_audit(self, loaded_cluster):
+        """An op given up on at ``op_timeout`` fails, but the ack that
+        lands later still counts as acknowledged."""
+        cluster, workload, _ = loaded_cluster
+        key = workload.key_for(workload.record_count + 50)
+        runner, stats = run_ops(
+            cluster, workload, Operation(INSERT, key, b"v"), seed=12, op_timeout=0.001
+        )
+        assert stats.failed == 1
+        assert key not in runner.observer.acked_versions
+        cluster.sim.run_for(5)
+        assert runner.observer.acked_versions[key] == 1
