@@ -62,10 +62,16 @@ def iterative_lookup(
     """Drive an iterative Chord lookup from any node (server or client).
 
     Asks ``start`` for a route step and follows ``next`` referrals until
-    an ``owner`` is returned; ``callback(None)`` on routing failure
-    (timeout, loop, or hop exhaustion). When ``hop_counter`` is given the
-    number of route steps taken is appended to it (used by tests and the
-    hop-count diagnostics).
+    an ``owner`` is returned. When ``hop_counter`` is given the number of
+    route steps taken is appended to it (used by tests and the hop-count
+    diagnostics).
+
+    ``callback(None)`` reports a failed lookup: a step that timed out, a
+    ``route_step`` that raised, or hop exhaustion. Nothing detects a
+    routing loop; a loop runs until hop exhaustion, which gives up rather
+    than ask another step once more than ``max_hops`` steps have been
+    taken. ``hop_counter`` gets the steps that answered: a failed step is
+    not counted.
 
     A step at ``node`` itself — the first one of every lookup a ring
     member starts — runs ``route_step`` in-process through
@@ -74,33 +80,58 @@ def iterative_lookup(
     ``hops`` is the number of steps already taken before ``start`` (a
     caller that stepped in-process and follows the referral passes 1).
     """
+    _Lookup(node, rpc, target, callback, max_hops, hop_counter, hops).step(start)
 
-    def step(current: int, hops: int) -> None:
-        if hops > max_hops:
-            finish(None, hops)
-        elif current == node.id:
-            ok, result = rpc.invoke("route_step", (target,), current)
-            advance(ok, result, hops)
+
+class _Lookup:
+    """One lookup's state, whose methods take its steps.
+
+    A remote step's ``on_reply`` is the bound :meth:`advance`. It refers
+    to the lookup, and nothing the lookup holds refers back, so a lookup
+    is no reference cycle: reference counting frees it once it finishes
+    (see :func:`repro.sim.simulator.relaxed_gc`). Steps written as
+    closures that call one another would leave a cycle per lookup.
+    """
+
+    __slots__ = ("node", "rpc", "target", "callback", "max_hops", "hop_counter", "hops")
+
+    def __init__(self, node: Node, rpc: RpcService, target: int,
+                 callback: Callable[[Optional[RingRef]], None], max_hops: int,
+                 hop_counter: Optional[List[int]], hops: int) -> None:
+        self.node = node
+        self.rpc = rpc
+        self.target = target
+        self.callback = callback
+        self.max_hops = max_hops
+        self.hop_counter = hop_counter
+        self.hops = hops  # steps taken so far
+
+    def step(self, current: int) -> None:
+        """Ask ``current`` for the next route step."""
+        if self.hops > self.max_hops:
+            self.finish(None)
+        elif current == self.node.id:
+            ok, result = self.rpc.invoke("route_step", (self.target,), current)
+            self.advance(ok, result)
         else:
-            rpc.call(current, "route_step", (target,), on_reply=lambda ok, res: advance(ok, res, hops))
+            self.rpc.call(current, "route_step", (self.target,), on_reply=self.advance)
 
-    def advance(ok: bool, result: Any, hops: int) -> None:
+    def advance(self, ok: bool, result: Any) -> None:
+        """Take a step's answer: finish at an owner, or follow the referral."""
         if not ok or result is None:
-            finish(None, hops)
+            self.finish(None)
             return
         kind, ref = result
+        self.hops += 1
         if kind == OWNER:
-            finish(tuple(ref), hops + 1)
-            return
-        next_id = ref[1]
-        step(next_id, hops + 1)
+            self.finish(tuple(ref))
+        else:
+            self.step(ref[1])
 
-    def finish(owner: Optional[RingRef], hops: int) -> None:
-        if hop_counter is not None:
-            hop_counter.append(hops)
-        callback(owner)
-
-    step(start, hops)
+    def finish(self, owner: Optional[RingRef]) -> None:
+        if self.hop_counter is not None:
+            self.hop_counter.append(self.hops)
+        self.callback(owner)
 
 
 def check_ring_shape(replication: int, successor_list_len: int, fingers_per_round: int = 1) -> None:

@@ -3,6 +3,7 @@ retransmission timer per connection, not one per segment)."""
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -35,8 +36,10 @@ class DeadlineQueue:
     __slots__ = ("timeout", "_due", "_timer")
 
     def __init__(self, timeout: float) -> None:
-        if not timeout > 0:
-            raise ConfigurationError(f"timeout must be positive, got {timeout!r}")
+        if not 0 < timeout < inf:
+            # An infinite wait would surface later, as a timer the
+            # scheduler refuses, and without the field's name.
+            raise ConfigurationError(f"timeout must be positive and finite, got {timeout!r}")
         self.timeout = timeout
         self._due: Dict[Hashable, Tuple[float, Any]] = {}
         self._timer: Optional[Event] = None

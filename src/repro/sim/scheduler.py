@@ -231,12 +231,15 @@ class Scheduler:
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Drain the heap completely; returns the number of events fired.
 
-        ``max_events`` guards against runaway periodic timers.
+        ``max_events`` guards against runaway periodic timers: firing
+        that many raises only if a live event is still pending.
         """
         before = self._events_processed
         self.run(max_events=max_events)
         fired = self._events_processed - before
-        if fired >= max_events:
+        if fired >= max_events and any(
+            handle is None or not handle.cancelled for *_, handle in self._heap
+        ):
             raise SimulationError(
                 f"run_until_idle exceeded {max_events} events; "
                 "likely an unbounded periodic timer"

@@ -41,6 +41,14 @@ def relaxed_gc(gen0_threshold: int = 100_000) -> Iterator[None]:
     Thresholds are process-global, so they are restored on exit and a
     full collection sweeps up any cycles that accumulated meanwhile.
     Nesting is harmless (the inner context restores the outer's values).
+
+    The acyclic premise is tested: ``tests/test_acyclic_garbage.py`` runs
+    one spec per backend, with a fault and churn, and CI runs the same
+    census over every bundled spec but ``scale-*``. With the collector
+    off, ``gc.collect()`` must find nothing at the start of the collect
+    phase. The Chord lookup broke the premise until its three mutually
+    calling closures became one object's methods: ``dht-baseline`` left
+    36,908 unreachable objects behind.
     """
     old = gc.get_threshold()
     gc.set_threshold(gen0_threshold, old[1], old[2])

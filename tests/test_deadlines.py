@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import get_backend
 from repro.errors import ConfigurationError
 from repro.sim.deadlines import DeadlineQueue
 from repro.sim.node import Node
@@ -108,3 +109,12 @@ def test_clear_cancels_the_timer():
 def test_timeout_must_be_positive(timeout):
     with pytest.raises(ConfigurationError, match="timeout must be positive"):
         DeadlineQueue(timeout)
+
+
+@pytest.mark.parametrize("stack", ["core", "dht"])
+def test_an_infinite_timeout_is_refused_at_construction(stack):
+    # Accepted, it failed at the first op, inside the scheduler, with a
+    # message that did not name the timeout.
+    backend = get_backend(stack)(4, seed=1)
+    with pytest.raises(ConfigurationError, match="timeout must be positive and finite, got inf"):
+        backend.new_client(timeout=float("inf"))

@@ -1,5 +1,6 @@
 """Integration tests for the Chord DHT baseline."""
 
+import itertools
 from bisect import bisect_left
 from collections import Counter
 
@@ -8,13 +9,14 @@ import pytest
 from repro.cli import main
 from repro.dht import DhtCluster
 from repro.dht.node import ChordNode, iterative_lookup
-from repro.dht.ring import RING_BITS, finger_target
+from repro.dht.ring import RING_BITS, finger_target, key_position
 from repro.errors import ConfigurationError
 from repro.obs.recorder import FlightRecorder
 from repro.scenarios import load_bundled, spec_from_dict
 from repro.scenarios.runner import run_scenario
 from repro.sim.network import Tap
 from repro.sim.simulator import Simulation
+from tests.test_acyclic_garbage import collector_off, unreachable
 from tests.test_golden_trajectory import GOLDEN, LATENCY, SEED
 
 
@@ -270,6 +272,64 @@ def test_member_lookup_takes_the_hops_of_a_route_asked_from_outside(ring):
         ring.sim.run_until_condition(lambda: len(owners) == 2, timeout=30)
         assert owners[0] is not None and owners[0] == owners[1]
         assert local_hops == remote_hops and local_hops[0] >= 1
+
+
+@pytest.fixture
+def small_ring():
+    cluster = DhtCluster(n=12, seed=17)
+    cluster.stabilize(15)
+    return cluster
+
+
+def finished_lookup(cluster, node, start, target, **kwargs):
+    """Run one lookup to its callback with the cyclic collector off:
+    ``(owner, hop_counter)``, after checking that it left no cycle."""
+    owners, hops = [], []
+    with collector_off():
+        iterative_lookup(node, node.rpc, start, target, owners.append,
+                         hop_counter=hops, **kwargs)
+        cluster.sim.run_until_condition(lambda: bool(owners), timeout=30)
+        garbage = unreachable()
+    assert not garbage, garbage.most_common(5)
+    (owner,) = owners
+    return owner, hops
+
+
+def test_lookup_gives_up_once_more_than_max_hops_steps_are_taken(small_ring):
+    # No loop check: a lookup that has taken more than max_hops steps
+    # asks no other. A route of h steps therefore fails at max_hops
+    # h - 2, after h - 1 steps, and succeeds at max_hops h - 1.
+    client = small_ring.new_client()
+    start = small_ring.directory()[0]
+    for i in itertools.count():
+        target = key_position(f"long-route:{i}")
+        owner, (steps,) = finished_lookup(small_ring, client, start, target)
+        if steps >= 3:
+            break
+    assert owner is not None
+    assert finished_lookup(small_ring, client, start, target, max_hops=steps - 2) == (None, [steps - 1])
+    assert finished_lookup(small_ring, client, start, target, max_hops=steps - 1) == (owner, [steps])
+
+
+def test_lookup_whose_remote_step_times_out_reports_none(small_ring):
+    client = small_ring.new_client()
+    dead = small_ring.servers[3]
+    dead.crash()
+    began = small_ring.sim.now
+    # A caller that already took a step in-process passes hops=1; the
+    # step that timed out is not counted.
+    owner, hops = finished_lookup(small_ring, client, dead.id, key_position("k"), hops=1)
+    assert (owner, hops) == (None, [1])
+    assert small_ring.sim.now - began >= client.timeout
+
+
+@pytest.mark.parametrize("asker", ["member", "client"])
+def test_lookup_whose_route_step_raises_reports_none(small_ring, asker):
+    # A target that is no ring position makes route_step raise: in
+    # process for a member's own step, in an ok=False reply for a client.
+    member = small_ring.servers[0]
+    node = member if asker == "member" else small_ring.new_client()
+    assert finished_lookup(small_ring, node, member.id, "not a position") == (None, [0])
 
 
 def fix_fingers_by_lookup(self):

@@ -190,6 +190,19 @@ def test_run_until_idle_guards_against_runaway():
         sched.run_until_idle(max_events=100)
 
 
+@pytest.mark.parametrize("cancelled_tail", [0, 2])
+def test_run_until_idle_that_drains_on_its_last_event_does_not_raise(cancelled_tail):
+    # Only a live event left behind is an overrun; a cancelled one never fires.
+    sched = Scheduler()
+    fired = []
+    for i in range(3):
+        sched.schedule(float(i), fired.append, i)
+    for i in range(cancelled_tail):
+        sched.schedule(5.0 + i, fired.append, "cancelled").cancel()
+    assert sched.run_until_idle(max_events=3) == 3
+    assert fired == [0, 1, 2]
+
+
 def test_events_processed_counter():
     sched = Scheduler()
     for i in range(5):
