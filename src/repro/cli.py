@@ -3,7 +3,8 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro demo                 # 60-node put/get walkthrough
-    python -m repro fig3 --nodes 100 200 # Figure 3 sweep
+    python -m repro fig3 --nodes 100 200 # Figure 3 sweep (paper-figures spec)
+    python -m repro fig3 --nodes 500 1000 1500 2000 2500 3000  # paper sizes
     python -m repro fig4 --nodes 100 200 # Figure 4 sweep
     python -m repro check --nodes 50     # deploy, load, health report
     python -m repro backends list        # registered storage backends
@@ -38,10 +39,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.aggregate import aggregate_table_rows
-from repro.analysis.experiments import (
-    run_constant_slices,
-    run_proportional_slices,
-)
 from repro.analysis.health import check_cluster
 from repro.analysis.tables import format_series, format_table, rows_to_table
 from repro.backends import REGISTRY, get_backend
@@ -50,6 +47,7 @@ from repro.core.config import DataFlasksConfig
 from repro.errors import ConfigurationError, DeterminismError, IsolationError
 from repro.obs.recorder import FlightRecorder, ObservabilitySpec, render_report
 from repro.scenarios.registry import bundled_names, load_all_bundled, load_bundled
+from repro.scenarios.registry import figure3_spec, figure4_spec, figure_rows
 from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 from repro.scenarios.spec import ScenarioSpec, load_spec
 
@@ -486,41 +484,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    rows = run_constant_slices(
-        node_counts=args.nodes,
-        num_slices=args.slices,
-        record_count=args.records,
-        seed=args.seed,
-    )
+def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.command == "fig3":
+        title = "Figure 3 (expected: roughly flat)"
+        specs = [figure3_spec(n, args.slices, args.records) for n in args.nodes]
+    else:
+        title = "Figure 4 (expected: growing with system size)"
+        specs = [
+            figure4_spec(n, args.nodes_per_slice, args.records_per_slice)
+            for n in args.nodes
+        ]
+    rows = figure_rows(specs, args.seed)
     print(rows_to_table(rows, FIG_COLUMNS))
-    print(
-        format_series(
-            "Figure 3 (expected: roughly flat)",
-            "nodes",
-            "msgs/node",
-            [(r["n"], r["messages_per_node"]) for r in rows],
-        )
-    )
-    return 0
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    rows = run_proportional_slices(
-        node_counts=args.nodes,
-        nodes_per_slice=args.nodes_per_slice,
-        records_per_slice=args.records_per_slice,
-        seed=args.seed,
-    )
-    print(rows_to_table(rows, FIG_COLUMNS))
-    print(
-        format_series(
-            "Figure 4 (expected: growing with system size)",
-            "nodes",
-            "msgs/node",
-            [(r["n"], r["messages_per_node"]) for r in rows],
-        )
-    )
+    series = [(r["n"], r["messages_per_node"]) for r in rows]
+    print(format_series(title, "nodes", "msgs/node", series))
     return 0
 
 
@@ -971,8 +948,8 @@ def _print_protocol_coverage(coverage: Dict[str, Dict[str, int]]) -> None:
 
 _COMMANDS = {
     "demo": _cmd_demo,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
+    "fig3": _cmd_figure,
+    "fig4": _cmd_figure,
     "check": _cmd_check,
     "backends": _cmd_backends,
     "scenarios": _cmd_scenarios,

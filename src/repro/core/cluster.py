@@ -89,6 +89,14 @@ class DataFlasksCluster(StoreBackend):
             server.start()
 
     @classmethod
+    def check_spec(cls, spec: Any) -> None:
+        if spec.num_slices > spec.nodes:
+            raise ConfigurationError(
+                f"num_slices ({spec.num_slices}) exceeds nodes ({spec.nodes}): "
+                "a slice would have no server, so slicing could never converge"
+            )
+
+    @classmethod
     def deploy(cls, spec: Any, sim: Simulation) -> "DataFlasksCluster":
         config = DataFlasksConfig(num_slices=spec.num_slices, **spec.config)
         return cls(n=spec.nodes, config=config, sim=sim)

@@ -4,7 +4,8 @@
   language (dataclasses, TOML/JSON loadable)
 * :mod:`repro.scenarios.runner` — deterministic execution and multi-seed
   sweeps
-* :mod:`repro.scenarios.registry` — the bundled scenario files
+* :mod:`repro.scenarios.registry` — the bundled scenario files, and
+  the sizing rules that make ``paper-figures`` Figures 3 and 4
 
 Quickstart::
 

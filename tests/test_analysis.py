@@ -1,13 +1,5 @@
-"""Tests for tables and the experiment drivers (tiny scale)."""
+"""Tests for the ASCII table helpers."""
 
-import pytest
-
-from repro.analysis.experiments import (
-    default_node_counts,
-    run_constant_slices,
-    run_proportional_slices,
-    run_write_workload_point,
-)
 from repro.analysis.tables import format_series, format_table, rows_to_table
 
 
@@ -35,32 +27,3 @@ class TestTables:
         header = out.splitlines()[0]
         assert header.index("c") < header.index("a")
         assert "b" not in header
-
-
-class TestDrivers:
-    def test_default_counts_scaled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
-        assert default_node_counts() == (100, 200, 300, 400, 500, 600)
-        monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        assert default_node_counts() == (500, 1000, 1500, 2000, 2500, 3000)
-
-    def test_single_point_row_shape(self):
-        row = run_write_workload_point(n=30, num_slices=3, record_count=10, seed=2)
-        assert row["n"] == 30
-        assert row["num_slices"] == 3
-        assert row["ops"] == 10
-        assert row["success_rate"] == 1.0
-        assert row["messages_per_node"] > 0
-        assert row["request_messages_per_node"] > 0
-
-    def test_constant_slices_sweep(self):
-        rows = run_constant_slices(node_counts=[20, 40], num_slices=2, record_count=8)
-        assert [r["n"] for r in rows] == [20, 40]
-        assert all(r["num_slices"] == 2 for r in rows)
-
-    def test_proportional_slices_sweep(self):
-        rows = run_proportional_slices(
-            node_counts=[20, 40], nodes_per_slice=10, records_per_slice=4
-        )
-        assert [r["num_slices"] for r in rows] == [2, 4]
-        assert [r["ops"] for r in rows] == [8, 16]

@@ -38,13 +38,38 @@ def test_fig4_command_runs(capsys):
     code = main(
         [
             "fig4",
-            "--nodes", "20", "30",
+            "--nodes", "20", "40",
             "--nodes-per-slice", "10",
-            "--records-per-slice", "3",
+            "--records-per-slice", "4",
         ]
     )
     assert code == 0
-    assert "Figure 4" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Figure 4" in out
+    # n, num_slices, ops, messages_per_node, success_rate: k = n // 10
+    # slices and 4 writes per slice, every one acknowledged.
+    rows = [line.split() for line in out.splitlines()[2:4]]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+        ("20", "2", "8", "1.00"),
+        ("40", "4", "16", "1.00"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["fig4", "--nodes", "20", "--nodes-per-slice", "0"], "nodes_per_slice"),
+        (["fig4", "--nodes", "20", "--nodes-per-slice", "-5"], "nodes_per_slice"),
+        (["fig4", "--nodes", "20", "--records-per-slice", "0"], "records_per_slice"),
+        (["fig4", "--nodes", "20", "--records-per-slice", "-1"], "records_per_slice"),
+        (["fig3", "--nodes", "3", "--slices", "5", "--records", "2"], "num_slices"),
+    ],
+)
+def test_fig_bad_sizing_is_one_error_line(argv, field, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and field in out
+    assert len(out.splitlines()) == 1
 
 
 def test_check_command_healthy(capsys):

@@ -52,6 +52,14 @@ read-modify-writes through the closed loop) were recorded on the commit
 before both loops came to run one op engine, and that change left them,
 and every pin above, as they were. They are the only pins that run the
 open loop or a composite operation.
+
+``paper-figures`` is the bundled spec of that name as ``figure3_spec``
+sizes it at 30 nodes, 3 slices and 20 writes: the path every point of
+Figures 3 and 4 takes, and the first pin through an insert-only open
+loop. It keeps the bundled fixed latency. It was recorded on the commit
+before the figures moved onto the scenario runner, from
+``spec_from_dict`` of the same fields, and that change left it, and
+every pin above, as they were.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ import hashlib
 
 import pytest
 
+from repro.scenarios.registry import figure3_spec
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import METRIC_GROUPS, spec_from_dict
 
@@ -197,13 +206,22 @@ GOLDEN = {
         ),
         "f772a0ab93bd58bdf633d41796e8fb132710642f0b4e681cea1a210e308b34e6",
     ),
+    "paper-figures": (
+        dict(
+            stack="core", nodes=30, num_slices=3, warmup=10.0, settle=0.0,
+            latency=dict(kind="fixed", latency=0.01), metrics=["workload", "messages"],
+            workload=dict(preset="write-only", record_count=1, operation_count=20,
+                          mode="open", arrival="constant", rate=200.0, max_in_flight=20),
+        ),
+        "d4fa16401cbde57d0ccd3ed6367395092514f12709076bad24555d32d37c2a64",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trajectory_is_the_recorded_one(name):
     data, expected = GOLDEN[name]
-    spec = spec_from_dict(dict(data, name=f"golden-{name}", latency=LATENCY))
+    spec = spec_from_dict({"latency": LATENCY, **data, "name": f"golden-{name}"})
     result = run_scenario(spec, SEED)
     assert result.metrics["converged"] == 1.0
     assert result.metrics["txn_success_rate"] == 1.0
@@ -212,3 +230,9 @@ def test_trajectory_is_the_recorded_one(name):
         f"the {name} trajectory moved; if that is intended, re-record the pin:\n"
         f"{result.summary_json()}"
     )
+
+
+def test_paper_figures_pin_is_the_figure_path():
+    data, _ = GOLDEN["paper-figures"]
+    pinned = spec_from_dict(dict(data, name="paper-figures"))
+    assert figure3_spec(30, num_slices=3, writes=20).scaled(description="") == pinned

@@ -22,6 +22,7 @@ from repro.scenarios import (
     run_sweep,
     spec_from_dict,
 )
+from repro.scenarios.registry import figure3_spec, figure4_spec, figure_rows
 from repro.sim.network import FixedLatency, LogNormalLatency, UniformLatency
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
@@ -40,6 +41,7 @@ EXPECTED_BUNDLED = {
     "open-loop",
     "oracle-baseline",
     "oracle-fault-wave",
+    "paper-figures",
     "scale-20k",
     "scale-5k",
     "skewed-ycsb",
@@ -114,6 +116,15 @@ class TestSpecValidation:
     def test_config_num_slices_rejected_in_favour_of_top_level_field(self):
         with pytest.raises(ConfigurationError, match="top-level"):
             ScenarioSpec(name="x", config={"num_slices": 4})
+
+    def test_core_spec_with_more_slices_than_nodes_rejected(self):
+        # It used to validate, wait out convergence_timeout with a slice
+        # left empty and report converged 0 and half its loads lost.
+        with pytest.raises(ConfigurationError, match=r"num_slices \(5\).*nodes \(4\)"):
+            spec_from_dict(
+                dict(name="x", stack="core", nodes=4, num_slices=5, settle=0.0,
+                     workload=dict(record_count=2))
+            )
 
     def test_valid_config_survives_restacking_onto_the_oracle(self):
         # search/scorer.py re-stacks a core spec; its [config] rides along.
@@ -268,6 +279,46 @@ class TestRegistry:
             load_bundled("no-such-scenario")
 
 
+# ---------------------------------------------------------------- figures
+
+
+class TestFigures:
+    def test_figure3_fixes_slices_and_writes(self):
+        specs = [figure3_spec(n, num_slices=2, writes=8) for n in (20, 40)]
+        assert [s.nodes for s in specs] == [20, 40]
+        assert [s.num_slices for s in specs] == [2, 2]
+        assert [s.workload.operation_count for s in specs] == [8, 8]
+
+    def test_figure4_scales_slices_and_writes_with_nodes(self):
+        specs = [
+            figure4_spec(n, nodes_per_slice=10, records_per_slice=4) for n in (20, 40)
+        ]
+        assert [s.num_slices for s in specs] == [2, 4]
+        assert [s.workload.operation_count for s in specs] == [8, 16]
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(nodes_per_slice=0), "nodes_per_slice"),
+            (dict(nodes_per_slice=-5), "nodes_per_slice"),
+            (dict(records_per_slice=0), "records_per_slice"),
+            (dict(nodes_per_slice=30), "nodes_per_slice"),
+        ],
+    )
+    def test_figure4_rejects_bad_sizing(self, kwargs, field):
+        with pytest.raises(ConfigurationError, match=field):
+            figure4_spec(20, **kwargs)
+
+    def test_row_shape(self):
+        (row,) = figure_rows([figure3_spec(30, num_slices=3, writes=10)], seed=2)
+        assert row["n"] == 30
+        assert row["num_slices"] == 3
+        assert row["ops"] == 10
+        assert row["success_rate"] == 1.0
+        assert row["txn_not_issued"] == 0
+        assert row["messages_per_node"] > 0
+
+
 # ----------------------------------------------------------------- runner
 
 
@@ -364,5 +415,7 @@ def test_every_bundled_spec_runs_small(name):
     assert metrics["converged"] == 1.0
     assert metrics["load_success_rate"] == 1.0
     assert metrics["txn_success_rate"] >= 0.8
-    assert metrics["population_alive"] > 0
+    if "population" in spec.metrics:
+        # paper-figures collects only the two groups its figures read.
+        assert metrics["population_alive"] > 0
     assert metrics["messages_per_node"] > 0

@@ -128,12 +128,15 @@ def scenario_specs(draw):
         op_timeout=draw(st.floats(min_value=1.0, max_value=60.0, **finite)),
     )
     nodes = draw(st.integers(1, 500))
+    stack = draw(st.sampled_from(["core", "dht", "oracle"]))
+    # A core deployment needs a server per slice (its check_spec).
+    max_slices = min(10, nodes) if stack == "core" else 10
     return ScenarioSpec(
         name=draw(SAFE_TEXT),
         description=draw(SAFE_TEXT),
-        stack=draw(st.sampled_from(["core", "dht", "oracle"])),
+        stack=stack,
         nodes=nodes,
-        num_slices=draw(st.integers(1, 10)),
+        num_slices=draw(st.integers(1, max_slices)),
         replication=draw(st.integers(1, 5)),
         seed=draw(st.integers(0, 2**64 - 1)),
         loss_rate=draw(st.floats(min_value=0.0, max_value=0.5, **finite)),
