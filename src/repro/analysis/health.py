@@ -78,23 +78,11 @@ def check_cluster(cluster: DataFlasksCluster, min_replicas: int = 2) -> Consiste
     report.under_replicated = sorted(
         entry for entry, count in holders.items() if count < min_replicas
     )
-    # "Lost" can only be judged against an expected inventory; within one
-    # sweep an object with zero alive holders simply does not appear, so
-    # callers comparing against a known key set should use
-    # :func:`missing_objects`.
+    # "Lost" can only be judged against an expected inventory: within one
+    # sweep an object with zero alive holders simply does not appear.
     report.slice_population = cluster.slice_population()
     report.empty_slices = [
         i for i in range(num_slices) if report.slice_population.get(i, 0) == 0
     ]
     return report
 
-
-def missing_objects(
-    cluster: DataFlasksCluster, expected: List[Tuple[str, int]]
-) -> List[Tuple[str, int]]:
-    """Which of the expected (key, version) pairs have zero alive holders."""
-    missing = []
-    for key, version in expected:
-        if cluster.replication_level(key, version) == 0:
-            missing.append((key, version))
-    return missing

@@ -1,56 +1,17 @@
 """Offered-vs-delivered load-curve aggregation for the open-loop engine.
 
-Two consumers, two granularities:
-
-* **per measurement window** — :func:`window_rows` flattens an
-  :class:`~repro.workload.openloop.OpenLoopStats` into one row per
-  window (offered/delivered rates, per-kind latency percentiles), for
-  steady-state inspection of a single run;
-* **per offered-load point** — :func:`load_curve_row` extracts one
-  knee-curve point from a scenario result's flat metrics, and
-  :func:`knee_point` finds the saturation knee across a sweep of
-  offered rates: the highest point where the backend still delivers at
-  least ``efficiency`` of what was offered
-  (``benchmarks/bench_latency_throughput.py`` is the driver).
+:func:`load_curve_row` extracts one knee-curve point from a scenario
+result's flat metrics, and :func:`knee_point` finds the saturation knee
+across a sweep of offered rates: the highest point where the backend
+still delivers at least ``efficiency`` of what was offered
+(``benchmarks/bench_latency_throughput.py`` is the driver).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.sim.metrics import percentile
-from repro.workload.openloop import OpenLoopStats
-
-__all__ = ["window_rows", "load_curve_row", "knee_point"]
-
-
-def window_rows(stats: OpenLoopStats) -> List[Dict[str, float]]:
-    """One row per measurement window, ready for ``rows_to_table``.
-
-    Each row carries the window bounds, offered/issued/shed/completed
-    counts, offered and delivered rates, and ``latency_<kind>_p50`` /
-    ``latency_<kind>_p99`` for every operation kind that completed in
-    the window.
-    """
-    rows: List[Dict[str, float]] = []
-    for w in stats.windows:
-        row: Dict[str, float] = {
-            "start": w.start,
-            "end": w.end,
-            "offered": float(w.offered),
-            "issued": float(w.issued),
-            "not_issued": float(w.not_issued),
-            "succeeded": float(w.succeeded),
-            "failed": float(w.failed),
-            "offered_rate": w.offered_rate,
-            "delivered_rate": w.delivered_rate,
-        }
-        for kind in sorted(w.latencies):
-            values = w.latencies[kind]
-            row[f"latency_{kind}_p50"] = percentile(values, 50)
-            row[f"latency_{kind}_p99"] = percentile(values, 99)
-        rows.append(row)
-    return rows
+__all__ = ["load_curve_row", "knee_point"]
 
 
 def load_curve_row(metrics: Dict[str, float]) -> Dict[str, float]:

@@ -36,7 +36,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.aggregate import aggregate_table_rows
 from repro.analysis.health import check_cluster
@@ -451,9 +451,9 @@ def _resolve_spec(args: argparse.Namespace) -> ScenarioSpec:
             f"--spec {args.spec!r}, not both"
         )
     if args.spec:
-        spec = load_spec(args.spec)
+        spec = _checked_spec(load_spec, args.spec)
     elif args.scenario:
-        spec = load_bundled(args.scenario)
+        spec = _checked_spec(load_bundled, args.scenario)
     else:
         raise SystemExit("give a bundled scenario name or --spec FILE")
     overrides = {}
@@ -605,26 +605,28 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_spec(target: str) -> int:
-    """Check a spec file (or bundled name) without running it: parse it
-    (which resolves ``stack`` against the backend registry and checks
-    ``[churn]`` and ``[[faults]]`` in full), then build the latency model
-    and the workload."""
+def _checked_spec(load: Callable[[str], ScenarioSpec], target: str) -> ScenarioSpec:
+    """``load(target)`` checked in full: parsing resolves ``stack``
+    against the backend registry and checks every sub-spec, then the
+    workload is built. An unreadable or invalid spec is a
+    ConfigurationError, which ``main`` prints as one ``error:`` line
+    (exit 2)."""
     try:
-        if target.endswith((".toml", ".json")):
-            spec = load_spec(target)
-        else:
-            spec = load_bundled(target)
-        spec.latency.build()
+        spec = load(target)
         spec.workload.build()
     except OSError as exc:
-        print(f"error: cannot read spec: {exc}")
-        return 2
+        raise ConfigurationError(f"cannot read spec: {exc}") from None
     except (ConfigurationError, ValueError) as exc:
         # ValueError covers TOML/JSON decode errors; ConfigurationError
         # covers every semantic check the sub-specs run on construction.
-        print(f"error: invalid spec: {exc}")
-        return 2
+        raise ConfigurationError(f"invalid spec: {exc}") from None
+    return spec
+
+
+def _validate_spec(target: str) -> int:
+    """Check a spec file (or bundled name) without running it."""
+    load = load_spec if target.endswith((".toml", ".json")) else load_bundled
+    spec = _checked_spec(load, target)
     backend = get_backend(spec.stack)  # registry-checked at spec build too
     print(f"spec OK: {spec.name} ({spec.stack}, {spec.nodes} nodes, seed {spec.seed})")
     print(f"  backend: {spec.stack} — {backend.description}")
@@ -777,6 +779,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         score_scenario,
         shrink_candidate,
     )
+    from repro.search.scorer import ORACLE_STACK
 
     if args.action == "replay":
         paths: List[str] = []
@@ -842,7 +845,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     else:
         print(
             f"hunt: {len(result.violations)}/{config.budget} candidates "
-            f"violated consistency ({config.stack} vs {config.oracle_stack}, "
+            f"violated consistency ({config.stack} vs {ORACLE_STACK}, "
             f"seed {config.search_seed})"
         )
     best = result.best
@@ -887,7 +890,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         result = lint_paths(args.paths, replace(config, baseline=[]), select=select)
         baseline = baseline_from_violations(result.violations)
         with open(args.write_baseline, "w", encoding="utf-8") as f:
-            f.write(render_policy_toml(config, baseline))
+            f.write(render_policy_toml(baseline))
         print(
             f"wrote {args.write_baseline}: {len(baseline)} baseline "
             f"entr{'y' if len(baseline) == 1 else 'ies'} absorbing "

@@ -41,6 +41,9 @@ LB_STRATEGIES = {
     "slice-aware": SliceAwareLoadBalancer,
 }
 
+# Initial contacts each server's PSS is seeded with.
+BOOTSTRAP_DEGREE = 8
+
 StoreFactory = Callable[[int], VersionedStore]
 AttributeFn = Callable[[int, random.Random], float]
 
@@ -71,7 +74,6 @@ class DataFlasksCluster(StoreBackend):
         seed: int = 0,
         attribute_fn: Optional[AttributeFn] = None,
         store_factory: Optional[StoreFactory] = None,
-        bootstrap_degree: int = 8,
     ) -> None:
         super().__init__(n, sim, seed)
         base = config or DataFlasksConfig()
@@ -82,7 +84,7 @@ class DataFlasksCluster(StoreBackend):
         self._found(n)
         bootstrap_random_views(
             self.servers,
-            degree=min(bootstrap_degree, max(1, n - 1)),
+            degree=BOOTSTRAP_DEGREE,
             rng=self.sim.rng_registry.stream("cluster.bootstrap"),
         )
         for server in self.servers:

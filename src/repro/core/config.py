@@ -1,14 +1,17 @@
 """DATAFLASKS deployment configuration.
 
-One frozen-ish dataclass gathers every tunable of a node so deployments,
-benches and tests configure clusters uniformly. Defaults follow the
-paper's setup where stated (ten slices, Cyclon PSS, DSlead slicing) and
-the gossip literature elsewhere.
+One dataclass gathers the tunables of a node that a deployment sets, so
+specs, benches and tests configure clusters uniformly. Defaults follow
+the paper's setup where stated (ten slices, Cyclon PSS, DSlead slicing)
+and the gossip literature elsewhere. A value no deployment varies (a
+protocol period, a sample size, the dedup window) is a constant of the
+service that reads it, not a field here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from math import inf
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -16,22 +19,22 @@ from repro.gossip.dissemination import recommended_fanout
 
 __all__ = ["DataFlasksConfig"]
 
+# The fields __post_init__ checks by kind: sizes are positive integers
+# (the optional ones may also be None), periods positive finite seconds.
+_SIZES = ("num_slices", "view_size", "shuffle_length", "slice_view_size", "expected_n", "ttl")
+_OPTIONAL_SIZES = ("fanout", "store_capacity", "auto_replication_target")
+_PERIODS = ("antientropy_period", "auto_replication_period")
+
 
 @dataclass
 class DataFlasksConfig:
-    """All tunables of a DATAFLASKS node.
+    """The settable tunables of a DATAFLASKS node.
 
     :param num_slices: ``k``, the number of slices (paper: 10).
     :param expected_n: rough system size used to size the dissemination
         fanout to ``ln N + c`` when ``fanout`` is not given explicitly.
     :param fanout: global dissemination fanout override.
-    :param intra_slice_fanout: forwarding fanout once a request is inside
-        its target slice (slice views are small, so a smaller fanout
-        floods a slice reliably).
     :param ttl: dissemination hop budget for requests.
-    :param dedup_capacity: sequence numbers a node remembers per request
-        origin (client, or re-homing server); a request older than that
-        is dropped as a duplicate.
     :param slicing_protocol: one of ``dslead``, ``ordered``, ``sliver``,
         ``static``.
     :param store_capacity: max objects a node stores (None = unlimited).
@@ -42,29 +45,18 @@ class DataFlasksConfig:
     # --- slicing
     num_slices: int = 10
     slicing_protocol: str = "dslead"
-    slicing_period: float = 1.0
-    slicing_sample_size: int = 4
-    slicing_reservoir_size: int = 256
-    slicing_stability_rounds: int = 3
 
     # --- peer sampling
     view_size: int = 20
     shuffle_length: int = 8
-    pss_period: float = 1.0
 
     # --- slice-local membership (intra-slice PSS)
     slice_view_size: int = 16
-    slice_advert_period: float = 1.0
-    slice_advert_fanout: int = 3
-    slice_entry_max_age: int = 10
 
     # --- request dissemination
     expected_n: int = 1000
     fanout: Optional[int] = None
-    fanout_c: float = 2.0
-    intra_slice_fanout: int = 3
     ttl: int = 15
-    dedup_capacity: int = 100_000
 
     # --- storage & replication
     store_capacity: Optional[int] = None
@@ -79,24 +71,35 @@ class DataFlasksConfig:
     auto_replication_period: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.num_slices <= 0:
-            raise ConfigurationError("num_slices must be positive")
-        if self.slicing_protocol not in ("dslead", "ordered", "sliver", "static"):
+        protocols = ("dslead", "ordered", "sliver", "static")
+        if self.slicing_protocol not in protocols:
             raise ConfigurationError(
-                f"unknown slicing protocol {self.slicing_protocol!r}"
+                f"slicing_protocol must be one of {protocols}, "
+                f"got {self.slicing_protocol!r}"
             )
-        if self.expected_n <= 0:
-            raise ConfigurationError("expected_n must be positive")
-        if self.fanout is not None and self.fanout <= 0:
-            raise ConfigurationError("fanout must be positive")
-        if self.ttl <= 0:
-            raise ConfigurationError("ttl must be positive")
-        if self.intra_slice_fanout <= 0:
-            raise ConfigurationError("intra_slice_fanout must be positive")
-        if self.store_capacity is not None and self.store_capacity <= 0:
-            raise ConfigurationError("store_capacity must be positive or None")
-        if self.auto_replication_target is not None and self.auto_replication_target <= 0:
-            raise ConfigurationError("auto_replication_target must be positive or None")
+        for name in _SIZES + _OPTIONAL_SIZES:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_SIZES:
+                continue
+            if type(value) is not int or value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        for name in _PERIODS:
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0 < value < inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        if self.shuffle_length > self.view_size:
+            raise ConfigurationError(
+                f"shuffle_length ({self.shuffle_length}) exceeds view_size "
+                f"({self.view_size})"
+            )
+        if type(self.gc_foreign_data) is not bool:
+            raise ConfigurationError(
+                f"gc_foreign_data must be true or false, got {self.gc_foreign_data!r}"
+            )
 
     # ------------------------------------------------------------- helpers
 
@@ -105,8 +108,8 @@ class DataFlasksConfig:
         """The dissemination fanout actually used."""
         if self.fanout is not None:
             return self.fanout
-        return recommended_fanout(self.expected_n, self.fanout_c)
+        return recommended_fanout(self.expected_n)
 
-    def scaled_to(self, n: int, **overrides) -> "DataFlasksConfig":
+    def scaled_to(self, n: int) -> "DataFlasksConfig":
         """A copy re-targeted at a system of ``n`` nodes."""
-        return replace(self, expected_n=n, **overrides)
+        return replace(self, expected_n=n)

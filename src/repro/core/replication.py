@@ -39,7 +39,6 @@ from repro.core.messages import PutAck, PutRequest, SyncDigest, SyncItems, SyncR
 from repro.core.sliceview import SliceViewService
 from repro.core.store import VersionedStore
 from repro.errors import CapacityExceededError
-from repro.gossip.antientropy import missing_from
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 from repro.slicing.base import SlicingService
@@ -154,8 +153,8 @@ class AntiEntropyService(Service):
         if my_slice is None or my_slice != msg.slice_id:
             return  # sliced apart since the sender learnt about us
         mine = self._owned_digest(my_slice)
-        they_miss = missing_from(msg.digest, mine)
-        i_miss = missing_from(mine, msg.digest)
+        they_miss = mine - msg.digest
+        i_miss = msg.digest - mine
         push = tuple(
             (obj.key, obj.version, obj.value)
             for key, version in sorted(they_miss)

@@ -64,9 +64,6 @@ class _LruCache:
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)
 
-    def invalidate(self, key: str) -> None:
-        self._data.pop(key, None)
-
     def clear(self) -> None:
         self._data.clear()
 

@@ -1,4 +1,4 @@
-"""Epidemic aggregation: push-sum averaging and system-size estimation.
+"""Epidemic aggregation: system-size estimation.
 
 Section III lists "data aggregation [24]" among the epidemic protocols
 DATAFLASKS builds on, and two of the substrate's knobs secretly depend on
@@ -8,19 +8,9 @@ a quantity no node knows — the system size ``N``:
 * autonomous replication management (Section IV-C) needs ``N`` to choose
   the number of slices ``k ≈ N / r`` for a target replication factor.
 
-This module implements the classic **push-sum** protocol (Kempe, Dobra &
-Gehrke, FOCS 2003): every node keeps a pair ``(value, weight)``; each
-round it halves its pair, keeps one half, and sends the other half to a
-random PSS peer, adding whatever pairs arrive. The ratio ``value/weight``
-converges exponentially fast to the global average, and **mass
-conservation** (the invariant the property tests pin down) guarantees
-correctness.
-
-Size estimation uses a different, loss-tolerant aggregate: the
-extreme-value **min-hash sketch** gossiped by :class:`SystemSizeEstimator`
-(see its docstring). Min-aggregation converges monotonically, which makes
-it the right tool under churn, while push-sum remains the general
-averaging primitive (e.g. mean load, mean free capacity).
+:class:`SystemSizeEstimator` gossips a loss-tolerant aggregate, the
+extreme-value **min-hash sketch** (see its docstring). Min-aggregation
+converges monotonically, which makes it the right tool under churn.
 """
 
 from __future__ import annotations
@@ -33,80 +23,7 @@ from repro.errors import ConfigurationError
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 
-__all__ = ["PushSumService", "PushSumShare", "SystemSizeEstimator", "MinSketchShare"]
-
-
-@dataclass(frozen=True)
-class PushSumShare:
-    """Half of a node's (value, weight) mass, pushed to a peer."""
-
-    value: float
-    weight: float
-
-
-class PushSumService(Service):
-    """Push-sum averaging of a node-local ``value``.
-
-    :param value: this node's contribution to the global average.
-    :param period: seconds between push rounds.
-
-    The protocol conserves total value and total weight exactly (shares
-    are split, never copied), so ``estimate`` converges to the true mean
-    of all alive contributions.
-    """
-
-    name = "push-sum"
-
-    def __init__(self, value: float, period: float = 1.0) -> None:
-        super().__init__()
-        if period <= 0:
-            raise ConfigurationError("period must be positive")
-        self.local_value = value
-        self.period = period
-        self.value = value
-        self.weight = 1.0
-        self.rounds = 0
-
-    # ----------------------------------------------------------- lifecycle
-
-    def start(self) -> None:
-        node = self.node
-        assert node is not None
-        node.register_handler(PushSumShare, self._on_share)
-        node.every(self.period, self._round)
-
-    def stop(self) -> None:
-        node = self.node
-        assert node is not None
-        node.unregister_handler(PushSumShare)
-
-    # -------------------------------------------------------------- rounds
-
-    def _round(self) -> None:
-        node = self.node
-        assert node is not None
-        pss = node.get_service(PeerSamplingService)
-        assert pss is not None, "PushSumService requires a PeerSamplingService"
-        peer = pss.random_peer()
-        if peer is None:
-            return
-        self.rounds += 1
-        self.value /= 2
-        self.weight /= 2
-        node.send(peer, PushSumShare(self.value, self.weight))
-
-    def _on_share(self, msg: PushSumShare, src: int) -> None:
-        self.value += msg.value
-        self.weight += msg.weight
-
-    # -------------------------------------------------------------- output
-
-    @property
-    def estimate(self) -> Optional[float]:
-        """Current estimate of the global average (None before any mass)."""
-        if self.weight <= 0:
-            return None
-        return self.value / self.weight
+__all__ = ["SystemSizeEstimator", "MinSketchShare"]
 
 
 @dataclass(frozen=True)

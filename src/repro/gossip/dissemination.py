@@ -27,7 +27,6 @@ __all__ = [
     "DisseminationService",
     "recommended_fanout",
     "atomic_infection_probability",
-    "fanout_for_probability",
 ]
 
 
@@ -48,14 +47,6 @@ def recommended_fanout(n: int, c: float = 2.0) -> int:
 def atomic_infection_probability(c: float) -> float:
     """``e^{-e^{-c}}`` — P(atomic infection) for fanout ``ln N + c``."""
     return math.exp(-math.exp(-c))
-
-
-def fanout_for_probability(n: int, p_atomic: float) -> int:
-    """Smallest fanout achieving at least ``p_atomic`` on ``n`` nodes."""
-    if not 0 < p_atomic < 1:
-        raise ConfigurationError("p_atomic must be in (0, 1)")
-    c = -math.log(-math.log(p_atomic))
-    return recommended_fanout(n, c)
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,7 @@ class ReplayWindow(dict):
 
     __slots__ = ("capacity",)
 
-    def __init__(self, capacity: int = 10_000) -> None:
+    def __init__(self, capacity: int = 100_000) -> None:
         if capacity <= 0:
             raise ConfigurationError("dedup capacity must be positive")
         super().__init__()
@@ -156,10 +147,8 @@ class DisseminationService(Service):
     never again (duplicates are absorbed by a :class:`ReplayWindow`).
     Subscribers receive each payload exactly once per node.
 
-    :param fanout: peers to forward to; defaults (per message) to
-        ``ln N + c`` if ``None`` and ``expected_n`` is set.
-    :param dedup_capacity: sequence numbers remembered per origin; a
-        message older than that is dropped as a duplicate.
+    :param fanout: peers to forward to; with ``None``,
+        :func:`recommended_fanout` of ``expected_n``.
     """
 
     name = "dissemination"
@@ -169,19 +158,17 @@ class DisseminationService(Service):
         fanout: Optional[int] = None,
         ttl: int = 32,
         expected_n: Optional[int] = None,
-        c: float = 2.0,
-        dedup_capacity: int = 50_000,
     ) -> None:
         super().__init__()
         if fanout is None:
             if expected_n is None:
                 raise ConfigurationError("give either fanout or expected_n")
-            fanout = recommended_fanout(expected_n, c)
+            fanout = recommended_fanout(expected_n)
         if fanout <= 0 or ttl <= 0:
             raise ConfigurationError("fanout and ttl must be positive")
         self.fanout = fanout
         self.ttl = ttl
-        self._dedup = ReplayWindow(dedup_capacity)
+        self._dedup = ReplayWindow()
         self._subscribers: List[Callable[[Any, Tuple[int, int], int], None]] = []
         self._next_seq = 0
         self.delivered = 0

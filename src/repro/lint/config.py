@@ -1,17 +1,16 @@
 """Lint policy: what counts as sim-path, which names the visitors treat
 specially, and the baseline of grandfathered violations.
 
-The built-in defaults below *are* the policy. The committed
-``.repro-lint.toml`` at the repo root carries the ``[[baseline]]`` —
-each entry a finite, audited budget with a written justification; the
-acceptance bar is a handful, trending to zero — and any ``[lint]`` key
-that differs from a default, of which it has none. ``lint_paths``
-therefore judges a tree the same with or without the file, apart from
-the baseline.
+The built-in defaults below *are* the policy; :class:`LintConfig`'s
+fields exist so tests can substitute fixtures. The committed
+``.repro-lint.toml`` at the repo root holds only the ``schema`` and the
+``[[baseline]]`` — each entry a finite, audited budget with a written
+justification; the acceptance bar is a handful, trending to zero.
 
-The file is parsed strictly: an unknown key, a wrong type or an
-out-of-range value is a :class:`~repro.errors.ConfigurationError` that
-names the key, never a silently different verdict.
+The file is parsed strictly: an unknown key (``[lint]`` included), a
+wrong type or an out-of-range value is a
+:class:`~repro.errors.ConfigurationError` that names the key, never a
+silently different verdict.
 """
 
 from __future__ import annotations
@@ -56,14 +55,9 @@ DEFAULT_SIMPATH: Tuple[str, ...] = (
 )
 
 # Call names (bare functions or trailing attributes) the D301 visitor
-# treats as set-valued even though it cannot see their return type:
-# the store digest and the anti-entropy set algebra.
-DEFAULT_SET_RETURNING: Tuple[str, ...] = (
-    "digest",
-    "make_digest",
-    "merge_digests",
-    "missing_from",
-)
+# treats as set-valued even though it cannot see their return type: the
+# store digest.
+DEFAULT_SET_RETURNING: Tuple[str, ...] = ("digest",)
 
 # Attribute names whose iteration or subscript yields *node* objects —
 # the I1xx rules treat anything pulled out of these as another process.
@@ -102,21 +96,11 @@ DEFAULT_REQUEST_REPLY: Tuple[Tuple[str, str], ...] = (
 
 _SCHEMA = 1
 
-# The [lint] keys that hold a list of strings; each sets the LintConfig
-# field of the same name.
-_STRING_LISTS = (
-    "simpath",
-    "set_returning",
-    "node_collections",
-    "node_returning",
-    "node_state",
-    "payload_attrs",
-)
 _BASELINE_KEYS = ("rule", "path", "max", "justification")
 
 _HEADER = (
-    "# repro-lint policy: the audited violation baseline, plus any [lint]\n"
-    "# key that differs from the built-in defaults in repro/lint/config.py.\n"
+    "# repro-lint policy: the audited violation baseline. The rest of the\n"
+    "# policy is the built-in defaults in repro/lint/config.py.\n"
     '# See DESIGN.md, "Determinism contract & static analysis".\n'
     "\n"
 )
@@ -192,51 +176,26 @@ class LintConfig:
     @classmethod
     def from_dict(cls, doc: Dict, source: Optional[str] = None) -> "LintConfig":
         where = f" ({source})" if source else ""
-        _table(doc, ("schema", "lint", "baseline"), "", where)
+        _table(doc, ("schema", "baseline"), "", where)
         schema = doc.get("schema", _SCHEMA)
         if type(schema) is not int or schema != _SCHEMA:
             raise ConfigurationError(
                 f"lint config key 'schema' must be {_SCHEMA}, got {schema!r}{where}"
             )
-        lint = _table(doc.get("lint", {}), _STRING_LISTS + ("protocol",), "lint", where)
-        protocol = _table(
-            lint.get("protocol", {}), ("request_reply",), "lint.protocol", where
-        )
-        fields: Dict[str, object] = {
-            key: _string_list(lint[key], f"lint.{key}", where)
-            for key in _STRING_LISTS
-            if key in lint
-        }
-        if "request_reply" in protocol:
-            fields["request_reply"] = _pairs(protocol["request_reply"], where)
         entries = doc.get("baseline", [])
         if not isinstance(entries, list):
             raise ConfigurationError(
                 f"lint config key 'baseline' must be [[baseline]] tables{where}"
             )
         baseline = [_baseline_entry(entry, where) for entry in entries]
-        return cls(**fields, baseline=baseline, source=source)
+        return cls(baseline=baseline, source=source)
 
 
-def render_policy_toml(config: LintConfig, baseline: Sequence[BaselineEntry]) -> str:
-    """Serialise a policy file with ``baseline`` as its entries: the
-    schema, the ``[lint]`` keys whose value differs from the built-in
-    default (none for the default policy), then the baseline. The
+def render_policy_toml(baseline: Sequence[BaselineEntry]) -> str:
+    """Serialise a policy file with ``baseline`` as its entries. The
     output is byte-stable for review diffs and reads back through
-    :meth:`LintConfig.from_dict` to the same policy."""
-    default = LintConfig()
-    lint: Dict[str, object] = {
-        key: list(getattr(config, key))
-        for key in _STRING_LISTS
-        if getattr(config, key) != getattr(default, key)
-    }
-    if config.request_reply != default.request_reply:
-        lint["protocol"] = {
-            "request_reply": [list(pair) for pair in config.request_reply]
-        }
+    :meth:`LintConfig.from_dict` to the same baseline."""
     doc: Dict[str, object] = {"schema": _SCHEMA}
-    if lint:
-        doc["lint"] = lint
     if baseline:
         doc["baseline"] = [entry.to_dict() for entry in baseline]
     return _HEADER + dumps_toml(doc)
@@ -254,29 +213,6 @@ def _table(value: object, known: Sequence[str], name: str, where: str) -> Dict:
             dotted = f"{name}.{key}" if name else key
             raise ConfigurationError(f"unknown lint config key {dotted!r}{where}")
     return value
-
-
-def _string_list(value: object, name: str, where: str) -> Tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ConfigurationError(
-            f"lint config key {name!r} must be a list of strings, "
-            f"got {value!r}{where}"
-        )
-    return tuple(value)
-
-
-def _pairs(value: object, where: str) -> Tuple[Tuple[str, str], ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(pair, list)
-        and len(pair) == 2
-        and all(isinstance(half, str) and half for half in pair)
-        for pair in value
-    ):
-        raise ConfigurationError(
-            "lint config key 'lint.protocol.request_reply' must be a list of "
-            f'["Request", "Reply"] pairs of class names{where}'
-        )
-    return tuple((request, reply) for request, reply in value)
 
 
 def _baseline_entry(entry: object, where: str) -> BaselineEntry:

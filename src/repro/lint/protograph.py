@@ -118,12 +118,6 @@ class ProtocolGraph:
 
     # ------------------------------------------------------------ queries
 
-    def sends_of(self, message: str) -> List[SendSite]:
-        return [s for s in self.sends if s.message == message]
-
-    def registrations_of(self, message: str) -> List[HandlerReg]:
-        return [r for r in self.registrations if r.message == message]
-
     def endpoints(self) -> List[str]:
         names = {s.endpoint for s in self.sends}
         names.update(r.endpoint for r in self.registrations)

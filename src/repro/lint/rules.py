@@ -96,11 +96,6 @@ class Rule:
     title: str
     advice: str
 
-    @property
-    def family(self) -> str:
-        """The family prefix (``D1`` for ``D101``)."""
-        return self.id[:2]
-
 
 @dataclass(frozen=True)
 class Violation:

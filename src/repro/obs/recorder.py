@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from math import inf
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,8 +44,8 @@ class ObservabilitySpec:
     * ``timeline`` — per-``window``-second counter/damage deltas
       (:class:`~repro.obs.timeline.TimelineRecorder`).
     * ``trace`` — head-sample every ``trace_sample``-th client op (up to
-      ``trace_max_ops`` sampled ops) into a Perfetto-loadable Chrome
-      trace (:class:`~repro.obs.trace.OpTracer`).
+      the tracer's ``max_ops`` sampled ops) into a Perfetto-loadable
+      Chrome trace (:class:`~repro.obs.trace.OpTracer`).
     * ``profile`` — wall-clock hotspot attribution per handler type
       (:class:`~repro.obs.profile.HotspotProfiler`).
     """
@@ -53,16 +54,15 @@ class ObservabilitySpec:
     window: float = 5.0
     trace: bool = False
     trace_sample: int = 10
-    trace_max_ops: int = 1000
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ConfigurationError("observability window must be positive")
+        if not 0 < self.window < inf:
+            raise ConfigurationError(
+                f"observability window must be positive and finite, got {self.window!r}"
+            )
         if self.trace_sample < 1:
             raise ConfigurationError("trace_sample must be >= 1")
-        if self.trace_max_ops < 1:
-            raise ConfigurationError("trace_max_ops must be >= 1")
 
     @property
     def enabled(self) -> bool:
@@ -77,7 +77,7 @@ class FlightRecorder:
             TimelineRecorder(obs.window) if obs.timeline else None
         )
         self.tracer: Optional[OpTracer] = (
-            OpTracer(obs.trace_sample, obs.trace_max_ops) if obs.trace else None
+            OpTracer(obs.trace_sample) if obs.trace else None
         )
         self.profiler: Optional[HotspotProfiler] = (
             HotspotProfiler() if obs.profile else None

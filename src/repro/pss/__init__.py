@@ -7,7 +7,7 @@
 """
 
 from repro.pss.base import PeerSamplingService
-from repro.pss.bootstrap import bootstrap_node, bootstrap_random_views
+from repro.pss.bootstrap import bootstrap_random_views
 from repro.pss.cyclon import CyclonService, ShuffleReply, ShuffleRequest
 from repro.pss.newscast import NewscastService
 from repro.pss.view import NodeDescriptor, PartialView
@@ -20,6 +20,5 @@ __all__ = [
     "PeerSamplingService",
     "ShuffleReply",
     "ShuffleRequest",
-    "bootstrap_node",
     "bootstrap_random_views",
 ]

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.pss.base import PeerSamplingService
 from repro.sim.node import Node
 
-__all__ = ["bootstrap_random_views", "bootstrap_node"]
+__all__ = ["bootstrap_random_views"]
 
 
 def bootstrap_random_views(
@@ -44,14 +44,3 @@ def bootstrap_random_views(
         count = min(degree, len(others))
         service.bootstrap(rng.sample(others, count))
 
-
-def bootstrap_node(
-    node: Node,
-    contacts: Sequence[int],
-    service_cls: Type[PeerSamplingService] = PeerSamplingService,
-) -> None:
-    """Seed one (typically newly joined) node with the given contacts."""
-    service = node.get_service(service_cls)
-    if service is None:
-        raise ConfigurationError(f"node {node.id} has no {service_cls.__name__}")
-    service.bootstrap(list(contacts))

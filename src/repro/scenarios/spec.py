@@ -75,6 +75,19 @@ WORKLOAD_PRESETS: Dict[str, CoreWorkload] = {
     )
 }
 
+
+def _check_number(
+    name: str, value: Any, low: float = 0.0, *, strict: bool = False, high: float = inf
+) -> None:
+    """Reject ``value`` unless it is a finite number in ``[low, high)``
+    (``(low, high)`` when ``strict``); the error names the field."""
+    numeric = type(value) in (int, float)
+    if numeric and (low < value if strict else low <= value) and value < high:
+        return
+    bound = f"{'>' if strict else '>='} {low:g}" + (f" and < {high:g}" if high < inf else "")
+    raise ConfigurationError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 METRIC_GROUPS = (
     "workload",
     "messages",
@@ -104,6 +117,9 @@ class LatencySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "lognormal"):
             raise ConfigurationError(f"unknown latency kind {self.kind!r}")
+        for name in ("latency", "low", "high", "median", "sigma", "cap"):
+            _check_number(f"latency {name}", getattr(self, name))
+        self.build()  # the model's own range checks
 
     def build(self) -> LatencyModel:
         if self.kind == "uniform":
@@ -182,6 +198,13 @@ class WorkloadSpec:
             )
         if self.clients < 1:
             raise ConfigurationError("clients must be >= 1")
+        _check_number("rate", self.rate)
+        _check_number("warmup", self.warmup)
+        _check_number("window", self.window, strict=True)
+        if self.max_in_flight < 0:
+            raise ConfigurationError(
+                f"max_in_flight must be >= 0, got {self.max_in_flight!r}"
+            )
         if self.mode == "closed":
             for name, default in _OPEN_ONLY.items():
                 if getattr(self, name) != default:
@@ -195,10 +218,6 @@ class WorkloadSpec:
             raise ConfigurationError(
                 f"unknown arrival process {self.arrival!r}; "
                 "choose 'poisson' or 'constant'"
-            )
-        if self.warmup < 0 or self.window <= 0 or self.max_in_flight < 0:
-            raise ConfigurationError(
-                "warmup and max_in_flight must be >= 0, window > 0"
             )
 
     def build(self) -> CoreWorkload:
@@ -287,6 +306,10 @@ class ScenarioSpec:
             raise ConfigurationError("nodes must be positive")
         if self.num_slices <= 0 or self.replication <= 0:
             raise ConfigurationError("num_slices and replication must be positive")
+        _check_number("loss_rate", self.loss_rate, high=1.0)
+        for name in ("warmup", "settle", "cooldown"):
+            _check_number(name, getattr(self, name))
+        _check_number("convergence_timeout", self.convergence_timeout, strict=True)
         backend.check_spec(self)
         # [config] is checked on every stack, not just core: a core spec
         # re-stacked onto the oracle (search/scorer.py) keeps its block,

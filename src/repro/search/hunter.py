@@ -30,7 +30,13 @@ from repro.faults.spec import FaultSpec
 from repro.scenarios.spec import ScenarioSpec, WorkloadSpec
 from repro.search.exporter import export_regression
 from repro.search.sampler import SampleSpace, sample_schedule
-from repro.search.scorer import DamageScore, Weights, attach_faults, score_scenario
+from repro.search.scorer import (
+    ORACLE_STACK,
+    DamageScore,
+    Weights,
+    attach_faults,
+    score_scenario,
+)
 from repro.search.shrinker import ShrinkResult, shrink_schedule
 from repro.sim.rng import derive_seed
 
@@ -71,13 +77,12 @@ class HuntConfig:
     preset: str = "ycsb-a"
     space: SampleSpace = field(default_factory=SampleSpace)
     weights: Weights = field(default_factory=Weights)
-    oracle_stack: str = "oracle"
     timeline_window: float = 0.0
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ConfigurationError(f"hunt budget must be >= 1, got {self.budget}")
-        if self.stack == self.oracle_stack:
+        if self.stack == ORACLE_STACK:
             raise ConfigurationError(
                 "hunting the oracle against itself scores zero by construction; "
                 "pick a different --stack"
@@ -184,8 +189,7 @@ def run_hunt(
         faults = sample_schedule(config.search_seed, index, config.space)
         spec = attach_faults(base_scenario(config, index), faults)
         score = score_scenario(
-            spec, config.weights, config.oracle_stack,
-            timeline_window=config.timeline_window,
+            spec, config.weights, timeline_window=config.timeline_window
         )
         candidate = Candidate(index=index, faults=faults, score=score)
         candidates.append(candidate)
@@ -212,9 +216,7 @@ def shrink_candidate(
     base = base_scenario(config, index)
 
     def score_fn(trial: List[FaultSpec]) -> DamageScore:
-        return score_scenario(
-            attach_faults(base, trial), config.weights, config.oracle_stack
-        )
+        return score_scenario(attach_faults(base, trial), config.weights)
 
     return shrink_schedule(faults, score_fn, budget=shrink_budget)
 

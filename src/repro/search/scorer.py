@@ -36,7 +36,10 @@ from repro.obs.recorder import FlightRecorder, ObservabilitySpec
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["DamageScore", "Weights", "score_scenario", "attach_faults"]
+__all__ = ["DamageScore", "Weights", "score_scenario", "attach_faults", "ORACLE_STACK"]
+
+# The zero line every score is measured against.
+ORACLE_STACK = "oracle"
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,9 @@ def attach_faults(spec: ScenarioSpec, faults: List[FaultSpec]) -> ScenarioSpec:
 def score_scenario(
     spec: ScenarioSpec,
     weights: Optional[Weights] = None,
-    oracle_stack: str = "oracle",
     timeline_window: float = 0.0,
 ) -> DamageScore:
-    """Run ``spec`` against its own stack and against ``oracle_stack`` on
+    """Run ``spec`` against its own stack and against the oracle on
     the identical schedule/load/seed; return the relative damage.
 
     ``spec.metrics`` must include the ``consistency`` group (the hunter's
@@ -125,7 +127,7 @@ def score_scenario(
         else ObservabilitySpec()
     )
     target = run_scenario(spec, recorder=recorder).metrics
-    oracle_spec = spec.scaled(stack=oracle_stack, name=f"{spec.name}@{oracle_stack}")
+    oracle_spec = spec.scaled(stack=ORACLE_STACK, name=f"{spec.name}@{ORACLE_STACK}")
     oracle = run_scenario(oracle_spec).metrics
 
     stale = _excess(target, oracle, "stale_reads")

@@ -140,11 +140,6 @@ class AvailabilityTracker:
         """Number of keys currently inside an unavailability window."""
         return len(self._open)
 
-    @property
-    def open_windows(self) -> Dict[str, float]:
-        """key -> window start time for still-open windows (a copy)."""
-        return dict(self._open)
-
     def summary(self, now: float) -> Dict[str, float]:
         """Window count, distinct keys affected, and duration stats.
 

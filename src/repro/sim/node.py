@@ -176,10 +176,6 @@ class Node:
                     break
         return service
 
-    @property
-    def services(self) -> List[Service]:
-        return list(self._services)
-
     # ----------------------------------------------------------- lifecycle
 
     def start(self) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from math import inf, isfinite
+from math import inf, isfinite, isnan
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -55,13 +55,6 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so it will not fire."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        # The scheduler itself never compares Events — its heap holds
-        # plain tuples (see module docstring). This exists
-        # only for external code that heaps Event objects directly, and
-        # must mirror the tuple ordering exactly.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -177,7 +170,11 @@ class Scheduler:
         at or before ``until``, time only advances to the next pending
         event's instant — virtual time never jumps past work that has not
         run (and therefore never rewinds when that work later fires).
+        A NaN ``until`` is a :class:`SimulationError`: no event is ever
+        past it, so the run would never end.
         """
+        if until is not None and isnan(until):
+            raise SimulationError("run(until=nan): the horizon must be a number")
         heap = self._heap
         profiler = self.profiler
         if max_events is None and profiler is None:

@@ -120,13 +120,6 @@ class Simulation:
         """Create ``count`` nodes in one call."""
         return [self.add_node(factory) for _ in range(count)]
 
-    def remove_node(self, node_id: int) -> None:
-        """Stop and forget a node entirely."""
-        node = self.nodes.pop(node_id, None)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        node.stop()
-
     def node(self, node_id: int) -> Node:
         try:
             return self.nodes[node_id]
@@ -136,10 +129,6 @@ class Simulation:
     def start_all(self) -> None:
         for node in self.nodes.values():
             node.start()
-
-    def stop_all(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
 
     def alive_nodes(self) -> List[Node]:
         return [n for n in self.nodes.values() if n.alive]

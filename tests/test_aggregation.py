@@ -1,29 +1,23 @@
-"""Tests for push-sum aggregation and the min-sketch size estimator."""
+"""Tests for the min-sketch size estimator."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.gossip.aggregation import (
-    PushSumService,
-    PushSumShare,
-    SystemSizeEstimator,
-)
+from repro.gossip.aggregation import SystemSizeEstimator
 from repro.pss.bootstrap import bootstrap_random_views
 from repro.pss.cyclon import CyclonService
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 
 
-def build_aggregating(n=100, value_fn=lambda nid: float(nid), seed=4, rounds=40.0,
-                      sketch_size=64):
+def build_aggregating(n=100, seed=4, rounds=40.0, sketch_size=64):
     sim = Simulation(seed=seed)
 
     def factory(node_id, ctx):
         node = Node(node_id, ctx)
         node.add_service(CyclonService(view_size=12, shuffle_length=6))
-        node.add_service(PushSumService(value=value_fn(node_id)))
         node.add_service(SystemSizeEstimator(sketch_size=sketch_size))
         return node
 
@@ -32,44 +26,6 @@ def build_aggregating(n=100, value_fn=lambda nid: float(nid), seed=4, rounds=40.
     sim.start_all()
     sim.run_for(rounds)
     return sim, nodes
-
-
-class TestPushSum:
-    def test_period_validated(self):
-        with pytest.raises(ConfigurationError):
-            PushSumService(value=1.0, period=0)
-
-    def test_converges_to_true_average(self):
-        _, nodes = build_aggregating(n=80)
-        truth = sum(range(80)) / 80
-        for node in nodes:
-            estimate = node.get_service(PushSumService).estimate
-            assert estimate == pytest.approx(truth, rel=0.05)
-
-    def test_mass_conservation(self):
-        # Total value and weight are conserved exactly (no loss, no churn):
-        # the global invariant that makes push-sum correct.
-        sim, nodes = build_aggregating(n=50, rounds=17.3)
-        total_value = sum(n.get_service(PushSumService).value for n in nodes)
-        total_weight = sum(n.get_service(PushSumService).weight for n in nodes)
-        # In-flight shares also carry mass; drain the network first.
-        sim.run_until(sim.now + 1.0)
-        total_value = sum(n.get_service(PushSumService).value for n in nodes)
-        total_weight = sum(n.get_service(PushSumService).weight for n in nodes)
-        in_flight = sim.scheduler.pending  # shares still queued
-        if in_flight == 0:
-            assert total_value == pytest.approx(sum(range(50)))
-            assert total_weight == pytest.approx(50.0)
-
-    def test_constant_values_are_fixed_point(self):
-        _, nodes = build_aggregating(n=30, value_fn=lambda nid: 7.0, rounds=20)
-        for node in nodes:
-            assert node.get_service(PushSumService).estimate == pytest.approx(7.0)
-
-    def test_estimate_none_with_zero_weight(self):
-        service = PushSumService(value=1.0)
-        service.weight = 0.0
-        assert service.estimate is None
 
 
 class TestSizeEstimator:

@@ -222,6 +222,26 @@ def test_scenarios_validate_missing_file(capsys):
     assert "error:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("action", ["validate", "run", "sweep"])
+@pytest.mark.parametrize(
+    "text, message",
+    [('name = "a"\nname = "b"\n', "invalid spec"), (None, "cannot read spec")],
+    ids=["duplicated-key", "missing-file"],
+)
+def test_a_bad_spec_file_is_one_error_line_for_every_action(
+    tmp_path, capsys, action, text, message
+):
+    # run and sweep used to die with a TOMLDecodeError or
+    # FileNotFoundError traceback where validate printed one line.
+    path = tmp_path / "bad.toml"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path)] if action == "validate" else ["--spec", str(path)]
+    assert main(["scenarios", action, *argv]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(f"error: {message}")
+
+
 def test_scenarios_validate_unknown_bundled_name(capsys):
     assert main(["scenarios", "validate", "no-such-scenario"]) == 2
     assert "error:" in capsys.readouterr().out

@@ -15,7 +15,7 @@ def test_defaults_match_paper():
 
 
 def test_effective_fanout_from_expected_n():
-    config = DataFlasksConfig(expected_n=1000, fanout_c=2.0)
+    config = DataFlasksConfig(expected_n=1000)
     assert config.effective_fanout == math.ceil(math.log(1000) + 2)
 
 
@@ -31,11 +31,6 @@ def test_scaled_to_retargets_fanout():
     assert base.expected_n == 100  # original untouched
 
 
-def test_scaled_to_accepts_overrides():
-    scaled = DataFlasksConfig().scaled_to(500, num_slices=25)
-    assert scaled.num_slices == 25
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -44,12 +39,26 @@ def test_scaled_to_accepts_overrides():
         {"expected_n": 0},
         {"fanout": 0},
         {"ttl": 0},
-        {"intra_slice_fanout": 0},
+        {"view_size": 0},
         {"store_capacity": 0},
+        {"shuffle_length": 0},
+        {"shuffle_length": 50},
+        {"slice_view_size": 0},
+        {"auto_replication_target": 0},
+        {"antientropy_period": 0.0},
+        {"antientropy_period": math.nan},
+        {"antientropy_period": math.inf},
+        {"auto_replication_period": -1.0},
+        {"gc_foreign_data": "no"},
+        {"gc_foreign_data": 1},
+        {"view_size": 20.5},
+        {"ttl": True},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ConfigurationError):
+    # Each bad value is rejected at construction, naming its field.
+    (name,) = kwargs
+    with pytest.raises(ConfigurationError, match=name):
         DataFlasksConfig(**kwargs)
 
 

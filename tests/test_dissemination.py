@@ -12,7 +12,6 @@ from repro.gossip.dissemination import (
     DisseminationService,
     ReplayWindow,
     atomic_infection_probability,
-    fanout_for_probability,
     recommended_fanout,
 )
 from repro.pss.bootstrap import bootstrap_random_views
@@ -24,6 +23,7 @@ from repro.sim.simulator import Simulation
 class TestFanoutMaths:
     def test_recommended_fanout_formula(self):
         assert recommended_fanout(1000, c=2.0) == math.ceil(math.log(1000) + 2)
+        assert recommended_fanout(1000, 4.0) == 11
 
     def test_recommended_fanout_small_systems(self):
         assert recommended_fanout(1) == 1
@@ -37,17 +37,6 @@ class TestFanoutMaths:
     def test_probability_monotone_in_c(self):
         values = [atomic_infection_probability(c) for c in (-1, 0, 1, 2, 4)]
         assert values == sorted(values)
-
-    def test_fanout_for_probability_inverts(self):
-        n = 500
-        for p in (0.5, 0.9, 0.99):
-            f = fanout_for_probability(n, p)
-            c = f - math.log(n)
-            assert atomic_infection_probability(c) >= p - 1e-9
-
-    def test_fanout_for_probability_validates(self):
-        with pytest.raises(ConfigurationError):
-            fanout_for_probability(100, 1.0)
 
     @given(st.integers(min_value=2, max_value=100_000))
     def test_fanout_scales_logarithmically(self, n):

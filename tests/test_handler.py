@@ -189,8 +189,6 @@ def test_fanout_reconfiguration_changes_the_next_relay():
     assert relay_width(sim, node, client, seq=2) == 6
     node.config.expected_n = 1000  # ceil(ln 1000 + 2) = 9
     assert relay_width(sim, node, client, seq=3) == 9
-    node.config.fanout_c = 4.0  # ceil(ln 1000 + 4) = 11
-    assert relay_width(sim, node, client, seq=4) == 11
 
 
 def test_num_slices_reconfiguration_reroutes_keys():

@@ -1,6 +1,6 @@
 """Tests for the consistency/health reporting tools."""
 
-from repro.analysis.health import check_cluster, missing_objects
+from repro.analysis.health import check_cluster
 
 from tests.conftest import build_cluster
 
@@ -34,15 +34,6 @@ def test_under_replication_detected():
     report = check_cluster(cluster, min_replicas=2)
     assert (target, 1) in report.under_replicated
     assert not report.healthy
-
-
-def test_missing_objects_detected():
-    cluster, keys = loaded(seed=93)
-    target = keys[0]
-    for server in cluster.alive_servers():
-        server.store.delete(target)
-    expected = [(k, 1) for k in keys]
-    assert missing_objects(cluster, expected) == [(target, 1)]
 
 
 def test_misplaced_copies_counted():

@@ -219,8 +219,6 @@ class TestObservabilitySpec:
             ObservabilitySpec(window=0.0)
         with pytest.raises(ConfigurationError):
             ObservabilitySpec(trace_sample=0)
-        with pytest.raises(ConfigurationError):
-            ObservabilitySpec(trace_max_ops=0)
 
     def test_default_block_is_omitted_from_dict(self):
         spec = ScenarioSpec(name="plain")

@@ -1,6 +1,7 @@
 """Focused tests for the anti-entropy replication service."""
 
 from repro.core.config import DataFlasksConfig
+from repro.core.handler import INTRA_SLICE_FANOUT
 from repro.core.keyspace import slice_for_key
 from repro.core.messages import GetReply, PutAck, PutRequest, SliceAdvert, SyncDigest
 from repro.core.node import DataFlasksNode
@@ -200,7 +201,7 @@ def test_a_known_contact_takes_the_object_to_its_slice_in_slice_size_sends():
     # One send to the contact, then each member relays once inside the
     # slice.
     assert {dst for dst, _ in handoff} <= {s.id for s in members}
-    assert len(handoff) <= 1 + cluster.config.intra_slice_fanout * len(members)
+    assert len(handoff) <= 1 + INTRA_SLICE_FANOUT * len(members)
 
     *_, flood = strand_one(known_contact=False)
     assert not any(msg.handoff for _, msg in flood)

@@ -3,6 +3,7 @@ replay, sweep aggregation, and an end-to-end run of every bundled spec
 at small scale."""
 
 import json
+import math
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.scenarios.registry import figure3_spec, figure4_spec, figure_rows
 from repro.sim.network import FixedLatency, LogNormalLatency, UniformLatency
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
+
+NAN = math.nan
 
 EXPECTED_BUNDLED = {
     "asymmetric-partition",
@@ -108,10 +111,70 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match=r"fanuot.*valid keys.*'fanout'"):
             spec_from_dict(dict(name="x", stack="core", nodes=20, config={"fanuot": 3}))
 
-    @pytest.mark.parametrize("config", [{"ttl": 0}, {"fanout": -1}, {"ttl": "long"}])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"ttl": 0},
+            {"fanout": -1},
+            {"ttl": "long"},
+            {"antientropy_period": 0.0},
+            {"antientropy_period": NAN},
+            {"view_size": 0},
+            {"shuffle_length": 0},
+            {"shuffle_length": 50},
+            {"gc_foreign_data": "no"},
+        ],
+    )
     def test_out_of_range_config_value_rejected_naming_key(self, config):
         with pytest.raises(ConfigurationError, match=next(iter(config))):
             ScenarioSpec(name="x", config=config)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "slicing_period",
+            "slicing_sample_size",
+            "slicing_reservoir_size",
+            "slicing_stability_rounds",
+            "pss_period",
+            "slice_advert_period",
+            "slice_advert_fanout",
+            "slice_entry_max_age",
+            "dedup_capacity",
+            "fanout_c",
+            "intra_slice_fanout",
+        ],
+    )
+    def test_protocol_constant_is_not_a_config_key(self, key):
+        # One value in use, so a constant of the service that reads it.
+        with pytest.raises(ConfigurationError, match=rf"{key}.*valid keys"):
+            ScenarioSpec(name="x", config={key: 1})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"warmup": NAN}, "warmup"),
+            ({"warmup": float("inf")}, "warmup"),
+            ({"cooldown": NAN}, "cooldown"),
+            ({"settle": -5.0}, "settle"),
+            ({"convergence_timeout": -1.0}, "convergence_timeout"),
+            ({"convergence_timeout": 0.0}, "convergence_timeout"),
+            ({"loss_rate": 1.5}, "loss_rate"),
+            ({"loss_rate": -0.1}, "loss_rate"),
+            ({"latency": {"latency": NAN}}, "latency latency"),
+            ({"latency": {"kind": "uniform", "high": float("inf")}}, "latency high"),
+            ({"workload": {"mode": "open", "rate": NAN}}, "rate"),
+            ({"workload": {"mode": "open", "rate": 10.0, "window": NAN}}, "window"),
+            ({"workload": {"mode": "open", "rate": 10.0, "warmup": -1.0}}, "warmup"),
+            ({"observability": {"window": NAN}}, "window"),
+            ({"observability": {"window": float("inf")}}, "window"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_number_rejected_naming_field(self, data, field):
+        # Each of these used to validate, then hang the run (a NaN
+        # horizon), fail mid-run, or run with a silently bent timeline.
+        with pytest.raises(ConfigurationError, match=field):
+            spec_from_dict({"name": "x", "nodes": 20, "num_slices": 2, **data})
 
     def test_config_num_slices_rejected_in_favour_of_top_level_field(self):
         with pytest.raises(ConfigurationError, match="top-level"):

@@ -50,6 +50,14 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
+def test_run_until_nan_is_rejected():
+    # No event is ever past a NaN horizon: the run would never end.
+    sched = Scheduler()
+    sched.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError, match="nan"):
+        sched.run(until=float("nan"))
+
+
 def test_run_until_is_composable():
     sched = Scheduler()
     fired = []

@@ -34,7 +34,8 @@ def test_start_and_stop_all():
     sim.add_nodes(Node, 3)
     sim.start_all()
     assert len(sim.alive_ids()) == 3
-    sim.stop_all()
+    for node in sim.alive_nodes():
+        node.stop()
     assert sim.alive_ids() == []
 
 
@@ -44,16 +45,6 @@ def test_node_lookup():
     assert sim.node(node.id) is node
     with pytest.raises(UnknownNodeError):
         sim.node(999)
-
-
-def test_remove_node_stops_it():
-    sim = Simulation()
-    node = sim.add_node(Node)
-    node.start()
-    sim.remove_node(node.id)
-    assert not node.alive
-    with pytest.raises(UnknownNodeError):
-        sim.remove_node(node.id)
 
 
 def test_run_for_advances_time():
