@@ -10,7 +10,7 @@ slice-coverage holes. Works on a live
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.core.cluster import DataFlasksCluster
 from repro.core.keyspace import slice_for_key
@@ -53,12 +53,20 @@ class ConsistencyReport:
         return "\n".join(lines)
 
 
-def check_cluster(cluster: DataFlasksCluster, min_replicas: int = 2) -> ConsistencyReport:
+def check_cluster(
+    cluster: DataFlasksCluster,
+    written: Iterable[Tuple[str, int]],
+    min_replicas: int = 2,
+) -> ConsistencyReport:
     """Sweep every alive server's store and grade the cluster.
 
-    ``min_replicas`` is the threshold below which an object counts as
-    under-replicated (1 copy is one crash away from loss — the paper's
-    persistence discussion in Section VII).
+    ``written`` is the inventory of acknowledged ``(key, version)``
+    writes: an entry no alive server holds is *lost*. Within one sweep
+    an object with zero alive holders simply does not appear, so loss
+    can only be judged against it. ``min_replicas`` is the threshold
+    below which an object counts as under-replicated (1 copy is one
+    crash away from loss — the paper's persistence discussion in
+    Section VII).
     """
     report = ConsistencyReport()
     num_slices = cluster.config.num_slices
@@ -78,8 +86,7 @@ def check_cluster(cluster: DataFlasksCluster, min_replicas: int = 2) -> Consiste
     report.under_replicated = sorted(
         entry for entry, count in holders.items() if count < min_replicas
     )
-    # "Lost" can only be judged against an expected inventory: within one
-    # sweep an object with zero alive holders simply does not appear.
+    report.lost = sorted(set(written) - seen)
     report.slice_population = cluster.slice_population()
     report.empty_slices = [
         i for i in range(num_slices) if report.slice_population.get(i, 0) == 0

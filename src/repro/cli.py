@@ -508,10 +508,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cluster.warm_up(10)
     cluster.wait_for_slices(timeout=120)
     client = cluster.new_client()
+    written = []  # the acknowledged writes: what the sweep must find
     for i in range(args.keys):
-        cluster.put_sync(client, f"check:{i}", f"value-{i}".encode(), version=1)
+        key = f"check:{i}"
+        if cluster.put_sync(client, key, f"value-{i}".encode(), version=1).succeeded:
+            written.append((key, 1))
     cluster.sim.run_for(20)
-    report = check_cluster(cluster)
+    report = check_cluster(cluster, written)
     print(report.summary())
     print(f"healthy: {report.healthy}")
     return 0 if report.healthy else 1

@@ -14,13 +14,10 @@ Routing logic (Section IV-B, including its optimisation):
   the read, replies to the client — and keeps disseminating **only
   intra-slice**, through the slice view, so the object reaches every
   replica without re-flooding the whole system.
-* A re-homing **handoff** (``PutRequest.handoff``) is addressed to a
-  member of the target slice and handled like any put there; a node
-  outside that slice drops it rather than relay it globally.
 
 Metrics written (per node): ``df.put.stored``, ``df.put.duplicate``,
 ``df.put.rejected``, ``df.get.hit``, ``df.get.miss``, ``df.fwd.global``,
-``df.fwd.slice``, ``df.dedup.dropped``, ``df.handoff.stray``.
+``df.fwd.slice``, ``df.dedup.dropped``.
 """
 
 from __future__ import annotations
@@ -151,12 +148,6 @@ class RequestHandler(Service):
         my_slice = self._my_slice()
         target_slice = slice_for_key(msg.key, self.config.num_slices)
         if my_slice is None or my_slice != target_slice:
-            if msg.handoff:
-                # A re-homing handoff reached a node that left (or never
-                # joined) the slice: drop it. Re-flooding here would undo
-                # the handoff; the sender floods if no member acks.
-                node.metrics.inc("df.handoff.stray", node=node.id)
-                return
             # Not ours (or slice unknown yet): keep the epidemic going.
             self._forward(msg, intra_slice=False)
             return
@@ -228,8 +219,7 @@ def _with_ttl(msg, ttl: int):
     """A copy of a request dataclass with a new TTL (frozen dataclasses)."""
     if isinstance(msg, PutRequest):
         return PutRequest(
-            msg.key, msg.version, msg.value, msg.req_id, msg.attempt, msg.client_id, ttl,
-            msg.handoff,
+            msg.key, msg.version, msg.value, msg.req_id, msg.attempt, msg.client_id, ttl
         )
     if isinstance(msg, GetRequest):
         return GetRequest(

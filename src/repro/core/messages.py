@@ -38,10 +38,7 @@ class PutRequest:
     """Store ``value`` under ``(key, version)``; epidemic-routed.
 
     ``client_id`` is the node id the ack must go to; ``ttl`` bounds
-    forwarding hops. ``handoff`` marks a re-homing server's put sent
-    straight to a known member of the owning slice: only members of that
-    slice act on it, anyone else drops it instead of flooding. Clients
-    never set it.
+    forwarding hops. Only clients originate puts.
     """
 
     key: str
@@ -51,7 +48,6 @@ class PutRequest:
     attempt: int
     client_id: int
     ttl: int
-    handoff: bool = False
 
     @property
     def msg_id(self) -> MsgId:
@@ -115,10 +111,16 @@ class SliceAdvert:
 
 @dataclass(frozen=True)
 class SyncDigest:
-    """Anti-entropy round opener: the initiator's (key, version) digest."""
+    """Anti-entropy round opener: the initiator's (key, version) digest.
+
+    With ``offer`` set it is a re-homing offer instead: objects of
+    ``slice_id`` stranded at the sender, sent to a member of that slice,
+    which answers with the entries it lacks and pushes nothing back.
+    """
 
     slice_id: int
     digest: frozenset  # frozenset[(key, version)]
+    offer: bool = False
 
 
 @dataclass(frozen=True)

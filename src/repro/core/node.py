@@ -9,7 +9,6 @@ intra-slice view and anti-entropy replication the design relies on.
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 from typing import Optional
 
 from repro.core.autoslice import ReplicationManager
@@ -31,15 +30,11 @@ from repro.slicing.static import StaticSlicing
 __all__ = ["DataFlasksNode", "make_slicing_service"]
 
 
-# Each Slice Manager at its own defaults, except that a node's Sliver
-# polls four peers a round where the class default is three. At four, an
-# 80-node system does not refill a slice emptied by a correlated failure:
-# the observation table (128) never fills, so crashed peers are never
-# evicted from it. tests/test_slicing.py exercises the class default.
+# Each Slice Manager at its own defaults.
 _SLICE_MANAGERS = {
     "dslead": DSleadSlicing,
     "ordered": OrderedSlicing,
-    "sliver": partial(SliverSlicing, sample_size=4),
+    "sliver": SliverSlicing,
     "static": StaticSlicing,
 }
 

@@ -12,17 +12,24 @@ answer — push-pull anti-entropy inside the slice:
 * A node that just joined a slice starts with an empty relevant digest,
   so the very same exchange doubles as **state transfer**.
 * Objects whose key maps to a *different* slice (because this node
-  migrated after storing them) are **re-homed**: handed as a put request
-  to the owning slice's contact (a member the slice view last heard
-  from), which stores it and spreads it inside its slice. With no contact
-  known, or when the handoff is still unacked at the next round, the put
-  is flooded through the whole system instead. Without re-homing such
-  objects would be stranded — invisible to the slice's anti-entropy and
-  lost if their lone holder dies.
-* Optionally (``gc_foreign_data``), a re-homed object is deleted once a
-  member of the owning slice acknowledges it (a safe handoff), and any
-  remaining foreign objects are garbage-collected after a grace period —
-  the capacity/slack trade-off Section VII discusses.
+  migrated after storing them) are **re-homed** by the same exchange
+  run across slices: each round the node *offers* the owning slice's
+  contact (a member the slice view last heard from) the digest of those
+  objects; the contact answers with the entries its slice lacks, and
+  only those objects are sent. Entries the contact already held are
+  *confirmed* and never offered again. With no contact known the node
+  waits a round; an offer still unanswered at the next round went to a
+  stale contact, which is forgotten. Without re-homing such objects
+  would be stranded — invisible to the slice's anti-entropy and lost if
+  their lone holder dies.
+* Optionally (``gc_foreign_data``), a confirmed object is deleted (the
+  owning slice holds it), and any remaining foreign objects are
+  garbage-collected after a grace period — the capacity/slack trade-off
+  Section VII discusses.
+
+Metrics written (per node): ``df.ae.repaired`` (objects stored from an
+exchange), ``df.ae.rejected``, ``df.ae.rehomed`` (objects sent to an
+owning slice that lacked them) and ``df.ae.gc``.
 
 Convergence: with slice size ``s``, every object reaches all replicas in
 ``O(log s)`` expected rounds — the classic push-pull epidemic bound.
@@ -30,16 +37,14 @@ Convergence: with slice size ``s``, every object reaches all replicas in
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.config import DataFlasksConfig
 from repro.core.keyspace import slice_for_key
-from repro.core.messages import PutAck, PutRequest, SyncDigest, SyncItems, SyncResponse
+from repro.core.messages import SyncDigest, SyncItems, SyncResponse
 from repro.core.sliceview import SliceViewService
 from repro.core.store import VersionedStore
 from repro.errors import CapacityExceededError
-from repro.pss.base import PeerSamplingService
 from repro.sim.node import Service
 from repro.slicing.base import SlicingService
 
@@ -51,26 +56,19 @@ class AntiEntropyService(Service):
 
     name = "anti-entropy"
 
-    REHOME_BATCH = 4  # foreign objects re-injected per anti-entropy round
-
     def __init__(self, store: VersionedStore, config: DataFlasksConfig) -> None:
         super().__init__()
         self.store = store
         self.config = config
         self.rounds = 0
         self._gc_pending_since: Optional[float] = None
-        self._rehome_seq = itertools.count()
-        # (key, version) -> req_id of the in-flight re-home put, and the
-        # reverse index its acks are looked up in (one flood is acked by
-        # every member of the owning slice).
-        self._rehoming: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        self._rehoming_by_req: Dict[Tuple[int, int], Tuple[str, int]] = {}
-        # req_id -> (slice, contact, request) of each targeted handoff
-        # not acked yet; the next round floods whatever is still here.
-        self._handoffs: Dict[Tuple[int, int], Tuple[int, int, PutRequest]] = {}
-        # Handoffs already acknowledged; never re-injected again (unless
-        # gc deleted the local copy, in which case the entry is moot).
-        self._rehomed_done: set = set()
+        # slice -> (contact, offered entries) of this round's offers; an
+        # answer removes its slice, the next round forgets the contacts
+        # of whatever is left.
+        self._offers: Dict[int, Tuple[int, frozenset]] = {}
+        # Stranded entries the owning slice is known to hold, never
+        # offered again. With ``gc_foreign_data`` they are deleted instead.
+        self._confirmed: Set[Tuple[str, int]] = set()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -80,7 +78,6 @@ class AntiEntropyService(Service):
         node.register_handler(SyncDigest, self._on_digest)
         node.register_handler(SyncResponse, self._on_response)
         node.register_handler(SyncItems, self._on_items)
-        node.register_handler(PutAck, self._on_rehome_ack)
         node.every(self.config.antientropy_period, self._round)
         slicing = node.get_service(SlicingService)
         if slicing is not None:
@@ -92,7 +89,6 @@ class AntiEntropyService(Service):
         node.unregister_handler(SyncDigest)
         node.unregister_handler(SyncResponse)
         node.unregister_handler(SyncItems)
-        node.unregister_handler(PutAck)
 
     # ------------------------------------------------------------- helpers
 
@@ -135,11 +131,11 @@ class AntiEntropyService(Service):
         my_slice = self._my_slice()
         if my_slice is None:
             return
-        self._rehome_foreign(my_slice)
-        self._maybe_gc(my_slice)
         slice_view = node.get_service(SliceViewService)
         if slice_view is None:
             return
+        self._offer_foreign(my_slice, slice_view)
+        self._maybe_gc(my_slice)
         peer = slice_view.random_peer()
         if peer is None:
             return
@@ -147,29 +143,32 @@ class AntiEntropyService(Service):
         node.send(peer, SyncDigest(my_slice, self._owned_digest(my_slice)))
 
     def _on_digest(self, msg: SyncDigest, src: int) -> None:
+        """Answer a slice-mate's opener, or a re-homing server's offer:
+        an offer gets the entries this slice lacks and nothing pushed."""
         node = self.node
         assert node is not None
         my_slice = self._my_slice()
         if my_slice is None or my_slice != msg.slice_id:
             return  # sliced apart since the sender learnt about us
         mine = self._owned_digest(my_slice)
-        they_miss = mine - msg.digest
-        i_miss = msg.digest - mine
-        push = tuple(
+        push = () if msg.offer else tuple(
             (obj.key, obj.version, obj.value)
-            for key, version in sorted(they_miss)
+            for key, version in sorted(mine - msg.digest)
             for obj in (self.store.get(key, version),)
             if obj is not None
         )
-        node.send(src, SyncResponse(my_slice, push=push, pull=tuple(sorted(i_miss))))
+        node.send(src, SyncResponse(my_slice, push=push, pull=tuple(sorted(msg.digest - mine))))
 
     def _on_response(self, msg: SyncResponse, src: int) -> None:
         node = self.node
         assert node is not None
         my_slice = self._my_slice()
-        if my_slice is None or my_slice != msg.slice_id:
+        if my_slice is None:
             return
-        self._store_items(msg.push)
+        if my_slice == msg.slice_id:
+            self._store_items(msg.push)
+        elif not self._answered(msg, src):
+            return
         if msg.pull:
             items = tuple(
                 (obj.key, obj.version, obj.value)
@@ -178,7 +177,9 @@ class AntiEntropyService(Service):
                 if obj is not None
             )
             if items:
-                node.send(src, SyncItems(my_slice, items))
+                node.send(src, SyncItems(msg.slice_id, items))
+                if my_slice != msg.slice_id:
+                    node.metrics.inc("df.ae.rehomed", node=node.id, by=len(items))
 
     def _on_items(self, msg: SyncItems, src: int) -> None:
         if self._my_slice() == msg.slice_id:
@@ -186,103 +187,73 @@ class AntiEntropyService(Service):
 
     # ------------------------------------------------------------- re-home
 
-    def _rehome_foreign(self, my_slice: int) -> None:
-        """Hand stranded foreign objects to the slices that own them.
+    def _offer_foreign(self, my_slice: int, slice_view: SliceViewService) -> None:
+        """Offer each owning slice the digest of the objects stranded here.
 
-        An object whose key maps to another slice (we migrated since
-        storing it) goes out as a put request with this node as the
-        "client": to the owning slice's contact when the slice view knows
-        one, as a system-wide flood otherwise. Members of the owning slice
-        store it, ack and spread it inside the slice; the first ack
-        completes the handoff. A handoff still unacked one round later
-        went to a stale contact (or was lost): the contact is forgotten
-        and the same request is flooded as attempt 2.
+        Stranded: the key maps to another slice (we migrated since
+        storing it) and the owning slice is not known to hold it. One
+        offer per slice goes to its contact; a slice without one waits a
+        round. An offer of the previous round still unanswered went to a
+        stale contact (or was lost): that contact is forgotten first.
         """
         node = self.node
         assert node is not None
-        pss = node.get_service(PeerSamplingService)
-        slice_view = node.get_service(SliceViewService)
-        if pss is None or slice_view is None:
-            return
-        first_hop = min(3, self.config.effective_fanout)
-        for target, contact, sent in self._handoffs.values():
+        for target, (contact, _) in self._offers.items():
             slice_view.forget_contact(target, contact)
-            retry = PutRequest(
-                sent.key, sent.version, sent.value, sent.req_id, 2, node.id, sent.ttl
-            )
-            node.multicast(pss.sample(first_hop), retry)
-        self._handoffs.clear()
-        started = 0
-        for key, version in sorted(self.store.digest()):
-            if started >= self.REHOME_BATCH:
-                break
+        self._offers.clear()
+        stranded: Dict[int, Set[Tuple[str, int]]] = {}
+        for key in self.store.keys():
             target = slice_for_key(key, self.config.num_slices)
             if target == my_slice:
                 continue
-            if (key, version) in self._rehoming or (key, version) in self._rehomed_done:
-                continue
-            obj = self.store.get(key, version)
-            if obj is None:
-                continue
-            req_id = (node.id, next(self._rehome_seq))
-            self._rehoming[(key, version)] = req_id
-            self._rehoming_by_req[req_id] = (key, version)
+            entries = {(key, version) for version in self.store.versions(key)}
+            entries -= self._confirmed
+            if entries:
+                stranded.setdefault(target, set()).update(entries)
+        for target in sorted(stranded):
             contact = slice_view.contact(target)
-            request = PutRequest(
-                key=key,
-                version=version,
-                value=obj.value,
-                req_id=req_id,
-                attempt=1,
-                client_id=node.id,
-                ttl=self.config.ttl,
-                handoff=contact is not None,
-            )
-            if contact is None:
-                node.multicast(pss.sample(first_hop), request)
-            else:
-                node.send(contact, request)
-                self._handoffs[req_id] = (target, contact, request)
-            started += 1
-            node.metrics.inc("df.ae.rehomed", node=node.id)
+            if contact is not None:
+                offered = frozenset(stranded[target])
+                self._offers[target] = (contact, offered)
+                node.send(contact, SyncDigest(target, offered, offer=True))
+
+    def _answered(self, msg: SyncResponse, src: int) -> bool:
+        """Settle this round's offer to ``msg.slice_id`` if ``src`` is the
+        contact it went to: what the contact did not pull, its slice
+        holds. False for a response that answers no pending offer."""
+        offer = self._offers.get(msg.slice_id)
+        if offer is None or offer[0] != src:
+            return False  # late, or not an answer to an offer at all
+        del self._offers[msg.slice_id]
+        node = self.node
+        assert node is not None
+        slice_view = node.get_service(SliceViewService)
+        if slice_view is not None:
+            slice_view.note_contact(msg.slice_id, src)
+        held = offer[1].difference(msg.pull)
+        if not self.config.gc_foreign_data:
+            self._confirmed |= held
+            return True
+        # The owning slice holds them: our copies are slack.
+        removed = sum(self.store.delete(key, version) for key, version in held)
+        if removed:
+            node.metrics.inc("df.ae.gc", node=node.id, by=removed)
+        return True
 
     def reset_rehoming(self) -> None:
-        """Forget handoff history — call after ``num_slices`` changes.
+        """Forget re-homing history — call after ``num_slices`` changes.
 
-        A reconfiguration remaps every key, so objects previously handed
-        off may need re-homing again under the new mapping, and every
-        contact was learnt under the old one.
+        A reconfiguration remaps every key, so objects previously
+        confirmed may need re-homing again under the new mapping, and
+        every contact was learnt under the old one.
         """
-        self._rehoming.clear()
-        self._rehoming_by_req.clear()
-        self._handoffs.clear()
-        self._rehomed_done.clear()
+        self._offers.clear()
+        self._confirmed.clear()
         node = self.node
         assert node is not None
         slice_view = node.get_service(SliceViewService)
         if slice_view is not None:
             slice_view.clear_contacts()
-
-    def _on_rehome_ack(self, msg: PutAck, src: int) -> None:
-        """A member of the owning slice confirmed a re-homed object."""
-        node = self.node
-        assert node is not None
-        slice_view = node.get_service(SliceViewService)
-        if slice_view is not None and msg.responder_slice is not None:
-            slice_view.note_contact(msg.responder_slice, src)
-        entry = self._rehoming_by_req.pop(msg.req_id, None)
-        if entry is None:
-            return  # stale ack for a handoff already settled
-        self._handoffs.pop(msg.req_id, None)
-        del self._rehoming[entry]
-        self._rehomed_done.add(entry)
-        if self.config.gc_foreign_data:
-            # Safe handoff: the owning slice has the object, drop our copy.
-            key, version = entry
-            if self.store.delete(key, version):
-                node = self.node
-                assert node is not None
-                node.metrics.inc("df.ae.gc", node=node.id)
 
     # ------------------------------------------------------------------ gc
 

@@ -12,9 +12,10 @@ bound how long departed or re-sliced nodes linger; changing slice resets
 the view.
 
 Adverts of *other* slices are not wasted: the sender of the latest one
-becomes that slice's **contact**, the member a re-homing server hands a
-stranded object to (one entry per slice, so the table is bounded by
-``num_slices``, not by the system size).
+becomes that slice's **contact**, the member a re-homing server offers
+its stranded objects to (one entry per slice, so the table is bounded by
+``num_slices``, not by the system size). A contact that answers an offer
+is noted again; one that leaves an offer unanswered is forgotten.
 """
 
 from __future__ import annotations

@@ -9,8 +9,11 @@ it remembers the attributes it has observed from peers and computes
 then ``slice = floor(rank_fraction * k)``. Observations are gathered by
 polling a few PSS peers each round. The estimate is unbiased as soon as
 samples are roughly uniform (which the PSS guarantees) and reacts to
-churn because the observation table is bounded and aged: the oldest
-entries are evicted, so departed nodes stop weighing on the estimate.
+churn because the observation table is a sliding window, as in Sliver:
+an entry not observed again within ``table_size // sample_size`` rounds
+(the rounds it takes to poll ``table_size`` peers) is dropped, so
+departed nodes stop weighing on the estimate however small the system.
+The table is also bounded by ``table_size``, oldest entries first.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ class AttributeReport:
 
 
 class SliverSlicing(SlicingService):
-    """Rank-estimation slicing with a bounded observation table.
+    """Rank-estimation slicing with a sliding observation window.
 
     :param sample_size: peers polled per round.
-    :param table_size: max observations kept (FIFO eviction = aging).
+    :param table_size: max observations kept; with ``sample_size`` it
+        sets the window, ``table_size // sample_size`` rounds.
     """
 
     name = "sliver-slicing"
@@ -53,7 +57,7 @@ class SliverSlicing(SlicingService):
         num_slices: int,
         attribute: float,
         period: float = 1.0,
-        sample_size: int = 3,
+        sample_size: int = 4,
         table_size: int = 128,
     ) -> None:
         super().__init__(num_slices, attribute)
@@ -62,8 +66,10 @@ class SliverSlicing(SlicingService):
         self.period = period
         self.sample_size = sample_size
         self.table_size = table_size
-        # node_id -> sort key; insertion order doubles as age (FIFO).
-        self._observed: "OrderedDict[int, Tuple[float, int]]" = OrderedDict()
+        self._rounds = 0
+        # node_id -> (round last observed, sort key); insertion order is
+        # observation order, so the stalest entry is always first.
+        self._observed: "OrderedDict[int, Tuple[int, Tuple[float, int]]]" = OrderedDict()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -87,7 +93,17 @@ class SliverSlicing(SlicingService):
         assert node is not None
         pss = node.get_service(PeerSamplingService)
         assert pss is not None, "SliverSlicing requires a PeerSamplingService"
+        self._age()
         node.multicast(pss.sample(self.sample_size), AttributeQuery())
+
+    def _age(self) -> None:
+        """Start a round: drop every entry not observed again within the
+        last ``table_size // sample_size`` rounds."""
+        self._rounds += 1
+        horizon = self._rounds - self.table_size // self.sample_size
+        observed = self._observed
+        while observed and next(iter(observed.values()))[0] < horizon:
+            observed.popitem(last=False)
 
     def _on_query(self, msg: AttributeQuery, src: int) -> None:
         node = self.node
@@ -104,7 +120,7 @@ class SliverSlicing(SlicingService):
         """Record an observation; re-observation refreshes its age."""
         if node_id in self._observed:
             del self._observed[node_id]
-        self._observed[node_id] = key
+        self._observed[node_id] = (self._rounds, key)
         while len(self._observed) > self.table_size:
             self._observed.popitem(last=False)
 
@@ -113,7 +129,7 @@ class SliverSlicing(SlicingService):
         if not self._observed:
             return 0.0
         mine = self.sort_key()
-        below = sum(1 for key in self._observed.values() if key < mine)
+        below = sum(1 for _, key in self._observed.values() if key < mine)
         return below / len(self._observed)
 
     @property

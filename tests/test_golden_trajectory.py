@@ -60,17 +60,47 @@ loop. It keeps the bundled fixed latency. It was recorded on the commit
 before the figures moved onto the scenario runner, from
 ``spec_from_dict`` of the same fields, and that change left it, and
 every pin above, as they were.
+
+Then every ``core*`` pin and ``open-loop`` by the change that re-homes
+a stranded object by offering its digest to a member of the owning
+slice and sending only what that slice lacks, where a put request used
+to be re-flooded inside the slice and acked by every member. Messages
+and events fall on every ``core*`` pin (``messages_per_node`` /
+``events_processed``: ``core`` 775.2 → 763.3 / 13,484 → 13,308,
+``core-faults`` 1,207.8 → 1,100.3 / 21,102 → 19,312,
+``core-fault-overlap`` 1,183.1 → 1,136.4 / 20,669 → 19,990,
+``core-churn-poisson`` 927.3 → 868.1 / 18,523 → 17,468,
+``core-churn-trace`` 959.5 → 905.2 / 18,552 → 17,625, ``core-rmw``
+934.5 → 920.3 / 16,064 → 15,852, ``core-sliver`` 837.1 → 808.8 /
+14,411 → 13,995, ``core-ordered`` 683.6 → 636.1 / 12,097 → 11,377),
+and with them every later RNG draw, so ``stale_reads`` moves on three
+(``core-faults`` 2 → 1, ``core-churn-trace`` 0 → 1, ``core-sliver``
+0 → 2). ``open-loop`` rises, 805.7 → 859.4 / 13,830 → 14,690: it
+re-homed little (51 sends of server-originated requests before the
+change), and the moved draws let one more arrival past the in-flight
+window (22 operations of 28 offered, not 21), with more reads among
+them. The same change made Sliver age out observations over a sliding
+window; a 30-node run without crashes ages nothing out, so
+``core-sliver`` moved for the re-homing alone (the Sliver change on its
+own leaves that pin as it was). ``dht``, ``dht-faults``, ``oracle`` and
+``paper-figures`` did not move: the last re-homes nothing at either
+commit.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+from repro.core.messages import GetRequest, PutRequest
+from repro.core.node import DataFlasksNode
+from repro.obs import FlightRecorder
 from repro.scenarios.registry import figure3_spec
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import METRIC_GROUPS, spec_from_dict
+from repro.sim.network import Tap
 
 SEED = 7
 LATENCY = {"kind": "uniform", "low": 0.005, "high": 0.015}
@@ -83,7 +113,7 @@ GOLDEN = {
             stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "4caf5e8e5ca5863e50de55bd5c6d6c0ce37d85d1b65b89e8e00b811c24a622cf",
+        "d475e55891518ac36ba60c3dee62f34803d647c373b6e1abeea20b8d2e32f2de",
     ),
     # The other two adaptive Slice Managers, each over the same Cyclon view.
     "core-sliver": (
@@ -92,7 +122,7 @@ GOLDEN = {
             config={"slicing_protocol": "sliver"},
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "6e5a9614c022cb48a2e2dbe70ac1f81a02d0e34c0703ab65cd31c604b07c8d5f",
+        "2dbe0f0e78245140ad0d8202a916ee853c8ca6947c9e2b914f70513927549613",
     ),
     "core-ordered": (
         dict(
@@ -100,7 +130,7 @@ GOLDEN = {
             config={"slicing_protocol": "ordered"},
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "3b7aaad7bcadf4f0a04b6c1bfccccf3f10029b675697c525cb3ffe5098141cbe",
+        "6da2173f7baea293115bae64f36be89b00e92061f33f093fee765c8931097ec3",
     ),
     "dht": (
         dict(
@@ -141,7 +171,7 @@ GOLDEN = {
             ],
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "21c9cd8e3e8d52d4075c359d478e63ae1074e1734ea29009cf574cb32a85da8c",
+        "d3c84f6ea98376e00e9e6013270ac757fcd406ec75b1ec7956e087e59351aa83",
     ),
     # Windows that overlap: a burst over two degrade layers (three loss
     # layers at once), a symmetric explicit-groups partition under an
@@ -163,7 +193,7 @@ GOLDEN = {
             ],
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "08238654ce25e0d1ca83e1da3588a70cb2ddb1a88f31e91bdefd2bd125592181",
+        "0987d14774d3bfdef249ff6bea70e8518cb742d4061de916442a3de9e4a88942",
     ),
     # Spec-level churn: Poisson joins and leaves drawn from the churn
     # stream, then a replayed trace given out of order, with a leave and
@@ -175,7 +205,7 @@ GOLDEN = {
             churn=dict(kind="poisson", join_rate=0.4, leave_rate=0.3, duration=8.0, start=1.0),
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "60ec470fa704d80189680fbd82be4aaf4e17680988c5b63acab29cb36246af0a",
+        "7dd66fb3a17cd482c99ee13e58d51a1d8ecf93debe179e9a43158822c9efacde",
     ),
     "core-churn-trace": (
         dict(
@@ -187,7 +217,7 @@ GOLDEN = {
             ]),
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "e7a8632a377924f0f0630dfb79036f695eecc3f9a86d066dd6a1244d60b72815",
+        "63c4f93a2591e6796abc324d1e5a08392eef7ebbecfe9df432f124f139083db9",
     ),
     "open-loop": (
         dict(
@@ -196,7 +226,7 @@ GOLDEN = {
             workload=dict(YCSB_A, operation_count=60, mode="open", clients=3, rate=60.0,
                           max_in_flight=2, warmup=0.5, window=0.5),
         ),
-        "07034df08d7333b0619c614786798d2a5a57d4bf93a2a4e0369ae11a587c9e1d",
+        "6a2d8d88f28840fc2c37fc01d8cae4f6bbed485df13e12e06a4fc42dc54e047b",
     ),
     "core-rmw": (
         dict(
@@ -204,7 +234,7 @@ GOLDEN = {
             metrics=list(METRIC_GROUPS),
             workload=dict(preset="ycsb-f", record_count=12, operation_count=30),
         ),
-        "f772a0ab93bd58bdf633d41796e8fb132710642f0b4e681cea1a210e308b34e6",
+        "e10678761b523b5403dc34027ccdb08d8617f9221169ab3107dff76c4109dcb0",
     ),
     "paper-figures": (
         dict(
@@ -236,3 +266,41 @@ def test_paper_figures_pin_is_the_figure_path():
     data, _ = GOLDEN["paper-figures"]
     pinned = spec_from_dict(dict(data, name="paper-figures"))
     assert figure3_spec(30, num_slices=3, writes=20).scaled(description="") == pinned
+
+
+class _RequestOrigins(Tap):
+    """Counts the requests put on the wire, by originating node."""
+
+    def __init__(self) -> None:
+        self.origins = Counter()
+
+    def on_send(self, network, src, dst, msg):
+        if type(msg) is PutRequest or type(msg) is GetRequest:
+            self.origins[msg.req_id[0]] += 1
+
+
+class _TappedRecorder(FlightRecorder):
+    def __init__(self, tap: Tap) -> None:
+        super().__init__()
+        self.tap = tap
+
+    def attach(self, sim) -> None:
+        super().attach(sim)
+        self.sim = sim
+        sim.network.add_tap(self.tap)
+
+
+@pytest.mark.parametrize(
+    "name", ["core-faults", "core-fault-overlap", "core-churn-poisson", "core-churn-trace"]
+)
+def test_no_server_originates_a_request(name):
+    # Re-homing offers a digest and pushes items; it never issues a put
+    # or a get, so only clients are origins in any replay window.
+    data, _ = GOLDEN[name]
+    spec = spec_from_dict({"latency": LATENCY, **data, "name": f"golden-{name}"})
+    census = _RequestOrigins()
+    recorder = _TappedRecorder(census)
+    run_scenario(spec, SEED, recorder=recorder)
+    assert sum(census.origins.values()) > 1_000
+    servers = [i for i in census.origins if isinstance(recorder.sim.node(i), DataFlasksNode)]
+    assert servers == []

@@ -12,7 +12,6 @@ is pinned here against the reference it replaced.
 * ``Network.multicast`` vs the loop of ``send`` it stands for, in every
   network state, and each condition that sends it down the per-message
   lane;
-* the re-home ack reverse index vs the scan it replaced;
 * the hooks other layers hang on the message path — the network's
   taps, an instance-level ``send`` wrapper like the ledger's, and
   ``Scheduler.profiler`` — still see every message.
@@ -28,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import DataFlasksCluster
-from repro.core.messages import PutAck
 from repro.errors import SimulationError
 from repro.lint import CoverageTap, IsolationTap
 from repro.obs.trace import OpTracer
@@ -39,7 +37,6 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.simulator import Simulation
 
 from tests.conftest import small_config
-from tests.test_replication import key_in_slice, make_pair
 
 # ---------------------------------------------------------------- latency
 
@@ -436,38 +433,6 @@ def test_multicast_rejects_an_unschedulable_latency_like_send(latency):
         sim.network.send(0, 1, _Ping(1))
     assert str(batch.value) == str(single.value)
     assert sim.scheduler.pending == 0
-
-
-# ------------------------------------------------------------ re-home acks
-
-
-def test_rehome_ack_index_decides_like_the_scan():
-    sim, a, b = make_pair(num_slices=4, slice_id=1, gc=True)
-    a.pss.view.add(NodeDescriptor(b.id, 0))
-    service = a.antientropy
-    keys = [key_in_slice(2, prefix=f"stray{i}-") for i in range(3)]
-    for key in keys:
-        a.store.put(key, 1, b"v")
-    service._rehome_foreign(1)
-    assert len(service._rehoming) == 3
-
-    def scan(req_id):  # the lookup as it was
-        return next((e for e, req in service._rehoming.items() if req == req_id), None)
-
-    in_flight = list(service._rehoming.values())
-    acks = [in_flight[1], (a.id, 999), in_flight[1], in_flight[0], (b.id, 0)]
-    for req_id in acks:
-        expected = scan(req_id)
-        done_before = set(service._rehomed_done)
-        service._on_rehome_ack(PutAck("k", 1, req_id, responder_slice=2), b.id)
-        assert service._rehomed_done - done_before == ({expected} if expected else set())
-        assert {req: e for e, req in service._rehoming.items()} == service._rehoming_by_req
-    assert [a.holds(key) for key in keys] == [False, False, True]  # gc on safe handoff
-    assert sim.metrics.total("df.ae.gc") == 2
-    service.reset_rehoming()
-    assert not service._rehoming and not service._rehoming_by_req and not service._rehomed_done
-    service._on_rehome_ack(PutAck("k", 1, in_flight[2], responder_slice=2), b.id)
-    assert not service._rehomed_done  # an ack from before the reset is stale
 
 
 # ---------------------------------------------- hooks on the message path

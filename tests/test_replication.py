@@ -1,33 +1,47 @@
 """Focused tests for the anti-entropy replication service."""
 
 from repro.core.config import DataFlasksConfig
-from repro.core.handler import INTRA_SLICE_FANOUT
 from repro.core.keyspace import slice_for_key
-from repro.core.messages import GetReply, PutAck, PutRequest, SliceAdvert, SyncDigest
+from repro.core.messages import (
+    GetReply,
+    GetRequest,
+    PutAck,
+    PutRequest,
+    SliceAdvert,
+    SyncDigest,
+    SyncItems,
+    SyncResponse,
+)
 from repro.core.node import DataFlasksNode
 from repro.pss.view import NodeDescriptor
-from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 
 from tests.conftest import wire
 
 
-def make_pair(num_slices=4, slice_id=1, gc=False):
-    """Two nodes pinned to the same slice, knowing each other."""
+def make_nodes(*slices, num_slices=4, gc=False):
+    """One node pinned to each of ``slices``; slice-mates know each other."""
     sim = Simulation(seed=2)
     config = DataFlasksConfig(
         num_slices=num_slices, antientropy_period=1.0, gc_foreign_data=gc, ttl=5
     )
     nodes = [
         sim.add_node(lambda nid, ctx: DataFlasksNode(nid, ctx, config=config))
-        for _ in range(2)
+        for _ in slices
     ]
-    for node in nodes:
+    for node, slice_id in zip(nodes, slices):
         node.start()
         node.slicing._set_slice(slice_id)
-    a, b = nodes
-    a.slice_view.view.add(NodeDescriptor(b.id, 0))
-    b.slice_view.view.add(NodeDescriptor(a.id, 0))
+    for node in nodes:
+        for mate in nodes:
+            if mate is not node and mate.my_slice() == node.my_slice():
+                node.slice_view.view.add(NodeDescriptor(mate.id, 0))
+    return sim, nodes
+
+
+def make_pair(num_slices=4, slice_id=1, gc=False):
+    """Two nodes pinned to the same slice, knowing each other."""
+    sim, (a, b) = make_nodes(slice_id, slice_id, num_slices=num_slices, gc=gc)
     return sim, a, b
 
 
@@ -162,144 +176,140 @@ def test_sync_counts_repairs_metric():
     assert sim.metrics.total("df.ae.repaired") >= 1
 
 
-# ------------------------------------------------------------- handoff
+# ------------------------------------------------------------- re-home
+#
+# Each round ends before the next begins: rounds fire every 0.9-1.1 s,
+# an exchange takes a few milliseconds. ``run_for(1.5)`` from t=0 runs
+# exactly the first round, each further ``run_for(1.0)`` exactly one more.
 
 
-def rehome_puts(sent, origin):
+def offering(*held_by_contact, gc=False, stranded=3):
+    """Node a (slice 1) holds ``stranded`` objects of slice 2 and knows
+    c as slice 2's contact; c holds the ones indexed by
+    ``held_by_contact`` and one object a lacks, and d is c's slice-mate."""
+    sim, (a, c, d) = make_nodes(1, 2, 2, gc=gc)
+    a.deliver(SliceAdvert(2, ((c.id, 0),)), c.id)
+    c.store.put(key_in_slice(2, prefix="unoffered"), 1, b"v")  # never pushed to a
+    keys = [key_in_slice(2, prefix=f"stranded{i}-") for i in range(stranded)]
+    for i, key in enumerate(keys):
+        a.store.put(key, 1, b"v")
+        if i in held_by_contact:
+            c.store.put(key, 1, b"v")
+    return sim, a, c, d, [(key, 1) for key in keys]
+
+
+def sent_by(sent, node, kind, to=None):
     return [
         (dst, msg)
         for src, dst, msg in sent
-        if isinstance(msg, PutRequest) and msg.req_id[0] == origin
+        if src == node.id and isinstance(msg, kind) and to in (None, dst)
     ]
 
 
-def strand_one(known_contact):
-    """A cluster in which server 0 holds one object of another slice;
-    returns the slice's members and what re-homing put on the wire.
-    Slices are fixed, so every contact and slice-view entry is current."""
+def test_an_offer_the_contact_holds_is_confirmed_without_a_push():
+    sim, a, c, d, entries = offering(0, 1, 2)
+    sent = wire(sim)
+    sim.run_for(1.5)
+    assert sent_by(sent, a, SyncDigest) == [(c.id, SyncDigest(2, frozenset(entries), offer=True))]
+    assert sent_by(sent, c, SyncResponse, to=a.id) == [(a.id, SyncResponse(2, push=(), pull=()))]
+    assert a.antientropy._confirmed == set(entries)
+    sim.run_for(3)  # confirmed entries are never offered again
+    assert len(sent_by(sent, a, SyncDigest)) == 1 and not sent_by(sent, a, SyncItems)
+    assert sim.metrics.total("df.ae.rehomed") == 0
+    assert all(a.holds(key) for key, _ in entries)  # no gc: the copies stay
+
+
+def test_an_offer_pushes_exactly_what_the_contact_lacks_then_confirms_it():
+    sim, a, c, d, entries = offering(0, 2)
+    lacking = entries[1]
+    sent = wire(sim)
+    sim.run_for(1.5)
+    [(dst, answer)] = sent_by(sent, c, SyncResponse, to=a.id)
+    assert dst == a.id and answer.push == () and answer.pull == (lacking,)
+    [(dst, items)] = sent_by(sent, a, SyncItems)
+    assert dst == c.id and items == SyncItems(2, ((*lacking, b"v"),))
+    assert c.store.get(*lacking) is not None
+    assert a.antientropy._confirmed == {entries[0], entries[2]}
+    assert sim.metrics.total("df.ae.rehomed") == 1
+    sim.run_for(1.0)  # the next round offers the pushed entry again
+    assert sent_by(sent, a, SyncDigest)[-1] == (c.id, SyncDigest(2, frozenset({lacking}), offer=True))
+    assert a.antientropy._confirmed == set(entries)
+    assert len(sent_by(sent, a, SyncItems)) == 1
+    sim.run_for(4)  # slice 2's own anti-entropy spreads it
+    assert d.store.get(*lacking) is not None
+    # Nothing on the wire was a request: a server originates none.
+    assert not [m for _, _, m in sent if isinstance(m, (PutRequest, GetRequest, PutAck))]
+
+
+def test_a_stale_contact_stays_silent_and_is_forgotten_next_round():
+    sim, (a, c) = make_nodes(1, 3)
+    a.deliver(SliceAdvert(2, ((c.id, 0),)), c.id)  # c was in slice 2 once
+    key = key_in_slice(2, prefix="stale")
+    a.store.put(key, 1, b"v")
+    sent = wire(sim)
+    sim.run_for(1.5)
+    assert [(src, dst) for src, dst, _ in sent] == [(a.id, c.id)]  # the offer, no answer
+    assert a.slice_view.contact(2) == c.id
+    sim.run_for(1.0)
+    assert a.slice_view.contact(2) is None
+    assert len(sent) == 1  # no contact left: the second round sends nothing
+    assert not c.holds(key) and not a.antientropy._confirmed
+
+
+def test_no_contact_means_nothing_is_sent():
+    sim, a, c, d, entries = offering()
+    a.slice_view.clear_contacts()
+    sent = wire(sim)
+    sim.run_for(3.5)
+    assert sent_by(sent, a, SyncDigest) == [] and sent_by(sent, a, SyncItems) == []
+    assert not a.antientropy._confirmed
+    # A foreign advert gives the next round a contact.
+    a.deliver(SliceAdvert(2, ((c.id, 0),)), c.id)
+    sim.run_for(1.0)
+    assert [dst for dst, _ in sent_by(sent, a, SyncDigest)] == [c.id]
+
+
+def test_gc_deletes_only_confirmed_copies():
+    sim, a, c, d, entries = offering(0, gc=True, stranded=2)
+    held, lacking = entries
+    a.antientropy._gc_pending_since = None  # the slice-change grace gc is not under test
+    sim.run_for(1.5)
+    assert a.store.get(*held) is None  # confirmed: the owning slice has it
+    assert a.store.get(*lacking) is not None  # pushed, not yet confirmed
+    assert sim.metrics.total("df.ae.gc") == 1
+    sim.run_for(1.0)
+    assert a.store.get(*lacking) is None and sim.metrics.total("df.ae.gc") == 2
+    assert c.store.get(*held) is not None and c.store.get(*lacking) is not None
+
+
+def test_a_stranded_object_reaches_its_slice_without_a_request():
     from tests.conftest import build_cluster
 
     cluster = build_cluster(n=40, seed=64, slicing_protocol="static")
     server = cluster.servers[0]
     target = (server.my_slice() + 1) % cluster.config.num_slices
-    members = [s for s in cluster.alive_servers() if s.my_slice() == target]
     assert server.slice_view.contact(target) is not None
-    if not known_contact:
-        server.slice_view.contact = lambda slice_id: None
     sent = wire(cluster.sim)
-    key = key_in_slice(target, prefix="handoff")
+    key = key_in_slice(target, prefix="offer")
     server.store.put(key, 1, b"v")
-    cluster.sim.run_for(8)  # the re-home round, the ack, then anti-entropy
+    cluster.sim.run_for(8)  # the offer, the push, the next offer, then anti-entropy
     assert all(s.holds(key) for s in cluster.alive_servers() if s.my_slice() == target)
-    assert server.antientropy._rehomed_done == {(key, 1)}
-    return cluster, members, rehome_puts(sent, server.id)
+    assert server.antientropy._confirmed == {(key, 1)}
+    members = {s.id for s in cluster.alive_servers() if s.my_slice() == target}
+    own = [(dst, msg) for src, dst, msg in sent if src == server.id]
+    assert not [msg for _, msg in own if isinstance(msg, (PutRequest, GetRequest))]
+    offers = [dst for dst, msg in own if isinstance(msg, SyncDigest) and msg.offer]
+    pushes = [
+        dst for dst, msg in own
+        if msg == SyncItems(target, ((key, 1, b"v"),))
+    ]
+    # One offer a round to the slice's contact of the moment, which may
+    # change between rounds; a push only answers an offer.
+    assert set(offers) | set(pushes) <= members
+    assert 1 <= len(pushes) < len(offers) <= 8
 
 
-def test_a_known_contact_takes_the_object_to_its_slice_in_slice_size_sends():
-    cluster, members, handoff = strand_one(known_contact=True)
-    assert all(msg.handoff and msg.attempt == 1 for _, msg in handoff)
-    # One send to the contact, then each member relays once inside the
-    # slice.
-    assert {dst for dst, _ in handoff} <= {s.id for s in members}
-    assert len(handoff) <= 1 + INTRA_SLICE_FANOUT * len(members)
-
-    *_, flood = strand_one(known_contact=False)
-    assert not any(msg.handoff for _, msg in flood)
-    # Every node outside the slice relays at the global fanout.
-    outside = len(cluster.servers) - len(members)
-    assert len(flood) >= outside * cluster.config.effective_fanout // 2
-    assert len(flood) > 5 * len(handoff)
-
-
-def test_no_contact_means_the_flood():
-    sim, a, b = make_pair(slice_id=1)
-    a.pss.view.add(NodeDescriptor(b.id, 0))
-    assert a.slice_view.contact(2) is None  # a only ever heard its own slice
-    key = key_in_slice(2, prefix="nocontact")
-    a.store.put(key, 1, b"v")
-    sent = wire(sim)
-    a.antientropy._rehome_foreign(1)
-    [(dst, msg)] = rehome_puts(sent, a.id)
-    assert dst == b.id and not msg.handoff and msg.attempt == 1
-    assert not a.antientropy._handoffs
-
-
-def add_origin(sim):
-    """A bare node standing in for the re-homing server; keeps its acks."""
-    origin = sim.add_node(Node)
-    origin.start()
-    acks = []
-    origin.register_handler(PutAck, lambda msg, src: acks.append((src, msg)))
-    return origin, acks
-
-
-def test_a_member_stores_acks_and_relays_a_handoff_inside_its_slice():
-    sim, a, b = make_pair(slice_id=1)
-    origin, acks = add_origin(sim)
-    key = key_in_slice(1, prefix="member")
-    sent = wire(sim)
-    a.deliver(PutRequest(key, 1, b"v", (origin.id, 0), 1, origin.id, 5, handoff=True), origin.id)
-    sim.run_for(0.5)
-    assert a.holds(key) and b.holds(key)
-    assert [(src, msg.responder_slice) for src, msg in acks] == [(a.id, 1), (b.id, 1)]
-    relays = rehome_puts(sent, origin.id)
-    assert relays and all(msg.handoff for _, msg in relays)
-    assert sim.metrics.total("df.fwd.global") == 0
-
-
-def test_a_stale_contact_or_slice_mate_drops_a_handoff():
-    # b is in slice 1; the handoff is for slice 2. Whether it is the
-    # direct copy (from the origin) or a relay from a former slice-mate,
-    # it is dropped without a single send.
-    sim, a, b = make_pair(slice_id=1)
-    b.pss.view.add(NodeDescriptor(a.id, 0))
-    origin, acks = add_origin(sim)
-    key = key_in_slice(2, prefix="stray")
-    sent = wire(sim)
-    b.deliver(PutRequest(key, 1, b"v", (origin.id, 0), 1, origin.id, 5, handoff=True), origin.id)
-    b.deliver(PutRequest(key, 1, b"v", (origin.id, 1), 1, origin.id, 3, handoff=True), a.id)
-    sim.run_for(0.5)
-    assert not b.holds(key) and not acks
-    assert sim.metrics.get("df.handoff.stray", node=b.id) == 2
-    assert rehome_puts(sent, origin.id) == []
-    # The same put without the flag is relayed as an ordinary request.
-    b.deliver(PutRequest(key, 1, b"v", (origin.id, 2), 1, origin.id, 5), origin.id)
-    assert [dst for dst, _ in rehome_puts(sent, origin.id)] == [a.id]
-
-
-def test_an_unacked_handoff_is_flooded_on_the_next_round_then_settles():
-    from tests.conftest import build_cluster
-
-    cluster = build_cluster(n=40, seed=61)
-    server = cluster.servers[0]
-    service, view = server.antientropy, server.slice_view
-    target = (server.my_slice() + 1) % cluster.config.num_slices
-    stale = next(
-        s for s in cluster.alive_servers() if s.my_slice() not in (target, server.my_slice())
-    )
-    key = key_in_slice(target, prefix="unacked")
-    server.store.put(key, 1, b"v")
-    view._contacts[target] = stale.id  # a member that has since moved on
-    sent = wire(cluster.sim)
-    service._rehome_foreign(server.my_slice())
-    [(dst, first)] = rehome_puts(sent, server.id)
-    assert dst == stale.id and first.handoff and first.attempt == 1
-    cluster.sim.run_for(0.02)  # one hop
-    assert cluster.sim.metrics.get("df.handoff.stray", node=stale.id) == 1
-    assert list(service._handoffs) == [first.req_id]
-
-    cluster.sim.run_for(cluster.config.antientropy_period * 1.2)  # the next round
-    retries = [msg for _, msg in rehome_puts(sent, server.id) if msg.attempt == 2]
-    assert retries and all(msg.req_id == first.req_id and not msg.handoff for msg in retries)
-    assert view.contact(target) != stale.id
-    cluster.sim.run_for(3)
-    assert service._rehomed_done == {(key, 1)} and not service._handoffs
-    assert any(s.holds(key) for s in cluster.alive_servers() if s.my_slice() == target)
-    # An ack from the owning slice taught the server a fresh contact.
-    assert cluster.sim.node(view.contact(target)).my_slice() == target
-
-
-def test_contacts_come_from_foreign_adverts_and_rehome_acks_only():
+def test_contacts_come_from_foreign_adverts_and_offer_answers_only():
     sim, a, b = make_pair(num_slices=4, slice_id=1)
     view = a.slice_view
     a.deliver(SliceAdvert(1, ((b.id, 0),)), b.id)  # own slice: a slice-mate, not a contact
@@ -309,10 +319,13 @@ def test_contacts_come_from_foreign_adverts_and_rehome_acks_only():
     a.deliver(SliceAdvert(9, ((72, 0),)), 72)  # no such slice here
     assert view._contacts == {3: 71}
     a.deliver(GetReply("k", 1, b"v", True, (a.id, 0), responder_slice=2), 73)
-    a.deliver(PutAck("k", 1, (a.id, 0), responder_slice=None), 74)
+    a.deliver(PutAck("k", 1, (a.id, 0), responder_slice=2), 74)
     assert view._contacts == {3: 71}
-    a.deliver(PutAck("k", 1, (a.id, 0), responder_slice=2), 75)
-    assert view._contacts == {3: 71, 2: 75}
+    a.antientropy._offers[2] = (75, frozenset())  # an offer went to 75
+    a.deliver(SyncResponse(2, push=(), pull=()), 76)  # not the contact asked
+    assert view._contacts == {3: 71}
+    a.deliver(SyncResponse(2, push=(), pull=()), 75)
+    assert view._contacts == {3: 71, 2: 75} and not a.antientropy._offers
     view.forget_contact(3, 70)  # no longer the contact: nothing to forget
     assert view.contact(3) == 71
     a.antientropy.reset_rehoming()  # num_slices changed: every contact is suspect

@@ -206,6 +206,34 @@ class TestSliverDetails:
             service.observe(i, (float(i), i))
         assert service.observations == 5
 
+    def test_unobserved_entries_age_out(self):
+        service = SliverSlicing(num_slices=4, attribute=50.0, sample_size=4, table_size=8)
+        service.observe(1, (10.0, 1))
+        service.observe(2, (20.0, 2))
+        service._age()
+        service._age()
+        service.observe(1, (10.0, 1))  # re-observed: its age starts over
+        assert service.observations == 2
+        service._age()  # 2 was last seen more than 8 // 4 rounds ago
+        assert list(service._observed) == [1]
+        service._age()
+        service._age()
+        assert service.observations == 0
+
+    def test_crashed_peers_leave_every_table_below_its_size(self):
+        # 80 nodes never fill a 128-entry table, so only aging can
+        # forget the dead; the survivors then refill their slice.
+        sim, nodes = build_sliced(SliverSlicing, n=80, k=4, rounds=80)
+        victims = {n.id for n in nodes if n.get_service(SlicingService).my_slice() == 0}
+        for node in nodes:
+            if node.id in victims:
+                node.crash()
+        sim.run_for(120)
+        survivors = [n for n in nodes if n.alive]
+        tables = [set(n.get_service(SliverSlicing)._observed) for n in survivors]
+        assert all(table and not table & victims for table in tables)
+        assert slice_histogram(survivors).get(0, 0) >= len(survivors) // 8
+
     def test_rank_fraction_computation(self):
         service = SliverSlicing(num_slices=4, attribute=50.0)
         service.node = type("N", (), {"id": 999})()
