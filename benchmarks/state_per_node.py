@@ -1,14 +1,16 @@
 """Bytes held per node, by owner — DESIGN.md "State per node".
 
-Runs the ledger's ``core_mixed_open`` unit (YCSB-A, open loop, 1,120
-operations) at each given population under ``tracemalloc`` and, when the
-run has finished but the simulation is still alive, groups every live
-allocation by the source file that made it. A file is an owner: each
-per-node structure is allocated by the module that defines it.
+Runs one ledger unit — ``core_mixed_open`` (YCSB-A, open loop, 1,120
+operations) by default, or the Chord control ``dht_write`` — at each
+given population under ``tracemalloc`` and, when the run has finished but
+the simulation is still alive, groups every live allocation by the
+source file that made it. A file is an owner: each per-node structure is
+allocated by the module that defines it.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/state_per_node.py 100 400 1000
+    PYTHONPATH=src python benchmarks/state_per_node.py --workload dht_write 500 2000
 
 To measure another commit, point ``PYTHONPATH`` at its ``src/``. Tracing
 every allocation makes a run several times slower and larger than the
@@ -17,6 +19,7 @@ ledger's; 1,000 nodes takes minutes. Byte counts repeat exactly.
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import tracemalloc
@@ -51,7 +54,14 @@ OWNERS = {
     "repro/core/client.py": "clients",
     "repro/workload/openloop.py": "workload engine",
     "repro/workload/ycsb.py": "workload engine",
+    "repro/dht/node.py": "Chord fingers, routing table, successors",
+    # The ring member objects are built here, and the provisioned
+    # successor lists a node keeps until its chain changes.
+    "repro/dht/cluster.py": "Chord nodes, provisioned successors",
+    "repro/dht/rpc.py": "Chord RPC calls in flight",
+    "repro/dht/client.py": "clients",
 }
+WORKLOADS = ("core_mixed_open", "dht_write")
 
 
 class _Snapshot(FlightRecorder):
@@ -69,8 +79,8 @@ class _Snapshot(FlightRecorder):
             self.by_owner[owner] += stat.size
 
 
-def measure(nodes: int) -> Dict[str, int]:
-    spec = build_spec("core_mixed_open").scaled(nodes=nodes)
+def measure(workload: str, nodes: int) -> Dict[str, int]:
+    spec = build_spec(workload).scaled(nodes=nodes)
     recorder = _Snapshot()
     tracemalloc.start()
     try:
@@ -81,8 +91,12 @@ def measure(nodes: int) -> Dict[str, int]:
 
 
 def main(argv: List[str]) -> int:
-    sizes = [int(arg) for arg in argv] or [100]
-    columns = [measure(nodes) for nodes in sizes]
+    parser = argparse.ArgumentParser(description="Bytes held per node, by owner.")
+    parser.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0])
+    parser.add_argument("sizes", nargs="*", type=int, default=[100], help="populations")
+    args = parser.parse_args(argv)
+    sizes = args.sizes
+    columns = [measure(args.workload, nodes) for nodes in sizes]
     owners = sorted(columns[-1], key=columns[-1].get, reverse=True)
     owners.sort(key="other".__eq__)
     print(f"{'bytes per node, by owner':<40}" + "".join(f"{n:>10,} n" for n in sizes))

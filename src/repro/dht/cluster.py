@@ -71,14 +71,14 @@ class DhtCluster(StoreBackend):
         structured overlays degrade *under churn*, not at boot.
         """
         ring = sorted(self.servers, key=lambda s: s.pos)
+        refs = [node.ref() for node in ring]  # one tuple per node, shared
         n = len(ring)
         for index, node in enumerate(ring):
             # Only the successor_list_len peers a node keeps: O(N * L).
             node.successors = [
-                ring[(index + j) % n].ref()
-                for j in range(1, min(n, node.successor_list_len + 1))
-            ] or [node.ref()]
-            node.predecessor = ring[(index - 1) % n].ref()
+                refs[(index + j) % n] for j in range(1, min(n, node.successor_list_len + 1))
+            ] or [refs[index]]
+            node.predecessor = refs[(index - 1) % n]
 
     # -------------------------------------------------------------- helpers
 

@@ -174,17 +174,14 @@ class ChordNode(Node):
         self.store = store if store is not None else MemoryStore()
         self.successors: List[RingRef] = [(self.pos, self.id)]  # [0] = successor
         self.predecessor: Optional[RingRef] = None
-        self.fingers: dict = {}
+        # fingers[i] is the owner of pos + 2^i, or None while unknown.
+        self.fingers: List[Optional[RingRef]] = [None] * RING_BITS
         self._next_finger = 0
-        # The routing table _closest_preceding bisects: distinct clockwise
-        # offsets from ``pos``, ascending, and the ref at each. It stands
-        # for the ``fingers`` dict, ``successors`` list and ``pos`` it was
-        # built from; _set_finger clears ``_table_fingers`` on a change.
-        self._offsets: List[int] = []
-        self._refs: List[RingRef] = []
-        self._table_fingers: Optional[dict] = None
-        self._table_successors: Optional[List[RingRef]] = None
-        self._table_pos: Optional[int] = None
+        # The routing table _closest_preceding bisects: (successors, pos,
+        # offsets, refs) -- the distinct clockwise offsets from ``pos``,
+        # ascending, and the ref at each, for the ``successors`` list and
+        # ``pos`` it was built from. _set_finger drops it on a change.
+        self._table: Optional[Tuple[List[RingRef], int, List[int], List[RingRef]]] = None
         self.rpc = RpcService()
         self.add_service(self.rpc)
         for method, handler in (
@@ -247,31 +244,28 @@ class ChordNode(Node):
         (:func:`in_interval`'s convention); the first candidate with the
         largest offset wins. One bisect over the routing table.
         """
-        if (
-            self._table_fingers is not self.fingers
-            or self._table_successors is not self.successors
-            or self._table_pos != self.pos
-        ):
-            self._build_table()
-        index = bisect_left(self._offsets, (target - self.pos) % RING_SIZE or RING_SIZE)
-        return self._refs[index - 1] if index else self.successor
+        table = self._table
+        if table is None or table[0] is not self.successors or table[1] != self.pos:
+            table = self._build_table()
+        index = bisect_left(table[2], (target - self.pos) % RING_SIZE or RING_SIZE)
+        return table[3][index - 1] if index else self.successor
 
-    def _build_table(self) -> None:
-        """Sort the distinct nonzero offsets of ``fingers.values()`` then
+    def _build_table(self) -> tuple:
+        """Sort the distinct nonzero offsets of the fingers then
         ``successors``, keeping the first ref seen at each. A ref's offset
         never changes, and successor lists are replaced, never mutated,
-        so the table stands until a finger changes or a list or ``pos``
+        so the table stands until a finger changes or the list or ``pos``
         is replaced."""
         origin = self.pos
         first: dict = {}
-        for ref in itertools.chain(self.fingers.values(), self.successors):
-            offset = (ref[0] - origin) % RING_SIZE
-            if offset and offset not in first:
-                first[offset] = tuple(ref)
-        self._offsets = sorted(first)
-        self._refs = [first[offset] for offset in self._offsets]
-        self._table_fingers, self._table_successors = self.fingers, self.successors
-        self._table_pos = origin
+        for ref in itertools.chain(self.fingers, self.successors):
+            if ref is not None:
+                offset = (ref[0] - origin) % RING_SIZE
+                if offset and offset not in first:
+                    first[offset] = tuple(ref)
+        offsets = sorted(first)
+        self._table = (self.successors, origin, offsets, [first[offset] for offset in offsets])
+        return self._table
 
     def _rpc_route_step(self, args: tuple, src: int):
         """Answer ``OWNER`` or refer to the ``NEXT`` peer, comparing
@@ -319,7 +313,9 @@ class ChordNode(Node):
         if pred is not None and in_interval(pred[0], self.pos, succ[0]):
             succ = tuple(pred)
         chain = [succ] + [tuple(r) for r in succ_list]
-        self.successors = self._alive_filter(chain)[: self.successor_list_len] or [self.ref()]
+        successors = self._alive_filter(chain)[: self.successor_list_len] or [self.ref()]
+        if successors != self.successors:  # an equal list keeps the routing table
+            self.successors = successors
         self.rpc.call(self.successor[1], "notify", (self.ref(),))
 
     def _rpc_get_neighbors(self, args: tuple, src: int):
@@ -377,13 +373,11 @@ class ChordNode(Node):
                 )
 
     def _set_finger(self, index: int, owner: Optional[RingRef]) -> None:
-        fingers = self.fingers
-        if owner is None:
-            if fingers.pop(index, None) is not None:
-                self._table_fingers = None
-        elif owner[1] != self.id and fingers.get(index) != owner:
-            fingers[index] = owner
-            self._table_fingers = None
+        if owner is not None and owner[1] == self.id:
+            return
+        if self.fingers[index] != owner:
+            self.fingers[index] = owner
+            self._table = None
 
     # ------------------------------------------------------------- storage
 

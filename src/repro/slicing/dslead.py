@@ -9,10 +9,11 @@ DESIGN.md, substitutions table:
 
 * **low memory**: *bounded* state, independent of system size — a FIFO
   reservoir of the last ``reservoir_size`` attribute observations (a few
-  hundred floats, versus Sliver's per-node table that grows with the
-  number of distinct peers ever seen). The reservoir bounds rank
-  precision to ``1/reservoir_size``, which comfortably supports the
-  slice counts DATAFLASKS uses (tens of slices).
+  hundred floats and ids in two flat arrays, 16 bytes an observation,
+  versus Sliver's per-node table that grows with the number of distinct
+  peers ever seen). The reservoir bounds rank precision to
+  ``1/reservoir_size``, which comfortably supports the slice counts
+  DATAFLASKS uses (tens of slices).
 * **steady**: two-stage hysteresis — a node only migrates to a new slice
   when (a) its estimate has pointed at the same different slice for
   ``stability_rounds`` consecutive rounds *and* (b) the estimate sits a
@@ -28,9 +29,9 @@ departed node's samples are pushed out by fresh observations.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.pss.base import PeerSamplingService
@@ -92,7 +93,11 @@ class DSleadSlicing(SlicingService):
         self.reservoir_size = reservoir_size
         self.stability_rounds = stability_rounds
         self.boundary_margin_fraction = boundary_margin_fraction
-        self._reservoir: Deque[Tuple[float, int]] = deque(maxlen=reservoir_size)
+        # The reservoir: a ring of (attribute, node id) observations in two
+        # flat arrays, filled by appending, then overwritten from ``_oldest``.
+        self._attributes = array("d")
+        self._ids = array("q")
+        self._oldest = 0
         # How many reservoir entries sort below ``_below_key``, kept up to
         # date sample by sample; ``estimate`` recounts when ``sort_key()``
         # no longer equals the key (``attribute`` is a public field).
@@ -136,32 +141,38 @@ class DSleadSlicing(SlicingService):
         node.send(src, RankSample(msg.round_id, self.attribute, node.id))
 
     def _on_sample(self, msg: RankSample, src: int) -> None:
-        entry = (msg.attribute, msg.node_id)
-        reservoir = self._reservoir
+        attribute, node_id = msg.attribute, msg.node_id
+        attributes, ids = self._attributes, self._ids
         mine = self._below_key
-        if mine is not None:
-            if len(reservoir) == self.reservoir_size and reservoir[0] < mine:
-                self._below -= 1  # the append below evicts reservoir[0]
-            if entry < mine:
-                self._below += 1
-        reservoir.append(entry)
+        if len(ids) < self.reservoir_size:
+            attributes.append(attribute)
+            ids.append(node_id)
+        else:
+            oldest = self._oldest
+            if mine is not None and (attributes[oldest], ids[oldest]) < mine:
+                self._below -= 1  # evicted below
+            attributes[oldest] = attribute
+            ids[oldest] = node_id
+            self._oldest = (oldest + 1) % self.reservoir_size
+        if mine is not None and (attribute, node_id) < mine:
+            self._below += 1
 
     # ------------------------------------------------------------ estimate
 
     @property
     def estimate(self) -> Optional[float]:
         """Current rank-fraction estimate in [0, 1), or None if empty."""
-        if not self._reservoir:
+        if not self._ids:
             return None
         mine = self.sort_key()
         if mine != self._below_key:
             self._below_key = mine
-            self._below = sum(1 for key in self._reservoir if key < mine)
-        return self._below / len(self._reservoir)
+            self._below = sum(1 for key in zip(self._attributes, self._ids) if key < mine)
+        return self._below / len(self._ids)
 
     @property
     def observations(self) -> int:
-        return len(self._reservoir)
+        return len(self._ids)
 
     def _consider(self) -> None:
         """Apply the two-stage hysteresis to the current estimate."""

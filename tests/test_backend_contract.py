@@ -375,6 +375,31 @@ class TestClientSkeleton:
             backend.new_client(**bad)
 
 
+# ---------------------------------------------------------- object layout
+
+# CPython 3.11 and 3.12 keep a class's instance attributes inline, in
+# slots after the object header, while the class's shared key table holds
+# fewer than 30 names; at 30 every instance gets a real ``__dict__``
+# (328 B against 1,647 B per object measured on 3.11) and each ``self.x``
+# takes the dict path. DESIGN.md "The message path and its invariants".
+INLINE_ATTRIBUTE_LIMIT = 30
+
+
+@pytest.mark.parametrize("stack", list_backends())
+def test_no_node_or_service_outgrows_the_inline_attribute_layout(stack):
+    spec = contract_spec(stack)
+    backend = get_backend(stack).deploy(spec, Simulation(seed=3))
+    client = backend.new_client()
+    backend.sim.run_for(3.0)
+    assert backend.put_sync(client, f"{stack}:layout", b"v", version=1).succeeded
+    names = {}  # class -> every attribute name its instances hold
+    for node in [*backend.servers, *backend.clients]:
+        for obj in [node, *node._services]:
+            names.setdefault(type(obj).__name__, set()).update(vars(obj))
+    assert {cls: len(attrs) for cls, attrs in names.items()
+            if len(attrs) >= INLINE_ATTRIBUTE_LIMIT} == {}
+
+
 # ------------------------------------------------------------- determinism
 
 

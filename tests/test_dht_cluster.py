@@ -215,6 +215,37 @@ def test_provisioned_pointers_match_the_full_chain_construction(n):
         assert node.predecessor == ring[(index - 1) % n].ref()
 
 
+def test_an_unchanged_stabilisation_round_keeps_the_routing_table(small_ring, monkeypatch):
+    # The routing table stands for one successor list object; a round
+    # whose chain equals the list keeps that object, a changed one
+    # replaces it and the next query rebuilds the table.
+    builds = Counter()
+    build = ChordNode._build_table
+
+    def counted(self):
+        builds[self.id] += 1
+        return build(self)
+
+    monkeypatch.setattr(ChordNode, "_build_table", counted)
+    by_id = {s.id: s for s in small_ring.servers}
+    node = small_ring.servers[0]
+    reply = by_id[node.successor[1]]._rpc_get_neighbors((), node.id)
+    node._on_neighbors(True, reply)
+    kept = node.successors
+    node._closest_preceding(node.pos)
+    assert builds[node.id] == 1
+
+    node._on_neighbors(True, (reply[0], [tuple(ref) for ref in reply[1]]))
+    assert node.successors is kept
+    node._closest_preceding(node.pos)
+    assert builds[node.id] == 1
+
+    node._on_neighbors(True, (reply[0], reply[1][1:]))
+    assert node.successors is not kept and node.successors != kept
+    node._closest_preceding(node.pos)
+    assert builds[node.id] == 2
+
+
 class SelfAddressed(Tap):
     """Counts messages on the wire and those addressed to their sender."""
 
@@ -361,7 +392,7 @@ def golden_end_state(name, monkeypatch):
     metrics = cluster.sim.metrics
     return (
         result.metrics["events_processed"],
-        [(s.id, list(s.fingers.items()), s.successors, s.predecessor) for s in cluster.servers],
+        [(s.id, list(s.fingers), s.successors, s.predecessor) for s in cluster.servers],
         {counter: metrics.counter(counter) for counter in metrics.counter_names()},
         {hist: metrics.histogram(hist).samples for hist in metrics.histogram_names()},
     )
@@ -377,7 +408,7 @@ def test_in_process_finger_fixes_equal_lookups_end_to_end(name, monkeypatch):
 def test_one_finger_cycle_points_every_finger_at_its_true_successor(monkeypatch):
     # Chord's finger invariant on a static ring: once every index has
     # been fixed, fingers[i] is the first node at or after pos + 2^i, and
-    # an index that the node itself owns holds no finger.
+    # an index that the node itself owns holds no finger (None).
     rounds = Counter()
     fix = ChordNode._fix_fingers
 
@@ -399,5 +430,5 @@ def test_one_finger_cycle_points_every_finger_at_its_true_successor(monkeypatch)
         return ring[bisect_left(positions, point) % len(ring)].ref()
 
     for node in cluster.servers:
-        owners = {i: true_successor(finger_target(node.pos, i)) for i in range(RING_BITS)}
-        assert node.fingers == {i: ref for i, ref in owners.items() if ref[1] != node.id}
+        owners = [true_successor(finger_target(node.pos, i)) for i in range(RING_BITS)]
+        assert node.fingers == [ref if ref[1] != node.id else None for ref in owners]

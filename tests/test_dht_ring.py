@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.dht.node import NEXT, OWNER, ChordNode
 from repro.dht.ring import (
+    RING_BITS,
     RING_SIZE,
     finger_target,
     in_interval,
@@ -80,11 +81,16 @@ class TestDistanceAndFingers:
         assert finger_target(RING_SIZE - 1, 0) == 0  # wraps
 
 
+def known_refs(node):
+    """Every ref the node routes by: its fingers, then its successors."""
+    return [ref for ref in node.fingers if ref is not None] + node.successors
+
+
 def closest_preceding_by_interval(node, target):
     """The two-``in_interval``-per-candidate scan ``_closest_preceding``
     replaced, kept as the reference."""
     best = None
-    for ref in list(node.fingers.values()) + node.successors:
+    for ref in known_refs(node):
         pos = ref[0]
         if in_interval(pos, node.pos, target):
             if best is None or in_interval(pos, best[0], target):
@@ -110,8 +116,10 @@ def routing_tables(draw):
 
 
 def table_node(own, fingers, successors, predecessor=None):
+    """A node with ``fingers`` (finger number -> ref) in its finger list."""
     node = ChordNode(0, Simulation(seed=0).ctx)
-    node.pos, node.fingers, node.successors = own, fingers, successors
+    node.pos, node.successors = own, successors
+    node.fingers = [fingers.get(index) for index in range(RING_BITS)]
     node.predecessor = predecessor
     return node
 
@@ -160,8 +168,8 @@ class TestClosestPreceding:
         kinds = ["finger", "own finger", "stabilise", "failover", "provision", "fingers", "pos"]
         past = {own, target}  # just past every ref the table has held
         for _ in range(data.draw(st.integers(1, 12))):
-            past.update((r[0] + 1) % RING_SIZE for r in list(node.fingers.values()) + node.successors)
-            known = sorted(node.fingers)
+            past.update((r[0] + 1) % RING_SIZE for r in known_refs(node))
+            known = [i for i, finger in enumerate(node.fingers) if finger is not None]
             index = data.draw(st.sampled_from(known) if known else st.integers(0, 63))
             kind = data.draw(st.sampled_from(kinds))
             if kind == "finger":
@@ -175,8 +183,9 @@ class TestClosestPreceding:
                 node.successors = node.successors[1:] if len(node.successors) > 1 else [node.ref()]
             elif kind == "provision":
                 node.successors = data.draw(st.lists(ref, max_size=8)) or [node.ref()]
-            elif kind == "fingers":
-                node.fingers = data.draw(st.dictionaries(st.integers(0, 63), ref, max_size=8))
+            elif kind == "fingers":  # a whole finger cycle's answers at once
+                for i, owner in data.draw(st.dictionaries(st.integers(0, 63), ref, max_size=8)).items():
+                    node._set_finger(i, owner)
             else:
                 node.pos = data.draw(st.one_of(pos_st, st.just(target)))
             # Just past a ref that is, or was, in the table is where a stale

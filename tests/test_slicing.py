@@ -256,6 +256,8 @@ class TestDSleadDetails:
         for i in range(50):
             service._on_sample(RankSample(0, float(i), i), i)
         assert service.observations == 8
+        # A FIFO: the ring holds exactly the last eight observations.
+        assert sorted(zip(service._attributes, service._ids)) == [(float(i), i) for i in range(42, 50)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -275,7 +277,7 @@ class TestDSleadDetails:
         service.node = type("N", (), {"id": 5})()  # ties on attribute break by id
 
         def recount(mine):
-            return sum(1 for key in service._reservoir if key < mine)
+            return sum(1 for key in zip(service._attributes, service._ids) if key < mine)
 
         for op, *args in steps + [("estimate",)]:
             if op == "sample":
@@ -285,8 +287,8 @@ class TestDSleadDetails:
                 # were counted against the key cached then.
                 expected = recount(service.sort_key())
                 estimate = service.estimate
-                if service._reservoir:
-                    assert estimate == expected / len(service._reservoir)
+                if service.observations:
+                    assert estimate == expected / service.observations
                 else:
                     assert estimate is None
             elif op == "attribute":
