@@ -12,14 +12,18 @@ Usage::
     PYTHONPATH=src python benchmarks/state_per_node.py 100 400 1000
     PYTHONPATH=src python benchmarks/state_per_node.py --workload dht_write 500 2000
 
-To measure another commit, point ``PYTHONPATH`` at its ``src/``. Tracing
-every allocation makes a run several times slower and larger than the
-ledger's; 1,000 nodes takes minutes. Byte counts repeat exactly.
+Each population runs in a freshly spawned interpreter, one at a time, so
+a column does not depend on the sizes measured before it: the 500 column
+of ``100 500`` equals the output of ``500`` alone. To measure another
+commit, point ``PYTHONPATH`` at its ``src/``. Tracing every allocation
+makes a run several times slower and larger than the ledger's; 1,000
+nodes takes minutes. Byte counts repeat exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import tracemalloc
@@ -96,7 +100,11 @@ def main(argv: List[str]) -> int:
     parser.add_argument("sizes", nargs="*", type=int, default=[100], help="populations")
     args = parser.parse_args(argv)
     sizes = args.sizes
-    columns = [measure(args.workload, nodes) for nodes in sizes]
+    spawn = multiprocessing.get_context("spawn")
+    columns = []
+    for nodes in sizes:
+        with spawn.Pool(1) as pool:
+            columns.append(pool.apply(measure, (args.workload, nodes)))
     owners = sorted(columns[-1], key=columns[-1].get, reverse=True)
     owners.sort(key="other".__eq__)
     print(f"{'bytes per node, by owner':<40}" + "".join(f"{n:>10,} n" for n in sizes))

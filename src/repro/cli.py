@@ -22,8 +22,6 @@ Usage (after ``pip install -e .``)::
     python -m repro lint src --select I2,D1          # scope to chosen families
     python -m repro scenarios run baseline --sanitize  # runtime tripwires armed
     python -m repro scenarios run baseline --isolation-check  # payload checker
-    python -m repro protocol graph --format dot      # static message graph
-    python -m repro scenarios run baseline --protocol-coverage  # edge accounting
 
 Each subcommand prints the same tables the benches emit, so the CLI is
 the quickest way to eyeball a result before running the full pytest
@@ -36,7 +34,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.aggregate import aggregate_table_rows
 from repro.analysis.health import check_cluster
@@ -286,13 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="static determinism & isolation hazard scan (AST pass)",
         description="Walk the source tree and flag determinism hazards — "
         "ambient randomness (D1xx), wall-clock reads (D2xx), hash/"
-        "filesystem order dependence (D3xx), __all__ drift (D4xx) — and "
-        "isolation hazards: cross-node reach-through (I1xx), payload "
-        "aliasing (I2xx), mutation-after-forward (I3xx), callback "
-        "capture (I4xx) — and protocol-flow hazards judged against the "
-        "whole-program message graph: dead letters (P1xx), payload "
-        "schema drift (P2xx), request/reply discipline (P3xx), dead "
-        "protocol code (P4xx). "
+        "filesystem order dependence (D3xx) — and isolation hazards: "
+        "cross-node reach-through (I1xx), payload aliasing (I2xx), "
+        "mutation-after-forward (I3xx), callback capture (I4xx). "
         "The only exemptions are the audited [[baseline]] budgets in the "
         "committed .repro-lint.toml policy. Exits non-zero on any "
         "un-baselined violation.",
@@ -332,39 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write a policy file absorbing every current violation "
         "(each entry gets a TODO justification to fill in), then exit 0",
-    )
-
-    protocol = sub.add_parser(
-        "protocol",
-        help="whole-program message graph (static protocol artifact)",
-        description="Extract the static protocol graph of the sim path — "
-        "message dataclasses, send sites, handler registrations — and "
-        "serialise it. Output is deterministic byte-for-byte: two "
-        "invocations over the same tree emit identical artifacts (the "
-        "CI gate byte-compares them).",
-    )
-    protocol_action = protocol.add_subparsers(dest="action", required=True)
-    graph = protocol_action.add_parser(
-        "graph", help="emit the message graph as JSON or Graphviz DOT"
-    )
-    graph.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to scan (default: the installed "
-        "repro package)",
-    )
-    graph.add_argument(
-        "--config",
-        metavar="FILE",
-        help="lint policy file (sim-path classification; default: "
-        "./.repro-lint.toml if present, else built-in defaults)",
-    )
-    graph.add_argument(
-        "--format",
-        choices=["json", "dot"],
-        default="json",
-        help="artifact format (default json; both are byte-stable)",
     )
 
     return parser
@@ -427,20 +388,12 @@ def _add_guard_flags(parser: argparse.ArgumentParser) -> None:
         "digested at Network.send and re-verified at delivery; an "
         "in-flight mutation raises IsolationError",
     )
-    group.add_argument(
-        "--protocol-coverage",
-        action="store_true",
-        help="account every delivery per (node class, message type) edge "
-        "and report, on stderr, which static protocol edges the run(s) "
-        "never exercised",
-    )
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
     return RunOptions(
         sanitize=args.sanitize,
         isolation_check=args.isolation_check,
-        protocol_coverage=args.protocol_coverage,
     )
 
 
@@ -585,16 +538,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             # byte-compared in CI and must stay pure.
             print(f"obs artifacts: {obs_dir} ({manifest_path})", file=sys.stderr)
             print(f"inspect with: repro report {obs_dir}", file=sys.stderr)
-        if result.coverage is not None:
-            _print_protocol_coverage(result.coverage)
         return 0
 
     # sweep
     result = run_sweep(
         spec, seeds=args.seeds, jobs=args.jobs, options=_run_options(args)
     )
-    if result.coverage is not None:
-        _print_protocol_coverage(result.coverage)
     if args.summary:
         print(result.summary_json())
         return 0
@@ -909,49 +858,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _default_protocol_paths() -> list:
-    """The installed ``repro`` package — the tree the runtime actually
-    executes, so runtime coverage and the static graph always describe
-    the same code."""
-    import repro
-
-    return [os.path.dirname(os.path.abspath(repro.__file__))]
-
-
-def _cmd_protocol(args: argparse.Namespace) -> int:
-    from repro.lint import LintConfig, build_protocol_graph
-
-    config = LintConfig.load(args.config)
-    paths = args.paths or _default_protocol_paths()
-    graph = build_protocol_graph(paths, config)
-    artifact = graph.to_dot() if args.format == "dot" else graph.to_json()
-    sys.stdout.write(artifact)
-    return 0
-
-
-def _print_protocol_coverage(coverage: Dict[str, Dict[str, int]]) -> None:
-    """After a ``--protocol-coverage`` run or sweep: diff the static
-    handler edges against the handled counters. Chatter goes to stderr —
-    ``--summary`` stdout is byte-compared in CI and must stay pure."""
-    from repro.lint import LintConfig, build_protocol_graph, unexercised_edges
-
-    graph = build_protocol_graph(_default_protocol_paths(), LintConfig.load(None))
-    missing = unexercised_edges(graph, coverage)
-    total = len(graph.handle_edges())
-    handled = sum(coverage["handled"].values())
-    print(
-        f"protocol coverage: {total - len(missing)}/{total} static handler "
-        f"edges exercised ({handled} handled deliveries)",
-        file=sys.stderr,
-    )
-    for endpoint, message, handlers in missing:
-        names = ", ".join(handlers) if handlers else "?"
-        print(
-            f"  unexercised: {message} -> {endpoint}.{names}",
-            file=sys.stderr,
-        )
-
-
 _COMMANDS = {
     "demo": _cmd_demo,
     "fig3": _cmd_figure,
@@ -962,7 +868,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "hunt": _cmd_hunt,
     "lint": _cmd_lint,
-    "protocol": _cmd_protocol,
 }
 
 

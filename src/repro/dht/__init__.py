@@ -19,7 +19,6 @@ from repro.dht.ring import (
     in_interval,
     key_position,
     node_position,
-    ring_distance,
 )
 from repro.dht.rpc import RpcReply, RpcRequest, RpcService
 
@@ -37,5 +36,4 @@ __all__ = [
     "iterative_lookup",
     "key_position",
     "node_position",
-    "ring_distance",
 ]

@@ -319,7 +319,8 @@ class ChordNode(Node):
         self.rpc.call(self.successor[1], "notify", (self.ref(),))
 
     def _rpc_get_neighbors(self, args: tuple, src: int):
-        return (self.predecessor, self.successors)
+        # A snapshot: the reply must not share this node's live list.
+        return (self.predecessor, tuple(self.successors))
 
     def _rpc_notify(self, args: tuple, src: int):
         (candidate,) = args
@@ -401,7 +402,7 @@ class ChordNode(Node):
     def _rpc_fetch(self, args: tuple, src: int):
         key, version = args
         obj = self.store.get(key, version)
-        replicas = [r for r in self.successors[: self.replication - 1]]
+        replicas = tuple(self.successors[: self.replication - 1])
         if obj is None:
             return (False, None, None, replicas)
         return (True, obj.version, obj.value, replicas)

@@ -17,7 +17,6 @@ __all__ = [
     "node_position",
     "key_position",
     "in_interval",
-    "ring_distance",
     "finger_target",
 ]
 
@@ -50,11 +49,6 @@ def in_interval(x: int, a: int, b: int, inclusive_end: bool = False) -> bool:
     if a < b:
         return a < x < b or (inclusive_end and x == b)
     return x > a or x < b or (inclusive_end and x == b)
-
-
-def ring_distance(a: int, b: int) -> int:
-    """Clockwise distance from ``a`` to ``b``."""
-    return (b - a) % RING_SIZE
 
 
 def finger_target(position: int, index: int) -> int:

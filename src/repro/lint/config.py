@@ -1,8 +1,7 @@
 """Lint policy: what counts as sim-path, which names the visitors treat
 specially, and the baseline of grandfathered violations.
 
-The built-in defaults below *are* the policy; :class:`LintConfig`'s
-fields exist so tests can substitute fixtures. The committed
+The module constants below *are* the policy. The committed
 ``.repro-lint.toml`` at the repo root holds only the ``schema`` and the
 ``[[baseline]]`` — each entry a finite, audited budget with a written
 justification; the acceptance bar is a handful, trending to zero.
@@ -28,7 +27,9 @@ __all__ = [
     "BaselineEntry",
     "LintConfig",
     "DEFAULT_CONFIG_NAME",
+    "SIMPATH",
     "baseline_from_violations",
+    "is_simpath",
     "render_policy_toml",
 ]
 
@@ -38,7 +39,7 @@ DEFAULT_CONFIG_NAME = ".repro-lint.toml"
 # here schedule events, draw RNG, or build the messages that do. The
 # D3xx order rules apply only to them — iteration order elsewhere
 # (analysis tables, obs artifacts) cannot perturb a trajectory.
-DEFAULT_SIMPATH: Tuple[str, ...] = (
+SIMPATH: Tuple[str, ...] = (
     "repro/backends/",
     "repro/churn/",
     "repro/core/",
@@ -57,42 +58,23 @@ DEFAULT_SIMPATH: Tuple[str, ...] = (
 # Call names (bare functions or trailing attributes) the D301 visitor
 # treats as set-valued even though it cannot see their return type: the
 # store digest.
-DEFAULT_SET_RETURNING: Tuple[str, ...] = ("digest",)
+SET_RETURNING = frozenset({"digest"})
 
 # Attribute names whose iteration or subscript yields *node* objects —
 # the I1xx rules treat anything pulled out of these as another process.
-DEFAULT_NODE_COLLECTIONS: Tuple[str, ...] = ("servers",)
+NODE_COLLECTIONS = frozenset({"servers"})
 
 # Helper call names that return node lists (cluster facades expose these
 # so analysis code never touches the raw collection).
-DEFAULT_NODE_RETURNING: Tuple[str, ...] = ("alive_servers",)
+NODE_RETURNING = frozenset({"alive_servers"})
 
 # Attribute names that are node-private state: reading them on a node
 # obtained from a collection/directory is a reach-through (I1xx).
-DEFAULT_NODE_STATE: Tuple[str, ...] = ("store", "view", "scheduler")
+NODE_STATE = frozenset({"store", "view", "scheduler"})
 
 # Message attribute names that carry the payload proper — aliasing one
 # of these into an outbound send without a copy wrapper is I204.
-DEFAULT_PAYLOAD_ATTRS: Tuple[str, ...] = ("payload", "value")
-
-# Request/reply message pairs the P3xx rules enforce: the request's
-# handler must send the reply type (P301), and the reply type may only
-# be sent from a request handler (P302). Push-pull exchanges that
-# answer with their own type (MinSketchShare) are deliberately absent.
-DEFAULT_REQUEST_REPLY: Tuple[Tuple[str, str], ...] = (
-    ("AttributeQuery", "AttributeReport"),
-    ("GetRequest", "GetReply"),
-    ("NewsExchange", "NewsReply"),
-    ("OracleGet", "OracleGetReply"),
-    ("OraclePut", "OraclePutAck"),
-    ("PutRequest", "PutAck"),
-    ("RankProbe", "RankSample"),
-    ("RpcRequest", "RpcReply"),
-    ("ShuffleRequest", "ShuffleReply"),
-    ("SwapProposal", "SwapReply"),
-    ("SyncDigest", "SyncResponse"),
-)
-
+PAYLOAD_ATTRS = frozenset({"payload", "value"})
 
 _SCHEMA = 1
 
@@ -137,20 +119,11 @@ class BaselineEntry:
 
 @dataclass
 class LintConfig:
-    """Everything the engine needs to judge a tree."""
+    """The policy file as loaded: the audited baseline and where it
+    came from."""
 
-    simpath: Tuple[str, ...] = DEFAULT_SIMPATH
-    set_returning: Tuple[str, ...] = DEFAULT_SET_RETURNING
-    node_collections: Tuple[str, ...] = DEFAULT_NODE_COLLECTIONS
-    node_returning: Tuple[str, ...] = DEFAULT_NODE_RETURNING
-    node_state: Tuple[str, ...] = DEFAULT_NODE_STATE
-    payload_attrs: Tuple[str, ...] = DEFAULT_PAYLOAD_ATTRS
-    request_reply: Tuple[Tuple[str, str], ...] = DEFAULT_REQUEST_REPLY
     baseline: List[BaselineEntry] = field(default_factory=list)
     source: Optional[str] = None  # config file path, for reporting
-
-    def is_simpath(self, path: str) -> bool:
-        return any(pattern in path for pattern in self.simpath)
 
     # ----------------------------------------------------------- loading
 
@@ -191,6 +164,11 @@ class LintConfig:
         return cls(baseline=baseline, source=source)
 
 
+def is_simpath(path: str) -> bool:
+    """Whether ``path`` lies in one of the :data:`SIMPATH` packages."""
+    return any(pattern in path for pattern in SIMPATH)
+
+
 def render_policy_toml(baseline: Sequence[BaselineEntry]) -> str:
     """Serialise a policy file with ``baseline`` as its entries. The
     output is byte-stable for review diffs and reads back through
@@ -227,7 +205,7 @@ def _baseline_entry(entry: object, where: str) -> BaselineEntry:
     if not is_known_rule(rule):
         raise ConfigurationError(
             f"lint config names unknown rule {rule!r} (expected a "
-            f"Dxxx/Ixxx/Pxxx id or a Dx/Ix/Px family prefix){where}"
+            f"Dxxx/Ixxx id or a Dx/Ix family prefix){where}"
         )
     return BaselineEntry(
         rule=rule,

@@ -16,12 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.lint.baseline import apply_baseline
 from repro.lint.config import BaselineEntry, LintConfig
-from repro.lint.protocol import analyze_modules, build_graph, extract_module
-from repro.lint.protograph import ProtocolGraph
 from repro.lint.rules import Violation, is_known_rule
 from repro.lint.visitors import audit_module
 
-__all__ = ["LintResult", "build_protocol_graph", "lint_paths", "lint_source"]
+__all__ = ["LintResult", "lint_paths", "lint_source"]
 
 
 @dataclass
@@ -77,7 +75,6 @@ def lint_paths(
             result.errors.append(f"{target}: {reason}")
         files.update(found)
     raw: List[Violation] = []
-    modules = []
     for path in sorted(files):
         result.files.append(path)
         try:
@@ -86,16 +83,9 @@ def lint_paths(
         except OSError as exc:
             result.errors.append(f"{path}: unreadable: {exc}")
             continue
-        file_raw, file_errors, tree = _lint_one(source, path, config)
+        file_raw, file_errors = _lint_one(source, path)
         raw.extend(file_raw)
         result.errors.extend(file_errors)
-        if tree is not None and config.is_simpath(path):
-            modules.append(extract_module(tree, path))
-    # The protocol pass is whole-program: it runs once over every
-    # sim-path module collected above, and its violations are judged
-    # with the rest.
-    _, protocol_violations = analyze_modules(modules, config)
-    raw.extend(protocol_violations)
     _judge(result, raw, config, selectors)
     return result
 
@@ -114,40 +104,9 @@ def lint_source(
     config = config if config is not None else LintConfig()
     selectors = _selectors(select)
     result = LintResult(files=[path])
-    raw, result.errors, tree = _lint_one(source, path, config)
-    if tree is not None and config.is_simpath(path):
-        # Single-module protocol pass: fixtures exercise the P-rules
-        # without a tree walk. Whole-program caveats apply (see
-        # repro.lint.protocol).
-        _, protocol_violations = analyze_modules(
-            [extract_module(tree, path)], config
-        )
-        raw.extend(protocol_violations)
+    raw, result.errors = _lint_one(source, path)
     _judge(result, raw, config, selectors)
     return result
-
-
-def build_protocol_graph(
-    paths: Sequence[str], config: Optional[LintConfig] = None
-) -> ProtocolGraph:
-    """Extract and link the protocol graph of every sim-path module
-    under ``paths`` — the ``repro protocol graph`` artifact. Uses the
-    same sorted file walk as :func:`lint_paths`, so two invocations over
-    the same tree serialise byte-identically."""
-    config = config if config is not None else LintConfig()
-    modules = []
-    files = {path for target in paths for path in _python_files(target)}
-    for path in sorted(files):
-        if not config.is_simpath(path):
-            continue
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                source = f.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError):
-            continue
-        modules.append(extract_module(tree, path))
-    return build_graph(modules)
 
 
 # ------------------------------------------------------------------ internals
@@ -180,19 +139,12 @@ def _judge(
     )
 
 
-def _lint_one(
-    source: str, path: str, config: LintConfig
-) -> Tuple[List[Violation], List[str], Optional[ast.Module]]:
+def _lint_one(source: str, path: str) -> Tuple[List[Violation], List[str]]:
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return (
-            [],
-            [f"{path}: syntax error: {exc.msg} (line {exc.lineno})"],
-            None,
-        )
-    module_name = os.path.basename(path).rsplit(".", 1)[0]
-    return audit_module(tree, path, config, module_name), [], tree
+        return [], [f"{path}: syntax error: {exc.msg} (line {exc.lineno})"]
+    return audit_module(tree, path), []
 
 
 def _python_files(target: str) -> List[str]:

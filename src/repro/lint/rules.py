@@ -22,9 +22,6 @@ Rule families:
   seeding or filesystem order: iterating a ``set``/``frozenset`` without
   ``sorted()`` in sim-path modules, unsorted ``os.listdir``/``glob``,
   ``id()``-based ordering, the salted ``hash()`` builtin.
-* **D4xx — export hygiene.** ``__all__`` entries that don't resolve,
-  duplicates, modules missing ``__all__`` — the class of API drift PR 5
-  fixed by hand for the slicing package.
 
 The I-families police the *isolation* contract (DESIGN.md, "Isolation
 contract"): simulated nodes are shared-nothing and may interact only
@@ -51,33 +48,11 @@ The runtime counterpart is :class:`repro.lint.isolation.IsolationTap`
 (``scenarios run --isolation-check``), which digests every payload at
 send and re-verifies it at delivery.
 
-The P-families police the *protocol flow* (DESIGN.md, "Protocol graph &
-flow analysis"): unlike every rule above, they are whole-program — the
-engine extracts a message graph (message dataclasses × send sites ×
-handler registrations) across the entire linted tree first, then judges
-it. Linting a subtree can therefore report spurious dead letters; the
-committed policy always lints ``src`` whole.
-
-* **P1xx — dead letters.** A message type sent that no handler anywhere
-  registers for, a handler registered for a type nothing sends, or a
-  handler registered and then unconditionally unregistered in the same
-  function body (shadowed on all paths).
-* **P2xx — payload schema.** A handler reading ``msg.<attr>`` that the
-  message dataclass does not define, a constructor call with an unknown
-  keyword, or a mutable field type on a frozen message class (the
-  static face of the I2xx aliasing contract).
-* **P3xx — request/reply discipline.** For each configured
-  ``[lint.protocol] request_reply`` pair, the request handler must send
-  the reply type, and the reply type may only be sent from a request
-  handler.
-* **P4xx — dead protocol code.** A message class that participates in
-  no send and no registration at all.
-
-The runtime counterpart is
-:func:`repro.lint.coverage.protocol_coverage` (``scenarios run
---protocol-coverage``), which counts delivered/handled edges per
-(node class, message type) and reports static edges a run never
-exercised.
+Protocol wiring and ``__all__`` hygiene are checked where they run, not
+here: a message that reaches a node with no handler for its type counts
+into ``msg.unhandled.<Type>``, which the tests and CI hold at zero, and
+``tests/test_public_api.py`` imports every module and checks its
+``__all__`` (DESIGN.md, "Protocol wiring: the dead-letter gate").
 """
 
 from __future__ import annotations
@@ -132,15 +107,10 @@ FAMILIES: Dict[str, str] = {
     "D1": "ambient randomness",
     "D2": "wall-clock reads",
     "D3": "order hazards",
-    "D4": "export hygiene",
     "I1": "cross-node reach-through",
     "I2": "payload aliasing",
     "I3": "mutation after forward",
     "I4": "callback capture",
-    "P1": "protocol dead letters",
-    "P2": "message payload schema",
-    "P3": "request/reply discipline",
-    "P4": "dead protocol code",
 }
 
 _RULES = (
@@ -215,21 +185,6 @@ _RULES = (
         "repro.sim.rng.derive_seed or hashlib for stable digests",
     ),
     Rule(
-        "D401",
-        "__all__ entry does not resolve",
-        "every name in __all__ must be bound at module top level",
-    ),
-    Rule(
-        "D402",
-        "duplicate __all__ entry",
-        "each public name belongs in __all__ exactly once",
-    ),
-    Rule(
-        "D403",
-        "module missing __all__",
-        "declare the public surface; star-imports and doc tooling rely on it",
-    ),
-    Rule(
         "I101",
         "cross-node state reach-through",
         "a node obtained from a directory or server collection is another "
@@ -296,74 +251,12 @@ _RULES = (
         "the value at scheduling time; snapshot it as a lambda default "
         "or pass it as an argument",
     ),
-    Rule(
-        "P101",
-        "message type sent but never handled",
-        "no handler anywhere in the linted tree registers for this type, "
-        "so every copy dead-letters into msg.unhandled.<Type>; register "
-        "a handler or delete the send",
-    ),
-    Rule(
-        "P102",
-        "handler registered for a type never sent",
-        "nothing in the linted tree sends this type, so the handler is "
-        "dead wiring; delete the registration or add the missing sender",
-    ),
-    Rule(
-        "P103",
-        "handler registered then unconditionally unregistered",
-        "the same function body registers and then unregisters this "
-        "type, so the handler is shadowed on every path; split lifecycle "
-        "across start()/stop() instead",
-    ),
-    Rule(
-        "P201",
-        "handler reads undefined message attribute",
-        "the message dataclass defines neither this field nor a "
-        "property/method of that name; the read raises AttributeError "
-        "at dispatch time",
-    ),
-    Rule(
-        "P202",
-        "message constructor called with unknown argument",
-        "the keyword (or extra positional) does not match any dataclass "
-        "field; the call raises TypeError when it runs",
-    ),
-    Rule(
-        "P203",
-        "mutable field type on a frozen message class",
-        "a frozen message with a list/dict/set field is only shallowly "
-        "immutable — receivers can alias and mutate the payload (the "
-        "I2xx hazard); use tuple/frozenset/Mapping snapshots",
-    ),
-    Rule(
-        "P301",
-        "request handler never sends the reply type",
-        "this type is the request half of a configured request_reply "
-        "pair, but its handler contains no send of the reply type; "
-        "every requester will time out",
-    ),
-    Rule(
-        "P302",
-        "reply sent outside any request handler",
-        "this type is the reply half of a configured request_reply "
-        "pair, but this send is not inside a handler registered for the "
-        "request type — an unsolicited reply",
-    ),
-    Rule(
-        "P401",
-        "message class never sent nor handled",
-        "no send site or handler registration anywhere in the linted "
-        "tree touches this class; delete it or wire it into the "
-        "protocol",
-    ),
 )
 
 CATALOG: Dict[str, Rule] = {rule.id: rule for rule in _RULES}
 
 
 def is_known_rule(rule_id: str) -> bool:
-    """True for exact ids (``D301``, ``I203``, ``P101``), family
-    prefixes (``D3``, ``I2``, ``P1``), and the bare ``P`` super-family
-    (all protocol rules, the ``--select P`` convenience)."""
-    return rule_id in CATALOG or rule_id in FAMILIES or rule_id == "P"
+    """True for exact ids (``D301``, ``I203``) and family prefixes
+    (``D3``, ``I2``)."""
+    return rule_id in CATALOG or rule_id in FAMILIES

@@ -34,7 +34,7 @@ from typing import Dict, Iterator
 
 from repro.errors import DeterminismError
 
-__all__ = ["determinism_guard", "guard_active"]
+__all__ = ["determinism_guard"]
 
 # Module-level random functions that consult the hidden shared instance
 # (or reseed it). Matches the linter's D101 list.
@@ -53,11 +53,6 @@ _TIME_FUNCS = ("time", "time_ns")
 _depth = 0
 _saved_random: Dict[str, object] = {}
 _saved_time: Dict[str, object] = {}
-
-
-def guard_active() -> bool:
-    """Is a :func:`determinism_guard` currently armed?"""
-    return _depth > 0
 
 
 def _random_tripwire(name: str):

@@ -11,8 +11,8 @@ syntax betrays: a call spelled ``random.random()``, an iteration spelled
 ``for x in some_set``, an import spelled ``from time import time``. Two
 pieces of shallow inference sharpen the D3xx rules without a type
 system: per-scope tracking of names assigned from set-valued
-expressions, and a configured list of set-returning helper names
-(``digest``, ``missing_from`` …) the visitor trusts.
+expressions, and a built-in list of set-returning helper names
+(``digest``) the visitor trusts.
 
 Order-neutral consumption is recognised and exempted: a set iterated
 inside ``sorted()``, fed into another ``set()``/``frozenset()``, or
@@ -22,7 +22,7 @@ lints clean while ``list(self.store.digest())`` does not.
 
 The I-families use the same shallow machinery for the *isolation*
 contract. Two extra judgements back them: per-scope tracking of
-node-valued names (anything pulled out of a configured node collection
+node-valued names (anything pulled out of a known node collection
 like ``self.servers`` or returned by a ``node_returning`` helper) for
 the I1xx reach-through rules, and a second, per-function pass that
 reconciles ``send(...)`` / ``multicast(...)`` call sites against later
@@ -37,7 +37,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set
 
-from repro.lint.config import LintConfig
+from repro.lint.config import (
+    NODE_COLLECTIONS,
+    NODE_RETURNING,
+    NODE_STATE,
+    PAYLOAD_ATTRS,
+    SET_RETURNING,
+    is_simpath,
+)
 from repro.lint.rules import Violation
 
 __all__ = ["audit_module"]
@@ -116,32 +123,22 @@ _MUTABLE_DISPLAYS = (
 )
 
 
-def audit_module(
-    tree: ast.Module, path: str, config: LintConfig, module_name: str
-) -> List[Violation]:
+def audit_module(tree: ast.Module, path: str) -> List[Violation]:
     """All raw violations in one parsed module, unsorted."""
-    auditor = _Auditor(path, config, module_name)
+    auditor = _Auditor(path)
     auditor.scan(tree)
     return auditor.violations
 
 
 class _Auditor:
-    def __init__(self, path: str, config: LintConfig, module_name: str) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.config = config
-        self.module_name = module_name
-        self.simpath = config.is_simpath(path)
-        self.set_returning = frozenset(config.set_returning)
-        self.node_collections = frozenset(config.node_collections)
-        self.node_returning = frozenset(config.node_returning)
-        self.node_state = frozenset(config.node_state)
-        self.payload_attrs = frozenset(config.payload_attrs)
+        self.simpath = is_simpath(path)
         self.violations: List[Violation] = []
         # import-alias tables: local name -> canonical module name
         self.module_aliases: Dict[str, str] = {}
         # from-imported names: local name -> (module, original name)
         self.from_imports: Dict[str, tuple] = {}
-        self.has_star_import = False
         # stack of per-scope {name: is_set_valued}
         self.scopes: List[Dict[str, bool]] = [{}]
         # stack of per-scope {name: "node" | "collection"} for I1xx
@@ -185,16 +182,16 @@ class _Auditor:
             if isinstance(func, ast.Name):
                 if func.id in {"set", "frozenset"}:
                     return True
-                if func.id in self.set_returning:
+                if func.id in SET_RETURNING:
                     return True
                 origin = self.from_imports.get(func.id)
-                if origin is not None and origin[1] in self.set_returning:
+                if origin is not None and origin[1] in SET_RETURNING:
                     return True
             if isinstance(func, ast.Attribute):
                 if func.attr in {"union", "intersection", "difference",
                                  "symmetric_difference"} and self._set_valued(func.value):
                     return True
-                if func.attr in self.set_returning:
+                if func.attr in SET_RETURNING:
                     return True
             return False
         if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
@@ -224,101 +221,11 @@ class _Auditor:
             return "expression"
         return text if len(text) <= 40 else text[:37] + "..."
 
-    # --------------------------------------------------------------- scan
+    # ------------------------------------------------------------ walking
 
     def scan(self, tree: ast.Module) -> None:
-        self._module_hygiene(tree)
         for node in tree.body:
             self._walk(node)
-
-    # -------------------------------------------------- D4xx: __all__
-
-    def _module_hygiene(self, tree: ast.Module) -> None:
-        bindings = self._top_level_bindings(tree)
-        exported = self._find_all(tree)
-        if exported is None:
-            if self._needs_all(tree):
-                self.flag(
-                    "D403",
-                    tree.body[0] if tree.body else tree,
-                    "module defines a public surface but no __all__",
-                )
-            return
-        all_node, names = exported
-        if names is None:
-            return  # dynamically built __all__; out of static reach
-        seen: Set[str] = set()
-        for name in names:
-            if name in seen:
-                self.flag("D402", all_node, f"duplicate __all__ entry {name!r}")
-            seen.add(name)
-            if name == "__version__":
-                continue  # dunder assignments are collected, but be lenient
-            if not self.has_star_import and name not in bindings:
-                self.flag(
-                    "D401",
-                    all_node,
-                    f"__all__ names {name!r} but the module never binds it",
-                )
-
-    def _top_level_bindings(self, tree: ast.Module) -> Set[str]:
-        bound: Set[str] = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound.add(node.name)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == "*":
-                        self.has_star_import = True
-                    else:
-                        bound.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    bound.update(_names_in_target(target))
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-            elif isinstance(node, (ast.If, ast.Try)):
-                # TYPE_CHECKING / fallback-import blocks bind names too.
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.Import, ast.ImportFrom)):
-                        for alias in child.names:
-                            if alias.name != "*":
-                                bound.add(alias.asname or alias.name.split(".")[0])
-                    elif isinstance(
-                        child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                    ):
-                        bound.add(child.name)
-                    elif isinstance(child, ast.Assign):
-                        for target in child.targets:
-                            bound.update(_names_in_target(target))
-        return bound
-
-    def _find_all(self, tree: ast.Module):
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                if isinstance(node.value, (ast.List, ast.Tuple)) and all(
-                    isinstance(el, ast.Constant) and isinstance(el.value, str)
-                    for el in node.value.elts
-                ):
-                    return node, [el.value for el in node.value.elts]
-                return node, None
-        return None
-
-    def _needs_all(self, tree: ast.Module) -> bool:
-        if self.module_name.rpartition(".")[2] in {"__main__", "conftest", "setup"}:
-            return False
-        return any(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            for node in tree.body
-        )
-
-    # ------------------------------------------------------------ walking
 
     def _walk(self, node: ast.AST) -> None:
         handler = getattr(self, f"_on_{type(node).__name__}", None)
@@ -419,7 +326,7 @@ class _Auditor:
     def _on_Attribute(self, node: ast.Attribute) -> None:
         # I1xx: node-private state read on a node that came out of a
         # directory/collection — another process, in sim terms.
-        if self.simpath and node.attr in self.node_state:
+        if self.simpath and node.attr in NODE_STATE:
             base = node.value
             if isinstance(base, ast.Subscript) and self._node_kind(base) == "node":
                 self.flag(
@@ -644,7 +551,7 @@ class _Auditor:
         """Syntactic judgement: ``"collection"`` for a node collection,
         ``"node"`` for one node pulled out of it, ``None`` otherwise."""
         if isinstance(expr, ast.Attribute):
-            return "collection" if expr.attr in self.node_collections else None
+            return "collection" if expr.attr in NODE_COLLECTIONS else None
         if isinstance(expr, ast.Name):
             for scope in reversed(self.iso_scopes):
                 if expr.id in scope:
@@ -657,7 +564,7 @@ class _Auditor:
                 fname = func.id
             elif isinstance(func, ast.Attribute):
                 fname = func.attr
-            if fname in self.node_returning:
+            if fname in NODE_RETURNING:
                 return "collection"
             # list(self.servers) / sorted(..., key=...) keep node identity.
             if (
@@ -828,7 +735,7 @@ class _Auditor:
             and isinstance(expr.value, ast.Name)
             and expr.value.id == info.handler
         ):
-            if expr.attr in self.payload_attrs:
+            if expr.attr in PAYLOAD_ATTRS:
                 self.flag(
                     "I204",
                     expr,

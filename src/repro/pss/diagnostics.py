@@ -19,7 +19,6 @@ from repro.sim.node import Node
 
 __all__ = [
     "overlay_graph",
-    "indegree_distribution",
     "indegree_stats",
     "clustering_coefficient",
     "is_connected",
@@ -45,14 +44,6 @@ def overlay_graph(
             if peer in alive_ids:
                 graph.add_edge(node.id, peer)
     return graph
-
-
-def indegree_distribution(graph: "nx.DiGraph") -> Dict[int, int]:
-    """Histogram: in-degree value -> number of nodes with that in-degree."""
-    hist: Dict[int, int] = {}
-    for _, degree in graph.in_degree():
-        hist[degree] = hist.get(degree, 0) + 1
-    return hist
 
 
 def indegree_stats(graph: "nx.DiGraph") -> Dict[str, float]:

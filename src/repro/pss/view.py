@@ -31,10 +31,6 @@ class NodeDescriptor:
     node_id: int
     age: int = 0
 
-    def fresh(self) -> "NodeDescriptor":
-        """A copy with ``age`` reset to zero."""
-        return NodeDescriptor(self.node_id, 0)
-
 
 def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     """``random.Random._randbelow(n)`` for ``n > 0``: the same draws."""

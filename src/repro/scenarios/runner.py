@@ -86,17 +86,10 @@ class RunOptions:
     ``Network.send`` and re-verified at delivery, and any in-flight
     mutation raises :class:`~repro.errors.IsolationError` naming sender,
     receiver, message type and sim time.
-
-    ``protocol_coverage`` attaches a
-    :class:`repro.lint.coverage.CoverageTap`: every delivery is
-    accounted per ``(node class, message type)`` edge and the counters
-    come back as :attr:`ScenarioResult.coverage`, so the CLI can report
-    which static protocol edges the scenario never exercised.
     """
 
     sanitize: bool = False
     isolation_check: bool = False
-    protocol_coverage: bool = False
 
     def guard(self):
         """Context manager for the process-wide part of the options."""
@@ -106,21 +99,13 @@ class RunOptions:
 
         return determinism_guard()
 
-    def attach(self, sim: Simulation):
-        """Tap a freshly built simulation's network — checker first,
-        then accountant — and return the
-        :class:`~repro.lint.coverage.CoverageTap`, if any."""
+    def attach(self, sim: Simulation) -> None:
+        """Tap a freshly built simulation's network with the checker the
+        options ask for."""
         if self.isolation_check:
             from repro.lint.isolation import IsolationTap
 
             sim.network.add_tap(IsolationTap())
-        coverage = None
-        if self.protocol_coverage:
-            from repro.lint.coverage import CoverageTap
-
-            coverage = CoverageTap()
-            sim.network.add_tap(coverage)
-        return coverage
 
 
 @dataclass
@@ -130,10 +115,6 @@ class ScenarioResult:
     scenario: str
     seed: int
     metrics: Dict[str, float]
-    # ``RunOptions.protocol_coverage`` runs only: the run's
-    # :meth:`~repro.lint.coverage.CoverageTap.snapshot`. Diagnostics,
-    # deliberately outside :meth:`summary_json`.
-    coverage: Optional[Dict[str, Dict[str, int]]] = None
 
     def summary_json(self) -> str:
         """Canonical serialisation: sorted keys, fixed float formatting.
@@ -155,8 +136,6 @@ class SweepResult:
     seeds: List[int]
     results: List[ScenarioResult]
     aggregate: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # The per-seed :attr:`ScenarioResult.coverage` counters, summed.
-    coverage: Optional[Dict[str, Dict[str, int]]] = None
 
     def rows(self) -> List[Dict[str, float]]:
         """One row per seed — ready for ``rows_to_table``."""
@@ -218,7 +197,7 @@ def _run_scenario_inner(
     recorder.begin_phase("deploy")
     sim = Simulation(seed=seed, latency_model=spec.latency.build(), loss_rate=spec.loss_rate)
     recorder.attach(sim)
-    coverage = options.attach(sim)
+    options.attach(sim)
     backend = get_backend(spec.stack).deploy(spec, sim)
     metrics: Dict[str, float] = {}
 
@@ -291,12 +270,7 @@ def _run_scenario_inner(
     # Timeline probes are the one place observability adds scheduler
     # events; subtract them so obs-on metrics equal obs-off byte-for-byte.
     metrics["events_processed"] = float(events - recorder.overhead_events)
-    return ScenarioResult(
-        spec.name,
-        seed,
-        dict(sorted(metrics.items())),
-        coverage=coverage.snapshot() if coverage is not None else None,
-    )
+    return ScenarioResult(spec.name, seed, dict(sorted(metrics.items())))
 
 
 def _run_scenario_job(args: Tuple[ScenarioSpec, int, RunOptions]) -> ScenarioResult:
@@ -317,8 +291,7 @@ def run_sweep(
     seeds serially in this process. Every seed is an independent
     deterministic simulation and results are collected in seed order, so
     the returned :class:`SweepResult` — :meth:`SweepResult.summary_json`
-    and the summed coverage counters included — is byte-identical
-    whatever the job count. ``options`` (:class:`RunOptions`) applies to
+    included — is byte-identical whatever the job count. ``options`` (:class:`RunOptions`) applies to
     every seed's run, in worker processes too.
 
     Caveat for custom backends: workers import only :mod:`repro`
@@ -344,17 +317,11 @@ def run_sweep(
             )
     else:
         results = [run_scenario(spec, seed, options=options) for seed in seeds]
-    coverage = None
-    if options.protocol_coverage:
-        from repro.lint.coverage import merge_coverage
-
-        coverage = merge_coverage(r.coverage for r in results)
     return SweepResult(
         scenario=spec.name,
         seeds=seeds,
         results=results,
         aggregate=aggregate_rows([r.metrics for r in results]),
-        coverage=coverage,
     )
 
 

@@ -53,8 +53,7 @@ by contract and pays its bookkeeping once per fan-out whenever no fault
 machinery, loss, tap or ``send`` wrapper could tell the difference.
 
 Observation: everything that wants to watch the wire — the op tracer,
-the isolation checker, the protocol-coverage accountant — is a
-:class:`Tap` in :attr:`Network.taps`. An empty tuple (the default) is
+the isolation checker — is a :class:`Tap` in :attr:`Network.taps`. An empty tuple (the default) is
 the fast path above; a tapped network sends message by message and
 delivers through :meth:`Network._deliver_traced`.
 """

@@ -51,10 +51,3 @@ class RngRegistry:
             rng = random.Random(derive_seed(self.seed, name))
             self._streams[name] = rng
         return rng
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose master seed is derived from ``name``.
-
-        Useful when a sub-experiment needs a whole namespace of streams.
-        """
-        return RngRegistry(derive_seed(self.seed, name))

@@ -1,6 +1,6 @@
 """YCSB-compatible workload generation and execution (paper Section VI).
 
-* :mod:`repro.workload.distributions` — uniform/zipfian/latest/hotspot
+* :mod:`repro.workload.distributions` — uniform/zipfian/latest
   key choosers (Gray et al. sampling, FNV scrambling)
 * :mod:`repro.workload.ycsb` — core workloads A–F plus the paper's
   write-only workload
@@ -12,7 +12,6 @@
 """
 
 from repro.workload.distributions import (
-    HotSpotChooser,
     KeyChooser,
     LatestChooser,
     ScrambledZipfianChooser,
@@ -42,7 +41,6 @@ from repro.workload.ycsb import (
 __all__ = [
     "ConsistencyObserver",
     "CoreWorkload",
-    "HotSpotChooser",
     "INSERT",
     "KeyChooser",
     "LatestChooser",

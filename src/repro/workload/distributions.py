@@ -3,7 +3,7 @@
 The paper drives DATAFLASKS with the YCSB cloud-serving benchmark [26].
 YCSB's request distributions are reimplemented here from the original
 Cooper et al. description (and the Gray et al. zipfian sampling
-algorithm): uniform, zipfian, scrambled zipfian, latest, and hotspot.
+algorithm): uniform, zipfian, scrambled zipfian and latest.
 
 All choosers return an *item index* in ``[0, item_count)``; the workload
 layer maps indexes to keys.
@@ -22,7 +22,6 @@ __all__ = [
     "ZipfianChooser",
     "ScrambledZipfianChooser",
     "LatestChooser",
-    "HotSpotChooser",
     "fnv64",
 ]
 
@@ -128,21 +127,3 @@ class LatestChooser(KeyChooser):
         # Rank r over the zipfian maps to the r-th *newest* item.
         rank = self._zipf.next(rng)
         return max(0, self.item_count - 1 - rank)
-
-
-class HotSpotChooser(KeyChooser):
-    """A hot fraction of items receives a hot fraction of requests."""
-
-    def __init__(self, item_count: int, hot_fraction: float = 0.2, hot_op_fraction: float = 0.8) -> None:
-        super().__init__(item_count)
-        if not 0 < hot_fraction <= 1 or not 0 <= hot_op_fraction <= 1:
-            raise ConfigurationError("fractions must be in (0,1] / [0,1]")
-        self.hot_items = max(1, int(item_count * hot_fraction))
-        self.hot_op_fraction = hot_op_fraction
-
-    def next(self, rng: random.Random) -> int:
-        if rng.random() < self.hot_op_fraction:
-            return rng.randrange(self.hot_items)
-        if self.hot_items >= self.item_count:
-            return rng.randrange(self.item_count)
-        return rng.randrange(self.hot_items, self.item_count)

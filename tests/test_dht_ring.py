@@ -11,7 +11,6 @@ from repro.dht.ring import (
     in_interval,
     key_position,
     node_position,
-    ring_distance,
 )
 from repro.sim.simulator import Simulation
 
@@ -65,16 +64,6 @@ class TestPositions:
 
 
 class TestDistanceAndFingers:
-    def test_ring_distance_basic(self):
-        assert ring_distance(10, 15) == 5
-        assert ring_distance(15, 10) == RING_SIZE - 5
-        assert ring_distance(7, 7) == 0
-
-    @given(pos_st, pos_st)
-    def test_distance_antisymmetry(self, a, b):
-        if a != b:
-            assert ring_distance(a, b) + ring_distance(b, a) == RING_SIZE
-
     def test_finger_targets_double(self):
         assert finger_target(0, 0) == 1
         assert finger_target(0, 10) == 1024

@@ -4,7 +4,6 @@ import networkx as nx
 
 from repro.pss.diagnostics import (
     clustering_coefficient,
-    indegree_distribution,
     indegree_stats,
     is_connected,
     overlay_graph,
@@ -22,13 +21,6 @@ def test_overlay_graph_counts_alive_only():
     graph = overlay_graph(nodes)
     assert graph.number_of_nodes() == 19
     assert nodes[0].id not in graph
-
-
-def test_indegree_distribution_sums_to_node_count():
-    _, nodes = build_overlay(n=30, rounds=10)
-    graph = overlay_graph(nodes)
-    hist = indegree_distribution(graph)
-    assert sum(hist.values()) == graph.number_of_nodes()
 
 
 def test_indegree_stats_of_empty_graph():

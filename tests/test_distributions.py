@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.workload.distributions import (
-    HotSpotChooser,
     LatestChooser,
     ScrambledZipfianChooser,
     UniformChooser,
@@ -22,7 +21,6 @@ ALL_CHOOSERS = [
     lambda n: ZipfianChooser(n),
     lambda n: ScrambledZipfianChooser(n),
     lambda n: LatestChooser(n),
-    lambda n: HotSpotChooser(n),
 ]
 
 
@@ -107,26 +105,6 @@ class TestLatest:
         rng = random.Random(8)
         counts = Counter(chooser.next(rng) for _ in range(10_000))
         assert max(counts) >= 140  # newest items get picked
-
-
-class TestHotSpot:
-    def test_fractions_validated(self):
-        with pytest.raises(ConfigurationError):
-            HotSpotChooser(100, hot_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            HotSpotChooser(100, hot_op_fraction=1.5)
-
-    def test_hot_set_receives_hot_fraction(self):
-        chooser = HotSpotChooser(1000, hot_fraction=0.1, hot_op_fraction=0.9)
-        rng = random.Random(9)
-        hits = sum(chooser.next(rng) < 100 for _ in range(20_000))
-        assert 0.85 < hits / 20_000 < 0.95
-
-    def test_full_hot_fraction(self):
-        chooser = HotSpotChooser(10, hot_fraction=1.0, hot_op_fraction=0.5)
-        rng = random.Random(10)
-        for _ in range(100):
-            assert 0 <= chooser.next(rng) < 10
 
 
 class TestFnv:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.cluster import DataFlasksCluster
 from repro.errors import SimulationError
-from repro.lint import CoverageTap, IsolationTap
+from repro.lint import IsolationTap
 from repro.obs.trace import OpTracer
 from repro.pss.view import NodeDescriptor, PartialView
 from repro.sim.network import LatencyModel, Network, Tap, UniformLatency
@@ -449,24 +449,25 @@ class _CountingProfiler:
 
 class _CountingTap(Tap):
     def __init__(self):
-        self.sent = self.delivered = 0
+        self.sent = self.delivered = self.registered = 0
 
     def on_send(self, network, src, dst, msg):
         self.sent += 1
 
     def on_deliver(self, network, src, dst, msg, token, sent_at):
         self.delivered += 1
+        self.registered += network.is_registered(dst)
 
 
 def test_taps_wrappers_and_profiler_see_every_message():
     wrapped = []
     profiler = _CountingProfiler()
-    counting, coverage = _CountingTap(), CoverageTap()
+    counting = _CountingTap()
     # Construction sends nothing; everything below is hooked before the
     # first event runs.
     cluster = DataFlasksCluster(n=24, config=small_config(num_slices=3), seed=5)
     sim = cluster.sim
-    for tap in (IsolationTap(), coverage, counting):
+    for tap in (IsolationTap(), counting):
         sim.network.add_tap(tap)
     original_send = sim.network.send
 
@@ -485,7 +486,7 @@ def test_taps_wrappers_and_profiler_see_every_message():
     assert "PutRequest" in wrapped and "GetRequest" in wrapped
     # No loss, no partition: every send is on the wire.
     assert len(wrapped) == counting.sent == totals["msg.sent"] > 500
-    assert sum(coverage.snapshot()["delivered"].values()) == totals["msg.received"]
+    assert counting.registered == totals["msg.received"]
     assert (
         profiler.deliveries
         == counting.delivered

@@ -15,8 +15,10 @@ import pytest
 
 from repro.errors import IsolationError, OperationTimeoutError
 from repro.lint import IsolationTap, payload_digest
+from repro.obs import FlightRecorder
 from repro.scenarios.registry import load_bundled
 from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
+from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulation
 
@@ -288,3 +290,29 @@ class TestTrajectoryNeutrality:
             spec, seed=5, options=RunOptions(sanitize=True, isolation_check=True)
         )
         assert result.metrics["events_processed"] > 0
+
+    def test_both_options_leave_the_network_class_alone(self):
+        # scenarios run --sanitize --isolation-check: the checker rides
+        # on the run's own network; at every phase boundary of the run
+        # the class still holds the stock functions.
+        def on_class():
+            return Network.send, Network.multicast, Network._deliver, Network._deliver_traced
+
+        seen = []
+
+        class Watcher(FlightRecorder):
+            def attach(self, sim):
+                super().attach(sim)
+                self.network = sim.network
+
+            def begin_phase(self, name):
+                super().begin_phase(name)
+                if name != "deploy":
+                    seen.append((on_class(), len(self.network.taps), vars(self.network).get("send")))
+
+        stock = on_class()
+        both = RunOptions(sanitize=True, isolation_check=True)
+        spec = small_spec("dht-crash-recover")
+        result = run_scenario(spec, seed=5, recorder=Watcher(), options=both)
+        assert len(seen) >= 5 and set(seen) == {(stock, 1, None)}
+        assert result.summary_json() == run_scenario(spec, seed=5).summary_json()

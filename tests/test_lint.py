@@ -4,12 +4,7 @@ that ``repro lint src`` is clean against the committed policy.
 
 The isolation families (I1xx–I4xx) are covered here too: per-rule
 positive/negative fixtures, the ``--select`` filter, and mixed-report
-exit codes with I-rules present.
-
-The protocol families (P1xx–P4xx) close the file out: per-rule
-positive/negative fixtures, whole-program cross-module linking (and the
-subtree-lint caveat), the request/reply policy round-trip, and the
-byte-stability of the ``repro protocol graph`` artifact."""
+exit codes with I-rules present."""
 
 from __future__ import annotations
 
@@ -29,13 +24,13 @@ from repro.lint import (
     LintConfig,
     apply_baseline,
     baseline_from_violations,
-    build_protocol_graph,
     format_json,
     format_text,
     lint_paths,
     lint_source,
     render_policy_toml,
 )
+from repro.lint.config import is_simpath
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,9 +58,8 @@ class TestCatalog:
             assert rule.advice and rule.title
 
     def test_fixture_paths_classify_as_intended(self):
-        config = LintConfig()
-        assert config.is_simpath(SIM)
-        assert not config.is_simpath(OFF)
+        assert is_simpath(SIM)
+        assert not is_simpath(OFF)
 
 
 # ------------------------------------------------------- D1xx: randomness
@@ -217,37 +211,6 @@ class TestOrderHazards:
     def test_id_and_hash_off_simpath_are_clean(self):
         assert rules_of(lint("k = id(obj)\n", path=OFF)) == []
         assert rules_of(lint("h = hash(name)\n", path=OFF)) == []
-
-
-# -------------------------------------------------- D4xx: export hygiene
-
-
-class TestExportHygiene:
-    def test_all_entry_that_never_binds(self):
-        result = lint('__all__ = ["missing"]\n')
-        assert "D401" in rules_of(result)
-
-    def test_duplicate_all_entry(self):
-        result = lint('__all__ = ["f", "f"]\ndef f():\n    pass\n')
-        assert "D402" in rules_of(result)
-
-    def test_public_surface_without_all(self):
-        result = lint("def api():\n    pass\n")
-        assert "D403" in rules_of(result)
-
-    def test_private_only_module_needs_no_all(self):
-        result = lint("def _helper():\n    pass\n")
-        assert rules_of(result) == []
-
-    def test_conftest_is_exempt(self):
-        result = lint(
-            "def fixture_like():\n    pass\n", path="repro/sim/conftest.py"
-        )
-        assert rules_of(result) == []
-
-    def test_complete_all_is_clean(self):
-        source = '__all__ = ["api"]\n\ndef api():\n    pass\n'
-        assert rules_of(lint(source)) == []
 
 
 # ------------------------------------------- I1xx: cross-node reach-through
@@ -521,6 +484,13 @@ class TestSelectFilters:
     def test_unknown_selector_raises(self):
         with pytest.raises(ConfigurationError, match="unknown rule selector"):
             lint_source(MIXED, path=SIM, select=["BOGUS"])
+
+    @pytest.mark.parametrize("selector", ["P", "P1", "P301", "D4", "D403"])
+    def test_retired_selectors_are_unknown(self, selector):
+        # The protocol families and D4xx left the linter: selecting them
+        # is an error, not a silently empty report.
+        with pytest.raises(ConfigurationError, match="unknown rule selector"):
+            lint_source(MIXED, path=SIM, select=[selector])
 
     def test_cli_unknown_selector_exits_2(self):
         proc = subprocess.run(
@@ -838,404 +808,3 @@ class TestTreeContract:
     def test_missing_config_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="cannot read lint config"):
             LintConfig.load("/no/such/.repro-lint.toml")
-
-
-# -------------------------------------------- P-rule fixtures (protocol)
-
-# A complete, correct protocol: message defined, sent, handled through
-# the normal register-in-start / unregister-in-stop lifecycle, handler
-# reading only declared fields. Every P-family's negative case.
-PROTO_CLEAN = """\
-from dataclasses import dataclass
-
-__all__ = ["Ping", "PingService"]
-
-
-@dataclass(frozen=True)
-class Ping:
-    body: str
-
-
-class PingService:
-    def start(self):
-        self.node.register_handler(Ping, self._on_ping)
-
-    def stop(self):
-        self.node.unregister_handler(Ping)
-
-    def poke(self, dst):
-        self.node.send(dst, Ping(body="hi"))
-
-    def _on_ping(self, msg, src):
-        self.last = msg.body
-"""
-
-P101_DEAD_LETTER = """\
-from dataclasses import dataclass
-
-__all__ = ["Orphan", "Sender"]
-
-
-@dataclass(frozen=True)
-class Orphan:
-    body: str
-
-
-class Sender:
-    def poke(self, dst):
-        self.node.send(dst, Orphan(body="x"))
-"""
-
-P102_DEAD_HANDLER = """\
-from dataclasses import dataclass
-
-__all__ = ["Quiet", "Listener"]
-
-
-@dataclass(frozen=True)
-class Quiet:
-    body: str
-
-
-class Listener:
-    def start(self):
-        self.node.register_handler(Quiet, self._on_quiet)
-
-    def _on_quiet(self, msg, src):
-        self.last = msg.body
-"""
-
-
-class TestProtocolDeadLetters:
-    def test_clean_protocol_has_no_p_violations(self):
-        assert rules_of(lint(PROTO_CLEAN)) == []
-
-    def test_p101_sent_but_never_handled(self):
-        assert rules_of(lint(P101_DEAD_LETTER)) == ["P101"]
-
-    def test_p102_handled_but_never_sent(self):
-        assert rules_of(lint(P102_DEAD_HANDLER)) == ["P102"]
-
-    def test_multicast_sends_count_as_send_edges(self):
-        by_node = P101_DEAD_LETTER.replace(
-            "self.node.send(dst, ", "self.node.multicast([dst], "
-        )
-        by_network = P101_DEAD_LETTER.replace(
-            "self.node.send(dst, ", "self.network.multicast(0, [dst], "
-        )
-        assert by_node != P101_DEAD_LETTER != by_network
-        assert rules_of(lint(by_node)) == rules_of(lint(by_network)) == ["P101"]
-
-    def test_p103_register_then_unconditional_unregister(self):
-        source = PROTO_CLEAN.replace(
-            "        self.node.register_handler(Ping, self._on_ping)\n",
-            "        self.node.register_handler(Ping, self._on_ping)\n"
-            "        self.node.unregister_handler(Ping)\n",
-            1,
-        )
-        assert rules_of(lint(source)) == ["P103"]
-
-    def test_start_stop_lifecycle_is_not_p103(self):
-        # Register in start(), unregister in stop(): different bodies,
-        # the handler lives for the node's whole lifetime.
-        assert "P103" not in rules_of(lint(PROTO_CLEAN))
-
-    def test_off_simpath_module_is_exempt(self):
-        assert rules_of(lint(P101_DEAD_LETTER, path=OFF)) == []
-
-    def test_p_violation_can_be_baselined(self):
-        config = LintConfig(
-            baseline=[
-                BaselineEntry(
-                    rule="P101", path="fixture.py", max_count=1,
-                    justification="t",
-                )
-            ]
-        )
-        result = lint(P101_DEAD_LETTER, config=config)
-        assert rules_of(result) == []
-        assert [v.rule for v in result.baselined] == ["P101"]
-
-
-class TestPayloadSchema:
-    def test_p201_handler_reads_undefined_field(self):
-        source = PROTO_CLEAN.replace("msg.body", "msg.nope")
-        result = lint(source)
-        assert rules_of(result) == ["P201"]
-        assert "Ping.nope" in result.violations[0].message
-
-    def test_p201_allows_properties_and_methods(self):
-        source = PROTO_CLEAN.replace(
-            "class Ping:\n    body: str\n",
-            "class Ping:\n"
-            "    body: str\n"
-            "\n"
-            "    @property\n"
-            "    def tag(self):\n"
-            "        return (self.body,)\n",
-        ).replace("msg.body", "msg.tag")
-        assert rules_of(lint(source)) == []
-
-    def test_p202_too_many_positionals(self):
-        source = PROTO_CLEAN.replace('Ping(body="hi")', 'Ping("hi", "extra")')
-        assert rules_of(lint(source)) == ["P202"]
-
-    def test_p202_unknown_keyword(self):
-        source = PROTO_CLEAN.replace(
-            'Ping(body="hi")', 'Ping(body="hi", ttl=3)'
-        )
-        result = lint(source)
-        assert rules_of(result) == ["P202"]
-        assert "'ttl'" in result.violations[0].message
-
-    def test_p203_mutable_field_on_frozen_message(self):
-        source = PROTO_CLEAN.replace("body: str", "body: list")
-        result = lint(source)
-        assert rules_of(result) == ["P203"]
-
-    def test_p203_immutable_containers_are_clean(self):
-        source = PROTO_CLEAN.replace(
-            "body: str", "body: Tuple[str, ...]\n    seen: frozenset"
-        ).replace(
-            "from dataclasses import dataclass",
-            "from dataclasses import dataclass\nfrom typing import Tuple",
-        )
-        assert rules_of(lint(source)) == []
-
-    def test_p203_only_applies_to_frozen_messages(self):
-        source = PROTO_CLEAN.replace(
-            "@dataclass(frozen=True)", "@dataclass"
-        ).replace("body: str", "body: list")
-        assert "P203" not in rules_of(lint(source))
-
-
-REQUEST_REPLY = LintConfig(request_reply=(("Ping", "Pong"),))
-
-PROTO_PAIR = """\
-from dataclasses import dataclass
-
-__all__ = ["Ping", "Pong", "Requester", "Responder"]
-
-
-@dataclass(frozen=True)
-class Ping:
-    body: str
-
-
-@dataclass(frozen=True)
-class Pong:
-    body: str
-
-
-class Requester:
-    def start(self):
-        self.node.register_handler(Pong, self._on_pong)
-
-    def poke(self, dst):
-        self.node.send(dst, Ping(body="x"))
-
-    def _on_pong(self, msg, src):
-        self.last = msg.body
-
-
-class Responder:
-    def start(self):
-        self.node.register_handler(Ping, self._on_ping)
-
-    def _on_ping(self, msg, src):
-        self.node.send(src, Pong(body=msg.body))
-"""
-
-
-class TestRequestReplyDiscipline:
-    def test_clean_pair_passes(self):
-        assert rules_of(lint(PROTO_PAIR, config=REQUEST_REPLY)) == []
-
-    def test_p301_handler_never_sends_reply(self):
-        source = PROTO_PAIR.replace(
-            "        self.node.send(src, Pong(body=msg.body))\n",
-            "        self.note = msg.body\n",
-        )
-        result = lint(source, config=REQUEST_REPLY)
-        assert "P301" in rules_of(result)
-
-    def test_p302_reply_sent_outside_request_handler(self):
-        source = PROTO_PAIR + (
-            "\n"
-            "class Spammer:\n"
-            "    def tick(self, dst):\n"
-            "        self.node.send(dst, Pong(body=\"u\"))\n"
-        )
-        result = lint(source, config=REQUEST_REPLY)
-        assert "P302" in rules_of(result)
-        assert "P301" not in rules_of(result)
-
-    def test_unconfigured_pair_is_not_judged(self):
-        # Same shape, no [lint.protocol] entry naming Ping/Pong: the
-        # broken responder draws no P3xx.
-        source = PROTO_PAIR.replace(
-            "        self.node.send(src, Pong(body=msg.body))\n",
-            "        self.note = msg.body\n",
-        )
-        config = LintConfig(request_reply=())
-        p3 = [r for r in rules_of(lint(source, config=config)) if r.startswith("P3")]
-        assert p3 == []
-
-
-class TestDeadProtocolCode:
-    def test_p401_dead_message_in_an_edged_module(self):
-        source = PROTO_CLEAN.replace(
-            '__all__ = ["Ping", "PingService"]',
-            '__all__ = ["Ping", "Fossil", "PingService"]',
-        ).replace(
-            "class PingService:",
-            "@dataclass(frozen=True)\n"
-            "class Fossil:\n"
-            "    body: str\n"
-            "\n"
-            "\n"
-            "class PingService:",
-        )
-        result = lint(source)
-        assert rules_of(result) == ["P401"]
-        assert "Fossil" in result.violations[0].message
-
-    def test_unedged_spec_dataclass_is_not_a_message(self):
-        # A dataclass in a module with no protocol edges at all is
-        # config/spec data, not a dead message.
-        source = (
-            "from dataclasses import dataclass\n"
-            "\n"
-            '__all__ = ["Config"]\n'
-            "\n"
-            "\n"
-            "@dataclass(frozen=True)\n"
-            "class Config:\n"
-            "    retries: int\n"
-        )
-        assert rules_of(lint(source)) == []
-
-
-class TestProtocolSelect:
-    def test_select_bare_p_scopes_to_protocol_rules(self):
-        mixed = P101_DEAD_LETTER + "\nimport time\nt = time.time()\n"
-        result = lint_source(mixed, path=SIM, select=["P"])
-        assert rules_of(result) == ["P101"]
-
-    def test_select_family_p1(self):
-        result = lint_source(P101_DEAD_LETTER, path=SIM, select=["P1"])
-        assert rules_of(result) == ["P101"]
-
-    def test_unknown_p_selector_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown rule selector"):
-            lint_source("x = 1\n", path=SIM, select=["P9"])
-
-
-# --------------------------------------- whole-program linking & artifact
-
-SENDER_MODULE = """\
-from dataclasses import dataclass
-
-__all__ = ["Beacon", "Beaconer"]
-
-
-@dataclass(frozen=True)
-class Beacon:
-    body: str
-
-
-class Beaconer:
-    def tick(self, dst):
-        self.node.send(dst, Beacon(body="b"))
-"""
-
-HANDLER_MODULE = """\
-__all__ = ["BeaconSink"]
-
-
-class BeaconSink:
-    def start(self):
-        self.node.register_handler(Beacon, self._on_beacon)
-
-    def _on_beacon(self, msg, src):
-        self.last = msg.body
-"""
-
-
-class TestWholeProgramLinking:
-    def _write_fixture_tree(self, tmp_path):
-        pkg = tmp_path / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        (pkg / "a_sender.py").write_text(SENDER_MODULE)
-        (pkg / "b_handler.py").write_text(HANDLER_MODULE)
-        return tmp_path
-
-    def test_handler_in_another_module_resolves(self, tmp_path):
-        root = self._write_fixture_tree(tmp_path)
-        result = lint_paths([str(root)], LintConfig())
-        assert rules_of(result) == []
-
-    def test_subtree_lint_caveat(self, tmp_path):
-        # The documented caveat: linting only the sender's module loses
-        # the handler edge and reports a (spurious) dead letter. The
-        # committed policy always lints src whole for exactly this
-        # reason.
-        root = self._write_fixture_tree(tmp_path)
-        sender = root / "repro" / "sim" / "a_sender.py"
-        result = lint_paths([str(sender)], LintConfig())
-        assert "P101" in rules_of(result)
-
-
-class TestProtocolGraphArtifact:
-    def _graph(self):
-        config = LintConfig.load(os.path.join(REPO_ROOT, ".repro-lint.toml"))
-        return build_protocol_graph([os.path.join(REPO_ROOT, "src")], config)
-
-    def test_artifacts_are_byte_stable(self):
-        first, second = self._graph(), self._graph()
-        assert first.to_json() == second.to_json()
-        assert first.to_dot() == second.to_dot()
-
-    def test_graph_covers_the_core_protocol(self):
-        graph = self._graph()
-        for name in ("PutRequest", "PutAck", "GetRequest", "GetReply"):
-            assert name in graph.messages, name
-        handles = graph.handle_edges()
-        assert ("RequestHandler", "PutRequest") in handles
-        assert ("RequestHandler", "GetRequest") in handles
-        assert graph.send_edges()[("RequestHandler", "PutAck")] >= 1
-
-    def test_unresolved_sends_are_reported_not_dropped(self):
-        # Node.send is a generic forwarder relaying its parameter; its
-        # payload cannot be pinned statically and must be listed, not
-        # silently dropped.
-        graph = self._graph()
-        names = {(s.endpoint, s.function) for s in graph.unresolved}
-        assert ("Node", "send") in names
-
-    def test_json_artifact_schema(self):
-        payload = json.loads(self._graph().to_json())
-        assert payload["schema"] == 1
-        assert {"messages", "endpoints", "edges", "unresolved_sends"} <= set(
-            payload
-        )
-        assert payload["edges"]["sends"] and payload["edges"]["handles"]
-
-    def test_cli_graph_is_byte_identical_across_invocations(self):
-        def invoke():
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "repro", "protocol", "graph",
-                    "--format", "json",
-                ],
-                cwd=REPO_ROOT,
-                env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            return proc.stdout
-
-        first = invoke()
-        assert first == invoke()
-        assert json.loads(first)["schema"] == 1

@@ -70,3 +70,12 @@ def test_dead_nodes_purged_by_freshness():
     )
     total = sum(len(n.get_service(NewscastService).peers()) for n in survivors)
     assert refs / total < 0.1
+
+
+def test_every_exchange_is_answered():
+    # On a lossless network with every node up, each NewsExchange that
+    # arrives is answered with exactly one NewsReply.
+    sim, _ = build_newscast(rounds=5)
+    received = sim.metrics.total("msg.received.NewsExchange")
+    assert received > 0
+    assert sim.metrics.total("msg.sent.NewsReply") == received

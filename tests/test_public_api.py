@@ -7,20 +7,73 @@ def test_version_string():
     assert repro.__version__ == "1.8.0"
 
 
+def export_problems(module):
+    """What is wrong with ``module``'s ``__all__``: missing while the
+    module defines a public function or class, an entry that repeats, or
+    an entry that does not resolve. Empty when nothing is."""
+    import inspect
+
+    names = getattr(module, "__all__", None)
+    if names is None:
+        public = [
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        ]
+        return [f"{module.__name__} defines {public} but no __all__"] if public else []
+    problems = []
+    if len(names) != len(set(names)):
+        problems.append(f"{module.__name__}.__all__ has duplicates")
+    problems += [f"{module.__name__}.{name} missing" for name in names if not hasattr(module, name)]
+    return problems
+
+
 def test_every_module_all_resolves():
-    # The runtime counterpart of the D401/D402 lint rules: every
-    # __all__ entry in every submodule resolves and none repeats.
+    # Every submodule that defines a public function or class declares
+    # __all__, every __all__ entry resolves, and none repeats.
     import importlib
     import pkgutil
 
+    problems = []
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        module = importlib.import_module(info.name)
-        names = getattr(module, "__all__", None)
-        if names is None:
-            continue
-        assert len(names) == len(set(names)), f"{info.name}.__all__ has duplicates"
-        for name in names:
-            assert hasattr(module, name), f"{info.name}.{name} missing"
+        problems += export_problems(importlib.import_module(info.name))
+    assert problems == []
+
+
+class TestExportHygiene:
+    @staticmethod
+    def module(source):
+        import types
+
+        module = types.ModuleType("fixture")
+        exec(source, vars(module))
+        return module
+
+    def test_all_entry_that_never_binds(self):
+        module = self.module('__all__ = ["missing"]\n')
+        assert export_problems(module) == ["fixture.missing missing"]
+
+    def test_duplicate_all_entry(self):
+        module = self.module('__all__ = ["f", "f"]\ndef f():\n    pass\n')
+        assert export_problems(module) == ["fixture.__all__ has duplicates"]
+
+    def test_public_surface_without_all(self):
+        module = self.module("def api():\n    pass\nclass Api:\n    pass\n")
+        assert export_problems(module) == ["fixture defines ['api', 'Api'] but no __all__"]
+
+    def test_private_only_module_needs_no_all(self):
+        module = self.module("def _helper():\n    pass\nLIMIT = 3\n")
+        assert export_problems(module) == []
+
+    def test_imported_names_are_not_the_module_surface(self):
+        module = self.module("from os.path import join\nfrom collections import Counter\n")
+        assert export_problems(module) == []
+
+    def test_complete_all_is_clean(self):
+        module = self.module('__all__ = ["api"]\n\ndef api():\n    pass\n')
+        assert export_problems(module) == []
 
 
 def _source_lines_matching(pattern):
@@ -49,8 +102,8 @@ def test_the_message_path_has_one_interception_mechanism():
 
     banned = re.compile(
         r"\bNetwork\.\w+ *=[^=]|setattr\(Network\b|network\.tracer\b|"
-        r"\b(isolation_guard|isolation_active|protocol_coverage_active|coverage_snapshot)\b|"
-        r"def protocol_coverage\b"
+        r"\b(isolation_guard|isolation_active|coverage_snapshot|CoverageTap)\b|"
+        r"\bprotocol_coverage"
     )
     assert _source_lines_matching(banned) == []
 

@@ -41,11 +41,3 @@ def test_adding_streams_does_not_perturb_existing_ones():
     reg_b = RngRegistry(seed=4)
     reg_b.stream("other")  # an extra stream created first
     assert reg_b.stream("proto").random() == first
-
-
-def test_fork_creates_namespaced_registry():
-    reg = RngRegistry(seed=5)
-    child_a = reg.fork("exp1")
-    child_b = reg.fork("exp2")
-    assert child_a.seed != child_b.seed
-    assert child_a.stream("x").random() != child_b.stream("x").random()

@@ -13,11 +13,19 @@ import time
 import pytest
 
 from repro.errors import DeterminismError
-from repro.lint import determinism_guard, guard_active
+from repro.lint import determinism_guard
 from repro.scenarios.registry import load_bundled
 from repro.scenarios.runner import RunOptions, run_scenario, run_sweep
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The functions the guard patches, as the interpreter started with them.
+STOCK = (random.random, time.time)
+
+
+def restored() -> bool:
+    """Whether ``random.random`` and ``time.time`` are the originals."""
+    return (random.random, time.time) == STOCK
 
 SMALL = dict(
     nodes=20,
@@ -39,7 +47,7 @@ def small_spec(name: str = "baseline"):
 
 class TestGuard:
     def test_inactive_by_default(self):
-        assert not guard_active()
+        assert restored()
 
     def test_ambient_random_trips(self):
         with determinism_guard():
@@ -76,7 +84,7 @@ class TestGuard:
             pass
         assert isinstance(random.random(), float)
         assert time.time() > 0.0
-        assert not guard_active()
+        assert restored()
 
     def test_restores_after_exception(self):
         with pytest.raises(RuntimeError):
@@ -84,16 +92,17 @@ class TestGuard:
                 raise RuntimeError("boom")
         assert isinstance(random.random(), float)
         assert time.time() > 0.0
+        assert restored()
 
     def test_reentrant(self):
         with determinism_guard():
             with determinism_guard():
-                assert guard_active()
+                assert not restored()
             # Inner exit must not disarm the outer guard.
-            assert guard_active()
+            assert not restored()
             with pytest.raises(DeterminismError):
                 random.random()
-        assert not guard_active()
+        assert restored()
 
 
 class TestTrajectoryNeutrality:
@@ -102,7 +111,7 @@ class TestTrajectoryNeutrality:
         plain = run_scenario(spec, seed=11)
         sanitized = run_scenario(spec, seed=11, options=RunOptions(sanitize=True))
         assert sanitized.summary_json() == plain.summary_json()
-        assert not guard_active()
+        assert restored()
 
     def test_sanitized_sweep_is_byte_identical(self):
         spec = small_spec()

@@ -28,9 +28,6 @@ descriptor_st = st.builds(
 
 
 class TestNodeDescriptor:
-    def test_fresh_copy(self):
-        assert NodeDescriptor(1, age=9).fresh().age == 0
-
     def test_equality_and_hash(self):
         assert NodeDescriptor(1, 0) == NodeDescriptor(1, 0)
         assert len({NodeDescriptor(1, 0), NodeDescriptor(1, 0)}) == 1
