@@ -156,7 +156,10 @@ class StoreBackend(abc.ABC):
         return client
 
     def run_op(self, op, timeout: float = 30.0):
-        """Advance virtual time until ``op`` completes."""
+        """Advance virtual time until ``op`` completes.
+
+        Polls every 0.1 s, so it returns up to 0.1 s after the op
+        completes; the workload loops issue on completion instead."""
         self.sim.run_until_condition(lambda: op.done, timeout, check_interval=0.1)
         if not op.done:
             raise OperationTimeoutError(op.kind, op.key, timeout)

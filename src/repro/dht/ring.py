@@ -7,7 +7,7 @@ machines live in :mod:`repro.dht.node`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.keyspace import key_hash
 

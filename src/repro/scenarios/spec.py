@@ -144,8 +144,9 @@ class WorkloadSpec:
 
     * ``closed`` (default) — the single-client closed loop
       (:class:`~repro.workload.runner.WorkloadRunner`): one operation in
-      flight at a time, resumed at a 0.1 s poll. It reads none of the
-      open-only fields below, so each must keep its default.
+      flight at a time, the next issued when the last one closes. It
+      reads none of the open-only fields below, so each must keep its
+      default.
     * ``open`` — the concurrent engine
       (:class:`~repro.workload.openloop.OpenLoopRunner`): operations
       arrive at ``rate`` ops/s (``arrival`` = ``poisson`` or

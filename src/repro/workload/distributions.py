@@ -11,7 +11,6 @@ layer maps indexes to keys.
 
 from __future__ import annotations
 
-import math
 import random
 
 from repro.errors import ConfigurationError

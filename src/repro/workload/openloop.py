@@ -266,14 +266,9 @@ class OpenLoopRunner(OpEngine):
         if window is not None:
             window.issued += 1
         flight = _Flight(op.kind, sim.now, window, measured=window is not None)
-        flight.watchdog = sim.scheduler.schedule(
-            self.op_timeout, self._on_watchdog, flight
-        )
         client = self.clients[self._next_client]
         self._next_client = (self._next_client + 1) % len(self.clients)
-        self._start(flight, client, op)
-        if flight.script is not None:
-            self._resume_on_completion(flight)
+        self._issue(flight, client, op)
 
     def _window_for(self, now: float) -> Window:
         index = int((now - self._measure_start) / self.window)
@@ -286,14 +281,12 @@ class OpenLoopRunner(OpEngine):
     # ---------------------------------------------------------- completions
 
     def _on_watchdog(self, flight: _Flight) -> None:
-        # Closing a flight cancels its watchdog, so this one is open.
         if flight.measured:
             self._stats.timed_out += 1
-        self._close(flight, False, None)
+        super()._on_watchdog(flight)
 
     def _closed(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
         self._outstanding -= 1
-        flight.watchdog.cancel()
         window = flight.window
         if window is None:
             return

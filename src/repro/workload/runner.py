@@ -9,11 +9,14 @@ paper's metric — messages per alive server node.
 Each operation kind (put, read, read-modify-write, scan) is written
 once, as an *op script* on :class:`OpEngine`: a generator that issues
 its client calls, yields the tuple of pendings it waits on, and
-returns ``(ok, latency)``. The two loops differ only in when they
-resume a script: :class:`WorkloadRunner` (closed) at the 0.1 s poll
-that sees its pendings done, :class:`~repro.workload.openloop.OpenLoopRunner`
-(open) from their completion callbacks. Each completion is accounted
-where its loop observes it, and each operation is closed out once.
+returns ``(ok, latency)``. Both loops issue an operation the same way:
+arm its watchdog, run its script to its first wait, and resume it from
+its pendings' completion callbacks, accounting each call as it
+completes. They differ only in what issues the next operation:
+:class:`WorkloadRunner` (closed) the close of the previous one,
+:class:`~repro.workload.openloop.OpenLoopRunner` (open) an arrival
+event. Each operation is closed out once: by its script's return, or
+as failed by its watchdog at ``op_timeout``.
 
 :class:`ConsistencyObserver` holds the version oracle and what it
 enables, shared by the load phase and either loop: **stale reads** (a
@@ -208,10 +211,12 @@ class RunStats:
 class _Flight:
     """One top-level operation: its op script and what it waits on.
 
-    Only ``measured`` flights feed the run's statistics; ``window`` and
-    ``watchdog`` are the open loop's. A finished script drops its
-    generator and pendings: a cancelled watchdog keeps its flight in the
-    scheduler for ``op_timeout``.
+    Only ``measured`` flights feed the run's statistics; ``window`` is
+    the open loop's. A finished script drops its generator and pendings,
+    and a closed flight drops its ``watchdog``: the cancelled event keeps
+    the flight in the scheduler for ``op_timeout``, and its arguments
+    point back at the flight, so keeping the reference would leave a
+    cycle for the collector once the event is popped.
     """
 
     __slots__ = (
@@ -326,14 +331,20 @@ class OpEngine:
         base_index, end_index = scan_range(self.workload, op)
         return end_index > base_index
 
-    def _start(self, flight: _Flight, client, op: Operation) -> None:
-        """Head-sample the op and run its script to its first wait."""
+    def _issue(self, flight: _Flight, client, op: Operation) -> None:
+        """Arm the op's watchdog, head-sample it, run its script to its
+        first wait and resume it from its pendings' completions."""
+        flight.watchdog = self.cluster.sim.scheduler.schedule(
+            self.op_timeout, self._on_watchdog, flight
+        )
         if self.tracer is not None:
             flight.trace = self.tracer.sample_op(
                 op.kind, op.key, getattr(client, "id", 0), flight.issued_at
             )
         flight.script = self._SCRIPTS[op.kind](self, flight, client, op)
         self._resume(flight)
+        if flight.script is not None:
+            self._resume_on_completion(flight)
 
     def _resume(self, flight: _Flight) -> None:
         """Run the script to its next wait, or close the flight out
@@ -349,8 +360,14 @@ class OpEngine:
             flight.script = flight.waiting = flight.expected = None
             self._close(flight, *end.value)
 
-    def _observe(self, flight: _Flight, pending) -> None:
-        """Account one client call its loop has seen complete."""
+    def _resume_on_completion(self, flight: _Flight) -> None:
+        """Resume the script from its pendings' completion callbacks."""
+        for pending in flight.waiting:
+            pending.on_complete(partial(self._completed, flight))
+
+    def _completed(self, flight: _Flight, pending) -> None:
+        """Account one finished client call; resume the script once the
+        last call it waits on is done."""
         if pending in flight.expected:
             if self.observer.read_completed(
                 pending.key,
@@ -364,25 +381,23 @@ class OpEngine:
             # Recorded even after a give-up: the store acknowledged the
             # write, so the lost-update audit must expect it to survive.
             self.observer.write_completed(pending.key, pending.version, pending.succeeded)
-
-    def _resume_on_completion(self, flight: _Flight) -> None:
-        """Resume the script from its pendings' completion callbacks."""
-        for pending in flight.waiting:
-            pending.on_complete(partial(self._completed, flight))
-
-    def _completed(self, flight: _Flight, pending) -> None:
-        self._observe(flight, pending)
         flight.unseen -= 1
         if flight.unseen == 0:
             self._resume(flight)
             if flight.script is not None:
                 self._resume_on_completion(flight)
 
+    def _on_watchdog(self, flight: _Flight) -> None:
+        # Closing a flight cancels its watchdog, so this one is open.
+        self._close(flight, False, None)
+
     def _close(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
         """Close out a top-level operation exactly once."""
         if flight.done:
             return
         flight.done = True
+        flight.watchdog.cancel()
+        flight.watchdog = None
         if flight.trace is not None:
             self.tracer.op_end(flight.trace, ok, self.cluster.sim.now)
         if flight.measured:
@@ -396,10 +411,10 @@ class OpEngine:
 class WorkloadRunner(OpEngine):
     """The closed loop: one client, one operation in flight at a time.
 
-    Each script is resumed at the 0.1 s poll that sees its pendings
-    done, waiting at most ``op_timeout`` per wait. An op that times out
-    is closed as failed and the next one starts; its pendings'
-    completion callbacks then finish the script, so a late ack still
+    The next operation is issued at the instant the previous one
+    closes: when its script returns, or when its watchdog gives up on
+    it at ``op_timeout`` and closes it as failed. A timed-out op's
+    pendings keep their completion callbacks, so a late ack still
     reaches :attr:`ConsistencyObserver.acked_versions`.
     """
 
@@ -415,6 +430,10 @@ class WorkloadRunner(OpEngine):
     ) -> None:
         super().__init__(cluster, workload, seed, op_timeout, acks_required, observer)
         self.client = client if client is not None else cluster.new_client()
+        # Per-run state: the operations not yet issued (None once the
+        # last one has closed), and whether an issue step is running.
+        self._ops = None
+        self._issuing = False
 
     # ------------------------------------------------------------- phases
 
@@ -431,25 +450,37 @@ class WorkloadRunner(OpEngine):
         sim = self.cluster.sim
         start_time = sim.now
         start_msgs = server_message_total(self.cluster)
-        for op in operations:
-            if not self._issuable(op):
-                stats.record_not_issued(op.kind)
-                continue
-            flight = _Flight(op.kind, sim.now)
-            self._start(flight, self.client, op)
-            while flight.script is not None:
-                waiting = flight.waiting
-                if not sim.run_until_condition(
-                    lambda: all(pending.done for pending in waiting),
-                    self.op_timeout,
-                    check_interval=0.1,
-                ):
-                    self._close(flight, False, None)
-                    self._resume_on_completion(flight)
-                    break
-                for pending in waiting:
-                    self._observe(flight, pending)
-                self._resume(flight)
+        self._ops = iter(operations)
+        self._issue_next()
+        # Each op closes within op_timeout, so every poll window makes
+        # progress; the phase ends at the first poll after the last close.
+        while not sim.run_until_condition(
+            lambda: self._ops is None, self.op_timeout, check_interval=0.1
+        ):
+            pass
         stats.duration = sim.now - start_time
         stats.messages_per_node = messages_per_alive_node(self.cluster, start_msgs)
         return stats
+
+    def _issue_next(self) -> None:
+        """Issue operations until one stays in flight or none are left.
+
+        An op that closes inside its own issue step (its client has no
+        contact to send to) is followed here, not from its close-out, so
+        a run of such ops loops instead of nesting one call per op."""
+        self._issuing = True
+        for op in self._ops:
+            if not self._issuable(op):
+                self._stats.record_not_issued(op.kind)
+                continue
+            flight = _Flight(op.kind, self.cluster.sim.now)
+            self._issue(flight, self.client, op)
+            if not flight.done:
+                break
+        else:
+            self._ops = None
+        self._issuing = False
+
+    def _closed(self, flight: _Flight, ok: bool, latency: Optional[float]) -> None:
+        if not self._issuing:
+            self._issue_next()

@@ -135,6 +135,26 @@ def test_every_message_a_run_sends_finds_a_handler(stack, shape):
     check_dead_letters(letters)
 
 
+# Each loop with an op_timeout shorter than the heal phase and cooldown
+# after the last operation, so the collect phase comes after every
+# cancelled watchdog has been popped: a closed flight the event still
+# pointed back at would be found here.
+_OUTLIVED = dict(preset="ycsb-a", record_count=10, operation_count=30, op_timeout=2.0)
+_LOOPS = {
+    "closed": _OUTLIVED,
+    "open": dict(_OUTLIVED, mode="open", clients=3, rate=40.0),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_LOOPS))
+def test_a_run_that_outlives_op_timeout_leaves_no_cyclic_garbage(loop):
+    spec = spec_from_dict(dict(_SMALL, name=f"outlived-{loop}", stack="core",
+                               workload=_LOOPS[loop], **dict(_STACKS)["core"]))
+    assert spec.cooldown > spec.workload.op_timeout
+    garbage, _ = census(spec, 5)
+    assert not garbage, garbage.most_common(5)
+
+
 @dataclass(frozen=True)
 class Stray:
     """A message type no node registers a handler for."""

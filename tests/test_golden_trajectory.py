@@ -85,6 +85,23 @@ window; a 30-node run without crashes ages nothing out, so
 own leaves that pin as it was). ``dht``, ``dht-faults``, ``oracle`` and
 ``paper-figures`` did not move: the last re-homes nothing at either
 commit.
+
+Then every pin but ``paper-figures`` by the change that issues each
+closed-loop operation at the instant the one before it closes, where
+the loop used to resume it at the next 0.1 s poll. Closed-loop phases
+end sooner (``core``: ``sim_time`` 16.2 → 13.0, ``txn_throughput``
+10.0 → 42.9 ops/s), so the cluster gossips through less idle time and
+``messages_per_node`` / ``events_processed`` fall (``core`` 763.3 →
+678.6 / 13,308 → 11,676, ``core-rmw`` 920.3 → 796.8 / 15,852 →
+13,582, ``dht`` 269.4 → 252.3 / 8,189 → 7,651). On ``core-faults``
+and ``core-fault-overlap`` the fault schedule, not the workload, sets
+the run's length, and the operations now end earlier in it; both rise
+(1,100.3 → 1,172.2 / 19,312 → 20,573 and 1,136.4 → 1,184.9 / 19,990 →
+20,756). ``stale_reads`` moves on four (``core-faults`` 1 → 0,
+``core-fault-overlap`` 1 → 0, ``core-ordered`` 1 → 2, ``core-sliver``
+2 → 1). ``open-loop`` moved through its closed-loop load phase.
+``paper-figures`` loads one record, and the poll that ends its load
+phase falls where it did, so it did not move.
 """
 
 from __future__ import annotations
@@ -113,7 +130,7 @@ GOLDEN = {
             stack="core", nodes=30, num_slices=3, warmup=8.0, settle=4.0,
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "d475e55891518ac36ba60c3dee62f34803d647c373b6e1abeea20b8d2e32f2de",
+        "81b442e37a21c38aeecf0ef381da603c549047a30b2f9670c40007836f4775a4",
     ),
     # The other two adaptive Slice Managers, each over the same Cyclon view.
     "core-sliver": (
@@ -122,7 +139,7 @@ GOLDEN = {
             config={"slicing_protocol": "sliver"},
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "2dbe0f0e78245140ad0d8202a916ee853c8ca6947c9e2b914f70513927549613",
+        "82eb531e113ccf0d89e3aa75b59b9ff899d8f1d98248633c0d19366d4056aa2a",
     ),
     "core-ordered": (
         dict(
@@ -130,14 +147,14 @@ GOLDEN = {
             config={"slicing_protocol": "ordered"},
             metrics=list(METRIC_GROUPS), workload=dict(YCSB_A, operation_count=30),
         ),
-        "6da2173f7baea293115bae64f36be89b00e92061f33f093fee765c8931097ec3",
+        "577876071cef8972fc917794fcc8150b74b1692a76768fd27be37fbfdccc7ff3",
     ),
     "dht": (
         dict(
             stack="dht", nodes=40, replication=3, warmup=10.0, settle=3.0,
             workload=dict(YCSB_A, operation_count=30),
         ),
-        "c789d12264b410d61e5a318c9201d74bda9b0a2055e0dc119140e31c6a405075",
+        "604bda08475d5e6e6a41119abb1a257b8e433fe3782adf65359ffe316a54f066",
     ),
     # Crash-recover on the ring: stabilisation, predecessor checks and
     # client retries all run into timeouts that change what happens next.
@@ -148,14 +165,14 @@ GOLDEN = {
             faults=[dict(kind="crash_recover", fraction=0.3, start=1.0, duration=4.0)],
             workload=dict(YCSB_A, operation_count=30),
         ),
-        "738dcc67d929ae77ce74b3571a774db3554fe68f40212269a1bf3c8410846f64",
+        "cfd9e8955eca47540f1bf37829d6a01ef4c68492cd5e1433d29ae0d26256a20a",
     ),
     "oracle": (
         dict(
             stack="oracle", nodes=30, num_slices=3, warmup=2.0, settle=2.0,
             workload=dict(YCSB_A, operation_count=30),
         ),
-        "de833c70ca3163d119d26603c2b8c2ac027028a721fd43f9aa427e975366d2b2",
+        "849d3aa291dbb48f04ed6e0edd590b3b0af1e9add25ae6153eda2cb0fa7e52b3",
     ),
     # Partition, lossy/slow links and crash-recover: the network's
     # fault path, retries, repair and the consistency audit.
@@ -171,7 +188,7 @@ GOLDEN = {
             ],
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "d3c84f6ea98376e00e9e6013270ac757fcd406ec75b1ec7956e087e59351aa83",
+        "7b0b09b29abcb36b0f3882bf00863e561bcb083aed66adef987eccfe57ddf73f",
     ),
     # Windows that overlap: a burst over two degrade layers (three loss
     # layers at once), a symmetric explicit-groups partition under an
@@ -193,7 +210,7 @@ GOLDEN = {
             ],
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "0987d14774d3bfdef249ff6bea70e8518cb742d4061de916442a3de9e4a88942",
+        "cc40d5a12a0b06ea87e5a858275a29038ea10a93a28d419cfe104742259c0d8a",
     ),
     # Spec-level churn: Poisson joins and leaves drawn from the churn
     # stream, then a replayed trace given out of order, with a leave and
@@ -205,7 +222,7 @@ GOLDEN = {
             churn=dict(kind="poisson", join_rate=0.4, leave_rate=0.3, duration=8.0, start=1.0),
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "7dd66fb3a17cd482c99ee13e58d51a1d8ecf93debe179e9a43158822c9efacde",
+        "7bd324681c5caf4ad303fdfb38ff66d25983e27058e93d1b52979a27c8999fd0",
     ),
     "core-churn-trace": (
         dict(
@@ -217,7 +234,7 @@ GOLDEN = {
             ]),
             workload=dict(YCSB_A, operation_count=40),
         ),
-        "63c4f93a2591e6796abc324d1e5a08392eef7ebbecfe9df432f124f139083db9",
+        "26303b7d7766856b7d01f223846a8ef3878d71dca5378f0058a7c61a67541e7c",
     ),
     "open-loop": (
         dict(
@@ -226,7 +243,7 @@ GOLDEN = {
             workload=dict(YCSB_A, operation_count=60, mode="open", clients=3, rate=60.0,
                           max_in_flight=2, warmup=0.5, window=0.5),
         ),
-        "6a2d8d88f28840fc2c37fc01d8cae4f6bbed485df13e12e06a4fc42dc54e047b",
+        "be29a56f5fc735222f79bb1f3bef4186ed2cf390cd9f658382db30aa6c54a124",
     ),
     "core-rmw": (
         dict(
@@ -234,7 +251,7 @@ GOLDEN = {
             metrics=list(METRIC_GROUPS),
             workload=dict(preset="ycsb-f", record_count=12, operation_count=30),
         ),
-        "e10678761b523b5403dc34027ccdb08d8617f9221169ab3107dff76c4109dcb0",
+        "92b85b8738a4c72e5ad32566154dbb439d2ed95cf8e0057e9ba8137a6a30f475",
     ),
     "paper-figures": (
         dict(

@@ -22,7 +22,6 @@ from repro.lint import (
     CATALOG,
     FAMILIES,
     LintConfig,
-    apply_baseline,
     baseline_from_violations,
     format_json,
     format_text,

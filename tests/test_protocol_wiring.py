@@ -31,8 +31,11 @@ from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import spec_from_dict
 from repro.sim.network import Tap
 
+# Long enough for anti-entropy to find a slice-mate missing an object
+# and push it (``SyncItems``): a clean run needs about 400 closed-loop
+# operations, 10 simulated seconds of them, before that happens.
 _SMALL = dict(warmup=8.0, settle=3.0, cooldown=3.0,
-              workload=dict(preset="ycsb-a", record_count=10, operation_count=30))
+              workload=dict(preset="ycsb-a", record_count=10, operation_count=400))
 _CORE = dict(stack="core", nodes=30, num_slices=3)
 RUNS = {
     "dslead": _CORE,

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.workload.openloop import OpenLoopRunner
 from repro.workload.runner import RunStats, WorkloadRunner
 from repro.workload.ycsb import (
     INSERT,
+    RMW,
     SCAN,
     CoreWorkload,
     Operation,
@@ -118,11 +120,27 @@ class TestTransactionPhase:
         assert stats.messages_per_node == pytest.approx((after - before) / alive)
 
 
+class _Logged(WorkloadRunner):
+    """Logs the instant each operation is issued and closed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued_at, self.closed_at = [], []
+
+    def _issue(self, flight, client, op):
+        self.issued_at.append(self.cluster.sim.now)
+        super()._issue(flight, client, op)
+
+    def _closed(self, flight, ok, latency):
+        self.closed_at.append(self.cluster.sim.now)
+        super()._closed(flight, ok, latency)
+
+
 def run_ops(cluster, workload, *ops, **runner_args):
     """Drive exactly ``ops`` through the runner's public transaction path."""
     scripted = replace(workload)
     scripted.operations = lambda count, rng: iter(ops)
-    runner = WorkloadRunner(cluster, scripted, **runner_args)
+    runner = _Logged(cluster, scripted, **runner_args)
     return runner, runner.run_transactions(len(ops))
 
 
@@ -158,7 +176,7 @@ class TestScanEdgeCases:
         assert stats.latencies[SCAN][0] > 0
 
     def test_scan_gets_go_out_together(self, loaded_cluster):
-        """A 3-key scan waits for one poll, not one poll per get."""
+        """A 3-key scan sends its gets together: one round trip, not one per get."""
         cluster, workload, _ = loaded_cluster
         scan = Operation(SCAN, workload.key_for(0), scan_length=3)
         _, stats = run_ops(cluster, workload, scan, seed=11)
@@ -175,16 +193,62 @@ class TestScanEdgeCases:
         assert stats.issued + stats.not_issued == 15
 
 
+class TestIssueOnClose:
+    """The closed loop issues each operation at the instant the one
+    before it closes, not at a poll."""
+
+    def test_next_op_is_issued_the_instant_the_last_closes(self, loaded_cluster):
+        cluster, _, _ = loaded_cluster
+        runner = _Logged(cluster, WORKLOAD_A.scaled(20), seed=13)
+        stats = runner.run_transactions(20)
+        assert stats.issued == 20
+        assert runner.issued_at[1:] == runner.closed_at[:-1]
+        assert all(issued < closed for issued, closed in zip(runner.issued_at, runner.closed_at))
+        # The phase ends at the first 0.1 s poll after the last close.
+        assert 0 <= cluster.sim.now - runner.closed_at[-1] <= 0.1 + 1e-9
+
+    def test_ops_that_fail_as_issued_loop_without_nesting(self, loaded_cluster):
+        """A client with no contact fails each op inside its issue step;
+        thousands in a row must neither recurse nor advance time."""
+        cluster, workload, _ = loaded_cluster
+        client = cluster.new_client()
+        client.load_balancer.pick = lambda key, num_slices: None
+        start = cluster.sim.now
+        runner = WorkloadRunner(cluster, workload, client=client, seed=16)
+        stats = runner.run_transactions(3_000)
+        assert stats.failed == stats.issued == 3_000
+        assert cluster.sim.now == start
+
+    def test_rmw_latency_matches_the_open_loop(self, loaded_cluster):
+        """A read-modify-write measures its two round trips in both
+        loops (it used to measure two 0.1 s polls in the closed one)."""
+        cluster, _, _ = loaded_cluster
+        workload = WORKLOAD_F.scaled(20)
+        closed = WorkloadRunner(cluster, workload, seed=14)
+        closed.observer.seed_versions({workload.key_for(i): 1 for i in range(20)})
+        closed_p50 = closed.run_transactions(40).latency_summary(RMW)["p50"]
+        open_loop = OpenLoopRunner(
+            cluster, workload, clients=1, rate=5.0, seed=15, observer=closed.observer
+        )
+        open_p50 = open_loop.run_transactions(40).latency_summary(RMW)["p50"]
+        assert 0 < open_p50 < 0.1
+        assert abs(closed_p50 - open_p50) <= 0.25 * open_p50
+
+
 class TestTimeout:
     def test_late_ack_reaches_the_audit(self, loaded_cluster):
-        """An op given up on at ``op_timeout`` fails, but the ack that
-        lands later still counts as acknowledged."""
+        """An op given up on at ``op_timeout`` closes as failed at that
+        instant, the next op is issued then, and the ack that lands
+        later still counts as acknowledged."""
         cluster, workload, _ = loaded_cluster
-        key = workload.key_for(workload.record_count + 50)
+        keys = [workload.key_for(workload.record_count + 50 + i) for i in range(2)]
         runner, stats = run_ops(
-            cluster, workload, Operation(INSERT, key, b"v"), seed=12, op_timeout=0.001
+            cluster, workload, *(Operation(INSERT, key, b"v") for key in keys),
+            seed=12, op_timeout=0.001,
         )
-        assert stats.failed == 1
-        assert key not in runner.observer.acked_versions
+        assert stats.failed == 2
+        assert runner.closed_at == [issued + 0.001 for issued in runner.issued_at]
+        assert runner.issued_at[1] == runner.closed_at[0]
+        assert not set(keys) & set(runner.observer.acked_versions)
         cluster.sim.run_for(5)
-        assert runner.observer.acked_versions[key] == 1
+        assert all(runner.observer.acked_versions[key] == 1 for key in keys)
