@@ -18,7 +18,6 @@ Run:  python examples/adaptive_replication.py
 from collections import Counter
 
 from repro import DataFlasksCluster, DataFlasksConfig
-from repro.gossip.aggregation import SystemSizeEstimator
 
 
 def describe(cluster, label):

@@ -17,9 +17,6 @@ Usage (after ``pip install -e .``)::
     python -m repro hunt run --seed 7 --budget 8 --shrink --export specs/regressions
     python -m repro hunt shrink --seed 7 --candidate 0
     python -m repro hunt replay specs/regressions    # exit 1 if bounds break
-    python -m repro lint src                         # determinism hazard scan
-    python -m repro lint src --format json           # machine-readable report
-    python -m repro lint src --select I2,D1          # scope to chosen families
     python -m repro scenarios run baseline --sanitize  # runtime tripwires armed
     python -m repro scenarios run baseline --isolation-check  # payload checker
 
@@ -277,55 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary",
         action="store_true",
         help="print each replayed score as canonical JSON",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="static determinism & isolation hazard scan (AST pass)",
-        description="Walk the source tree and flag determinism hazards — "
-        "ambient randomness (D1xx), wall-clock reads (D2xx), hash/"
-        "filesystem order dependence (D3xx) — and isolation hazards: "
-        "cross-node reach-through (I1xx), payload aliasing (I2xx), "
-        "mutation-after-forward (I3xx), callback capture (I4xx). "
-        "The only exemptions are the audited [[baseline]] budgets in the "
-        "committed .repro-lint.toml policy. Exits non-zero on any "
-        "un-baselined violation.",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to scan (default: src)",
-    )
-    lint.add_argument(
-        "--config",
-        metavar="FILE",
-        help="policy file (default: ./.repro-lint.toml if present, else "
-        "built-in defaults with an empty baseline)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (json is canonical: sorted keys, stable "
-        "ordering — byte-identical across runs of the same tree)",
-    )
-    lint.add_argument(
-        "--select",
-        metavar="RULES",
-        help="comma-separated rule ids/families to scope the run to "
-        "(e.g. I2,D1); unknown selectors exit 2",
-    )
-    lint.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list the findings the baseline absorbed",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write a policy file absorbing every current violation "
-        "(each entry gets a TODO justification to fill in), then exit 0",
     )
 
     return parser
@@ -820,44 +768,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        LintConfig,
-        baseline_from_violations,
-        format_json,
-        format_text,
-        lint_paths,
-        render_policy_toml,
-    )
-
-    config = LintConfig.load(args.config)
-    select = (
-        [s.strip() for s in args.select.split(",") if s.strip()]
-        if args.select
-        else None
-    )
-    if args.write_baseline:
-        # Regenerate against an empty baseline so existing budget entries
-        # don't absorb the violations we are trying to record.
-        result = lint_paths(args.paths, replace(config, baseline=[]), select=select)
-        baseline = baseline_from_violations(result.violations)
-        with open(args.write_baseline, "w", encoding="utf-8") as f:
-            f.write(render_policy_toml(baseline))
-        print(
-            f"wrote {args.write_baseline}: {len(baseline)} baseline "
-            f"entr{'y' if len(baseline) == 1 else 'ies'} absorbing "
-            f"{len(result.violations)} violation(s) — fill in each "
-            "justification before committing"
-        )
-        return 0
-    result = lint_paths(args.paths, config, select=select)
-    if args.format == "json":
-        print(format_json(result))
-    else:
-        print(format_text(result, verbose=args.verbose))
-    return result.exit_code
-
-
 _COMMANDS = {
     "demo": _cmd_demo,
     "fig3": _cmd_figure,
@@ -867,7 +777,6 @@ _COMMANDS = {
     "scenarios": _cmd_scenarios,
     "report": _cmd_report,
     "hunt": _cmd_hunt,
-    "lint": _cmd_lint,
 }
 
 
@@ -879,8 +788,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}")
         return 2
     except DeterminismError as exc:
-        # A sanitized run tripped a runtime guard: report the offender
-        # the same way `repro lint` reports its static counterpart.
+        # A sanitized run tripped a runtime guard: report the offender.
         print(f"determinism violation: {exc}")
         return 3
     except IsolationError as exc:

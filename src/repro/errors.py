@@ -55,8 +55,7 @@ class DeterminismError(SimulationError):
 
     Raised by the runtime tripwires
     (:func:`repro.lint.sanitizer.determinism_guard`) when a sanitized
-    run calls a module-level :mod:`random` function or ``time.time`` —
-    the dynamic counterpart of the ``repro lint`` D1xx/D2xx rules.
+    run calls a module-level :mod:`random` function or ``time.time``.
     """
 
 
@@ -68,7 +67,7 @@ class IsolationError(SimulationError):
     structural digest at delivery differs from its digest at
     ``Network.send`` — some code kept a reference to the object after
     sending it and mutated it, violating the shared-nothing ownership
-    contract (the dynamic counterpart of the ``repro lint`` I-rules).
+    contract.
     The message names sender, receiver, message type and simulated time.
     """
 
@@ -77,8 +76,7 @@ class IsolationError(SimulationError):
             f"message {kind} from node {src} to node {dst} was mutated in "
             f"flight (sent at t={sent_at:.6f}, detected at t={now:.6f})"
             " — payloads are owned by the network once sent; build a "
-            "fresh message instead of retaining and mutating the object "
-            "(repro lint rules I2xx/I3xx)"
+            "fresh message instead of retaining and mutating the object"
         )
         self.src = src
         self.dst = dst

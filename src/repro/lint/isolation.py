@@ -1,8 +1,7 @@
 """The runtime half of the isolation contract.
 
-The static I-rules prove no *source line* retains-and-mutates a sent
-payload or reaches through a node boundary; :class:`IsolationTap`
-proves no *code path* does at run time. Attached to a network
+:class:`IsolationTap` proves that no code path retains and mutates a
+payload it has sent. Attached to a network
 (:meth:`Network.add_tap <repro.sim.network.Network.add_tap>`), it
 fingerprints every payload put on the wire with a deterministic
 structural digest and re-verifies the digest the moment the message

@@ -1,12 +1,10 @@
 """The runtime half of the determinism contract.
 
-The static rules (D1xx/D2xx) prove no *source line* reaches for ambient
-randomness or the wall clock; :func:`determinism_guard` proves no *code
-path* does at run time, including paths the linter cannot see (C
-extensions excepted, dynamic dispatch included). While the guard is
-active, every module-level :mod:`random` function and ``time.time`` /
-``time.time_ns`` raises :class:`~repro.errors.DeterminismError` naming
-the offender and the D-rule it corresponds to.
+:func:`determinism_guard` proves that no code path a run takes reaches
+for ambient randomness or the wall clock (C extensions excepted). While
+the guard is active, every module-level :mod:`random` function and
+``time.time`` / ``time.time_ns`` raises
+:class:`~repro.errors.DeterminismError` naming the offender.
 
 What is deliberately *not* patched:
 
@@ -15,14 +13,20 @@ What is deliberately *not* patched:
   never touch the module-level functions. That asymmetry is the whole
   point: sanctioned randomness keeps working, ambient randomness trips.
 * ``time.perf_counter`` and friends — the opt-in hotspot profiler and
-  the flight recorder's wall-phase timing are legitimate, baselined
-  wall-clock users that may run *under* the guard precisely because
+  the flight recorder's wall-phase timing are legitimate wall-clock
+  users that may run *under* the guard precisely because
   their readings are provenance, never sim state.
 
+What it cannot see is a name bound before it was armed (``from random
+import choice``, ``from time import time``) and every timer it leaves
+callable. Those change a run's numbers without raising, which the CI
+census catches by comparing each bundled spec's summary with and without
+the guard, under two hash seeds.
+
 The guard is re-entrant (nested activations patch once, restore once)
-and exception-safe. ``scenarios run --sanitize`` and the determinism CI
-matrix run entire scenarios under it; byte-identical summaries with and
-without the guard prove it is trajectory-neutral.
+and exception-safe. ``scenarios run --sanitize``, the census and the
+determinism CI matrix run entire scenarios under it; byte-identical
+summaries with and without the guard prove it is trajectory-neutral.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.errors import DeterminismError
 __all__ = ["determinism_guard"]
 
 # Module-level random functions that consult the hidden shared instance
-# (or reseed it). Matches the linter's D101 list.
+# (or reseed it).
 _RANDOM_FUNCS = (
     "betavariate", "choice", "choices", "expovariate", "gammavariate",
     "gauss", "getrandbits", "getstate", "lognormvariate", "normalvariate",
@@ -46,7 +50,7 @@ _RANDOM_FUNCS = (
     "vonmisesvariate", "weibullvariate",
 )
 
-# Wall-clock reads (D201). Timer functions (perf_counter, monotonic …)
+# Wall-clock reads. Timer functions (perf_counter, monotonic …)
 # stay callable — see the module docstring.
 _TIME_FUNCS = ("time", "time_ns")
 
@@ -59,8 +63,7 @@ def _random_tripwire(name: str):
     def tripwire(*args, **kwargs):
         raise DeterminismError(
             f"ambient random.{name}() called inside a sanitized scenario run "
-            "— draw from the simulation's RngRegistry stream instead "
-            "(repro lint rule D101)"
+            "— draw from the simulation's RngRegistry stream instead"
         )
 
     tripwire.__name__ = name
@@ -72,7 +75,7 @@ def _time_tripwire(name: str):
     def tripwire(*args, **kwargs):
         raise DeterminismError(
             f"time.{name}() called inside a sanitized scenario run — "
-            "simulated time is sim.now / node.now (repro lint rule D201)"
+            "simulated time is sim.now / node.now"
         )
 
     tripwire.__name__ = name

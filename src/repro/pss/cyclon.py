@@ -18,8 +18,8 @@ in views, which is what gives Cyclon its churn resilience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.pss.base import PeerSamplingService

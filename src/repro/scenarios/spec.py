@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from math import inf
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.churn.spec import ChurnSpec
 from repro.errors import ConfigurationError

@@ -335,8 +335,7 @@ class Network:
         Ownership contract: once ``send`` accepts a message, the payload
         belongs to the network until delivery — the sender must not
         mutate it (messages are frozen dataclasses by convention, and
-        payload fields should be snapshotted tuples). The ``repro lint``
-        I-rules check this statically and
+        payload fields should be snapshotted tuples).
         :class:`repro.lint.isolation.IsolationTap`
         (``scenarios run --isolation-check``) enforces it at run time by
         digesting the payload here and re-verifying it at delivery.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.pss.base import PeerSamplingService
-from repro.sim.node import Node
 from repro.slicing.base import SlicingService
 
 __all__ = ["OrderedSlicing", "SwapProposal", "SwapReply"]

@@ -1,10 +1,8 @@
 """Deterministic TOML writing for plain mappings.
 
 :mod:`tomllib` only reads, so the artifacts this package writes — the
-hunter's regression specs and the lint policy file — go through
-:func:`dumps_toml`. It imports nothing beyond :mod:`repro.errors`, so a
-caller such as ``repro lint`` can write TOML without pulling in the
-scenario stack.
+hunter's regression specs — go through :func:`dumps_toml`. It imports
+nothing beyond :mod:`repro.errors`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ preserves its load shape (one op touching several records).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError

@@ -13,8 +13,10 @@ into ``msg.unhandled.<Type>`` (``Node.deliver``), so a type that no node
 registers, a registration lost from ``start()`` or a handler
 unregistered too early shows up by name. Every such counter must read 0.
 
-:func:`census` runs a spec once and returns both readings; CI runs it
-over every bundled spec except ``scale-*``.
+:func:`census` runs a spec once and returns both readings with the
+run's summary. CI runs it over every bundled spec except ``scale-*``
+twice, under two hash seeds and the second time with every run-time
+check on, and compares the two summaries of each spec.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Dict, Iterator, Optional, Tuple
 import pytest
 
 from repro.obs.recorder import FlightRecorder
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import RunOptions, run_scenario
 from repro.scenarios.spec import ScenarioSpec, spec_from_dict
 from repro.sim.metrics import MetricsRegistry
 
@@ -93,15 +95,18 @@ class _Census(FlightRecorder):
 
 
 def census(
-    spec: ScenarioSpec, seed: Optional[int] = None, recorder: Optional[_Census] = None
-) -> Tuple[Counter, Dict[str, int]]:
+    spec: ScenarioSpec,
+    seed: Optional[int] = None,
+    recorder: Optional[_Census] = None,
+    options: RunOptions = RunOptions(),
+) -> Tuple[Counter, Dict[str, int], str]:
     """Run ``spec`` with the cyclic collector off; the type names of the
     unreachable objects left between the run's start and its collect
-    phase, and the run's :func:`dead_letters`."""
+    phase, the run's :func:`dead_letters` and its ``summary_json()``."""
     recorder = recorder if recorder is not None else _Census()
     with collector_off():
-        run_scenario(spec, seed, recorder=recorder)
-    return recorder.garbage, recorder.dead_letters
+        result = run_scenario(spec, seed, recorder=recorder, options=options)
+    return recorder.garbage, recorder.dead_letters, result.summary_json()
 
 
 _SMALL = dict(warmup=8.0, settle=3.0, cooldown=3.0,
@@ -116,7 +121,7 @@ _STACKS = [
 
 
 @lru_cache(maxsize=None)
-def _small_census(stack: str) -> Tuple[Counter, Dict[str, int]]:
+def _small_census(stack: str) -> Tuple[Counter, Dict[str, int], str]:
     """One small faulted, churned run per stack, shared by the tests."""
     spec = spec_from_dict(dict(_SMALL, name=f"acyclic-{stack}", stack=stack,
                                faults=[_FAULT], churn=_CHURN, **dict(_STACKS)[stack]))
@@ -125,13 +130,13 @@ def _small_census(stack: str) -> Tuple[Counter, Dict[str, int]]:
 
 @pytest.mark.parametrize("stack, shape", _STACKS)
 def test_a_run_leaves_no_cyclic_garbage(stack, shape):
-    garbage, _ = _small_census(stack)
+    garbage, _, _ = _small_census(stack)
     assert not garbage, garbage.most_common(5)
 
 
 @pytest.mark.parametrize("stack, shape", _STACKS)
 def test_every_message_a_run_sends_finds_a_handler(stack, shape):
-    _, letters = _small_census(stack)
+    _, letters, _ = _small_census(stack)
     check_dead_letters(letters)
 
 
@@ -151,7 +156,7 @@ def test_a_run_that_outlives_op_timeout_leaves_no_cyclic_garbage(loop):
     spec = spec_from_dict(dict(_SMALL, name=f"outlived-{loop}", stack="core",
                                workload=_LOOPS[loop], **dict(_STACKS)["core"]))
     assert spec.cooldown > spec.workload.op_timeout
-    garbage, _ = census(spec, 5)
+    garbage, _, _ = census(spec, 5)
     assert not garbage, garbage.most_common(5)
 
 
@@ -176,7 +181,7 @@ class _Sender(_Census):
 @pytest.mark.parametrize("stack, shape", _STACKS)
 def test_the_gate_names_a_type_no_node_registers(stack, shape):
     spec = spec_from_dict(dict(_SMALL, name=f"stray-{stack}", stack=stack, **shape))
-    _, letters = census(spec, 5, recorder=_Sender())
+    _, letters, _ = census(spec, 5, recorder=_Sender())
     assert letters == {"Stray": 1}
     with pytest.raises(AssertionError, match=r"Stray x1"):
         check_dead_letters(letters)

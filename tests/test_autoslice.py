@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.autoslice import ReplicationManager, quantize_slices
+from repro.core.autoslice import ReplicationManager
 from repro.core.cluster import DataFlasksCluster
 from repro.core.config import DataFlasksConfig
 from repro.errors import ConfigurationError

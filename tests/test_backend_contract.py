@@ -19,7 +19,6 @@ from repro.backends import (
     StoreBackend,
     get_backend,
     list_backends,
-    register_backend,
 )
 from repro.core.client import FAILED
 from repro.core.cluster import DataFlasksCluster

@@ -5,10 +5,9 @@ import pytest
 
 from repro.churn import ChurnSpec
 from repro.core.client import FAILED, SUCCEEDED
-from repro.core.cluster import DataFlasksCluster
 from repro.errors import ConfigurationError
 
-from tests.conftest import build_cluster, small_config
+from tests.conftest import build_cluster
 
 
 class TestBasicOperations:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pss.bootstrap import bootstrap_random_views
 from repro.pss.cyclon import CyclonService
 from repro.pss.diagnostics import overlay_graph, is_connected
 from repro.sim.node import Node

@@ -115,7 +115,7 @@ def test_replication_reaches_factor(ring):
 
 
 def test_data_lands_at_ring_owner(ring):
-    from repro.dht.ring import in_interval, key_position
+    from repro.dht.ring import key_position
 
     client = ring.new_client()
     ring.put_sync(client, "dht:owner", b"x", 1)

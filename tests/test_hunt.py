@@ -4,7 +4,6 @@ round-trips, the end-to-end hunt -> shrink -> export -> replay pipeline
 on a known-violating search seed, and CLI replay determinism.
 """
 
-import os
 import tomllib
 
 import pytest

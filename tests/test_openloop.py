@@ -18,7 +18,6 @@ from repro.scenarios.spec import WorkloadSpec, spec_from_dict
 from repro.workload.openloop import OpenLoopRunner
 from repro.workload.runner import ConsistencyObserver, WorkloadRunner
 from repro.workload.ycsb import (
-    CoreWorkload,
     WORKLOAD_A,
     WORKLOAD_E,
     WORKLOAD_F,

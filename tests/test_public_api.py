@@ -76,6 +76,75 @@ class TestExportHygiene:
         assert export_problems(module) == []
 
 
+def unused_imports(source):
+    """``(line, name)`` for every name ``source`` imports and never uses.
+    A use is a name in the code, in a quoted annotation or in
+    ``__all__``."""
+    import ast
+
+    tree = ast.parse(source)
+    imported, used, annotations = {}, set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(element.value for element in node.value.elts)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(name.id for name in ast.walk(quoted) if isinstance(name, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_what_it_never_uses():
+    # A package's __init__ imports to re-export, so it is not checked.
+    import os
+
+    unused = []
+    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
+        for name in sorted(files):
+            if name.endswith(".py") and name != "__init__.py":
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as source:
+                    unused += [
+                        f"{path}:{line}: {imported}"
+                        for line, imported in unused_imports(source.read())
+                    ]
+    assert unused == []
+
+
+class TestUnusedImports:
+    def test_an_import_nothing_reads(self):
+        assert unused_imports("import os\nfrom typing import List\n") == [(1, "os"), (2, "List")]
+
+    def test_uses_in_code_annotations_and_all_count(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import TYPE_CHECKING, List\n"
+            "from x import Exported\n"
+            "if TYPE_CHECKING:\n"
+            "    from y import Node\n"
+            "__all__ = ['Exported']\n"
+            "def f(node: 'Node') -> List[int]:\n"
+            "    return os.path.sep\n"
+        )
+        assert unused_imports(source) == []
+
+
 def _source_lines_matching(pattern):
     """``path:line: text`` for every line under src/repro matching."""
     import os

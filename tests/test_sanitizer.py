@@ -51,7 +51,7 @@ class TestGuard:
 
     def test_ambient_random_trips(self):
         with determinism_guard():
-            with pytest.raises(DeterminismError, match="D101"):
+            with pytest.raises(DeterminismError, match=r"ambient random\.random\(\)"):
                 random.random()
             with pytest.raises(DeterminismError, match="random.randint"):
                 random.randint(0, 9)
@@ -60,7 +60,7 @@ class TestGuard:
 
     def test_wall_clock_trips(self):
         with determinism_guard():
-            with pytest.raises(DeterminismError, match="D201"):
+            with pytest.raises(DeterminismError, match=r"time\.time\(\)"):
                 time.time()
             with pytest.raises(DeterminismError, match="time_ns"):
                 time.time_ns()
@@ -74,7 +74,7 @@ class TestGuard:
 
     def test_perf_counter_stays_callable(self):
         # The profiler/recorder contract: timers are provenance and must
-        # work under the guard (their sites live in the lint baseline).
+        # work under the guard.
         with determinism_guard():
             assert time.perf_counter() > 0.0
             assert time.monotonic() > 0.0
@@ -133,8 +133,8 @@ class TestHashSeedNeutrality:
 
     The in-process determinism tests can never catch a hash-order leak —
     str hashes are salted per *process*. Running the scenario in two
-    subprocesses with different salts is the regression test for the
-    whole D3xx rule family.
+    subprocesses with different salts catches one on the baseline path;
+    CI's census does the same for every bundled spec.
     """
 
     @staticmethod

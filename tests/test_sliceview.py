@@ -1,8 +1,6 @@
 """Tests for the intra-slice membership view."""
 
-from repro.core.config import DataFlasksConfig
 from repro.core.node import DataFlasksNode
-from repro.core.sliceview import SliceViewService
 from repro.pss.bootstrap import bootstrap_random_views
 from repro.pss.view import NodeDescriptor
 from repro.sim.node import SimContext

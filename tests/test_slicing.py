@@ -1,5 +1,7 @@
 """Tests for the four slicing protocols and their shared contract."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,13 @@ def build_sliced(cls, n=80, k=4, rounds=60.0, seed=3, **kwargs):
     sim.start_all()
     sim.run_for(rounds)
     return sim, nodes
+
+
+@lru_cache(maxsize=None)
+def converged(cls, rounds=60.0):
+    """The default population after ``rounds``, shared by the tests that
+    only read it."""
+    return build_sliced(cls, rounds=rounds)[1]
 
 
 class TestContract:
@@ -121,20 +130,17 @@ class TestStaticSlicing:
 @pytest.mark.parametrize("name,cls", ADAPTIVE_PROTOCOLS)
 class TestAdaptiveProtocols:
     def test_everyone_gets_assigned(self, name, cls):
-        _, nodes = build_sliced(cls)
-        assert unassigned_fraction(nodes) == 0.0
+        assert unassigned_fraction(converged(cls)) == 0.0
 
     def test_assignments_in_range(self, name, cls):
-        _, nodes = build_sliced(cls, k=4)
-        for node in nodes:
+        for node in converged(cls):
             assert 0 <= node.get_service(SlicingService).my_slice() < 4
 
     def test_converges_towards_ideal_partition(self, name, cls):
-        _, nodes = build_sliced(cls, rounds=80)
-        assert assignment_accuracy(nodes) > 0.55
+        assert assignment_accuracy(converged(cls, 80)) > 0.55
 
     def test_every_slice_populated(self, name, cls):
-        _, nodes = build_sliced(cls, rounds=80)
+        nodes = converged(cls, 80)
         hist = slice_histogram(nodes)
         assert all(hist.get(i, 0) > 0 for i in range(4))
 

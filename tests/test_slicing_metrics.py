@@ -11,7 +11,6 @@ from repro.slicing import (
     slice_imbalance,
     unassigned_fraction,
 )
-from repro.slicing.base import SlicingService
 
 
 def make_pinned(assignments, k=4, attributes=None):
