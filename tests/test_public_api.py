@@ -76,6 +76,16 @@ class TestExportHygiene:
         assert export_problems(module) == []
 
 
+def _source_files():
+    """Every ``.py`` file under src/repro, in a stable order."""
+    import os
+
+    for root, _, files in sorted(os.walk(os.path.dirname(repro.__file__))):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(root, name)
+
+
 def unused_imports(source):
     """``(line, name)`` for every name ``source`` imports and never uses.
     A use is a name in the code, in a quoted annotation or in
@@ -111,18 +121,14 @@ def unused_imports(source):
 
 def test_no_module_imports_what_it_never_uses():
     # A package's __init__ imports to re-export, so it is not checked.
-    import os
-
     unused = []
-    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
-        for name in sorted(files):
-            if name.endswith(".py") and name != "__init__.py":
-                path = os.path.join(root, name)
-                with open(path, encoding="utf-8") as source:
-                    unused += [
-                        f"{path}:{line}: {imported}"
-                        for line, imported in unused_imports(source.read())
-                    ]
+    for path in _source_files():
+        if not path.endswith("__init__.py"):
+            with open(path, encoding="utf-8") as source:
+                unused += [
+                    f"{path}:{line}: {imported}"
+                    for line, imported in unused_imports(source.read())
+                ]
     assert unused == []
 
 
@@ -147,19 +153,14 @@ class TestUnusedImports:
 
 def _source_lines_matching(pattern):
     """``path:line: text`` for every line under src/repro matching."""
-    import os
-
     hits = []
-    for root, _, files in os.walk(os.path.dirname(repro.__file__)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(root, name)
-                with open(path, encoding="utf-8") as source:
-                    hits += [
-                        f"{path}:{number}: {line.strip()}"
-                        for number, line in enumerate(source, 1)
-                        if pattern.search(line)
-                    ]
+    for path in _source_files():
+        with open(path, encoding="utf-8") as source:
+            hits += [
+                f"{path}:{number}: {line.strip()}"
+                for number, line in enumerate(source, 1)
+                if pattern.search(line)
+            ]
     return hits
 
 
