@@ -7,6 +7,7 @@ run is byte-identical to a plain one."""
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import pickle
 from dataclasses import dataclass
@@ -96,6 +97,35 @@ class TestPayloadDigest:
         assert payload_digest(deep) == payload_digest(same)
 
 
+class Plain:
+    """A payload that is neither a dataclass nor a container."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+# Pairs of payloads one in-flight mutation can turn into each other; the
+# tap sees the mutation only if the two digest apart.
+SWAPS = {
+    "int to bool": (1, True),
+    "zero to False": (0, False),
+    "int to float": (1, 1.0),
+    "str to bytes": ("a", b"a"),
+    "None to str": (None, "None"),
+    "values swapped between keys": ({"a": 1, "b": 2}, {"a": 2, "b": 1}),
+    "element moved a level down": ([1, [2]], [[1], 2]),
+    "dict to its items": ({"a": 1}, [("a", 1)]),
+    "set to list": ({1}, [1]),
+    "dataclass field": (Record("k", [1]), Record("j", [1])),
+    "object attribute": (Plain(1), Plain(2)),
+}
+
+
+@pytest.mark.parametrize("before, after", SWAPS.values(), ids=list(SWAPS))
+def test_a_swap_changes_the_digest(before, after):
+    assert payload_digest(before) != payload_digest(after)
+
+
 # ---------------------------------------------------------- guard fixtures
 
 
@@ -159,6 +189,36 @@ class Sink(Node):
     pass
 
 
+# Each kind of mutable payload a sender could keep and change in flight:
+# a fresh payload, and one mutation of it.
+MUTABLE = {
+    "list": (lambda: [1, 2], lambda p: p.append(3)),
+    "dict": (lambda: {"k": 1}, lambda p: p.update(k=2)),
+    "set": (lambda: {1, 2}, lambda p: p.add(3)),
+    "bytearray": (lambda: bytearray(b"ab"), lambda p: p.extend(b"c")),
+    "list in a tuple": (lambda: ([1],), lambda p: p[0].append(2)),
+    "dataclass": (lambda: Record("k", [1]), lambda p: setattr(p, "key", "j")),
+    "plain object": (lambda: Plain(1), lambda p: setattr(p, "value", 2)),
+}
+
+
+def kind_sender(kind: str, snapshot: bool):
+    """A sender class that sends one ``kind`` payload and mutates its own
+    reference in flight; with ``snapshot`` it sends a deep copy instead."""
+    make, mutate = MUTABLE[kind]
+
+    class KindSender(Node):
+        def on_start(self) -> None:
+            self.after(0.1, self._fire)
+
+        def _fire(self) -> None:
+            payload = make()
+            self.send(1, copy.deepcopy(payload) if snapshot else payload)
+            self.after(0.005, mutate, payload)
+
+    return KindSender
+
+
 def _sim(sender, sinks: int, checked: bool = True) -> Simulation:
     sim = Simulation(seed=7)
     if checked:
@@ -208,6 +268,16 @@ class TestIsolationTap:
         with pytest.raises(IsolationError) as excinfo:
             sim.run_for(1.0)
         assert (excinfo.value.src, excinfo.value.dst) == (0, 1)
+
+    @pytest.mark.parametrize("kind", MUTABLE)
+    def test_mutation_in_flight_of_each_payload_kind_raises(self, kind):
+        sim = _sim(kind_sender(kind, snapshot=False), 1)
+        with pytest.raises(IsolationError):
+            sim.run_for(1.0)
+
+    @pytest.mark.parametrize("kind", MUTABLE)
+    def test_a_snapshot_sent_of_each_payload_kind_passes(self, kind):
+        _sim(kind_sender(kind, snapshot=True), 1).run_for(1.0)
 
     def test_send_to_dead_node_is_still_checked(self):
         sim = _sim(Mutator, 1)

@@ -1,5 +1,7 @@
 """Tests for the package's public surface."""
 
+import pytest
+
 import repro
 
 
@@ -76,11 +78,12 @@ class TestExportHygiene:
         assert export_problems(module) == []
 
 
-def _source_files():
-    """Every ``.py`` file under src/repro, in a stable order."""
+def _source_files(top=None):
+    """Every ``.py`` file under ``top`` (src/repro by default), in a
+    stable order."""
     import os
 
-    for root, _, files in sorted(os.walk(os.path.dirname(repro.__file__))):
+    for root, _, files in sorted(os.walk(top or os.path.dirname(repro.__file__))):
         for name in sorted(files):
             if name.endswith(".py"):
                 yield os.path.join(root, name)
@@ -119,10 +122,14 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_no_module_imports_what_it_never_uses():
+@pytest.mark.parametrize("tree", ["src/repro", "tests", "examples", "benchmarks"])
+def test_no_module_imports_what_it_never_uses(tree):
     # A package's __init__ imports to re-export, so it is not checked.
+    import os
+
+    top = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), tree)
     unused = []
-    for path in _source_files():
+    for path in _source_files(top):
         if not path.endswith("__init__.py"):
             with open(path, encoding="utf-8") as source:
                 unused += [

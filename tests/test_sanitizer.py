@@ -27,6 +27,16 @@ def restored() -> bool:
     """Whether ``random.random`` and ``time.time`` are the originals."""
     return (random.random, time.time) == STOCK
 
+
+# Every module-level random function: each is a method of the hidden
+# instance they all share. Read off the interpreter, not the guard, so a
+# function a newer Python adds is guarded or fails here.
+AMBIENT = [
+    ("random", name)
+    for name in dir(random)
+    if not name.startswith("_") and getattr(getattr(random, name), "__self__", None) is random._inst
+] + [("time", "time"), ("time", "time_ns")]
+
 SMALL = dict(
     nodes=20,
     warmup=8.0,
@@ -64,6 +74,15 @@ class TestGuard:
                 time.time()
             with pytest.raises(DeterminismError, match="time_ns"):
                 time.time_ns()
+
+    @pytest.mark.parametrize("module, name", AMBIENT, ids=[f"{m}.{n}" for m, n in AMBIENT])
+    def test_every_ambient_function_trips_and_comes_back(self, module, name):
+        owner = {"random": random, "time": time}[module]
+        stock = getattr(owner, name)
+        with determinism_guard():
+            with pytest.raises(DeterminismError, match=rf"{module}\.{name}\(\)"):
+                getattr(owner, name)()
+        assert getattr(owner, name) is stock
 
     def test_seeded_instances_keep_working(self):
         rng = random.Random(7)
